@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: all help build vet test race bench-short sched-smoke throttle-smoke mem-smoke replay-smoke wait-smoke ws-smoke topo-smoke chaos-smoke perftrack-smoke depbench perftrack ci
+.PHONY: all help build vet test race bench-short bench-check sched-smoke throttle-smoke mem-smoke replay-smoke wait-smoke ws-smoke topo-smoke chaos-smoke perftrack-smoke depbench perftrack ci
 
 all: build
 
@@ -15,6 +15,8 @@ help:
 	@echo "  test           full test suite"
 	@echo "  race           race detector pass (short mode)"
 	@echo "  bench-short    every benchmark once (benchmark-code smoke)"
+	@echo "  bench-check    the bench/ module (its own go.mod, so ./... skips it): vet, unit"
+	@echo "                 tests, and one quick end-to-end pass of axpy_nest_weak"
 	@echo "  sched-smoke    ready-pool contention matrix (w=1/4/8) + w=1 parity guard"
 	@echo "  throttle-smoke throttle-window contention matrix (impl x window x w) + w=1 parity guard"
 	@echo "  mem-smoke      memory-pool gates: >=5x alloc cut, pooled-vs-reference differentials,"
@@ -56,7 +58,7 @@ help:
 	@echo "  perftrack      full perf-trajectory run: collect the depbench matrix + reproduce"
 	@echo "                 workloads under CV validation, gate against the last committed"
 	@echo "                 record, append to BENCH_history.json (go run ./cmd/perftrack)"
-	@echo "  ci             build + vet + test + race + bench-short + sched/throttle/mem/replay/wait/ws/topo/chaos/perftrack smokes"
+	@echo "  ci             build + vet + test + race + bench-short + bench-check + sched/throttle/mem/replay/wait/ws/topo/chaos/perftrack smokes"
 
 build:
 	$(GO) build ./...
@@ -76,6 +78,13 @@ race:
 # of the benchmark code), without the full measurement sweeps.
 bench-short:
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./...
+
+# The repository benchmark lives in bench/, a module of its own that the
+# root `./...` patterns never reach: vet it, run its unit tests, and drive
+# one quick end-to-end pass (tiny sizes, verified against the sequential
+# reference) so a runtime change that breaks it fails CI, not the driver.
+bench-check:
+	cd bench && $(GO) vet ./... && $(GO) test ./... && $(GO) run . -quick -workload axpy_nest_weak -trace 0
 
 # Scheduler admission contention smoke: the pool matrix at w=1/4/8 plus
 # the w=1 parity regression guard (the sharded pools' lock-free fast paths
@@ -196,4 +205,4 @@ perftrack-smoke:
 perftrack:
 	$(GO) run ./cmd/perftrack -compare
 
-ci: build vet test race bench-short sched-smoke throttle-smoke mem-smoke replay-smoke wait-smoke ws-smoke topo-smoke chaos-smoke perftrack-smoke
+ci: build vet test race bench-short bench-check sched-smoke throttle-smoke mem-smoke replay-smoke wait-smoke ws-smoke topo-smoke chaos-smoke perftrack-smoke

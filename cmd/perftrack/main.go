@@ -6,8 +6,14 @@
 // averaged into garbage), and appends a per-commit record to a committed
 // history file (BENCH_history.json).
 //
-// With -compare, the run is first gated against the last accepted record
-// of the same class (quick vs full): each entry's new sample is tested
+// A run whose GOMAXPROCS is below its widest worker count is recorded as
+// degraded — its "wN" entries measured goroutine interleaving, not
+// parallel contention — and no later run gates against it. Each record
+// also carries the host's CPU count and model next to go/maxprocs.
+//
+// With -compare, the run is first gated against the last accepted
+// non-degraded record of the same class (quick vs full): each entry's new
+// sample is tested
 // against its recorded one with a Mann-Whitney U test plus a materiality
 // floor (internal/perfstat.Compare). Any REGRESSED entry fails the run
 // with exit status 1, the record is NOT appended, and a traced workload
@@ -114,7 +120,14 @@ func collect(widths []int, quick bool, opts perfstat.CollectOptions, commit stri
 		Time:     time.Now().UTC().Format(time.RFC3339),
 		Go:       runtime.Version(),
 		MaxProcs: runtime.GOMAXPROCS(0),
+		NumCPU:   runtime.NumCPU(),
+		CPU:      cpuModel(),
 		Quick:    quick,
+	}
+	if widest := widths[len(widths)-1]; rec.MaxProcs < widest {
+		rec.Degraded = true
+		fmt.Printf("perftrack: GOMAXPROCS=%d is below the widest entry (w=%d): the record is tagged degraded and will not serve as a baseline\n",
+			rec.MaxProcs, widest)
 	}
 	fmt.Printf("perftrack: %d entries, %d reps each (max CV %.0f%%), commit %s\n",
 		len(entries), opts.Reps, opts.MaxCV*100, rec.Commit)
@@ -137,6 +150,21 @@ func collect(widths []int, quick bool, opts perfstat.CollectOptions, commit stri
 	}
 	fmt.Print(tb.String())
 	return rec
+}
+
+// cpuModel returns the host CPU's model name from /proc/cpuinfo, or ""
+// where that is unavailable.
+func cpuModel() string {
+	data, err := os.ReadFile("/proc/cpuinfo")
+	if err != nil {
+		return ""
+	}
+	for _, line := range strings.Split(string(data), "\n") {
+		if k, v, ok := strings.Cut(line, ":"); ok && strings.TrimSpace(k) == "model name" {
+			return strings.TrimSpace(v)
+		}
+	}
+	return ""
 }
 
 // commitID resolves the record's commit id.

@@ -1,6 +1,6 @@
 // Package chaos is the runtime's failpoint registry: named injection
 // sites threaded through every lock-free protocol edge (the steal-CAS
-// retry and Dekker recheck windows in internal/sched, the credit-steal
+// retry, Dekker recheck and creator-lane take windows in internal/sched, the credit-steal
 // and batch-wake hand-off in internal/throttle, the cascade ordering and
 // pin-count release in internal/deps, the lane-refill path in
 // internal/mempool, and the replay/taskwait/worksharing intercepts in
@@ -90,9 +90,14 @@ const (
 	// popping the invitation and joining the chunk drain, racing the
 	// announce-hold release against the owner's completion.
 	WsAnnounceConsume
+	// SchedCreatorLane sits in the stealing pool's creator-lane take,
+	// between the lane-count check and the inbox lock: a delay here races
+	// a thief's take of a victim's oldest creator against the owner's own
+	// inbox pop and rival thieves.
+	SchedCreatorLane
 
 	// NumSites is the site count (array sizing).
-	NumSites = int(WsAnnounceConsume) + 1
+	NumSites = int(SchedCreatorLane) + 1
 )
 
 var siteNames = [NumSites]string{
@@ -107,6 +112,7 @@ var siteNames = [NumSites]string{
 	"replay-invalidate",
 	"taskwait-intercept",
 	"ws-announce-consume",
+	"sched-creator-lane",
 }
 
 // String returns the site's stable table/report name.

@@ -37,12 +37,25 @@ func chaosStack() Config {
 //     falls back live mid-region and re-records);
 //   - a dependency-carrying parent with a nested submit + blocking
 //     taskwait per iteration (continuation handoffs under chaos);
-//   - a worksharing sweep and a taskgroup burst per iteration.
+//   - a worksharing sweep and a taskgroup burst per iteration;
+//   - an all-weak creator nest per iteration (four weakwait creators, every
+//     other one through a weak sub-creator, over leaves that chain across
+//     iterations): creators ride the stealing pool's creator lane, so the
+//     lane's thief-versus-owner race runs under the schedules too.
 func runChaosProgram(r *Runtime, iters, width int) (int64, error) {
 	const elems = 64
 	d0 := r.NewData("c0", elems, 8)
 	d1 := r.NewData("c1", elems, 8)
-	state := make([]int64, 2*elems)
+	d2 := r.NewData("c2", elems, 8)
+	state := make([]int64, 3*elems)
+	weakCreator := func(tc *TaskContext, iv Interval, body func(*TaskContext)) {
+		tc.Submit(TaskSpec{
+			Label:    "creator",
+			WeakWait: true,
+			Deps:     []Dep{{Data: d2, Type: InOut, Weak: true, Ivs: []Interval{iv}}},
+			Body:     body,
+		})
+	}
 	err := r.RunChecked(func(tc *TaskContext) {
 		for it := 0; it < iters; it++ {
 			mult := int64(2*it + 3)
@@ -97,6 +110,30 @@ func runChaosProgram(r *Runtime, iters, width int) (int64, error) {
 					tc.Submit(TaskSpec{Label: "burst", Body: func(*TaskContext) {}})
 				}
 			})
+			leaves := func(part Interval) func(*TaskContext) {
+				return func(tc *TaskContext) {
+					for lo := part.Lo; lo < part.Hi; lo += 8 {
+						iv := Interval{Lo: lo, Hi: lo + 8}
+						tc.Submit(TaskSpec{
+							Label: "leaf",
+							Deps:  []Dep{{Data: d2, Type: InOut, Ivs: []Interval{iv}}},
+							Body: func(*TaskContext) {
+								for e := iv.Lo; e < iv.Hi; e++ {
+									state[2*elems+e] = state[2*elems+e]*mult + 1
+								}
+							},
+						})
+					}
+				}
+			}
+			for q := int64(0); q < 4; q++ {
+				part := Interval{Lo: q * elems / 4, Hi: (q + 1) * elems / 4}
+				if q%2 == 0 {
+					weakCreator(tc, part, leaves(part))
+				} else {
+					weakCreator(tc, part, func(tc *TaskContext) { weakCreator(tc, part, leaves(part)) })
+				}
+			}
 		}
 	})
 	var sum int64

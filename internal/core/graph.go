@@ -295,7 +295,7 @@ func (g *graphRun) submit(tc *TaskContext, spec TaskSpec) bool {
 	r := tc.rt
 	switch g.mode {
 	case gmRecord:
-		specs := r.convertDeps(spec.Deps, tc.worker)
+		specs, _ := r.convertDeps(spec.Deps, tc.worker)
 		idx := g.recorder.OnSubmit(spec.WeakWait, spec.Final, specs)
 		g.submitted++
 		r.submitLive(tc, spec, g, idx)
@@ -339,7 +339,7 @@ func (g *graphRun) validateNext(r *Runtime, tc *TaskContext, spec *TaskSpec) boo
 		// under load proves it.
 		return false
 	}
-	specs := r.convertDeps(spec.Deps, tc.worker)
+	specs, _ := r.convertDeps(spec.Deps, tc.worker)
 	g.fpBuf = replay.AppendFP(g.fpBuf[:0], spec.WeakWait, spec.Final, specs)
 	if !g.fpBuf.Equal(rec.Task(g.submitted).FP) {
 		return false

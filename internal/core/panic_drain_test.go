@@ -5,6 +5,7 @@ import (
 	"strings"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/sched"
 )
@@ -273,8 +274,13 @@ func TestRunRepanicsAfterDrain(t *testing.T) {
 	wantTaskError(t, err, "burst", "burst boom")
 	assertDrained(t, r)
 	// Quiescence includes the ready pools: every token home, nothing queued.
+	// The worker that completed the last task releases its token just after
+	// Run is woken, so give the tokens a moment to come home.
 	if p, ok := r.sch.(sched.Prober); ok {
 		pr := p.Probe()
+		for deadline := time.Now().Add(2 * time.Second); pr.FreeTokens != r.Workers() && time.Now().Before(deadline); pr = p.Probe() {
+			time.Sleep(100 * time.Microsecond)
+		}
 		if pr.Queued != 0 || pr.Waiters != 0 || pr.FreeTokens != r.Workers() {
 			t.Errorf("pool not quiescent after re-panic: %+v", pr)
 		}

@@ -265,6 +265,13 @@ type Runtime struct {
 	aff   sched.AffinityQueue[*Task]
 	lastW atomic.Pointer[[]atomic.Int32]
 
+	// lane is the pool's program-order admission (nil when the pool has
+	// none): tasks whose depend clause is all weak — creators, which touch
+	// no data and only instantiate children (§VI) — are enqueued through it
+	// so they start in program order instead of off the LIFO end of a
+	// deque, and their children find their predecessors already run.
+	lane sched.CreatorQueue[*Task]
+
 	open      atomic.Int64 // dependency-ready, not yet started (throttle window)
 	live      atomic.Int64 // instantiated, not yet completed (diagnostics)
 	taskCount atomic.Int64
@@ -465,6 +472,7 @@ func New(cfg Config) *Runtime {
 	if aq, ok := r.sch.(sched.AffinityQueue[*Task]); ok && cfg.Workers > 1 {
 		r.aff = aq
 	}
+	r.lane, _ = r.sch.(sched.CreatorQueue[*Task])
 	if cfg.Watchdog {
 		r.hb = make([]hbSlot, cfg.Workers)
 	}
@@ -652,29 +660,32 @@ func (r *Runtime) now() int64 {
 	return int64(time.Since(r.wallStart))
 }
 
-// convertDeps translates the public Dep slice into engine specs. In the
-// pooled memory mode the specs land in worker's reusable scratch slice:
-// the engine copies each Spec value during Register (only the Ivs slices,
-// which belong to the caller, are retained), so the scratch is free for
-// the worker's next submit as soon as the Register call returns.
-func (r *Runtime) convertDeps(ds []Dep, worker int) []deps.Spec {
+// convertDeps translates the public Dep slice into engine specs, and
+// reports whether the clause is non-empty and entirely weak — the mark of a
+// creator task (see Runtime.lane). In the pooled memory mode the specs land
+// in worker's reusable scratch slice: the engine copies each Spec value
+// during Register (only the Ivs slices, which belong to the caller, are
+// retained), so the scratch is free for the worker's next submit as soon as
+// the Register call returns.
+func (r *Runtime) convertDeps(ds []Dep, worker int) (specs []deps.Spec, allWeak bool) {
 	if len(ds) == 0 {
-		return nil
+		return nil, false
 	}
-	var specs []deps.Spec
 	ws := r.scratchFor(worker)
 	if ws != nil {
 		specs = ws.specs[:0]
 	} else {
 		specs = make([]deps.Spec, 0, len(ds))
 	}
+	allWeak = true
 	for _, d := range ds {
 		specs = append(specs, deps.Spec{Data: d.Data, Type: d.Type, Weak: d.Weak, Ivs: d.Ivs})
+		allWeak = allWeak && d.Weak
 	}
 	if ws != nil {
 		ws.specs = specs
 	}
-	return specs
+	return specs, allWeak
 }
 
 // feedCache streams the regions the task actually accesses through the

@@ -240,13 +240,20 @@ func (r *Runtime) submitLive(tc *TaskContext, spec TaskSpec, g *graphRun, gidx i
 		t.greg, t.gidx = g, gidx
 	}
 	t.node = r.eng.NewNode(tc.task.node, spec.Label, t)
-	if r.eng.Register(t.node, r.convertDeps(spec.Deps, tc.worker)) {
+	specs, creator := r.convertDeps(spec.Deps, tc.worker)
+	if r.eng.Register(t.node, specs) {
 		if prepaid {
 			r.windowEnterReserved()
 		} else {
 			r.windowEnter(1)
 		}
-		r.enqueue(t, tc.worker)
+		// A creator waits in the lane as a ready task like any other: it
+		// holds its window slot until a worker starts it (taskStarted).
+		if creator && r.lane != nil {
+			r.lane.SubmitCreator(t, tc.worker)
+		} else {
+			r.enqueue(t, tc.worker)
+		}
 	} else if prepaid {
 		// The child deferred on its dependencies — it does not occupy the
 		// window; its eventual dependency-cascade entry is unreserved.
@@ -279,7 +286,8 @@ func (tc *TaskContext) Release(ds ...Dep) {
 	if ws != nil {
 		buf = ws.ready[:0]
 	}
-	ready := r.eng.ReleaseRegionsInto(tc.task.node, r.convertDeps(ds, tc.worker), buf)
+	specs, _ := r.convertDeps(ds, tc.worker)
+	ready := r.eng.ReleaseRegionsInto(tc.task.node, specs, buf)
 	if ws != nil {
 		ws.ready = ready[:0]
 	}

@@ -95,6 +95,7 @@ func (r *Runtime) epochSum() uint64 {
 // above.
 type probeSample struct {
 	queued     int
+	creators   int
 	freeTokens int
 	waiters    int
 	thrWaiters int64
@@ -161,8 +162,11 @@ type StallReport struct {
 	Reason string
 	// Elapsed is the time since Run started.
 	Elapsed time.Duration
-	// Queued, FreeTokens, and Waiters are the ready pool's probe.
-	Queued, FreeTokens, Waiters int
+	// Queued, FreeTokens, and Waiters are the ready pool's probe;
+	// QueuedCreators is how many of the queued tasks are creators waiting
+	// in a lane (a stall with only those queued points at the lane's
+	// owner-or-thief take, not at the deques).
+	Queued, QueuedCreators, FreeTokens, Waiters int
 	// ThrottleWaiters/ThrottleCredits/ThrottleOpen describe the throttle
 	// window (zero when unthrottled).
 	ThrottleWaiters, ThrottleCredits, ThrottleOpen int64
@@ -183,7 +187,8 @@ type StallReport struct {
 func (sr *StallReport) String() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "stall detected after %v: %s\n", sr.Elapsed.Round(time.Millisecond), sr.Reason)
-	fmt.Fprintf(&b, "  pool: queued=%d freeTokens=%d waiters=%d\n", sr.Queued, sr.FreeTokens, sr.Waiters)
+	fmt.Fprintf(&b, "  pool: queued=%d (creators=%d) freeTokens=%d waiters=%d\n",
+		sr.Queued, sr.QueuedCreators, sr.FreeTokens, sr.Waiters)
 	fmt.Fprintf(&b, "  throttle: waiters=%d credits=%d open=%d\n",
 		sr.ThrottleWaiters, sr.ThrottleCredits, sr.ThrottleOpen)
 	fmt.Fprintf(&b, "  tasks: open=%d live=%d\n", sr.Open, sr.Live)
@@ -294,7 +299,7 @@ func (r *Runtime) newWatchdog() *watchdog {
 		var s probeSample
 		if prober != nil {
 			p := prober.Probe()
-			s.queued, s.freeTokens, s.waiters = p.Queued, p.FreeTokens, p.Waiters
+			s.queued, s.creators, s.freeTokens, s.waiters = p.Queued, p.Creators, p.FreeTokens, p.Waiters
 		}
 		if r.thr != nil {
 			s.thrWaiters = r.thr.Waiters()
@@ -312,6 +317,7 @@ func (r *Runtime) renderStall(reason string, s probeSample) StallReport {
 		Reason:          reason,
 		Elapsed:         time.Since(r.wallStart),
 		Queued:          s.queued,
+		QueuedCreators:  s.creators,
 		FreeTokens:      s.freeTokens,
 		Waiters:         s.waiters,
 		ThrottleWaiters: s.thrWaiters,

@@ -2,7 +2,6 @@ package deps
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -796,43 +795,26 @@ func finishRegister(n *Node, obs Observer) bool {
 	return false
 }
 
-// oneData reports whether every spec names the same data object (and there
-// is at least one).
-func oneData(specs []Spec) bool {
-	if len(specs) == 0 {
-		return false
-	}
-	for _, s := range specs[1:] {
-		if s.Data != specs[0].Data {
-			return false
+// specDatas appends the distinct DataIDs of specs to buf in ascending order —
+// the canonical shard acquisition order — and returns it. Depend clauses
+// are short, so this is an insertion sort into the caller's buffer (a small
+// inline array in practice); only a clause naming more objects than the
+// buffer holds reaches the heap, through append.
+func specDatas(buf []DataID, specs []Spec) []DataID {
+	for i := range specs {
+		d := specs[i].Data
+		at := len(buf)
+		for at > 0 && buf[at-1] > d {
+			at--
 		}
-	}
-	return true
-}
-
-// specDatas returns the distinct DataIDs of specs in ascending order — the
-// canonical shard acquisition order.
-func specDatas(specs []Spec) []DataID {
-	datas := make([]DataID, 0, len(specs))
-	for _, s := range specs {
-		datas = append(datas, s.Data)
-	}
-	return sortedUnique(datas)
-}
-
-func sortedUnique(datas []DataID) []DataID {
-	if len(datas) < 2 {
-		return datas
-	}
-	sort.Slice(datas, func(i, j int) bool { return datas[i] < datas[j] })
-	w := 1
-	for _, d := range datas[1:] {
-		if d != datas[w-1] {
-			datas[w] = d
-			w++
+		if at > 0 && buf[at-1] == d {
+			continue
 		}
+		buf = append(buf, 0)
+		copy(buf[at+1:], buf[at:])
+		buf[at] = d
 	}
-	return datas[:w]
+	return buf
 }
 
 // syncObserver serializes observer callbacks: the sharded engine fires

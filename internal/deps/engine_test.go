@@ -409,3 +409,47 @@ func TestOutOrdering(t *testing.T) {
 	}
 	_ = s
 }
+
+// TestSpecDatas: the canonical shard order is the distinct DataIDs
+// ascending, whatever the clause order; clauses of up to inlineDatas
+// objects stay in the caller's inline buffer (no allocation), wider ones
+// spill to the heap and stay correct.
+func TestSpecDatas(t *testing.T) {
+	clause := func(ids ...DataID) []Spec {
+		specs := make([]Spec, len(ids))
+		for i, id := range ids {
+			specs[i] = Spec{Data: id, Type: In}
+		}
+		return specs
+	}
+	for _, c := range []struct {
+		in, want []DataID
+	}{
+		{nil, nil},
+		{[]DataID{3}, []DataID{3}},
+		{[]DataID{2, 2, 2}, []DataID{2}},
+		{[]DataID{5, 1, 5, 3, 1}, []DataID{1, 3, 5}},
+		{[]DataID{4, 3, 2, 1}, []DataID{1, 2, 3, 4}},
+		{[]DataID{9, 7, 8, 1, 7, 3, 2}, []DataID{1, 2, 3, 7, 8, 9}}, // spills
+	} {
+		var buf [inlineDatas]DataID
+		got := specDatas(buf[:0], clause(c.in...))
+		if len(got) != len(c.want) {
+			t.Fatalf("specDatas(%v) = %v, want %v", c.in, got, c.want)
+		}
+		for i := range got {
+			if got[i] != c.want[i] {
+				t.Fatalf("specDatas(%v) = %v, want %v", c.in, got, c.want)
+			}
+		}
+	}
+	specs := clause(6, 2, 6, 4, 0)
+	if allocs := testing.AllocsPerRun(100, func() {
+		var buf [inlineDatas]DataID
+		if len(specDatas(buf[:0], specs)) != 4 {
+			t.Fatal("wrong count")
+		}
+	}); allocs != 0 {
+		t.Fatalf("specDatas allocated %.0f times on a %d-object clause, want 0", allocs, inlineDatas)
+	}
+}

@@ -133,10 +133,11 @@ type Node struct {
 	// datas caches the distinct DataIDs of accesses in ascending order —
 	// the canonical shard visiting order, computed once at registration so
 	// the completion-side calls (BodyDone, Complete) pay no sort or
-	// allocation. Single-writer like accesses. For the overwhelmingly
-	// common single-object clause it aliases data0, avoiding the heap.
+	// allocation. Single-writer like accesses. It aliases data0 unless the
+	// clause names more than inlineDatas objects, so the common clauses
+	// stay off the heap.
 	datas  []DataID
-	data0  [1]DataID
+	data0  [inlineDatas]DataID
 	mapsMu sync.RWMutex
 	// accessMap indexes this node's own fragments by data and interval, for
 	// inbound linking by children and for the release directive.
@@ -183,6 +184,10 @@ type Node struct {
 	// which released a pin after its writes).
 	pins atomic.Int64
 }
+
+// inlineDatas is how many distinct data objects of a depend clause a node
+// records inline (Node.data0).
+const inlineDatas = 4
 
 // newNode constructs a node with no readiness hint yet.
 func newNode(parent *Node, label string, user any) *Node {

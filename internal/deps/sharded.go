@@ -193,12 +193,7 @@ func (e *ShardedEngine) NewNode(parent *Node, label string, user any) *Node {
 // grants from readying the node until every entry is linked.
 func (e *ShardedEngine) Register(n *Node, specs []Spec) bool {
 	checkRegister(n, specs)
-	if oneData(specs) {
-		n.data0[0] = specs[0].Data
-		n.datas = n.data0[:]
-	} else {
-		n.datas = specDatas(specs)
-	}
+	n.datas = specDatas(n.data0[:0], specs)
 	for _, data := range n.datas {
 		e.shardFor(data).locked(func(c *depCore) {
 			for i := range specs {
@@ -258,7 +253,8 @@ func (e *ShardedEngine) ReleaseRegions(n *Node, specs []Spec) []*Node {
 // ReleaseRegionsInto implements the release directive (§V), appending the
 // nodes that became ready to out.
 func (e *ShardedEngine) ReleaseRegionsInto(n *Node, specs []Spec, out []*Node) []*Node {
-	for _, data := range specDatas(specs) {
+	var buf [inlineDatas]DataID
+	for _, data := range specDatas(buf[:0], specs) {
 		e.shardFor(data).locked(func(c *depCore) {
 			for i := range specs {
 				if specs[i].Data == data {

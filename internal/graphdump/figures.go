@@ -36,9 +36,15 @@ type figureBuilder struct {
 	d   nanos.DataID
 }
 
+// newFigureBuilder's runtime runs newest-first on one worker (the central
+// LIFO queue): every outer task then instantiates its subtasks before any
+// predecessor has run, so the capture shows each edge the listing implies.
+// The default pool starts all-weak tasks in program order, under which T3's
+// and T4's subtasks find their inputs already produced and Figure 2b's
+// inbound edges are never created.
 func newFigureBuilder() *figureBuilder {
 	c := New()
-	rt := nanos.New(nanos.Config{Workers: 1, Observer: c})
+	rt := nanos.New(nanos.Config{Workers: 1, Observer: c, Policy: nanos.LIFO})
 	d := rt.NewData("vars", 7, 8)
 	return &figureBuilder{cap: c, rt: rt, d: d}
 }

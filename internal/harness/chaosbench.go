@@ -31,7 +31,7 @@ type ChaosGroup struct {
 // subsystem rows cover all chaos.NumSites sites.
 var ChaosGroups = []ChaosGroup{
 	{Name: "off"},
-	{Name: "sched", Sites: []chaos.Site{chaos.SchedStealCAS, chaos.SchedTokenRetire, chaos.SchedDekkerRecheck}},
+	{Name: "sched", Sites: []chaos.Site{chaos.SchedStealCAS, chaos.SchedTokenRetire, chaos.SchedDekkerRecheck, chaos.SchedCreatorLane}},
 	{Name: "throttle", Sites: []chaos.Site{chaos.ThrottleCreditSteal, chaos.ThrottleBatchWake}},
 	{Name: "deps", Sites: []chaos.Site{chaos.DepsCascade, chaos.DepsPinRelease}},
 	{Name: "mempool", Sites: []chaos.Site{chaos.MempoolRefill}},

@@ -37,9 +37,17 @@ type Record struct {
 	Commit string `json:"commit"`
 	// Time is the RFC3339 collection timestamp.
 	Time string `json:"time"`
-	// Host describes the environment: go version, GOMAXPROCS.
+	// Host describes the environment: go version, GOMAXPROCS, the host's
+	// logical CPU count and CPU model (empty where the platform does not
+	// say).
 	Go       string `json:"go"`
 	MaxProcs int    `json:"maxprocs"`
+	NumCPU   int    `json:"numcpu,omitempty"`
+	CPU      string `json:"cpu,omitempty"`
+	// Degraded marks a run taken with GOMAXPROCS below its widest entry's
+	// worker count: its "parallel" entries measured goroutine interleaving,
+	// not contention. Kept for the record, never used as a baseline.
+	Degraded bool `json:"degraded,omitempty"`
 	// Quick marks reduced-op smoke collections, which are never
 	// comparable to full runs.
 	Quick bool `json:"quick,omitempty"`
@@ -79,11 +87,13 @@ func LoadHistory(path string) ([]Record, error) {
 	return recs, nil
 }
 
-// LastComparable returns the newest record with the same Quick class, or
-// nil — a reduced-op smoke run must never gate against a full run.
+// LastComparable returns the newest non-degraded record with the same
+// Quick class, or nil — a reduced-op smoke run must never gate against a
+// full run, and nothing gates against a run that lacked the cores for its
+// own entries.
 func LastComparable(recs []Record, quick bool) *Record {
 	for i := len(recs) - 1; i >= 0; i-- {
-		if recs[i].Quick == quick {
+		if recs[i].Quick == quick && !recs[i].Degraded {
 			return &recs[i]
 		}
 	}

@@ -296,4 +296,19 @@ func TestPerfstatHistoryRoundTrip(t *testing.T) {
 	if _, ok := recs[0].Entry("nope"); ok {
 		t.Errorf("Entry lookup found a missing name")
 	}
+	// A degraded record is kept but never serves as a baseline.
+	r3 := Record{Commit: "ccc", Time: "2026-08-08T02:00:00Z", Go: "go1.24", MaxProcs: 1, NumCPU: 1,
+		CPU: "test cpu", Degraded: true}
+	if err := AppendHistory(path, r3); err != nil {
+		t.Fatal(err)
+	}
+	if recs, err = LoadHistory(path); err != nil || len(recs) != 3 {
+		t.Fatalf("after degraded append: %d records, err %v", len(recs), err)
+	}
+	if got := recs[2]; !got.Degraded || got.NumCPU != 1 || got.CPU != "test cpu" {
+		t.Errorf("degraded record did not round-trip: %+v", got)
+	}
+	if last := LastComparable(recs, false); last == nil || last.Commit != "aaa" {
+		t.Errorf("LastComparable(full) = %+v, want commit aaa (degraded ccc skipped)", last)
+	}
 }

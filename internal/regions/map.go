@@ -2,7 +2,6 @@ package regions
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 )
 
@@ -70,11 +69,21 @@ func (m *Map[V]) CoveredLen() int64 {
 	return n
 }
 
-// firstOverlapping returns the index of the first entry with Hi > lo.
+// firstOverlapping returns the index of the first entry with Hi > lo
+// (len(entries) if none). Entries are disjoint and sorted, so Hi is
+// ascending; the binary search is written out because every map operation
+// starts here and sort.Search's predicate closure does not inline.
 func (m *Map[V]) firstOverlapping(lo int64) int {
-	return sort.Search(len(m.entries), func(i int) bool {
-		return m.entries[i].iv.Hi > lo
-	})
+	i, j := 0, len(m.entries)
+	for i < j {
+		h := int(uint(i+j) >> 1)
+		if m.entries[h].iv.Hi > lo {
+			j = h
+		} else {
+			i = h + 1
+		}
+	}
+	return i
 }
 
 // splitAt ensures no entry straddles point p: the entry containing p in its

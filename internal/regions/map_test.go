@@ -2,6 +2,7 @@ package regions
 
 import (
 	"math/rand"
+	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -267,6 +268,38 @@ func TestMapQuickVisitConfinement(t *testing.T) {
 		return m.Validate() == nil
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300, Rand: rand.New(rand.NewSource(3))}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// Property: the hand-rolled binary search in firstOverlapping agrees with
+// sort.Search over the same predicate, on random maps (empty, fragmented,
+// with gaps) and every probe point from below the first entry to past the
+// last.
+func TestMapQuickFirstOverlappingMatchesSortSearch(t *testing.T) {
+	const universe = 96
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		m := NewMap[int](nil)
+		for n := rng.Intn(24); n > 0; n-- {
+			lo := rng.Int63n(universe)
+			iv := Iv(lo, lo+1+rng.Int63n(8))
+			if rng.Intn(4) == 0 {
+				m.Remove(iv)
+			} else {
+				m.Set(iv, n)
+			}
+		}
+		for lo := int64(-2); lo < universe+10; lo++ {
+			want := sort.Search(len(m.entries), func(i int) bool { return m.entries[i].iv.Hi > lo })
+			if got := m.firstOverlapping(lo); got != want {
+				t.Logf("seed %d: firstOverlapping(%d) = %d, sort.Search = %d over %v", seed, lo, got, want, m)
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 300, Rand: rand.New(rand.NewSource(5))}); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -24,8 +24,10 @@
 //   - ShardedCentral: the scalable central variant — one ingress queue per
 //     worker, FIFO work-pulling, no pool-wide lock.
 //   - Stealing: per-worker Chase-Lev deques with lock-free LIFO self-pop
-//     and CAS-based FIFO stealing (the Cilk discipline). The default ready
-//     pool of the runtime's real mode.
+//     and CAS-based FIFO stealing (the Cilk discipline), plus a per-worker
+//     creator lane that starts tasks which only instantiate children in
+//     program order (CreatorQueue). The default ready pool of the
+//     runtime's real mode.
 //   - LockedStealing: the single-lock stealing reference the differential
 //     tests and contention benchmarks compare the sharded pools against.
 //
@@ -171,6 +173,23 @@ type Queue[T any] interface {
 	QueueLen() int
 }
 
+// CreatorQueue is the optional Queue extension for items that should start
+// in program order: tasks that touch no data themselves and only
+// instantiate children (the runtime routes tasks whose depend clause is
+// non-empty and all-weak here — §VI of the paper). Run newest-first, as a
+// LIFO deque would, such creators instantiate their whole subtrees under
+// predecessors that do not exist yet, so every child blocks; run in
+// program order, each subtree finds its predecessors already finished.
+// SubmitCreator admits like Submit — from follows the same ownership rule —
+// but queues the item behind the submitting worker's other work, in
+// depth-first program order among creators, and ahead of that other work
+// for thieves. Only the Stealing pool implements it; the other pools keep
+// their own order.
+type CreatorQueue[T any] interface {
+	Queue[T]
+	SubmitCreator(item T, from int)
+}
+
 // Probe is one instantaneous observation of a pool's admission state, for
 // external monitors (the runtime's stall watchdog). The three counters are
 // read independently — a probe is not a consistent snapshot — so a monitor
@@ -178,6 +197,8 @@ type Queue[T any] interface {
 type Probe struct {
 	// Queued is the number of queued (not running) items.
 	Queued int
+	// Creators is how many of those sit in a creator lane (SubmitCreator).
+	Creators int
 	// FreeTokens is the number of worker tokens on the free pool.
 	FreeTokens int
 	// Waiters is the number of blocked Acquire calls.

@@ -22,6 +22,9 @@ import (
 //     that hold no worker token (from out of range). External submissions
 //     are routed round-robin across inboxes so they cannot pile onto one
 //     shard.
+//   - lane: the creator lane (stealing discipline only; see SubmitCreator) —
+//     a mutex-guarded stack of FIFO batches for items that must start in
+//     program order rather than newest-first.
 //
 // Admission invariants (shared with the single-lock pools, and checked by
 // the differential tests in this package):
@@ -100,9 +103,17 @@ type poolShard[T any] struct {
 	steals    atomic.Int64            // 8; items this worker took from other shards
 	lvlSteals [NumLevels]atomic.Int64 // 24; steal-distance histogram
 	rng       uint64                  // 8; owner-only victim-start PRNG state
+	newBatch  bool                    // 8 with padding; owner-only: an item was taken since the last lane push
 	boxLane   mempool.Lane[T]         // 48; owner-only box free list
-	_         [40]byte                // 152 -> 192
+	lane      []T                     // 24; creator-lane storage (guarded by imu)
+	segs      []laneSeg               // 24; the lane's batches, oldest first (guarded by imu)
+	llen      atomic.Int64            // 8; items in the lane
+	_         [40]byte                // 216 -> 256
 }
+
+// laneSeg is one batch of the creator lane: the items one task body pushed,
+// in submission order, of which lane[head:end) are still queued.
+type laneSeg struct{ head, end int }
 
 // PoolStats are diagnostic counters of a pool.
 type PoolStats struct {
@@ -340,6 +351,77 @@ func (p *shardedPool[T]) takeInbox(sh *poolShard[T]) (item T, ok bool) {
 	return item, true
 }
 
+// pushLane appends an item to the owner's creator lane: onto the newest
+// batch while the same body keeps submitting, onto a fresh batch once the
+// owner has taken another item in between (newBatch). Owner-only, like a
+// deque push; the mutex is for the thieves.
+func (sh *poolShard[T]) pushLane(item T) {
+	sh.imu.Lock()
+	if len(sh.lane) == cap(sh.lane) && len(sh.segs) > 0 {
+		// About to grow. A lane that is fed and drained for a long time never
+		// empties, so takeLane never gets to reset it: when most of the
+		// storage is the consumed front of the oldest batch, slide the live
+		// part down instead.
+		if h := sh.segs[0].head; h > len(sh.lane)/2 {
+			n := copy(sh.lane, sh.lane[h:])
+			clear(sh.lane[n:])
+			sh.lane = sh.lane[:n]
+			for i := range sh.segs {
+				sh.segs[i].head -= h
+				sh.segs[i].end -= h
+			}
+		}
+	}
+	if sh.newBatch || len(sh.segs) == 0 {
+		sh.segs = append(sh.segs, laneSeg{len(sh.lane), len(sh.lane)})
+		sh.newBatch = false
+	}
+	sh.lane = append(sh.lane, item)
+	sh.segs[len(sh.segs)-1].end++
+	sh.llen.Add(1)
+	sh.imu.Unlock()
+}
+
+// takeLane pops the front of the lane's newest batch (the owner: depth-first
+// program order — a creator's own sub-creators run before its later
+// siblings) or of its oldest batch (a thief: the outermost pending creator,
+// i.e. the largest subtree nearest the front of the program).
+func (sh *poolShard[T]) takeLane(oldest bool) (item T, ok bool) {
+	if sh.llen.Load() == 0 {
+		return item, false
+	}
+	if oldest {
+		// Failpoint: widen the window between the lane check and the lock,
+		// racing a thief's take against the owner's and rival thieves'.
+		chaos.Maybe(chaos.SchedCreatorLane)
+	}
+	sh.imu.Lock()
+	defer sh.imu.Unlock()
+	if len(sh.segs) == 0 {
+		return item, false
+	}
+	i := len(sh.segs) - 1
+	if oldest {
+		i = 0
+	}
+	seg := &sh.segs[i]
+	var zero T
+	item, sh.lane[seg.head] = sh.lane[seg.head], zero
+	seg.head++
+	if seg.head == seg.end {
+		// Batch exhausted: drop it, and give back the storage above the
+		// newest remaining batch (all of it once the lane is empty).
+		sh.segs = append(sh.segs[:i], sh.segs[i+1:]...)
+		top := 0
+		if n := len(sh.segs); n > 0 {
+			top = sh.segs[n-1].end
+		}
+		sh.lane = sh.lane[:top]
+	}
+	sh.llen.Add(-1)
+	return item, true
+}
+
 // stealBatchMax bounds the steal-half multi-pop: one miss-driven visit to
 // a victim takes at most this many items (the first for the thief, the
 // rest onto its own deque).
@@ -358,13 +440,15 @@ func (p *shardedPool[T]) consumeBox(w int, box *T) T {
 }
 
 // popFor removes the next item for the holder of token w: own deque (bottom
-// under the stealing discipline, top under the central one), own inbox,
-// then the other shards — deque top, then inbox. Victim order follows the
-// pool's topology: nearest-first, exhausting each locality level (with a
-// randomized start *within* the level so concurrent thieves spread instead
-// of convoying) before widening to the next, or one flat randomized pass
-// under TopologyFlat (the reference order). The randomized starts draw from
-// the shard's private PRNG — the miss path touches no shared state.
+// under the stealing discipline, top under the central one), own creator
+// lane (newest batch, oldest item), own inbox, then the other shards —
+// creator lane (oldest batch), deque top, then inbox (stealFrom). Victim
+// order follows the pool's topology: nearest-first, exhausting each
+// locality level (with a randomized start *within* the level so concurrent
+// thieves spread instead of convoying) before widening to the next, or one
+// flat randomized pass under TopologyFlat (the reference order). The
+// randomized starts draw from the shard's private PRNG — the miss path
+// touches no shared state.
 //
 // A hit on a victim's deque steals half its items (bounded by
 // stealBatchMax): the first is returned, the rest move — boxes and all —
@@ -375,6 +459,11 @@ func (p *shardedPool[T]) consumeBox(w int, box *T) T {
 // per-queue arrival order, which moving items between queues would skew.
 func (p *shardedPool[T]) popFor(w int) (item T, ok bool) {
 	sh := &p.shards[w]
+	if !sh.newBatch {
+		// Whatever w runs next opens its own lane batch. (Written only on a
+		// change: the flag shares the shard with counters thieves poll.)
+		sh.newBatch = true
+	}
 	if p.workers == 1 {
 		if n := len(p.soloQ) - p.soloHead; n > 0 {
 			var zero T
@@ -393,6 +482,9 @@ func (p *shardedPool[T]) popFor(w int) (item T, ok bool) {
 			p.soloLen.Store(int64(n - 1))
 			return item, true
 		}
+		if item, ok = sh.takeLane(false); ok {
+			return item, true
+		}
 		return p.takeInbox(sh)
 	}
 	var box *T
@@ -403,6 +495,9 @@ func (p *shardedPool[T]) popFor(w int) (item T, ok bool) {
 	}
 	if ok {
 		return p.consumeBox(w, box), true
+	}
+	if item, ok = sh.takeLane(false); ok {
+		return item, true
 	}
 	if item, ok = p.takeInbox(sh); ok {
 		return item, true
@@ -440,11 +535,19 @@ func (p *shardedPool[T]) popFor(w int) (item T, ok bool) {
 }
 
 // stealFrom makes one visit to victim v on behalf of thief w: the victim's
-// deque top (with the bounded steal-half migration under the stealing
-// discipline), then the victim's inbox. A hit is charged to the thief's
-// steal counters at the locality level separating the two workers.
+// oldest lane creator, then its deque top (with the bounded steal-half
+// migration under the stealing discipline), then its inbox. A creator goes
+// first because it is a whole subtree the victim will not reach until its
+// own deque is empty: the thief instantiates and runs that subtree on its
+// own deque instead of coming back for the victim's leaves a steal at a
+// time. A hit is charged to the thief's steal counters at the locality
+// level separating the two workers.
 func (p *shardedPool[T]) stealFrom(w int, sh *poolShard[T], v int) (item T, ok bool) {
 	vs := &p.shards[v]
+	if item, ok = vs.takeLane(true); ok {
+		sh.noteSteal(p.topo.level(w, v), 1)
+		return item, true
+	}
 	if vs.deque.Size() > 0 {
 		// Failpoint: widen the window between the size check and the steal
 		// CAS, racing it against the owner's pushes and rival thieves.
@@ -485,15 +588,16 @@ func (sh *poolShard[T]) noteSteal(lvl int, n int64) {
 }
 
 // anyQueued reports whether any shard holds a queued item. Seq-cst loads of
-// every deque's indices and inbox count: a retirer calling this after
-// parking its token observes any item published before the submitter's
-// token-list recheck (the Dekker pairing in releaseToken).
+// every deque's indices and inbox and lane counts: a retirer calling this
+// after parking its token observes any item published before the
+// submitter's token-list recheck (the Dekker pairing in releaseToken).
 func (p *shardedPool[T]) anyQueued() bool {
 	if p.soloLen.Load() > 0 {
 		return true
 	}
 	for i := range p.shards {
-		if p.shards[i].deque.Size() > 0 || p.shards[i].ilen.Load() > 0 {
+		sh := &p.shards[i]
+		if sh.deque.Size() > 0 || sh.ilen.Load() > 0 || sh.llen.Load() > 0 {
 			return true
 		}
 	}
@@ -644,7 +748,8 @@ func (p *shardedPool[T]) Idle() bool {
 func (p *shardedPool[T]) QueueLen() int {
 	n := p.soloLen.Load()
 	for i := range p.shards {
-		n += p.shards[i].deque.Size() + p.shards[i].ilen.Load()
+		sh := &p.shards[i]
+		n += sh.deque.Size() + sh.ilen.Load() + sh.llen.Load()
 	}
 	return int(n)
 }
@@ -654,8 +759,13 @@ func (p *shardedPool[T]) QueueLen() int {
 // contradictions — queued work and a free token at once — are expected
 // during admission windows. Monitors must require the signature to persist.
 func (p *shardedPool[T]) Probe() Probe {
+	var creators int64
+	for i := range p.shards {
+		creators += p.shards[i].llen.Load()
+	}
 	return Probe{
 		Queued:     p.QueueLen(),
+		Creators:   int(creators),
 		FreeTokens: int(p.tokens.free()),
 		Waiters:    int(p.nwaiters.Load()),
 	}
@@ -676,6 +786,29 @@ type Stealing[T any] struct {
 
 var _ Queue[int] = (*Stealing[int])(nil)
 var _ AffinityQueue[int] = (*Stealing[int])(nil)
+var _ CreatorQueue[int] = (*Stealing[int])(nil)
+
+// SubmitCreator implements CreatorQueue: a free token starts the item at
+// once, as Submit; otherwise it joins the submitting worker's creator lane
+// instead of its LIFO deque. The owner reaches the lane only once its deque
+// is empty, so the work a creator spawned is still drained depth-first; it
+// then takes creators in depth-first program order — siblings oldest first,
+// a creator's own sub-creators before its later siblings — and a thief
+// takes a victim's outermost, oldest creator ahead of the victim's deque
+// (stealFrom). A submitter holding no token has no lane: its item takes the
+// external route of Submit.
+func (s *Stealing[T]) SubmitCreator(item T, from int) {
+	if w, ok := s.tokens.tryPop(); ok {
+		s.spawnGo(item, w)
+		return
+	}
+	if from >= 0 && from < s.workers {
+		s.shards[from].pushLane(item)
+	} else {
+		s.pushItem(item, from)
+	}
+	s.kick()
+}
 
 // NewStealing creates a work-stealing pool with the given number of worker
 // tokens and the default synthetic topology tree (see Topology).

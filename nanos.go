@@ -17,7 +17,16 @@
 //   - weak dependency types (§VI): depend entries that link the dependency
 //     domains of nesting levels without deferring the task itself, so outer
 //     tasks instantiate their subtasks in parallel and the subtasks inherit
-//     the incoming dependency edges.
+//     the incoming dependency edges. A task whose depend clause is
+//     entirely weak touches no data itself — it is a creator — and the
+//     default ready pool therefore starts such tasks in program order
+//     (oldest first, a creator's own sub-creators before its later
+//     siblings) rather than newest-first like other ready work: each
+//     creator's subtasks then find their predecessors already run instead
+//     of being instantiated blocked, all of them, before the first may
+//     start. Together with weakwait this is what keeps a nested-weak
+//     program's live task count near the number of workers' worth of
+//     leaves. One strong entry in the clause opts a task out.
 //
 // Dependencies are declared over element intervals of registered data
 // objects and may overlap partially (§VII); the engine fragments accesses
@@ -331,7 +340,9 @@ func DInOut(data DataID, ivs ...Interval) Dep {
 	return Dep{Data: data, Type: InOut, Ivs: ivs}
 }
 
-// DWeakIn builds a weak read dependency: depend(weakin: ...) (§VI).
+// DWeakIn builds a weak read dependency: depend(weakin: ...) (§VI). A task
+// with only weak entries is scheduled as a creator, in program order (see
+// the package comment).
 func DWeakIn(data DataID, ivs ...Interval) Dep {
 	return Dep{Data: data, Type: In, Weak: true, Ivs: ivs}
 }
