@@ -207,9 +207,16 @@ type event struct {
 // links, domain cells, and hand-over targets all connect fragments of one
 // DataID — which is the property that makes per-data sharding sound.
 type depCore struct {
-	queue     []event
-	ready     []*Node
-	stats     Stats
+	queue []event
+	ready []*Node
+	// chain and pairs are scratch for fire and releaseSpec, reused like
+	// queue and ready.
+	chain []int32
+	pairs []fragPiece
+	stats Stats
+	// scanned counts the links fire walked (tests assert that a cascade
+	// examines the links of the pieces it touches, not of the fragment).
+	scanned   int64
 	liveFrags int64
 	obs       Observer
 	// hook points at the engine-wide edge-hook slot (shared by all shards;
@@ -241,7 +248,7 @@ func (c *depCore) registerSpec(n *Node, spec Spec) {
 			continue
 		}
 		overlap := false
-		am.VisitRange(iv, func(regions.Interval, **fragment) { overlap = true })
+		am.PeekRange(iv, func(regions.Interval, **fragment) { overlap = true })
 		if overlap {
 			panic(fmt.Sprintf("deps: task %q declares overlapping depend entries over data %d %v", n.label, spec.Data, iv))
 		}
@@ -387,11 +394,15 @@ func (c *depCore) scrubCell(cs *cellState, f *fragment) {
 }
 
 // linkAfter creates successor links from every unreleased piece of pred
-// inside iv to g, and charges the corresponding pending grants to g.
+// inside iv to g, and charges the corresponding pending grants to g. A
+// predecessor with nothing unreleased inside iv is left unsplit.
 func (c *depCore) linkAfter(pred, g *fragment, iv regions.Interval, dR, dW int32) {
 	if pred.node() == g.node() {
 		// A task never depends on itself; overlapping own entries are
 		// rejected at registration, so this only guards engine internals.
+		return
+	}
+	if !pred.anyPiece(iv, func(ps *pieceState) bool { return !ps.released }) {
 		return
 	}
 	pred.state.VisitRange(iv, func(pIv regions.Interval, ps *pieceState) {
@@ -399,7 +410,7 @@ func (c *depCore) linkAfter(pred, g *fragment, iv regions.Interval, dR, dW int32
 			return
 		}
 		c.addPending(g, pIv, dR, dW)
-		pred.succs = append(pred.succs, link{target: g, iv: pIv, dR: dR, dW: dW})
+		pred.addLink(ps, pIv, linkSucc, g, dR, dW)
 		c.stats.Links++
 		if c.obs != nil {
 			c.obs.Link(pred.node(), g.node(), g.data(), pIv, false)
@@ -413,33 +424,38 @@ func (c *depCore) linkAfter(pred, g *fragment, iv regions.Interval, dR, dW int32
 // inbound links fragment f over cIv through the parent's own access
 // fragments: the child waits for the parent access's read (reader) or write
 // (writer) satisfaction. Intervals with no covering parent access are
-// unprotected and impose no ordering.
+// unprotected and impose no ordering. A parent access already satisfied over
+// cIv imposes none either, and is looked at without being split: neither the
+// parent's access map nor the fragment's state fragments for a child that
+// will not link (a weak outer access is otherwise cut into one piece per
+// leaf under it).
 func (c *depCore) inbound(n *Node, f *fragment, cIv regions.Interval, isWrite bool) {
 	parent := n.parent
 	am := parent.accessMapFor(f.data())
 	if am == nil {
 		return
 	}
-	am.VisitRange(cIv, func(aIv regions.Interval, pfp **fragment) {
+	kind, dW := linkRWaiter, int32(0)
+	unsat := func(ps *pieceState) bool { return !ps.rSat() }
+	if isWrite {
+		kind, dW = linkWWaiter, 1
+		unsat = func(ps *pieceState) bool { return !ps.wSat() }
+	}
+	am.PeekRange(cIv, func(aIv regions.Interval, pfp **fragment) {
 		pf := *pfp
 		if isWrite && pf.typ() == In {
 			panic(fmt.Sprintf("deps: task %q writes data %d %v which parent %q covers with a read-only access",
 				n.label, f.data(), aIv, parent.label))
 		}
+		if !pf.anyPiece(aIv, unsat) {
+			return
+		}
 		pf.state.VisitRange(aIv, func(pIv regions.Interval, ps *pieceState) {
-			if isWrite {
-				if ps.wSat() {
-					return
-				}
-				c.addPending(f, pIv, 1, 1)
-				pf.wWaiters = append(pf.wWaiters, link{target: f, iv: pIv, dR: 1, dW: 1})
-			} else {
-				if ps.rSat() {
-					return
-				}
-				c.addPending(f, pIv, 1, 0)
-				pf.rWaiters = append(pf.rWaiters, link{target: f, iv: pIv, dR: 1, dW: 0})
+			if !unsat(ps) {
+				return
 			}
+			c.addPending(f, pIv, 1, dW)
+			pf.addLink(ps, pIv, kind, f, 1, dW)
 			c.stats.Inbounds++
 			if c.obs != nil {
 				c.obs.Link(parent, n, f.data(), pIv, true)
@@ -483,19 +499,22 @@ func (c *depCore) releaseSpec(n *Node, spec Spec) {
 		return
 	}
 	for _, iv := range spec.Ivs {
-		type pair struct {
-			f  *fragment
-			iv regions.Interval
-		}
-		var pairs []pair
 		am.VisitRange(iv, func(aIv regions.Interval, pfp **fragment) {
-			pairs = append(pairs, pair{*pfp, aIv})
+			c.pairs = append(c.pairs, fragPiece{*pfp, aIv})
 		})
-		for _, p := range pairs {
+		for _, p := range c.pairs {
 			c.handOverOrRelease(n, p.f, p.iv)
 		}
+		clear(c.pairs)
+		c.pairs = c.pairs[:0]
 		am.Remove(iv)
 	}
+}
+
+// fragPiece names a part of a fragment (releaseSpec's work list).
+type fragPiece struct {
+	f  *fragment
+	iv regions.Interval
 }
 
 // handOverOrRelease applies the fine-grained release logic to fragment f
@@ -575,12 +594,7 @@ func (c *depCore) tryRelease(f *fragment, pIv regions.Interval, ps *pieceState) 
 	if c.obs != nil {
 		c.obs.Released(f.node(), f.data(), pIv)
 	}
-	for _, l := range f.succs {
-		ov := l.iv.Intersect(pIv)
-		if !ov.Empty() {
-			c.queue = append(c.queue, event{kind: evGrant, frag: l.target, iv: ov, dR: l.dR, dW: l.dW})
-		}
-	}
+	c.fire(f, ps, pIv, linkSucc)
 	if parent := f.node().parent; parent != nil {
 		if c.mem != nil {
 			// The queued event will touch parent's domain map: pin the
@@ -645,23 +659,42 @@ func (c *depCore) handleGrant(f *fragment, iv regions.Interval, dR, dW int32) {
 			}
 		}
 		if rSatNow {
-			c.queueWaiterGrants(f.rWaiters, pIv)
+			c.fire(f, ps, pIv, linkRWaiter)
 		}
 		if wSatNow {
-			c.queueWaiterGrants(f.wWaiters, pIv)
+			c.fire(f, ps, pIv, linkWWaiter)
 		}
 		c.tryRelease(f, pIv, ps)
 	})
 	f.state.MergeRange(iv, releasedEqual)
 }
 
-func (c *depCore) queueWaiterGrants(waiters []link, pIv regions.Interval) {
-	for _, w := range waiters {
-		ov := w.iv.Intersect(pIv)
-		if !ov.Empty() {
-			c.queue = append(c.queue, event{kind: evGrant, frag: w.target, iv: ov, dR: w.dR, dW: w.dW})
+// fire queues a grant for every link of the given kind chained from piece
+// ps of f (the piece over pIv). Only that chain is walked: the links created
+// over this piece or over a piece it was split from, each of which covers
+// pIv entirely — the intersection below re-checks that rather than trusting
+// it. Chains run newest-first; the grants are queued oldest-first, the order
+// in which the successors registered, so nodes readied by one release keep
+// their program order.
+func (c *depCore) fire(f *fragment, ps *pieceState, pIv regions.Interval, kind linkKind) {
+	at := ps.links
+	if at == 0 {
+		return
+	}
+	chain := c.chain[:0]
+	for ; at != 0; at = f.links[at-1].next {
+		c.scanned++
+		if f.links[at-1].kind == kind {
+			chain = append(chain, at-1)
 		}
 	}
+	for k := len(chain) - 1; k >= 0; k-- {
+		l := &f.links[chain[k]]
+		if ov := l.iv.Intersect(pIv); !ov.Empty() {
+			c.queue = append(c.queue, event{kind: evGrant, frag: l.target, iv: ov, dR: int32(l.dR), dW: int32(l.dW)})
+		}
+	}
+	c.chain = chain
 }
 
 // handleDomainDec decrements the live-registration count of the owner's

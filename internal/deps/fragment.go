@@ -40,17 +40,18 @@ type fragment struct {
 	// iv.Len().
 	relLen int64
 
-	// succs are same-domain successor links created at the successors'
-	// registration: when a piece of this fragment releases, every link
-	// overlapping it grants (dR, dW) to the target over the overlap.
-	succs []link
-
-	// rWaiters/wWaiters are inbound links from child fragments (fragments
-	// of tasks nested inside this fragment's owner) waiting for this
-	// fragment's read/write satisfaction over their interval. This is the
-	// linking-point role of weak accesses (§VI).
-	rWaiters []link
-	wWaiters []link
+	// links is the arena of every dependency edge leaving this fragment:
+	// same-domain successor links, created at the successors' registration
+	// (a released piece grants the target over the overlap), and inbound
+	// waiter links from child fragments — fragments of tasks nested inside
+	// this fragment's owner — waiting for this fragment's read or write
+	// satisfaction over their interval, the linking-point role of weak
+	// accesses (§VI). A link is created over one piece of state and chained
+	// from that piece (pieceState.links), so firing a piece walks the links
+	// that concern it and no others. The arena only grows during the
+	// fragment's life and is addressed by index, so growth never invalidates
+	// a chain.
+	links []link
 }
 
 // pieceState is the per-subinterval state of a fragment. It is a pure value
@@ -62,6 +63,13 @@ type pieceState struct {
 	// (prior writers, transitively through weak parents). pendW counts the
 	// grants required for write satisfaction (prior writers and readers).
 	pendR, pendW int32
+	// links heads the chain of links created over this piece or a piece it
+	// was split from: index+1 into the fragment's arena, 0 for none. A chain
+	// is a cons list — a new link points at the previous head and nothing
+	// already chained is ever rewritten — so the two halves of a split piece
+	// share their common tail by copying the head, which the map's value
+	// copy does. Every link in a piece's chain covers the whole piece.
+	links int32
 	// done marks that the owner task reached this piece's completion point:
 	// full completion, weakwait body exit, or a release directive.
 	done bool
@@ -88,13 +96,41 @@ func (ps pieceState) typeSat(t AccessType) bool {
 	return ps.wSat()
 }
 
-// link records a dependency edge over an explicit interval. Used both for
-// same-domain successor links (release → grant) and for inbound waiter
-// links (satisfaction → grant).
+// linkKind says which transition of the source piece fires a link.
+type linkKind uint8
+
+const (
+	linkSucc    linkKind = iota // the piece releases
+	linkRWaiter                 // the piece becomes read-satisfied
+	linkWWaiter                 // the piece becomes write-satisfied
+)
+
+// link records a dependency edge over an explicit interval: firing it grants
+// (dR, dW) to target over the part of iv inside the fired piece.
 type link struct {
 	target *fragment
 	iv     regions.Interval
-	dR, dW int32
+	// next continues the chain this link was added to (pieceState.links
+	// encoding).
+	next   int32
+	kind   linkKind
+	dR, dW uint8
+}
+
+// addLink records an edge from piece ps (the piece of f.state over pIv) to
+// target and puts it at the head of the piece's chain.
+func (f *fragment) addLink(ps *pieceState, pIv regions.Interval, kind linkKind, target *fragment, dR, dW int32) {
+	f.links = append(f.links, link{target: target, iv: pIv, next: ps.links, kind: kind, dR: uint8(dR), dW: uint8(dW)})
+	ps.links = int32(len(f.links))
+}
+
+// anyPiece reports whether want holds for some piece of f overlapping iv,
+// without splitting anything: the look before a linking visit, which only
+// fragments f.state when a link will actually be written.
+func (f *fragment) anyPiece(iv regions.Interval, want func(*pieceState) bool) bool {
+	found := false
+	f.state.PeekRange(iv, func(_ regions.Interval, ps *pieceState) { found = found || want(ps) })
+	return found
 }
 
 func newFragment(acc *access, iv regions.Interval) *fragment {
@@ -112,23 +148,20 @@ func (f *fragment) init(acc *access, iv regions.Interval) {
 }
 
 // resetForPool clears the fragment for reuse. Stale outgoing links are
-// dropped here; stale *incoming* links (this fragment as a target in some
-// predecessor's succs/waiter list) are safe to leave behind because a
+// dropped here; stale *incoming* links (this fragment as the target of a
+// link in some predecessor's arena) are safe to leave behind because a
 // fully released fragment has, by the pending-grant invariant, already
-// received every grant any link will ever deliver — the intersection test
-// in the link-firing loops can never select it again (see the memory
-// lifecycle section of docs/ARCHITECTURE.md).
+// received every grant any link will ever deliver: each piece of the
+// predecessor fires its chain once per transition, and all of those firings
+// precede the target's last release (see the memory lifecycle section of
+// docs/ARCHITECTURE.md).
 func (f *fragment) resetForPool() {
 	f.acc = nil
 	f.iv = regions.Interval{}
 	f.state.Reset()
 	f.relLen = 0
-	clear(f.succs)
-	f.succs = f.succs[:0]
-	clear(f.rWaiters)
-	f.rWaiters = f.rWaiters[:0]
-	clear(f.wWaiters)
-	f.wWaiters = f.wWaiters[:0]
+	clear(f.links)
+	f.links = f.links[:0]
 }
 
 func (f *fragment) data() DataID    { return f.acc.spec.Data }

@@ -32,8 +32,9 @@ import (
 // target over the link's whole interval at link time, and a piece releases
 // only when its pending counters are zero and its completion point has
 // passed. A fragment can therefore only release fully after every incoming
-// link has delivered every grant it ever will, and the interval
-// intersection guarding each link-firing loop can never select it again.
+// link has delivered every grant it ever will: each piece of a link's source
+// fires its chain once per transition, and all of those firings precede the
+// target's last release.
 // References from domain-cell history (lastWriter/readers/reds) are
 // scrubbed piece-wise by the evDomainDec handler as the fragment releases.
 
