@@ -214,7 +214,8 @@ type depCore struct {
 	chain []int32
 	pairs []fragPiece
 	stats Stats
-	// scanned counts the links fire walked (tests assert that a cascade
+	// scanned counts the links fire walked: test instrumentation, read by
+	// nothing in production (the cascade scaling test asserts that a cascade
 	// examines the links of the pieces it touches, not of the fragment).
 	scanned   int64
 	liveFrags int64
@@ -248,7 +249,7 @@ func (c *depCore) registerSpec(n *Node, spec Spec) {
 			continue
 		}
 		overlap := false
-		am.PeekRange(iv, func(regions.Interval, **fragment) { overlap = true })
+		am.PeekRange(iv, func(regions.Interval, **fragment) bool { overlap = true; return false })
 		if overlap {
 			panic(fmt.Sprintf("deps: task %q declares overlapping depend entries over data %d %v", n.label, spec.Data, iv))
 		}
@@ -441,14 +442,14 @@ func (c *depCore) inbound(n *Node, f *fragment, cIv regions.Interval, isWrite bo
 		kind, dW = linkWWaiter, 1
 		unsat = func(ps *pieceState) bool { return !ps.wSat() }
 	}
-	am.PeekRange(cIv, func(aIv regions.Interval, pfp **fragment) {
+	am.PeekRange(cIv, func(aIv regions.Interval, pfp **fragment) bool {
 		pf := *pfp
 		if isWrite && pf.typ() == In {
 			panic(fmt.Sprintf("deps: task %q writes data %d %v which parent %q covers with a read-only access",
 				n.label, f.data(), aIv, parent.label))
 		}
 		if !pf.anyPiece(aIv, unsat) {
-			return
+			return true
 		}
 		pf.state.VisitRange(aIv, func(pIv regions.Interval, ps *pieceState) {
 			if !unsat(ps) {
@@ -464,6 +465,7 @@ func (c *depCore) inbound(n *Node, f *fragment, cIv regions.Interval, isWrite bo
 				(*h)(parent, n, true)
 			}
 		})
+		return true
 	})
 }
 

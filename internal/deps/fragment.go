@@ -126,10 +126,14 @@ func (f *fragment) addLink(ps *pieceState, pIv regions.Interval, kind linkKind, 
 
 // anyPiece reports whether want holds for some piece of f overlapping iv,
 // without splitting anything: the look before a linking visit, which only
-// fragments f.state when a link will actually be written.
+// fragments f.state when a link will actually be written. The look ends at
+// the first such piece.
 func (f *fragment) anyPiece(iv regions.Interval, want func(*pieceState) bool) bool {
 	found := false
-	f.state.PeekRange(iv, func(_ regions.Interval, ps *pieceState) { found = found || want(ps) })
+	f.state.PeekRange(iv, func(_ regions.Interval, ps *pieceState) bool {
+		found = want(ps)
+		return !found
+	})
 	return found
 }
 

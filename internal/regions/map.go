@@ -38,7 +38,8 @@ type Map[V any] struct {
 	one   []entry[V]
 	ix    *index[V]
 	clone func(V) V
-	// shifted counts entries moved by structural edits (see Shifted).
+	// shifted counts entries moved by structural edits: test instrumentation
+	// (see Shifted), one add per edit, read by nothing in production.
 	shifted int64
 }
 
@@ -162,7 +163,12 @@ func (m *Map[V]) Empty() bool { return m.Count() == 0 }
 // Shifted returns how many entries structural edits have moved inside their
 // blocks (or between two halves of a splitting block) over the map's whole
 // life, Reset included: the work a flat sorted array would do per edit in
-// proportion to its length. Tests use it to assert that edits stay local.
+// proportion to its length.
+//
+// Shifted is test instrumentation that lives in production code: no
+// production caller reads it. It is exported only because the test that
+// needs it, the dependency engine's cascade scaling test, sits in another
+// package and asserts that a wide release cascade keeps its edits local.
 func (m *Map[V]) Shifted() int64 { return m.shifted }
 
 // CoveredLen returns the total number of elements covered by entries.
@@ -413,9 +419,10 @@ func (m *Map[V]) visit(iv Interval, init func(Interval) V, f func(Interval, *V),
 // splitting anything: f receives the overlap of the entry with iv and a
 // pointer to the value of the whole entry, which may reach beyond iv on
 // either side — a caller that writes through it writes the whole entry.
-// This is the walk for deciding whether a splitting visit is needed at all.
-// f must not mutate the map.
-func (m *Map[V]) PeekRange(iv Interval, f func(Interval, *V)) {
+// This is the walk for deciding whether a splitting visit is needed at all,
+// so f returns whether to go on: false ends the walk. f must not mutate the
+// map.
+func (m *Map[V]) PeekRange(iv Interval, f func(Interval, *V) bool) {
 	if iv.Empty() {
 		return
 	}
@@ -424,10 +431,9 @@ func (m *Map[V]) PeekRange(iv Interval, f func(Interval, *V)) {
 		s := m.blk(b)
 		for ; i < len(s); i++ {
 			e := &s[i]
-			if e.iv.Lo >= iv.Hi {
+			if e.iv.Lo >= iv.Hi || !f(e.iv.Intersect(iv), &e.v) {
 				return
 			}
-			f(e.iv.Intersect(iv), &e.v)
 		}
 	}
 }
@@ -621,10 +627,12 @@ func (m *Map[V]) Visit(f func(Interval, *V)) {
 // Covered reports whether iv is fully covered by entries.
 func (m *Map[V]) Covered(iv Interval) bool {
 	pos := iv.Lo
-	m.PeekRange(iv, func(c Interval, _ *V) {
-		if c.Lo == pos {
-			pos = c.Hi
+	m.PeekRange(iv, func(c Interval, _ *V) bool {
+		if c.Lo != pos {
+			return false // a gap
 		}
+		pos = c.Hi
+		return true
 	})
 	return pos >= iv.Hi
 }

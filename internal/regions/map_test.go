@@ -512,8 +512,8 @@ func TestMapQuickFindMatchesSortSearch(t *testing.T) {
 	})
 }
 
-// PeekRange reports exactly the overlaps a splitting visit would visit, and
-// leaves the entry sequence alone.
+// PeekRange reports exactly the overlaps a splitting visit would visit,
+// leaves the entry sequence alone, and stops when the callback says so.
 func TestMapPeekRangeClipsWithoutSplitting(t *testing.T) {
 	eachBlockCap(t, func(t *testing.T) {
 		universe := universeFor()
@@ -525,7 +525,20 @@ func TestMapPeekRangeClipsWithoutSplitting(t *testing.T) {
 		for q := 0; q < 200; q++ {
 			iv := randIv(rng, universe)
 			var got, want []entry[int]
-			l.m.PeekRange(iv, func(c Interval, v *int) { got = append(got, entry[int]{c, *v}) })
+			l.m.PeekRange(iv, func(c Interval, v *int) bool {
+				got = append(got, entry[int]{c, *v})
+				return true
+			})
+			if len(got) > 0 {
+				stop, seen := rng.Intn(len(got)), 0
+				l.m.PeekRange(iv, func(Interval, *int) bool {
+					seen++
+					return seen <= stop
+				})
+				if seen != stop+1 {
+					t.Fatalf("PeekRange(%v) told to stop after %d entries visited %d", iv, stop+1, seen)
+				}
+			}
 			if err := l.check(); err != nil {
 				t.Fatalf("PeekRange(%v) changed the map: %v", iv, err)
 			}
