@@ -16,8 +16,9 @@ help:
 	@echo "  race           race detector pass (short mode)"
 	@echo "  bench-short    every benchmark once (benchmark-code smoke)"
 	@echo "  bench-check    the bench/ module (its own go.mod, so ./... skips it): vet, unit"
-	@echo "                 tests, and one quick end-to-end pass each of axpy_nest_weak and"
-	@echo "                 sortsum_weak (the fragmenting / partial-release path)"
+	@echo "                 tests, and one quick end-to-end pass each of axpy_nest_weak,"
+	@echo "                 sortsum_weak (the fragmenting / partial-release path) and"
+	@echo "                 gs_graph_replay (the recording sweep's guard straddles every stripe)"
 	@echo "  sched-smoke    ready-pool contention matrix (w=1/4/8) + w=1 parity guard"
 	@echo "  throttle-smoke throttle-window contention matrix (impl x window x w) + w=1 parity guard"
 	@echo "  mem-smoke      memory-pool gates: >=5x alloc cut, pooled-vs-reference differentials,"
@@ -85,9 +86,11 @@ bench-short:
 # one quick end-to-end pass (tiny sizes, verified against the sequential
 # reference) so a runtime change that breaks it fails CI, not the driver.
 # sortsum_weak rides along because it is the one workload whose intervals
-# fragment and release piece by piece.
+# fragment and release piece by piece, gs_graph_replay because its object is
+# striped by tile-sized first accesses and the recording sweep's union guard
+# is the one access of the benchmark that then straddles every stripe.
 bench-check:
-	cd bench && $(GO) vet ./... && $(GO) test ./... && $(GO) run . -quick -workload axpy_nest_weak -trace 0 && $(GO) run . -quick -workload sortsum_weak -trace 0
+	cd bench && $(GO) vet ./... && $(GO) test ./... && $(GO) run . -quick -workload axpy_nest_weak -trace 0 && $(GO) run . -quick -workload sortsum_weak -trace 0 && $(GO) run . -quick -workload gs_graph_replay -trace 0
 
 # Scheduler admission contention smoke: the pool matrix at w=1/4/8 plus
 # the w=1 parity regression guard (the sharded pools' lock-free fast paths

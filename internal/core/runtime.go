@@ -486,6 +486,15 @@ func (r *Runtime) NewData(name string, elems int64, elemSize int) DataID {
 	r.datasMu.Lock()
 	defer r.datasMu.Unlock()
 	r.datas = append(r.datas, dataInfo{name: name, elems: elems, elemSize: int64(elemSize)})
+	id := DataID(len(r.datas) - 1)
+	// An engine that can split an object's lock by index range is told the
+	// extent (the global engine has nothing to split). Not in virtual mode:
+	// one goroutine drives the engine there, and a clause cut at stripe
+	// boundaries readies its successors in a different order, which the
+	// recorded golden makespans are sensitive to.
+	if ed, ok := r.eng.(extentDeclarer); ok && !r.cfg.Virtual {
+		ed.DeclareExtent(id, elems, r.cfg.Workers)
+	}
 	if r.aff != nil {
 		// Grow the last-worker affinity table copy-on-write: registration
 		// is rare (program setup), reads are per-dispatch.
@@ -500,7 +509,13 @@ func (r *Runtime) NewData(name string, elems int64, elemSize int) DataID {
 		}
 		r.lastW.Store(&tab)
 	}
-	return DataID(len(r.datas) - 1)
+	return id
+}
+
+// extentDeclarer is the optional engine method NewData passes an object's
+// extent through.
+type extentDeclarer interface {
+	DeclareExtent(data deps.DataID, elems int64, workers int)
 }
 
 // Workers returns the configured worker count.

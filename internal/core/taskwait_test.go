@@ -480,6 +480,19 @@ func TestGraphOwnerTaskwaitStaysEligible(t *testing.T) {
 					tc.Submit(TaskSpec{Label: "A",
 						Deps: []Dep{{Data: d, Type: InOut, Ivs: []Interval{iv(0, 8)}}},
 						Body: func(*TaskContext) {
+							// Hold back until the owner is blocked in its
+							// wait: a wait that finds nothing to wait for
+							// is not recorded, and whether the recording
+							// sweep's did was a race between A and the
+							// owner.
+							for owner := tc.task; ; runtime.Gosched() {
+								owner.mu.Lock()
+								blocked := owner.waiting || owner.cont != nil
+								owner.mu.Unlock()
+								if blocked {
+									break
+								}
+							}
 							for p := range data {
 								data[p]++
 							}

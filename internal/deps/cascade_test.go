@@ -51,7 +51,7 @@ func newWideParent(tb testing.TB, kind EngineKind, mem mempool.Kind, n int) *wid
 	w.maps = append(w.maps,
 		&w.producer.accesses[0].frags[0].state,
 		&consumer.accesses[0].frags[0].state,
-		w.root.domainFor(wideData))
+		w.root.domainFor(makeKey(wideData, 0)))
 	for k := 0; k < n; k++ {
 		lo := int64(k) * w.s
 		child := w.eng.NewNode(consumer, "child", nil)
@@ -62,7 +62,7 @@ func newWideParent(tb testing.TB, kind EngineKind, mem mempool.Kind, n int) *wid
 			tb.Fatalf("child %d ready before the producer released anything", k)
 		}
 	}
-	w.maps = append(w.maps, consumer.domainFor(wideData))
+	w.maps = append(w.maps, consumer.domainFor(makeKey(wideData, 0)))
 	// The consumer's body ends (weakwait): every piece is handed over to
 	// the children covering it.
 	if got := w.eng.BodyDoneInto(consumer, nil); len(got) != 0 {
@@ -106,11 +106,7 @@ func (w *wideParent) scanned() int64 {
 	case *GlobalEngine:
 		n = e.c.scanned
 	case *ShardedEngine:
-		for _, sh := range *e.shards.Load() {
-			if sh != nil {
-				n += sh.c.scanned
-			}
-		}
+		e.allShards(func(c *depCore) { n += c.scanned })
 	}
 	return n
 }
@@ -202,5 +198,10 @@ func TestPieceAndLinkStayCompact(t *testing.T) {
 	}
 	if got := unsafe.Sizeof(link{}); got != 32 {
 		t.Errorf("link is %d bytes, want 32", got)
+	}
+	// Neighbouring pooled nodes are written by different workers at the same
+	// time: a node must not end in the middle of a cache line (inlineDatas).
+	if got := unsafe.Sizeof(Node{}); got%64 != 0 {
+		t.Errorf("Node is %d bytes, want a multiple of 64", got)
 	}
 }

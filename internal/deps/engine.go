@@ -2,6 +2,7 @@ package deps
 
 import (
 	"fmt"
+	"math"
 	"sync"
 	"sync/atomic"
 
@@ -39,9 +40,10 @@ func (s *Stats) add(o Stats) {
 //
 //   - GlobalEngine serializes every operation behind one mutex (the
 //     reference implementation, and the simplest to reason about).
-//   - ShardedEngine partitions all dependency state per data object, so
-//     tasks whose depend clauses touch disjoint data register, fragment,
-//     and release fully concurrently.
+//   - ShardedEngine partitions all dependency state per data object, and
+//     per stripe of an object whose extent was declared, so tasks whose
+//     depend clauses touch disjoint data or disjoint ranges register,
+//     fragment, and release fully concurrently.
 //
 // The differential tests in this package drive both implementations in
 // lockstep over randomly generated programs to prove them observably
@@ -134,7 +136,7 @@ const (
 	EngineAuto EngineKind = iota
 	// EngineGlobal is the single-mutex reference engine.
 	EngineGlobal
-	// EngineSharded is the per-data-object sharded engine.
+	// EngineSharded is the sharded engine (per data object and stripe).
 	EngineSharded
 )
 
@@ -188,24 +190,25 @@ type event struct {
 	iv     regions.Interval
 	dR, dW int32
 	owner  *Node // evDomainDec: domain owner (pinned while the event is queued)
-	data   DataID
+	key    shardKey
 }
 
 // depCore holds the dependency structures' mutable bookkeeping — the event
 // queue, the ready list, and the activity counters — together with every
 // linking and cascade rule of the engine. It is the lock-free heart shared
 // by both Engine implementations: GlobalEngine owns exactly one depCore
-// behind one mutex; ShardedEngine owns one per data-object shard, each
-// behind its own mutex. A depCore must only be entered while holding the
-// owning lock, and every interval map it touches must belong to that lock's
-// shard (for the global engine: everything).
+// behind one mutex; ShardedEngine owns one per shard (a stripe of a data
+// object), each behind its own mutex. A depCore must only be entered while
+// holding the owning lock, and every interval map it touches must belong to
+// that lock's shard (for the global engine: everything).
 //
 // All cascade effects (satisfaction grants, domain drain, hand-over
 // release) run through the explicit event queue so that no interval map is
 // structurally modified while being iterated. Crucially, every event stays
-// within the data object that produced it — successor links, inbound waiter
-// links, domain cells, and hand-over targets all connect fragments of one
-// DataID — which is the property that makes per-data sharding sound.
+// within the shard that produced it — successor links, inbound waiter
+// links, domain cells, and hand-over targets all connect pieces that
+// overlap, and every fragment is cut so that it lies in one shard — which is
+// the property that makes sharding sound.
 type depCore struct {
 	queue []event
 	ready []*Node
@@ -230,23 +233,31 @@ type depCore struct {
 	mem *depMem
 }
 
-// registerSpec links one depend entry of n. The caller holds the lock
-// covering spec.Data and has already run the registration-wide sanity
-// checks. Registration only creates fragments and charges pending grants —
-// it never releases anything, so no event can be queued here.
-func (c *depCore) registerSpec(n *Node, spec Spec) {
+// wholeObject is the window of an unstriped shard: it clips nothing.
+var wholeObject = regions.Iv(math.MinInt64, math.MaxInt64)
+
+// registerSpec links the part of one depend entry of n that lies inside
+// win, the index window of shard key. The caller holds the lock covering
+// key and has already run the registration-wide sanity checks.
+// Registration only creates fragments and charges pending grants — it never
+// releases anything, so no event can be queued here.
+func (c *depCore) registerSpec(n *Node, spec Spec, key shardKey, win regions.Interval) {
 	var acc *access
-	if c.mem != nil {
-		acc = c.mem.accs.Get()
-		acc.node, acc.spec = n, spec
-	} else {
-		acc = &access{node: n, spec: spec}
-	}
-	n.accesses = append(n.accesses, acc)
-	am := n.accessMapEnsure(spec.Data, c.mem)
+	var am *regions.Map[*fragment]
 	for _, iv := range spec.Ivs {
+		iv = iv.Intersect(win)
 		if iv.Empty() {
 			continue
+		}
+		if acc == nil {
+			if c.mem != nil {
+				acc = c.mem.accs.Get()
+				acc.node, acc.spec, acc.key = n, spec, key
+			} else {
+				acc = &access{node: n, spec: spec, key: key}
+			}
+			n.accesses = append(n.accesses, acc)
+			am = n.accessMapEnsure(key, c.mem)
 		}
 		overlap := false
 		am.PeekRange(iv, func(regions.Interval, **fragment) bool { overlap = true; return false })
@@ -271,7 +282,7 @@ func (c *depCore) registerSpec(n *Node, spec Spec) {
 
 // linkFragment fragments f against the parent domain and links each cell.
 func (c *depCore) linkFragment(n *Node, f *fragment) {
-	dm := n.parent.domainEnsure(f.data(), c.mem)
+	dm := n.parent.domainEnsure(f.key(), c.mem)
 	dm.Materialize(f.iv,
 		func(regions.Interval) cellState { return cellState{} },
 		func(cIv regions.Interval, cs *cellState) {
@@ -432,7 +443,7 @@ func (c *depCore) linkAfter(pred, g *fragment, iv regions.Interval, dR, dW int32
 // leaf under it).
 func (c *depCore) inbound(n *Node, f *fragment, cIv regions.Interval, isWrite bool) {
 	parent := n.parent
-	am := parent.accessMapFor(f.data())
+	am := parent.accessMapFor(f.key())
 	if am == nil {
 		return
 	}
@@ -491,16 +502,21 @@ func (c *depCore) addPending(g *fragment, iv regions.Interval, dR, dW int32) {
 	})
 }
 
-// releaseSpec applies the release directive to one spec: covered pieces
-// are handed over / released exactly as at weakwait, and the regions are
-// removed from the access map so future children cannot link through them.
-// The caller holds the lock covering spec.Data.
-func (c *depCore) releaseSpec(n *Node, spec Spec) {
-	am := n.accessMapFor(spec.Data)
+// releaseSpec applies the release directive to the part of one spec inside
+// win, the index window of shard key: covered pieces are handed over /
+// released exactly as at weakwait, and the regions are removed from the
+// access map so future children cannot link through them. The caller holds
+// the lock covering key.
+func (c *depCore) releaseSpec(n *Node, spec Spec, key shardKey, win regions.Interval) {
+	am := n.accessMapFor(key)
 	if am == nil {
 		return
 	}
 	for _, iv := range spec.Ivs {
+		iv = iv.Intersect(win)
+		if iv.Empty() {
+			continue
+		}
 		am.VisitRange(iv, func(aIv regions.Interval, pfp **fragment) {
 			c.pairs = append(c.pairs, fragPiece{*pfp, aIv})
 		})
@@ -523,7 +539,7 @@ type fragPiece struct {
 // over iv: pieces over live inner-domain cells are handed over; everything
 // else is marked done (released once satisfied).
 func (c *depCore) handOverOrRelease(n *Node, f *fragment, iv regions.Interval) {
-	dm := n.domainFor(f.data())
+	dm := n.domainFor(f.key())
 	if dm == nil {
 		c.markDone(f, iv)
 		return
@@ -604,7 +620,7 @@ func (c *depCore) tryRelease(f *fragment, pIv regions.Interval, ps *pieceState) 
 			// the map) before the event is processed.
 			parent.pins.Add(1)
 		}
-		c.queue = append(c.queue, event{kind: evDomainDec, frag: f, owner: parent, data: f.data(), iv: pIv})
+		c.queue = append(c.queue, event{kind: evDomainDec, frag: f, owner: parent, key: f.key(), iv: pIv})
 	}
 	if full && c.mem != nil {
 		// The fragment's last piece released: drop its pin on the owning
@@ -623,7 +639,7 @@ func (c *depCore) drainQueue() {
 		case evGrant:
 			c.handleGrant(ev.frag, ev.iv, ev.dR, ev.dW)
 		case evDomainDec:
-			c.handleDomainDec(ev.owner, ev.data, ev.iv, ev.frag)
+			c.handleDomainDec(ev.owner, ev.key, ev.iv, ev.frag)
 		case evDrain:
 			c.handleDrain(ev.frag, ev.iv)
 		}
@@ -703,8 +719,8 @@ func (c *depCore) fire(f *fragment, ps *pieceState, pIv regions.Interval, kind l
 // domain cells over iv, scrubbing the released fragment f from the cells'
 // access history (see cellState.scrub); cells that drain fire their
 // pending hand-over.
-func (c *depCore) handleDomainDec(owner *Node, data DataID, iv regions.Interval, f *fragment) {
-	dm := owner.domainFor(data)
+func (c *depCore) handleDomainDec(owner *Node, key shardKey, iv regions.Interval, f *fragment) {
+	dm := owner.domainFor(key)
 	if dm == nil {
 		panic("deps: domain-dec on missing domain")
 	}
@@ -828,28 +844,6 @@ func finishRegister(n *Node, obs Observer) bool {
 		return true
 	}
 	return false
-}
-
-// specDatas appends the distinct DataIDs of specs to buf in ascending order —
-// the canonical shard acquisition order — and returns it. Depend clauses
-// are short, so this is an insertion sort into the caller's buffer (a small
-// inline array in practice); only a clause naming more objects than the
-// buffer holds reaches the heap, through append.
-func specDatas(buf []DataID, specs []Spec) []DataID {
-	for i := range specs {
-		d := specs[i].Data
-		at := len(buf)
-		for at > 0 && buf[at-1] > d {
-			at--
-		}
-		if at > 0 && buf[at-1] == d {
-			continue
-		}
-		buf = append(buf, 0)
-		copy(buf[at+1:], buf[at:])
-		buf[at] = d
-	}
-	return buf
 }
 
 // syncObserver serializes observer callbacks: the sharded engine fires

@@ -410,18 +410,20 @@ func TestOutOrdering(t *testing.T) {
 	_ = s
 }
 
-// TestSpecDatas: the canonical shard order is the distinct DataIDs
-// ascending, whatever the clause order; clauses of up to inlineDatas
-// objects stay in the caller's inline buffer (no allocation), wider ones
-// spill to the heap and stay correct.
-func TestSpecDatas(t *testing.T) {
+// TestSpecKeys: the canonical shard order is the distinct shard keys
+// ascending, whatever the clause order — for objects of undeclared extent,
+// one key per DataID; clauses of up to inlineDatas shards stay in the
+// caller's inline buffer (no allocation), wider ones spill to the heap and
+// stay correct.
+func TestSpecKeys(t *testing.T) {
 	clause := func(ids ...DataID) []Spec {
 		specs := make([]Spec, len(ids))
 		for i, id := range ids {
-			specs[i] = Spec{Data: id, Type: In}
+			specs[i] = Spec{Data: id, Type: In, Ivs: []regions.Interval{regions.Iv(0, 4)}}
 		}
 		return specs
 	}
+	e := NewShardedEngine(nil)
 	for _, c := range []struct {
 		in, want []DataID
 	}{
@@ -432,24 +434,28 @@ func TestSpecDatas(t *testing.T) {
 		{[]DataID{4, 3, 2, 1}, []DataID{1, 2, 3, 4}},
 		{[]DataID{9, 7, 8, 1, 7, 3, 2}, []DataID{1, 2, 3, 7, 8, 9}}, // spills
 	} {
-		var buf [inlineDatas]DataID
-		got := specDatas(buf[:0], clause(c.in...))
+		var buf [inlineDatas]shardKey
+		got := e.specKeys(buf[:0], clause(c.in...), true)
 		if len(got) != len(c.want) {
-			t.Fatalf("specDatas(%v) = %v, want %v", c.in, got, c.want)
+			t.Fatalf("specKeys(%v) = %v, want %v", c.in, got, c.want)
 		}
 		for i := range got {
-			if got[i] != c.want[i] {
-				t.Fatalf("specDatas(%v) = %v, want %v", c.in, got, c.want)
+			if got[i] != makeKey(c.want[i], 0) {
+				t.Fatalf("specKeys(%v) = %v, want %v", c.in, got, c.want)
 			}
 		}
 	}
+	if got := e.specKeys(nil, clause(11), false); len(got) != 0 {
+		t.Fatalf("a release over an object nothing registered against names shards %v", got)
+	}
 	specs := clause(6, 2, 6, 4, 0)
+	e.specKeys(nil, specs, true)
 	if allocs := testing.AllocsPerRun(100, func() {
-		var buf [inlineDatas]DataID
-		if len(specDatas(buf[:0], specs)) != 4 {
+		var buf [inlineDatas]shardKey
+		if len(e.specKeys(buf[:0], specs, true)) != 4 {
 			t.Fatal("wrong count")
 		}
 	}); allocs != 0 {
-		t.Fatalf("specDatas allocated %.0f times on a %d-object clause, want 0", allocs, inlineDatas)
+		t.Fatalf("specKeys allocated %.0f times on a %d-object clause, want 0", allocs, inlineDatas)
 	}
 }

@@ -6,10 +6,12 @@ import (
 	"repro/internal/regions"
 )
 
-// access is one registered Spec of a node.
+// access is the part of one registered Spec of a node that lies in one
+// shard: its fragments are the spec's intervals cut to that shard's stripe.
 type access struct {
 	node  *Node
 	spec  Spec
+	key   shardKey
 	frags []*fragment
 }
 
@@ -18,6 +20,7 @@ type access struct {
 func (a *access) resetForPool() {
 	a.node = nil
 	a.spec = Spec{} // drops the Ivs reference to the caller's slice
+	a.key = 0
 	clear(a.frags)
 	a.frags = a.frags[:0]
 }
@@ -169,6 +172,7 @@ func (f *fragment) resetForPool() {
 }
 
 func (f *fragment) data() DataID    { return f.acc.spec.Data }
+func (f *fragment) key() shardKey   { return f.acc.key }
 func (f *fragment) typ() AccessType { return f.acc.spec.Type }
 func (f *fragment) weak() bool      { return f.acc.spec.Weak }
 func (f *fragment) node() *Node     { return f.acc.node }

@@ -30,7 +30,7 @@ func newGlobalEngine(obs Observer, pooled bool) *GlobalEngine {
 	e.c.hook = &e.hookSlot
 	if pooled {
 		e.ep = newEnginePools()
-		e.c.mem = newDepMem(e.ep, 0)
+		e.c.mem = newDepMem(e.ep, everyShard, 0)
 	}
 	return e
 }
@@ -95,7 +95,7 @@ func (e *GlobalEngine) Register(n *Node, specs []Spec) bool {
 	defer e.mu.Unlock()
 	checkRegister(n, specs)
 	for _, spec := range specs {
-		e.c.registerSpec(n, spec)
+		e.c.registerSpec(n, spec, makeKey(spec.Data, 0), wholeObject)
 	}
 	return finishRegister(n, e.c.obs)
 }
@@ -131,7 +131,7 @@ func (e *GlobalEngine) ReleaseRegionsInto(n *Node, specs []Spec, out []*Node) []
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	for _, spec := range specs {
-		e.c.releaseSpec(n, spec)
+		e.c.releaseSpec(n, spec, makeKey(spec.Data, 0), wholeObject)
 	}
 	e.c.drainQueue()
 	return e.c.appendReady(out)

@@ -83,9 +83,14 @@ func newSim(t *testing.T, universe map[DataID]int64) *sim {
 // newSimEngine builds a sim over an explicit engine implementation; the
 // differential tests use it to drive both engines in lockstep.
 func newSimEngine(t *testing.T, kind EngineKind, universe map[DataID]int64) *sim {
+	return newSimOver(t, NewEngine(kind, nil), universe)
+}
+
+// newSimOver builds a sim over an engine the caller constructed.
+func newSimOver(t *testing.T, eng Engine, universe map[DataID]int64) *sim {
 	s := &sim{
 		t:      t,
-		eng:    NewEngine(kind, nil),
+		eng:    eng,
 		data:   make(map[DataID][]int),
 		expect: make(map[string]map[delem]int),
 		nodes:  make(map[*Node]*simNode),

@@ -107,10 +107,12 @@ func laneHintFrag(f *fragment) int {
 }
 
 // depMem is one shard's view of the engine pools: owner lanes entered only
-// while holding that shard's lock, plus the node-pool lane hint used when
+// while holding that shard's lock, the key of the shard (what it hands out
+// it takes back; see recycleNode), and the node-pool lane hint used when
 // this shard recycles nodes.
 type depMem struct {
 	ep     *enginePools
+	key    shardKey
 	lane   int
 	frags  mempool.Lane[fragment]
 	accs   mempool.Lane[access]
@@ -119,8 +121,17 @@ type depMem struct {
 	flists mempool.Lane[fragList]
 }
 
-func newDepMem(ep *enginePools, lane int) *depMem {
-	m := &depMem{ep: ep, lane: lane}
+// everyShard is the depMem key of the global engine's one core, which hands
+// out and takes back the objects of every shard key.
+const everyShard = ^shardKey(0)
+
+// owns reports whether objects keyed key came from m's lanes.
+func (m *depMem) owns(key shardKey) bool {
+	return m != nil && (m.key == key || m.key == everyShard)
+}
+
+func newDepMem(ep *enginePools, key shardKey, lane int) *depMem {
+	m := &depMem{ep: ep, key: key, lane: lane}
 	m.frags.Init(ep.frags)
 	m.accs.Init(ep.accs)
 	m.amaps.Init(ep.amaps)
@@ -194,20 +205,23 @@ func putBack[T any](lane *mempool.Lane[T], g *mempool.Global[T], p *T) {
 
 // recycleNode returns a drained node and everything it owns to the pools.
 // Only the goroutine that decremented pins to zero may call this; at that
-// point no other goroutine can reach the node (see the file comment).
+// point no other goroutine can reach the node (see the file comment). What
+// the caller's shard handed out goes back into its lanes; the node's objects
+// of other shards go to the shared globals, from where their own lanes
+// refill. A lane that took back more than it hands out would sit on objects
+// — the rarely cycled, grown interval maps of an outer task above all —
+// that the lanes they came from then allocate anew.
 func (ep *enginePools) recycleNode(n *Node, m *depMem) {
-	var (
-		frags *mempool.Lane[fragment]
-		accs  *mempool.Lane[access]
-		amaps *mempool.Lane[regions.Map[*fragment]]
-		dmaps *mempool.Lane[regions.Map[cellState]]
-	)
 	lane := 0
 	if m != nil {
-		frags, accs, amaps, dmaps = &m.frags, &m.accs, &m.amaps, &m.dmaps
 		lane = m.lane
 	}
 	for _, acc := range n.accesses {
+		var frags *mempool.Lane[fragment]
+		var accs *mempool.Lane[access]
+		if m.owns(acc.key) {
+			frags, accs = &m.frags, &m.accs
+		}
 		for _, f := range acc.frags {
 			f.resetForPool()
 			putBack(frags, ep.frags, f)
@@ -215,21 +229,27 @@ func (ep *enginePools) recycleNode(n *Node, m *depMem) {
 		acc.resetForPool()
 		putBack(accs, ep.accs, acc)
 	}
-	// The node's Go maps are kept (cleared) for its next life; only the
-	// interval maps inside them are pooled.
-	if n.accessMap != nil {
-		for _, am := range n.accessMap {
-			am.Reset()
-			putBack(amaps, ep.amaps, am)
+	// The node's map table is kept, emptied in place, for its next life;
+	// only the interval maps it points at are pooled.
+	if t := n.maps.Load(); t != nil {
+		ents := t.ents[:t.n.Load()]
+		for i := range ents {
+			var amaps *mempool.Lane[regions.Map[*fragment]]
+			var dmaps *mempool.Lane[regions.Map[cellState]]
+			if m.owns(ents[i].key) {
+				amaps, dmaps = &m.amaps, &m.dmaps
+			}
+			if am := ents[i].am; am != nil {
+				am.Reset()
+				putBack(amaps, ep.amaps, am)
+			}
+			if dm := ents[i].dm; dm != nil {
+				dm.Reset()
+				putBack(dmaps, ep.dmaps, dm)
+			}
 		}
-		clear(n.accessMap)
-	}
-	if n.domain != nil {
-		for _, dm := range n.domain {
-			dm.Reset()
-			putBack(dmaps, ep.dmaps, dm)
-		}
-		clear(n.domain)
+		clear(ents)
+		t.n.Store(0)
 	}
 	n.resetForPool()
 	ep.nodes.Put(lane, n)

@@ -23,17 +23,7 @@ import (
 
 // newSimEngineMem builds a sim over an explicit engine and memory mode.
 func newSimEngineMem(t *testing.T, kind EngineKind, universe map[DataID]int64, mem mempool.Kind) *sim {
-	s := &sim{
-		t:      t,
-		eng:    NewEngineMem(kind, nil, mem),
-		data:   make(map[DataID][]int),
-		expect: make(map[string]map[delem]int),
-		nodes:  make(map[*Node]*simNode),
-	}
-	for d, n := range universe {
-		s.data[d] = make([]int, n)
-	}
-	return s
+	return newSimOver(t, NewEngineMem(kind, nil, mem), universe)
 }
 
 // runDifferentialMem executes prog in lockstep through the reference and

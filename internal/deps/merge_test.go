@@ -15,8 +15,12 @@ import (
 // maps.
 func countDomainEntries(n *Node) int {
 	total := 0
-	for _, dm := range n.domain {
-		total += dm.Count()
+	if t := n.maps.Load(); t != nil {
+		for _, e := range t.ents[:t.n.Load()] {
+			if e.dm != nil {
+				total += e.dm.Count()
+			}
+		}
 	}
 	return total
 }

@@ -18,13 +18,14 @@
 //
 // Two Engine implementations provide these semantics. GlobalEngine
 // serializes everything behind one mutex. ShardedEngine partitions every
-// dependency structure per data object — each DataID gets its own lock,
-// interval maps, and cascade queue, so depend clauses over disjoint data
-// never contend; only the per-node readiness countdown crosses shards, and
-// it is a bare atomic. In both, all cascade effects (satisfaction grants,
-// domain drain, hand-over release) run through an explicit event queue so
-// that no interval map is structurally modified while being iterated, and
-// every event provably stays within the data object that produced it.
+// dependency structure per (data object, stripe of its index space) — each
+// shard key gets its own lock, interval maps, and cascade queue, so depend
+// clauses over disjoint data or disjoint ranges of one object never
+// contend; only the per-node readiness countdown crosses shards, and it is
+// a bare atomic. In both, all cascade effects (satisfaction grants, domain
+// drain, hand-over release) run through an explicit event queue so that no
+// interval map is structurally modified while being iterated, and every
+// event provably stays within the shard that produced it.
 package deps
 
 import (
@@ -110,17 +111,17 @@ func (s Spec) String() string {
 // participates in its parent's domain through Register, and owns a domain
 // for its own children. The zero value is not usable.
 //
-// Locking: the contents of the per-data interval maps are guarded by the
-// lock covering that data (the engine mutex for GlobalEngine, the data's
-// shard mutex for ShardedEngine). The accessMap/domain Go maps themselves
-// are guarded by mapsMu, because under the sharded engine a child's
-// registration on one data can grow the parent's domain map concurrently
-// with a cascade reading another data's entry. unsat and notified are
-// atomic: they are the only cross-shard state, credited by grants from any
-// shard. accesses, registered, and completed are single-writer fields —
-// mutated only by the registering / completing goroutine, with
-// happens-before to readers established through the unsat countdown and
-// the runtime's own synchronization.
+// Locking: the contents of the per-shard interval maps are guarded by the
+// lock covering that shard key (the engine mutex for GlobalEngine, the
+// shard's mutex for ShardedEngine). The table that finds them (maps) is
+// read without a lock and written under mapsMu, because under the sharded
+// engine a child's registration in one shard can add an entry to the
+// parent's table concurrently with a cascade looking up another shard's.
+// unsat and notified are atomic: they are the only cross-shard state,
+// credited by grants from any shard. accesses, registered, and completed
+// are single-writer fields — mutated only by the registering / completing
+// goroutine, with happens-before to readers established through the unsat
+// countdown and the runtime's own synchronization.
 type Node struct {
 	parent *Node
 	label  string
@@ -130,20 +131,19 @@ type Node struct {
 	User any
 
 	accesses []*access
-	// datas caches the distinct DataIDs of accesses in ascending order —
+	// datas caches the distinct shard keys of accesses in ascending order —
 	// the canonical shard visiting order, computed once at registration so
 	// the completion-side calls (BodyDone, Complete) pay no sort or
 	// allocation. Single-writer like accesses. It aliases data0 unless the
-	// clause names more than inlineDatas objects, so the common clauses
+	// clause touches more than inlineDatas shards, so the common clauses
 	// stay off the heap.
-	datas  []DataID
-	data0  [inlineDatas]DataID
-	mapsMu sync.RWMutex
-	// accessMap indexes this node's own fragments by data and interval, for
-	// inbound linking by children and for the release directive.
-	accessMap map[DataID]*regions.Map[*fragment]
-	// domain is the dependency domain of this node's children.
-	domain map[DataID]*regions.Map[cellState]
+	datas []shardKey
+	data0 [inlineDatas]shardKey
+	// maps finds, per shard key, this node's own fragments (for inbound
+	// linking by children and for the release directive) and the dependency
+	// domain of its children. Lookups take no lock; see mapTab.
+	maps   atomic.Pointer[mapTab]
+	mapsMu sync.Mutex
 
 	// unsat is the total element length of strong access pieces whose
 	// relevant satisfaction is still pending, plus a +1 registration hold
@@ -185,9 +185,108 @@ type Node struct {
 	pins atomic.Int64
 }
 
-// inlineDatas is how many distinct data objects of a depend clause a node
-// records inline (Node.data0).
-const inlineDatas = 4
+// inlineDatas is how many distinct shards of a depend clause a node records
+// inline (Node.data0): a clause over two objects that straddles a stripe
+// boundary on each still fits. Six also make the Node 192 bytes, three whole
+// cache lines in its allocation size class, so pooled nodes that sit side by
+// side — one being initialised by the submitter while a worker completes its
+// neighbour — never share a line.
+const inlineDatas = 6
+
+// shardKey names one dependency shard: a stripe of one data object's index
+// space (DataID in the high half, stripe index in the low half, so ascending
+// keys order by data object first). Every per-data structure of the engine
+// is keyed by it. The global engine, and a sharded engine's unstriped
+// objects, only ever use stripe 0.
+type shardKey uint64
+
+func makeKey(data DataID, stripe int) shardKey { return shardKey(data)<<32 | shardKey(uint32(stripe)) }
+
+func (k shardKey) data() DataID { return DataID(k >> 32) }
+func (k shardKey) stripe() int  { return int(uint32(k)) }
+
+// nodeMaps is one entry of a node's map table.
+type nodeMaps struct {
+	key shardKey
+	// am indexes the node's own fragments inside the shard by interval.
+	am *regions.Map[*fragment]
+	// dm is the shard's part of the dependency domain of the node's children.
+	dm *regions.Map[cellState]
+}
+
+// mapTab is one published version of a node's map table: ents[:n] sorted by
+// key. A reader loads Node.maps, then n, and searches that prefix — no lock,
+// so cascades in different shards do not share a cache line they write.
+// Writers hold Node.mapsMu and never disturb what a reader may be looking
+// at: a key above every present one is written into the spare capacity and
+// published by the store to n; any other insertion, or a full table,
+// publishes a fresh copy. The am/dm fields of an entry are set under mapsMu
+// (a copy must not miss one) and read under the entry's shard lock, which
+// every writer of that entry also holds.
+type mapTab struct {
+	n    atomic.Int32
+	ents []nodeMaps
+}
+
+// searchMaps returns the position of key in the sorted ents, or where it
+// would be inserted. Tables are a handful of entries (one or two per data
+// object of the clause, S per object at a root): a scan, not a bisection.
+func searchMaps(ents []nodeMaps, key shardKey) (int, bool) {
+	for i := range ents {
+		if ents[i].key >= key {
+			return i, ents[i].key == key
+		}
+	}
+	return len(ents), false
+}
+
+// mapsFor returns the node's table entry for key, or nil. The caller holds
+// the lock covering key.
+func (n *Node) mapsFor(key shardKey) *nodeMaps {
+	t := n.maps.Load()
+	if t == nil {
+		return nil
+	}
+	ents := t.ents[:t.n.Load()]
+	if i, ok := searchMaps(ents, key); ok {
+		return &ents[i]
+	}
+	return nil
+}
+
+// mapsEnsure returns the entry for key in the current table, inserting an
+// empty one if there is none. The caller holds mapsMu.
+func (n *Node) mapsEnsure(key shardKey) *nodeMaps {
+	t := n.maps.Load()
+	var ents []nodeMaps
+	if t != nil {
+		ents = t.ents[:t.n.Load()]
+	}
+	at, ok := searchMaps(ents, key)
+	if ok {
+		return &ents[at]
+	}
+	cnt := len(ents)
+	if t != nil && at == cnt && cnt < len(t.ents) {
+		t.ents[cnt] = nodeMaps{key: key}
+		t.n.Store(int32(cnt + 1))
+		return &t.ents[cnt]
+	}
+	size := 2
+	if t != nil {
+		size = len(t.ents)
+	}
+	if cnt == size {
+		size *= 2
+	}
+	nt := &mapTab{ents: make([]nodeMaps, size)}
+	copy(nt.ents, ents[:at])
+	nt.ents[at] = nodeMaps{key: key}
+	copy(nt.ents[at+1:], ents[at:])
+	nt.n.Store(int32(cnt + 1))
+	n.maps.Store(nt)
+	return &nt.ents[at]
+}
 
 // newNode constructs a node with no readiness hint yet.
 func newNode(parent *Node, label string, user any) *Node {
@@ -267,7 +366,7 @@ func (n *Node) ReadyData() (DataID, bool) {
 // depend clause, ok=false for a node with no dependencies.
 func (n *Node) PrimaryData() (DataID, bool) {
 	if len(n.datas) > 0 {
-		return n.datas[0], true
+		return n.datas[0].data(), true
 	}
 	if len(n.accesses) > 0 {
 		return n.accesses[0].spec.Data, true
@@ -281,53 +380,53 @@ func (n *Node) Label() string { return n.label }
 // Parent returns the parent node (nil for the root).
 func (n *Node) Parent() *Node { return n.parent }
 
-func (n *Node) domainEnsure(data DataID, mem *depMem) *regions.Map[cellState] {
+// domainEnsure returns the node's domain map for key, creating it on the
+// first child registration in that shard. The caller holds the lock covering
+// key, as does every other reader and writer of the entry's dm.
+func (n *Node) domainEnsure(key shardKey, mem *depMem) *regions.Map[cellState] {
+	if e := n.mapsFor(key); e != nil && e.dm != nil {
+		return e.dm
+	}
 	n.mapsMu.Lock()
 	defer n.mapsMu.Unlock()
-	if n.domain == nil {
-		n.domain = make(map[DataID]*regions.Map[cellState])
+	e := n.mapsEnsure(key)
+	if mem != nil {
+		e.dm = mem.dmaps.Get()
+	} else {
+		e.dm = regions.NewMap[cellState](cloneCell)
 	}
-	dm := n.domain[data]
-	if dm == nil {
-		if mem != nil {
-			dm = mem.dmaps.Get()
-		} else {
-			dm = regions.NewMap[cellState](cloneCell)
-		}
-		n.domain[data] = dm
-	}
-	return dm
+	return e.dm
 }
 
-// domainFor returns the node's domain map for data, or nil if no child has
-// registered an access over it.
-func (n *Node) domainFor(data DataID) *regions.Map[cellState] {
-	n.mapsMu.RLock()
-	defer n.mapsMu.RUnlock()
-	return n.domain[data]
+// domainFor returns the node's domain map for key, or nil if no child has
+// registered an access in that shard.
+func (n *Node) domainFor(key shardKey) *regions.Map[cellState] {
+	if e := n.mapsFor(key); e != nil {
+		return e.dm
+	}
+	return nil
 }
 
-func (n *Node) accessMapEnsure(data DataID, mem *depMem) *regions.Map[*fragment] {
+// accessMapEnsure is domainEnsure for the node's own access map.
+func (n *Node) accessMapEnsure(key shardKey, mem *depMem) *regions.Map[*fragment] {
+	if e := n.mapsFor(key); e != nil && e.am != nil {
+		return e.am
+	}
 	n.mapsMu.Lock()
 	defer n.mapsMu.Unlock()
-	if n.accessMap == nil {
-		n.accessMap = make(map[DataID]*regions.Map[*fragment])
+	e := n.mapsEnsure(key)
+	if mem != nil {
+		e.am = mem.amaps.Get()
+	} else {
+		e.am = regions.NewMap[*fragment](nil)
 	}
-	am := n.accessMap[data]
-	if am == nil {
-		if mem != nil {
-			am = mem.amaps.Get()
-		} else {
-			am = regions.NewMap[*fragment](nil)
-		}
-		n.accessMap[data] = am
-	}
-	return am
+	return e.am
 }
 
-// accessMapFor returns the node's own access map for data, or nil.
-func (n *Node) accessMapFor(data DataID) *regions.Map[*fragment] {
-	n.mapsMu.RLock()
-	defer n.mapsMu.RUnlock()
-	return n.accessMap[data]
+// accessMapFor returns the node's own access map for key, or nil.
+func (n *Node) accessMapFor(key shardKey) *regions.Map[*fragment] {
+	if e := n.mapsFor(key); e != nil {
+		return e.am
+	}
+	return nil
 }

@@ -5,52 +5,69 @@ import (
 	"sync/atomic"
 
 	"repro/internal/chaos"
+	"repro/internal/regions"
 )
 
-// ShardedEngine partitions the dependency engine per data object: every
-// DataID owns a shard with its own mutex, interval maps (reached through
-// the nodes' per-data access and domain maps), cascade event queue, and
-// activity counters. Tasks whose depend clauses touch disjoint data
-// register, fragment, and release fully concurrently — the contention
-// pathology of a single engine-wide lock (every submit and every release
-// serialized, no matter how unrelated) disappears.
+// ShardedEngine partitions the dependency engine by shard key — a data
+// object and a stripe of its index space: every key owns a shard with its
+// own mutex, interval maps (reached through the nodes' map tables), cascade
+// event queue, and activity counters. Tasks whose depend clauses touch
+// disjoint data, or disjoint stripes of one object, register, fragment, and
+// release fully concurrently — the contention pathology of a single
+// engine-wide lock (every submit and every release serialized, no matter
+// how unrelated) disappears, and so does its per-object remnant (the leaves
+// of every outer task of a nested program taking turns on the one lock of
+// the array they all slice).
 //
-// Sharding per data is sound because every dependency structure and every
-// cascade event is confined to one DataID:
+// An object's index space is cut into S equal, aligned stripes, and every
+// interval of a depend clause or release directive is cut at the stripe
+// boundaries, so each fragment lies in exactly one stripe. Sharding by key
+// is then sound because every dependency structure and every cascade event
+// connects pieces that overlap, and so is confined to one stripe:
 //
-//   - same-domain successor links connect fragments of the same data;
+//   - same-domain successor links connect overlapping fragments of one data
+//     object;
 //   - inbound waiter links connect a child fragment to the parent's access
-//     over the same data;
-//   - domain cells, hand-over targets, and drain events belong to the data
-//     whose accesses cover them.
+//     over the same interval;
+//   - domain cells, hand-over targets, and drain events belong to the
+//     accesses that cover them.
 //
 // The only state shared across shards is per-node: the readiness countdown
 // (unsat) and its one-shot ready election (notified), both atomics, so a
-// node whose depend clause spans several data objects becomes ready the
-// moment the last shard delivers its last grant — with no lock common to
-// the shards involved. A registration hold (+1 on the countdown for the
+// node whose depend clause spans several shards becomes ready the moment
+// the last shard delivers its last grant — with no lock common to the
+// shards involved. A registration hold (+1 on the countdown for the
 // duration of Register) keeps the node from becoming ready while later
-// entries of a multi-object clause are still linking. In the pooled memory
-// mode the node's pin countdown is a third cross-shard atomic: fragments
-// releasing under different shard locks all unpin the same node, and the
-// transition to zero elects the one recycler.
+// shards of its clause are still linking. In the pooled memory mode the
+// node's pin countdown is a third cross-shard atomic: fragments releasing
+// under different shard locks all unpin the same node, and the transition
+// to zero elects the one recycler.
 //
-// Multi-object operations (Register, BodyDone, ReleaseRegions, Complete)
-// visit the shards of their specs in canonical ascending-DataID order, one
-// at a time — no shard lock is ever held while acquiring another, so the
+// Multi-shard operations (Register, BodyDone, ReleaseRegions, Complete)
+// visit the shards of their specs in canonical ascending-key order, one at
+// a time — no shard lock is ever held while acquiring another, so the
 // engine is trivially deadlock-free.
+//
+// S is fixed per object, at its first registration, by stripeCount: an
+// object whose extent was never declared (DeclareExtent) has one stripe.
 type ShardedEngine struct {
 	obs      Observer // wrapped: callbacks serialized across shards
 	nodes    atomic.Int64
 	ep       *enginePools // nil in the reference memory mode
 	hookSlot atomic.Pointer[EdgeHook]
 
-	// shards is a copy-on-write table indexed by DataID (data ids are
-	// allocated densely from zero): the hot-path lookup is one atomic load
-	// and an index, with no read lock to contend on. Growth (first touch
-	// of a new data object) clones the table under mu and swaps it in.
-	shards atomic.Pointer[[]*shard]
-	mu     sync.Mutex
+	// table is the copy-on-write shard table, indexed by DataID (data ids
+	// are allocated densely from zero) and then by stripe: the hot-path
+	// lookup is one atomic load and two indexings, with no read lock to
+	// contend on. An object's entry is created, with its stripe count, at
+	// its first registration: the table is cloned under mu and swapped in.
+	table atomic.Pointer[[]*stripes]
+	mu    sync.Mutex
+	// extents holds what DeclareExtent was told, by DataID, until the
+	// object's first registration consumes it. Guarded by mu, like nshards
+	// (shards created so far: each one's memory-lane number).
+	extents []extent
+	nshards int
 }
 
 type shard struct {
@@ -58,11 +75,76 @@ type shard struct {
 	c  depCore
 }
 
+// stripes is the shard set of one data object: stripe i covers the indices
+// [i*width, (i+1)*width), the first and last stripes extended to everything
+// below and above.
+type stripes struct {
+	width  int64
+	shards []*shard
+}
+
+// of returns the stripe holding index p.
+func (st *stripes) of(p int64) int {
+	last := len(st.shards) - 1
+	if last == 0 || p <= 0 {
+		return 0
+	}
+	if s := p / st.width; s < int64(last) {
+		return int(s)
+	}
+	return last
+}
+
+// window returns the index range of stripe i.
+func (st *stripes) window(i int) regions.Interval {
+	w := wholeObject
+	if i > 0 {
+		w.Lo = int64(i) * st.width
+	}
+	if i < len(st.shards)-1 {
+		w.Hi = int64(i+1) * st.width
+	}
+	return w
+}
+
+// extent is what the runtime declared about a data object.
+type extent struct {
+	elems   int64
+	workers int
+}
+
+// stripesPerWorker caps an object's stripe count at this many per worker:
+// enough that workers in different parts of an object rarely meet, few
+// enough that an access over the whole object is not cut into many pieces.
+const stripesPerWorker = 4
+
+// stripeCount is the first-access rule: the number of stripes of an object
+// of elems elements whose first registered interval is firstLen long, in an
+// engine driven by workers goroutines. It is the largest power of two that
+// does not cut the first access (elems/firstLen of them tile the object) and
+// does not exceed stripesPerWorker per worker. An object first accessed as
+// a whole, one of undeclared extent, and any object of a single worker —
+// which cannot contend with itself — get one stripe. The limitation is
+// deliberate: the first access stands for the program's coarsest slicing,
+// and every access wider than a stripe pays one fragment and one map per
+// stripe it crosses.
+func stripeCount(elems, firstLen int64, workers int) int {
+	if workers <= 1 || elems <= 0 || firstLen <= 0 {
+		return 1
+	}
+	limit := min(elems/firstLen, int64(stripesPerWorker*workers))
+	s := 1
+	for int64(2*s) <= limit {
+		s *= 2
+	}
+	return s
+}
+
 var _ Engine = (*ShardedEngine)(nil)
 
-// NewShardedEngine returns a per-data-object sharded engine with the
-// reference (allocate-always) memory mode. obs may be nil; callbacks are
-// serialized, so observers written for the global engine work unchanged.
+// NewShardedEngine returns a sharded engine with the reference
+// (allocate-always) memory mode. obs may be nil; callbacks are serialized,
+// so observers written for the global engine work unchanged.
 func NewShardedEngine(obs Observer) *ShardedEngine {
 	return newShardedEngine(obs, false)
 }
@@ -72,50 +154,134 @@ func newShardedEngine(obs Observer, pooled bool) *ShardedEngine {
 	if pooled {
 		e.ep = newEnginePools()
 	}
-	e.shards.Store(new([]*shard))
+	e.table.Store(new([]*stripes))
 	return e
 }
 
-// shardFor returns the shard owning data, creating it on first use.
-func (e *ShardedEngine) shardFor(data DataID) *shard {
-	if t := *e.shards.Load(); int(data) < len(t) {
-		if sh := t[data]; sh != nil {
-			return sh
+// DeclareExtent tells the engine that data has elems elements and that
+// workers goroutines will drive the engine, which lets the object's first
+// registration stripe it (stripeCount). It has no effect once the object
+// has been registered against.
+func (e *ShardedEngine) DeclareExtent(data DataID, elems int64, workers int) {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	if int(data) >= len(e.extents) {
+		e.extents = append(e.extents, make([]extent, int(data)+1-len(e.extents))...)
+	}
+	e.extents[data] = extent{elems: elems, workers: workers}
+}
+
+// stripesFor returns data's shard set. firstLen > 0 creates it on first use,
+// as the length of the interval that touches the object first; otherwise an
+// object nothing has registered against yields nil.
+func (e *ShardedEngine) stripesFor(data DataID, firstLen int64) *stripes {
+	if t := *e.table.Load(); int(data) < len(t) {
+		if st := t[data]; st != nil {
+			return st
 		}
+	}
+	if firstLen <= 0 {
+		return nil
 	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	t := *e.shards.Load()
-	if int(data) >= len(t) {
-		grown := make([]*shard, data+1)
-		copy(grown, t)
-		t = grown
-	} else {
-		t = append([]*shard(nil), t...)
+	t := *e.table.Load()
+	if int(data) < len(t) && t[data] != nil {
+		return t[data]
 	}
-	sh := t[data]
-	if sh == nil {
-		sh = &shard{}
+	var ext extent
+	if int(data) < len(e.extents) {
+		ext = e.extents[data]
+	}
+	n := stripeCount(ext.elems, firstLen, ext.workers)
+	st := &stripes{width: (ext.elems + int64(n) - 1) / int64(n), shards: make([]*shard, n)}
+	for i := range st.shards {
+		sh := &shard{}
 		sh.c.obs = e.obs
 		sh.c.hook = &e.hookSlot
 		if e.ep != nil {
-			sh.c.mem = newDepMem(e.ep, int(data))
+			sh.c.mem = newDepMem(e.ep, makeKey(data, i), e.nshards)
 		}
-		t[data] = sh
+		e.nshards++
+		st.shards[i] = sh
 	}
-	e.shards.Store(&t)
-	return sh
+	grown := make([]*stripes, max(len(t), int(data)+1))
+	copy(grown, t)
+	grown[data] = st
+	e.table.Store(&grown)
+	return st
 }
 
-// allShards snapshots the shard table for the aggregate accessors.
-func (e *ShardedEngine) allShards() []*shard {
-	return *e.shards.Load()
+// shardOf returns the shard of a key some registration has produced, and
+// the index window it covers.
+func (e *ShardedEngine) shardOf(key shardKey) (*shard, regions.Interval) {
+	st := (*e.table.Load())[key.data()]
+	return st.shards[key.stripe()], st.window(key.stripe())
+}
+
+// specKeys appends the distinct shard keys the intervals of specs fall in
+// to buf in ascending order — the canonical shard acquisition order — and
+// returns it. With create, an object's first interval fixes its stripes;
+// without, objects nothing has registered against are skipped. Depend
+// clauses are short, so this is an insertion sort into the caller's buffer
+// (a small inline array in practice); only a clause touching more shards
+// than the buffer holds reaches the heap, through append.
+func (e *ShardedEngine) specKeys(buf []shardKey, specs []Spec, create bool) []shardKey {
+	for i := range specs {
+		data := specs[i].Data
+		var st *stripes
+		for _, iv := range specs[i].Ivs {
+			if iv.Empty() {
+				continue
+			}
+			if st == nil {
+				firstLen := int64(0)
+				if create {
+					firstLen = iv.Len()
+				}
+				if st = e.stripesFor(data, firstLen); st == nil {
+					break
+				}
+			}
+			for s, hi := st.of(iv.Lo), st.of(iv.Hi-1); s <= hi; s++ {
+				buf = insertKey(buf, makeKey(data, s))
+			}
+		}
+	}
+	return buf
+}
+
+// insertKey inserts key into the ascending, duplicate-free buf.
+func insertKey(buf []shardKey, key shardKey) []shardKey {
+	at := len(buf)
+	for at > 0 && buf[at-1] > key {
+		at--
+	}
+	if at > 0 && buf[at-1] == key {
+		return buf
+	}
+	buf = append(buf, 0)
+	copy(buf[at+1:], buf[at:])
+	buf[at] = key
+	return buf
+}
+
+// allShards calls f on every shard, under its lock, for the aggregate
+// accessors.
+func (e *ShardedEngine) allShards(f func(c *depCore)) {
+	for _, st := range *e.table.Load() {
+		if st == nil {
+			continue
+		}
+		for _, sh := range st.shards {
+			sh.locked(f)
+		}
+	}
 }
 
 // SetEdgeHook installs (or, with nil, uninstalls) the edge-export hook;
-// see the Engine contract. The hook fires under the shard lock of the
-// edge's data object, so edges of different data objects may be delivered
-// concurrently.
+// see the Engine contract. The hook fires under the lock of the edge's
+// shard, so edges of different shards may be delivered concurrently.
 func (e *ShardedEngine) SetEdgeHook(fn EdgeHook) {
 	if fn == nil {
 		e.hookSlot.Store(nil)
@@ -128,14 +294,7 @@ func (e *ShardedEngine) SetEdgeHook(fn EdgeHook) {
 // shards.
 func (e *ShardedEngine) Stats() Stats {
 	st := Stats{Nodes: e.nodes.Load()}
-	for _, sh := range e.allShards() {
-		if sh == nil {
-			continue
-		}
-		sh.mu.Lock()
-		st.add(sh.c.stats)
-		sh.mu.Unlock()
-	}
+	e.allShards(func(c *depCore) { st.add(c.stats) })
 	return st
 }
 
@@ -143,14 +302,7 @@ func (e *ShardedEngine) Stats() Stats {
 // summed over all shards.
 func (e *ShardedEngine) LiveFragments() int64 {
 	var live int64
-	for _, sh := range e.allShards() {
-		if sh == nil {
-			continue
-		}
-		sh.mu.Lock()
-		live += sh.c.liveFrags
-		sh.mu.Unlock()
-	}
+	e.allShards(func(c *depCore) { live += c.liveFrags })
 	return live
 }
 
@@ -186,19 +338,21 @@ func (e *ShardedEngine) NewNode(parent *Node, label string, user any) *Node {
 }
 
 // Register links the node's depend entries into its parent's domain, shard
-// by shard in canonical DataID order, and reports whether the node is
-// immediately ready. Registration only creates links and charges pending
-// grants — it releases nothing — so each shard's section is self-contained
-// and no lock spans two shards; the registration hold keeps concurrent
-// grants from readying the node until every entry is linked.
+// by shard in canonical key order — each entry cut to the shard's stripe —
+// and reports whether the node is immediately ready. Registration only
+// creates links and charges pending grants — it releases nothing — so each
+// shard's section is self-contained and no lock spans two shards; the
+// registration hold keeps concurrent grants from readying the node until
+// every entry is linked.
 func (e *ShardedEngine) Register(n *Node, specs []Spec) bool {
 	checkRegister(n, specs)
-	n.datas = specDatas(n.data0[:0], specs)
-	for _, data := range n.datas {
-		e.shardFor(data).locked(func(c *depCore) {
+	n.datas = e.specKeys(n.data0[:0], specs, true)
+	for _, key := range n.datas {
+		sh, win := e.shardOf(key)
+		sh.locked(func(c *depCore) {
 			for i := range specs {
-				if specs[i].Data == data {
-					c.registerSpec(n, specs[i])
+				if specs[i].Data == key.data() {
+					c.registerSpec(n, specs[i], key, win)
 				}
 			}
 		})
@@ -227,10 +381,11 @@ func (e *ShardedEngine) BodyDone(n *Node) []*Node {
 // BodyDoneInto implements the weakwait clause (§V), appending the nodes
 // that became ready to out.
 func (e *ShardedEngine) BodyDoneInto(n *Node, out []*Node) []*Node {
-	for _, data := range n.datas {
-		e.shardFor(data).locked(func(c *depCore) {
+	for _, key := range n.datas {
+		sh, _ := e.shardOf(key)
+		sh.locked(func(c *depCore) {
 			for _, acc := range n.accesses {
-				if acc.spec.Data != data {
+				if acc.key != key {
 					continue
 				}
 				for _, f := range acc.frags {
@@ -245,7 +400,7 @@ func (e *ShardedEngine) BodyDoneInto(n *Node, out []*Node) []*Node {
 }
 
 // ReleaseRegions implements the release directive (§V), shard by shard in
-// canonical DataID order.
+// canonical key order.
 func (e *ShardedEngine) ReleaseRegions(n *Node, specs []Spec) []*Node {
 	return e.ReleaseRegionsInto(n, specs, nil)
 }
@@ -253,12 +408,13 @@ func (e *ShardedEngine) ReleaseRegions(n *Node, specs []Spec) []*Node {
 // ReleaseRegionsInto implements the release directive (§V), appending the
 // nodes that became ready to out.
 func (e *ShardedEngine) ReleaseRegionsInto(n *Node, specs []Spec, out []*Node) []*Node {
-	var buf [inlineDatas]DataID
-	for _, data := range specDatas(buf[:0], specs) {
-		e.shardFor(data).locked(func(c *depCore) {
+	var buf [inlineDatas]shardKey
+	for _, key := range e.specKeys(buf[:0], specs, false) {
+		sh, win := e.shardOf(key)
+		sh.locked(func(c *depCore) {
 			for i := range specs {
-				if specs[i].Data == data {
-					c.releaseSpec(n, specs[i])
+				if specs[i].Data == key.data() {
+					c.releaseSpec(n, specs[i], key, win)
 				}
 			}
 			c.drainQueue()
@@ -279,15 +435,22 @@ func (e *ShardedEngine) Complete(n *Node) []*Node {
 // to out.
 func (e *ShardedEngine) CompleteInto(n *Node, out []*Node) []*Node {
 	n.completed = true
-	datas := n.datas
-	for _, data := range datas {
+	// The completion hold (pooled mode) is released inside the visit of the
+	// node's last shard, so that a node it drains — a leaf, typically — is
+	// recycled into that shard's owner lanes and not, one mutex per object
+	// type, into the free lists every shard shares. The failpoint delays the
+	// release, racing the recycle election against fragments unpinning
+	// under other shards' locks.
+	last := len(n.datas) - 1
+	for i, key := range n.datas {
 		// Failpoint: interleave the per-shard completion visits of a
-		// multi-object clause against concurrent registrations and other
+		// multi-shard clause against concurrent registrations and other
 		// completions over the same data.
 		chaos.Maybe(chaos.DepsCascade)
-		e.shardFor(data).locked(func(c *depCore) {
+		sh, _ := e.shardOf(key)
+		sh.locked(func(c *depCore) {
 			for _, acc := range n.accesses {
-				if acc.spec.Data != data {
+				if acc.key != key {
 					continue
 				}
 				for _, f := range acc.frags {
@@ -296,15 +459,15 @@ func (e *ShardedEngine) CompleteInto(n *Node, out []*Node) []*Node {
 			}
 			c.drainQueue()
 			out = c.appendReady(out)
+			if i == last && e.ep != nil {
+				chaos.Maybe(chaos.DepsPinRelease)
+				e.ep.unpin(n, c.mem)
+			}
 		})
 	}
-	if e.ep != nil {
-		// Failpoint: delay the completion hold's pin release, racing the
-		// recycle election against fragments unpinning under shard locks.
+	if last < 0 && e.ep != nil {
+		// No depend clause, no shard: the shared lists are all there is.
 		chaos.Maybe(chaos.DepsPinRelease)
-		// Release the completion hold (outside any shard lock: the pools
-		// are their own synchronization domain). If every fragment has
-		// released and every child drained, this recycles the node.
 		e.ep.unpin(n, nil)
 	}
 	return out

@@ -35,10 +35,12 @@
 // Two dependency-engine implementations enforce these semantics behind the
 // deps.Engine interface, selectable via Config.DepEngine: EngineGlobal
 // serializes everything behind one mutex (the reference), while
-// EngineSharded partitions all dependency state per data object — each
-// DataID gets its own lock and cascade queue, so depend clauses over
-// disjoint data register and release with no common lock, and a task's
-// cross-object readiness countdown is a bare atomic. EngineAuto (default)
+// EngineSharded partitions all dependency state per data object and, for
+// an object a program slices (NewData passes its extent on, and the first
+// access sets the grain), per stripe of its index range — each shard gets
+// its own lock and cascade queue, so depend clauses over disjoint data or
+// disjoint ranges register and release with no common lock, and a task's
+// cross-shard readiness countdown is a bare atomic. EngineAuto (default)
 // picks sharded in both modes. Differential property tests drive both
 // engines in lockstep over random task programs to keep them observably
 // equivalent.
@@ -202,9 +204,9 @@ const (
 	EngineAuto = deps.EngineAuto
 	// EngineGlobal is the single-mutex reference engine.
 	EngineGlobal = deps.EngineGlobal
-	// EngineSharded partitions dependency state per data object: depend
-	// clauses over disjoint data register, fragment, and release
-	// concurrently.
+	// EngineSharded partitions dependency state per data object and per
+	// stripe of its index range: depend clauses over disjoint data or
+	// disjoint ranges register, fragment, and release concurrently.
 	EngineSharded = deps.EngineSharded
 )
 
