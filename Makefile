@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: all help build vet test race bench-short bench-check sched-smoke throttle-smoke mem-smoke replay-smoke wait-smoke ws-smoke topo-smoke chaos-smoke perftrack-smoke depbench perftrack ci
+.PHONY: all help build vet test race flake bench-short bench-check sched-smoke throttle-smoke mem-smoke replay-smoke wait-smoke ws-smoke topo-smoke chaos-smoke perftrack-smoke depbench perftrack ci
 
 all: build
 
@@ -14,6 +14,9 @@ help:
 	@echo "  vet            go vet ./..."
 	@echo "  test           full test suite"
 	@echo "  race           race detector pass (short mode)"
+	@echo "  flake          flake hunt: every package N times under -race -short (N=20; narrow"
+	@echo "                 with FLAKE_PKGS='./internal/deps .'); prints 'package Test fails/N'"
+	@echo "                 for every test that failed, exits non-zero on any (scheduled CI job)"
 	@echo "  bench-short    every benchmark once (benchmark-code smoke)"
 	@echo "  bench-check    the bench/ module (its own go.mod, so ./... skips it): vet, unit"
 	@echo "                 tests, and one quick end-to-end pass each of axpy_nest_weak,"
@@ -75,6 +78,25 @@ test:
 # -short so this stays CI-friendly.
 race:
 	$(GO) test -race -short ./...
+
+# Flake hunt (not part of `ci`; CI runs it on a schedule): each package is
+# tested N times under the race detector in short mode, and every test that
+# failed is reported with its rate as "package Test fails/N". A package that
+# fails without naming a test (a build failure, a crash) is reported as a
+# whole. Exits non-zero on any failure.
+N ?= 20
+FLAKE_PKGS ?= ./...
+flake:
+	@status=0; \
+	for pkg in $$($(GO) list $(FLAKE_PKGS)); do \
+		out=$$($(GO) test -race -short -count=$(N) $$pkg 2>&1); rc=$$?; \
+		fails=$$(printf '%s\n' "$$out" | awk -v pkg=$$pkg -v n=$(N) \
+			'/^--- FAIL: / { c[$$3]++ } END { for (t in c) printf "%s %s %d/%d\n", pkg, t, c[t], n }'); \
+		if [ -n "$$fails" ]; then printf '%s\n' "$$fails"; status=1; \
+		elif [ $$rc -ne 0 ]; then printf '%s\n' "$$out" | tail -n 20; echo "$$pkg (package) failed"; status=1; \
+		else echo "$$pkg ok x$(N)"; fi; \
+	done; \
+	exit $$status
 
 # Quick benchmark smoke: every benchmark runs at least once (correctness
 # of the benchmark code), without the full measurement sweeps.

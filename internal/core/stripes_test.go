@@ -9,50 +9,73 @@ import (
 
 // TestNewDataDeclaresExtent pins when the runtime lets the dependency engine
 // stripe a data object: real mode, more than one worker, the sharded engine.
-// The engine is a black box here; what shows is the fragment count — a
-// whole-object access registered after a quarter-object one is cut into four
-// fragments when the object is striped and stays one when it is not.
+// The engine is a black box here; what shows is the fragment count. Two
+// programs, each a first access followed by later ones:
+//
+//   - flat: a strong quarter-object access fixes four stripes, so a later
+//     whole-object access is cut into four fragments;
+//   - weakwait: a weakwait task's whole-object access delegates, so the
+//     object gets the per-worker cap (4 stripes per worker) and the task's
+//     whole-object access, its quarter child and a whole-object sibling are
+//     cut at every stripe boundary.
+//
+// Unstriped, every access is one fragment.
 func TestNewDataDeclaresExtent(t *testing.T) {
 	const elems = 1024
 	for _, c := range []struct {
-		cfg       Config
-		fragments int64
+		cfg            Config
+		flat, weakwait int64
 	}{
-		{Config{Workers: 2}, 1 + 4},
-		{Config{Workers: 4}, 1 + 4},
-		{Config{Workers: 1}, 1 + 1},
-		{Config{Workers: 2, DepEngine: deps.EngineGlobal}, 1 + 1},
-		{Config{Workers: 2, Virtual: true}, 1 + 1},
+		{Config{Workers: 2}, 1 + 4, 8 + 8/4 + 8},
+		{Config{Workers: 4}, 1 + 4, 16 + 16/4 + 16},
+		{Config{Workers: 1}, 1 + 1, 1 + 1 + 1},
+		{Config{Workers: 2, DepEngine: deps.EngineGlobal}, 1 + 1, 1 + 1 + 1},
+		{Config{Workers: 2, Virtual: true}, 1 + 1, 1 + 1 + 1},
 	} {
 		name := fmt.Sprintf("w=%d engine=%v virtual=%v", c.cfg.Workers, c.cfg.DepEngine, c.cfg.Virtual)
 		c.cfg.Debug = true
-		r := New(c.cfg)
-		d := r.NewData("x", elems, 8)
-		sum := make([]int64, elems)
-		err := r.RunChecked(func(tc *TaskContext) {
-			tc.Submit(TaskSpec{Label: "quarter",
-				Deps: []Dep{{Data: d, Type: InOut, Ivs: []Interval{iv(0, elems/4)}}},
-				Body: func(*TaskContext) {
-					for i := 0; i < elems/4; i++ {
-						sum[i]++
-					}
-				}})
-			tc.Submit(TaskSpec{Label: "whole",
-				Deps: []Dep{{Data: d, Type: InOut, Ivs: []Interval{iv(0, elems)}}},
-				Body: func(*TaskContext) {
-					for i := range sum {
-						sum[i] += 2
-					}
-				}})
-		})
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		if sum[0] != 3 || sum[elems-1] != 2 {
-			t.Errorf("%s: sum[0] = %d, sum[last] = %d, want 3 and 2", name, sum[0], sum[elems-1])
-		}
-		if got := r.DepStats().Fragments; got != c.fragments {
-			t.Errorf("%s: %d fragments, want %d", name, got, c.fragments)
+		for _, p := range []struct {
+			name      string
+			weakwait  bool
+			fragments int64
+		}{
+			{"flat", false, c.flat},
+			{"weakwait", true, c.weakwait},
+		} {
+			r := New(c.cfg)
+			d := r.NewData("x", elems, 8)
+			sum := make([]int64, elems)
+			add := func(label string, lo, hi, v int64) TaskSpec {
+				return TaskSpec{Label: label,
+					Deps: []Dep{{Data: d, Type: InOut, Ivs: []Interval{iv(lo, hi)}}},
+					Body: func(*TaskContext) {
+						for i := lo; i < hi; i++ {
+							sum[i] += v
+						}
+					}}
+			}
+			err := r.RunChecked(func(tc *TaskContext) {
+				if !p.weakwait {
+					tc.Submit(add("quarter", 0, elems/4, 1))
+					tc.Submit(add("whole", 0, elems, 2))
+					return
+				}
+				tc.Submit(TaskSpec{Label: "parent", WeakWait: true,
+					Deps: []Dep{{Data: d, Type: InOut, Ivs: []Interval{iv(0, elems)}}},
+					Body: func(tc *TaskContext) {
+						tc.Submit(add("quarter", 0, elems/4, 1))
+						tc.Submit(add("whole", 0, elems, 2))
+					}})
+			})
+			if err != nil {
+				t.Fatalf("%s %s: %v", name, p.name, err)
+			}
+			if sum[0] != 3 || sum[elems-1] != 2 {
+				t.Errorf("%s %s: sum[0] = %d, sum[last] = %d, want 3 and 2", name, p.name, sum[0], sum[elems-1])
+			}
+			if got := r.DepStats().Fragments; got != p.fragments {
+				t.Errorf("%s %s: %d fragments, want %d", name, p.name, got, p.fragments)
+			}
 		}
 	}
 }

@@ -241,6 +241,11 @@ func (r *Runtime) submitLive(tc *TaskContext, spec TaskSpec, g *graphRun, gidx i
 	}
 	t.node = r.eng.NewNode(tc.task.node, spec.Label, t)
 	specs, creator := r.convertDeps(spec.Deps, tc.worker)
+	if spec.WeakWait && len(specs) > 0 {
+		// Its children take its ranges over: the engine must not read them
+		// as the grain of the objects (deps.Node.MarkWeakWait).
+		t.node.MarkWeakWait()
+	}
 	if r.eng.Register(t.node, specs) {
 		if prepaid {
 			r.windowEnterReserved()

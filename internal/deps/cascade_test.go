@@ -200,8 +200,9 @@ func TestPieceAndLinkStayCompact(t *testing.T) {
 		t.Errorf("link is %d bytes, want 32", got)
 	}
 	// Neighbouring pooled nodes are written by different workers at the same
-	// time: a node must not end in the middle of a cache line (inlineDatas).
-	if got := unsafe.Sizeof(Node{}); got%64 != 0 {
-		t.Errorf("Node is %d bytes, want a multiple of 64", got)
+	// time: a node must not end in the middle of a cache line (inlineDatas),
+	// and a new flag must fit in the padding beside the others.
+	if got := unsafe.Sizeof(Node{}); got != 192 {
+		t.Errorf("Node is %d bytes, want 192 (three cache lines)", got)
 	}
 }

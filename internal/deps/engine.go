@@ -216,7 +216,10 @@ type depCore struct {
 	// queue and ready.
 	chain []int32
 	pairs []fragPiece
-	stats Stats
+	// unpins holds the owners of fragments released since the queue last
+	// drained (pooled mode), one entry per fragment; drainQueue unpins them.
+	unpins []*Node
+	stats  Stats
 	// scanned counts the links fire walked: test instrumentation, read by
 	// nothing in production (the cascade scaling test asserts that a cascade
 	// examines the links of the pieces it touches, not of the fragment).
@@ -623,15 +626,19 @@ func (c *depCore) tryRelease(f *fragment, pIv regions.Interval, ps *pieceState) 
 		c.queue = append(c.queue, event{kind: evDomainDec, frag: f, owner: parent, key: f.key(), iv: pIv})
 	}
 	if full && c.mem != nil {
-		// The fragment's last piece released: drop its pin on the owning
-		// node (queued above first, so the parent pin is already in place
-		// if this drains the node and cascades upward).
-		c.mem.ep.unpin(f.node(), c.mem)
+		// The fragment's last piece released: its pin on the owning node
+		// drops when the queue has drained (drainQueue), not here — the
+		// caller is still visiting and merging the fragment's pieces, and
+		// once the pin is gone a cascade under another shard's lock may
+		// recycle the node, fragments and all.
+		c.unpins = append(c.unpins, f.node())
 	}
 }
 
 // drainQueue processes cascade events until quiescence. Each handler visits
-// exactly one interval map and defers further effects to the queue.
+// exactly one interval map and defers further effects to the queue. Every
+// operation that can release a piece ends here, so this is also where the
+// pins of fully released fragments drop, once nothing touches them anymore.
 func (c *depCore) drainQueue() {
 	for i := 0; i < len(c.queue); i++ {
 		ev := c.queue[i]
@@ -645,6 +652,11 @@ func (c *depCore) drainQueue() {
 		}
 	}
 	c.queue = c.queue[:0]
+	for _, n := range c.unpins {
+		c.mem.ep.unpin(n, c.mem)
+	}
+	clear(c.unpins)
+	c.unpins = c.unpins[:0]
 }
 
 // handleGrant delivers a satisfaction grant to frag over iv, firing

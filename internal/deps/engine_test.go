@@ -424,6 +424,7 @@ func TestSpecKeys(t *testing.T) {
 		return specs
 	}
 	e := NewShardedEngine(nil)
+	reg := &Node{}
 	for _, c := range []struct {
 		in, want []DataID
 	}{
@@ -435,7 +436,7 @@ func TestSpecKeys(t *testing.T) {
 		{[]DataID{9, 7, 8, 1, 7, 3, 2}, []DataID{1, 2, 3, 7, 8, 9}}, // spills
 	} {
 		var buf [inlineDatas]shardKey
-		got := e.specKeys(buf[:0], clause(c.in...), true)
+		got := e.specKeys(buf[:0], clause(c.in...), reg)
 		if len(got) != len(c.want) {
 			t.Fatalf("specKeys(%v) = %v, want %v", c.in, got, c.want)
 		}
@@ -445,14 +446,14 @@ func TestSpecKeys(t *testing.T) {
 			}
 		}
 	}
-	if got := e.specKeys(nil, clause(11), false); len(got) != 0 {
+	if got := e.specKeys(nil, clause(11), nil); len(got) != 0 {
 		t.Fatalf("a release over an object nothing registered against names shards %v", got)
 	}
 	specs := clause(6, 2, 6, 4, 0)
-	e.specKeys(nil, specs, true)
+	e.specKeys(nil, specs, reg)
 	if allocs := testing.AllocsPerRun(100, func() {
 		var buf [inlineDatas]shardKey
-		if len(e.specKeys(buf[:0], specs, true)) != 4 {
+		if len(e.specKeys(buf[:0], specs, reg)) != 4 {
 			t.Fatal("wrong count")
 		}
 	}); allocs != 0 {

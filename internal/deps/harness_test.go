@@ -217,6 +217,9 @@ func (s *sim) execute(sn *simNode) {
 	// Instantiate children (the nesting half of the body).
 	for _, c := range def.children {
 		cn := s.eng.NewNode(sn.node, c.label, nil)
+		if c.weakwait && len(c.specs) > 0 {
+			cn.MarkWeakWait() // as the runtime marks it
+		}
 		csn := &simNode{def: c, node: cn, parent: sn}
 		s.nodes[cn] = csn
 		sn.pending++

@@ -160,6 +160,9 @@ type Node struct {
 
 	registered bool
 	completed  bool
+	// weakWait marks the node of a weakwait task (MarkWeakWait): every
+	// access it registers delegates. Single-writer, set before Register.
+	weakWait bool
 
 	// gen is the node's generation counter (pooled engines only): bumped
 	// when the node is retired to the pool, so NodeHandles captured during
@@ -172,7 +175,8 @@ type Node struct {
 	//
 	//   +1 completion hold — placed at creation, released at the end of
 	//      Complete;
-	//   +1 per fragment not yet fully released;
+	//   +1 per fragment not yet fully released (held until the cascade
+	//      that releases it has drained: see depCore.unpins);
 	//   +1 per child node not yet recycled;
 	//   +1 per queued evDomainDec event targeting this node's domain.
 	//
@@ -317,8 +321,15 @@ func (n *Node) resetForPool() {
 	n.unsat.Store(0)
 	n.notified.Store(false)
 	n.readyData = 0
-	n.registered, n.completed = false, false
+	n.registered, n.completed, n.weakWait = false, false, false
 }
+
+// MarkWeakWait tells the engine, before Register, that n is the node of a
+// weakwait task (§V): its children take over the ranges of all its accesses,
+// so those accesses delegate — like weak ones (§VI), they say nothing about
+// the grain at which the object is worked on (see stripeCount). The global
+// engine ignores the mark.
+func (n *Node) MarkWeakWait() { n.weakWait = true }
 
 // NodeHandle is a generation-checked reference to a Node for holders that
 // outlive the engine's ownership of it — observers, verification tooling,

@@ -48,7 +48,10 @@ import (
 // a time — no shard lock is ever held while acquiring another, so the
 // engine is trivially deadlock-free.
 //
-// S is fixed per object, at its first registration, by stripeCount: an
+// S is fixed per object, at its first registration, by stripeCount: the
+// first access sets the grain, unless it covers more than half the object
+// and delegates (a weak access, or any access of a weakwait task: its range
+// is taken over by the task's children), which gets the per-worker cap. An
 // object whose extent was never declared (DeclareExtent) has one stripe.
 type ShardedEngine struct {
 	obs      Observer // wrapped: callbacks serialized across shards
@@ -122,17 +125,27 @@ const stripesPerWorker = 4
 // of elems elements whose first registered interval is firstLen long, in an
 // engine driven by workers goroutines. It is the largest power of two that
 // does not cut the first access (elems/firstLen of them tile the object) and
-// does not exceed stripesPerWorker per worker. An object first accessed as
-// a whole, one of undeclared extent, and any object of a single worker —
-// which cannot contend with itself — get one stripe. The limitation is
-// deliberate: the first access stands for the program's coarsest slicing,
-// and every access wider than a stripe pays one fragment and one map per
-// stripe it crosses.
-func stripeCount(elems, firstLen int64, workers int) int {
+// does not exceed stripesPerWorker per worker — nor elems. An object of
+// undeclared extent, and any object of a single worker — which cannot
+// contend with itself — get one stripe.
+//
+// A first access longer than half the object would leave it one stripe.
+// When that access delegates — it is weak, or its task is weakwait, so its
+// range is about to be taken over by children — its width says nothing about
+// the program's grain, and the object gets the per-worker cap instead (the
+// root-level whole-array accesses of a nested program). A delegating access
+// that is narrower keeps the width rule: it is the program's coarsest slicing
+// (a nested-weak program's outer tasks), and a finer cut would only cut every
+// access of that width into more pieces. Either way, every access wider than
+// a stripe pays one fragment and one map per stripe it crosses.
+func stripeCount(elems, firstLen int64, workers int, delegating bool) int {
 	if workers <= 1 || elems <= 0 || firstLen <= 0 {
 		return 1
 	}
-	limit := min(elems/firstLen, int64(stripesPerWorker*workers))
+	limit := min(elems, int64(stripesPerWorker*workers))
+	if tiles := elems / firstLen; tiles >= 2 || !delegating {
+		limit = min(limit, tiles)
+	}
 	s := 1
 	for int64(2*s) <= limit {
 		s *= 2
@@ -172,9 +185,10 @@ func (e *ShardedEngine) DeclareExtent(data DataID, elems int64, workers int) {
 }
 
 // stripesFor returns data's shard set. firstLen > 0 creates it on first use,
-// as the length of the interval that touches the object first; otherwise an
-// object nothing has registered against yields nil.
-func (e *ShardedEngine) stripesFor(data DataID, firstLen int64) *stripes {
+// as the length of the interval that touches the object first (delegating
+// says whether that access delegates; see stripeCount); otherwise an object
+// nothing has registered against yields nil.
+func (e *ShardedEngine) stripesFor(data DataID, firstLen int64, delegating bool) *stripes {
 	if t := *e.table.Load(); int(data) < len(t) {
 		if st := t[data]; st != nil {
 			return st
@@ -193,7 +207,7 @@ func (e *ShardedEngine) stripesFor(data DataID, firstLen int64) *stripes {
 	if int(data) < len(e.extents) {
 		ext = e.extents[data]
 	}
-	n := stripeCount(ext.elems, firstLen, ext.workers)
+	n := stripeCount(ext.elems, firstLen, ext.workers, delegating)
 	st := &stripes{width: (ext.elems + int64(n) - 1) / int64(n), shards: make([]*shard, n)}
 	for i := range st.shards {
 		sh := &shard{}
@@ -221,12 +235,13 @@ func (e *ShardedEngine) shardOf(key shardKey) (*shard, regions.Interval) {
 
 // specKeys appends the distinct shard keys the intervals of specs fall in
 // to buf in ascending order — the canonical shard acquisition order — and
-// returns it. With create, an object's first interval fixes its stripes;
-// without, objects nothing has registered against are skipped. Depend
-// clauses are short, so this is an insertion sort into the caller's buffer
-// (a small inline array in practice); only a clause touching more shards
-// than the buffer holds reaches the heap, through append.
-func (e *ShardedEngine) specKeys(buf []shardKey, specs []Spec, create bool) []shardKey {
+// returns it. When reg, the node registering specs, is non-nil, an object's
+// first interval fixes its stripes; when it is nil (a release directive),
+// objects nothing has registered against are skipped. Depend clauses are
+// short, so this is an insertion sort into the caller's buffer (a small
+// inline array in practice); only a clause touching more shards than the
+// buffer holds reaches the heap, through append.
+func (e *ShardedEngine) specKeys(buf []shardKey, specs []Spec, reg *Node) []shardKey {
 	for i := range specs {
 		data := specs[i].Data
 		var st *stripes
@@ -235,11 +250,11 @@ func (e *ShardedEngine) specKeys(buf []shardKey, specs []Spec, create bool) []sh
 				continue
 			}
 			if st == nil {
-				firstLen := int64(0)
-				if create {
-					firstLen = iv.Len()
+				firstLen, delegating := int64(0), false
+				if reg != nil {
+					firstLen, delegating = iv.Len(), specs[i].Weak || reg.weakWait
 				}
-				if st = e.stripesFor(data, firstLen); st == nil {
+				if st = e.stripesFor(data, firstLen, delegating); st == nil {
 					break
 				}
 			}
@@ -346,7 +361,7 @@ func (e *ShardedEngine) NewNode(parent *Node, label string, user any) *Node {
 // every entry is linked.
 func (e *ShardedEngine) Register(n *Node, specs []Spec) bool {
 	checkRegister(n, specs)
-	n.datas = e.specKeys(n.data0[:0], specs, true)
+	n.datas = e.specKeys(n.data0[:0], specs, n)
 	for _, key := range n.datas {
 		sh, win := e.shardOf(key)
 		sh.locked(func(c *depCore) {
@@ -409,7 +424,7 @@ func (e *ShardedEngine) ReleaseRegions(n *Node, specs []Spec) []*Node {
 // nodes that became ready to out.
 func (e *ShardedEngine) ReleaseRegionsInto(n *Node, specs []Spec, out []*Node) []*Node {
 	var buf [inlineDatas]shardKey
-	for _, key := range e.specKeys(buf[:0], specs, false) {
+	for _, key := range e.specKeys(buf[:0], specs, nil) {
 		sh, win := e.shardOf(key)
 		sh.locked(func(c *depCore) {
 			for i := range specs {

@@ -27,12 +27,21 @@ const stripeWorkers = 2
 // into s stripes each: the extent is declared and the stripe table fixed
 // the way a first registration of 1/s of the object would fix it.
 func newStriped(tb testing.TB, universe map[DataID]int64, s int, mem mempool.Kind) *ShardedEngine {
+	e := newDeclared(universe, mem)
+	for d, elems := range universe {
+		if got := len(e.stripesFor(d, elems/int64(s), false).shards); got != s {
+			tb.Fatalf("data %d: %d stripes, want %d", d, got, s)
+		}
+	}
+	return e
+}
+
+// newDeclared returns a sharded engine that knows the extents of the objects
+// in universe and leaves their stripe counts to the first-access rule.
+func newDeclared(universe map[DataID]int64, mem mempool.Kind) *ShardedEngine {
 	e := newShardedEngine(nil, mem == mempool.KindPooled)
 	for d, elems := range universe {
 		e.DeclareExtent(d, elems, stripeWorkers)
-		if got := len(e.stripesFor(d, elems/int64(s)).shards); got != s {
-			tb.Fatalf("data %d: %d stripes, want %d", d, got, s)
-		}
 	}
 	return e
 }
@@ -65,14 +74,14 @@ func countStraddles(prog []*simTask, elems int64, s int) (total, crossing int) {
 	return total, crossing
 }
 
-// runStripedDifferential drives prog through the global engine and a sharded
-// engine of s stripes per object in lockstep, both in memory mode mem: same
-// ready set after every step, same final data, quiescence, nothing pooled
-// left outstanding. The activity counters are compared only where they are
-// cut-independent (all of them at s == 1).
-func runStripedDifferential(t *testing.T, prog []*simTask, universe map[DataID]int64, s int, mem mempool.Kind, seed int64) bool {
+// runStripedDifferential drives prog through the global engine and the
+// sharded engine eng in lockstep, both in memory mode mem: same ready set
+// after every step, same final data, every object cut into s stripes,
+// quiescence, nothing pooled left outstanding. The activity counters are
+// compared only where they are cut-independent (all of them at s == 1).
+func runStripedDifferential(t *testing.T, prog []*simTask, universe map[DataID]int64, eng *ShardedEngine, s int, mem mempool.Kind, seed int64) bool {
 	g := newSimEngineMem(t, EngineGlobal, universe, mem)
-	st := newSimOver(t, newStriped(t, universe, s, mem), universe)
+	st := newSimOver(t, eng, universe)
 	g.start(prog)
 	st.start(prog)
 	rng := rand.New(rand.NewSource(seed))
@@ -106,6 +115,10 @@ func runStripedDifferential(t *testing.T, prog []*simTask, universe map[DataID]i
 					s, d, p, g.data[d][p], st.data[d][p])
 				return false
 			}
+		}
+		if tab := eng.stripesFor(d, 0, false); tab == nil || len(tab.shards) != s {
+			t.Errorf("S=%d: data %d not cut into %d stripes", s, d, s)
+			return false
 		}
 	}
 	gs, ss := g.eng.Stats(), st.eng.Stats()
@@ -148,7 +161,8 @@ func TestDifferentialStriped(t *testing.T) {
 			total, crossing = total+ct, crossing+cc
 			for _, s := range []int{1, 2, 8} {
 				for _, mem := range []mempool.Kind{mempool.KindReference, mempool.KindPooled} {
-					if !runStripedDifferential(t, prog, multiUniverse(), s, mem, seed*59+int64(pi)) {
+					u := multiUniverse()
+					if !runStripedDifferential(t, prog, u, newStriped(t, u, s, mem), s, mem, seed*59+int64(pi)) {
 						return false
 					}
 				}
@@ -157,10 +171,64 @@ func TestDifferentialStriped(t *testing.T) {
 		return true
 	}
 	randtest.Check(t, 40, 27, f)
+	checkStraddleShare(t, crossing, total, 8)
+}
+
+// checkStraddleShare fails the test unless at least 30% of the intervals
+// straddle a stripe boundary: otherwise it is not testing the cut.
+func checkStraddleShare(t *testing.T, crossing, total, s int) {
+	t.Helper()
 	if !t.Failed() && crossing*10 < total*3 {
-		t.Fatalf("only %d of %d intervals straddle a stripe boundary at 8 stripes, want >= 30%%", crossing, total)
+		t.Fatalf("only %d of %d intervals straddle a stripe boundary at %d stripes, want >= 30%%", crossing, total, s)
 	}
-	t.Logf("%d of %d intervals straddle a boundary at 8 stripes", crossing, total)
+	t.Logf("%d of %d intervals straddle a boundary at %d stripes", crossing, total, s)
+}
+
+// delegatingWrapper returns a task over the whole of every object of the
+// multi-object universe, with children as its children. Its accesses
+// delegate: the task is weakwait (each access strong or weak), or it is not
+// and every access is weak.
+func delegatingWrapper(rng *rand.Rand, children []*simTask) *simTask {
+	w := &simTask{label: "wrapper", weakwait: rng.Intn(2) == 0, children: children}
+	for d := DataID(0); d < diffDatas; d++ {
+		w.specs = append(w.specs, Spec{
+			Data: d, Type: InOut, Weak: !w.weakwait || rng.Intn(2) == 0,
+			Ivs: []regions.Interval{regions.Iv(0, quickUniverse)},
+		})
+	}
+	return w
+}
+
+// TestDifferentialStripedByRule is TestDifferentialStriped with nothing
+// forced: the extents are declared and the production first-access rule
+// picks S. Every program is a genMultiNested one (depth 2 or 3) under a
+// delegatingWrapper, whose whole-object accesses are the first access to
+// every object, so the rule must pick the per-worker cap.
+func TestDifferentialStripedByRule(t *testing.T) {
+	if testEngineKind != EngineGlobal {
+		t.Skip("differential test instantiates both engines explicitly")
+	}
+	s := stripesPerWorker * stripeWorkers
+	var total, crossing int
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		for depth := 2; depth <= 3; depth++ {
+			nested := genMultiNested(rng, depth)
+			prog := []*simTask{delegatingWrapper(rng, nested)}
+			// The wrapper's whole-object intervals straddle by construction.
+			ct, cc := countStraddles(nested, quickUniverse, s)
+			total, crossing = total+ct, crossing+cc
+			for _, mem := range []mempool.Kind{mempool.KindReference, mempool.KindPooled} {
+				u := multiUniverse()
+				if !runStripedDifferential(t, prog, u, newDeclared(u, mem), s, mem, seed*61+int64(depth)) {
+					return false
+				}
+			}
+		}
+		return true
+	}
+	randtest.Check(t, 40, 28, f)
+	checkStraddleShare(t, crossing, total, s)
 }
 
 // stripedFixture is a one-object striped engine with a registered root.
@@ -343,25 +411,43 @@ func TestStripesIndependent(t *testing.T) {
 }
 
 // TestFirstAccessRule pins stripeCount and the way a first registration
-// applies it.
+// applies it: the first access's width and, when it would leave the object
+// one stripe, whether it delegates (a weak access, or any access of a node
+// marked weakwait).
 func TestFirstAccessRule(t *testing.T) {
 	const n = 1 << 18
+	const (
+		strong = iota
+		weak
+		weakwait // a strong access of a node marked weakwait
+	)
 	for _, c := range []struct {
 		name     string
 		elems    int64
 		declared bool
 		first    int64
+		access   int
 		workers  int
 		want     int
 	}{
-		{"whole-object first access", n, true, n, 2, 1},
-		{"quarter-object first access", n, true, n / 4, 2, 4},
-		{"third of the object: rounds down to a power of two", n, true, n / 3, 2, 2},
-		{"256-element tile: the per-worker cap", n, true, 256, 2, stripesPerWorker * 2},
-		{"256-element tile, four workers", n, true, 256, 4, stripesPerWorker * 4},
-		{"no extent declared", n, false, 256, 2, 1},
-		{"one worker", n, true, 256, 1, 1},
-		{"first access wider than the extent", 100, true, 400, 2, 1},
+		{"whole-object first access", n, true, n, strong, 2, 1},
+		{"quarter-object first access", n, true, n / 4, strong, 2, 4},
+		{"third of the object: rounds down to a power of two", n, true, n / 3, strong, 2, 2},
+		{"256-element tile: the per-worker cap", n, true, 256, strong, 2, stripesPerWorker * 2},
+		{"256-element tile, four workers", n, true, 256, strong, 4, stripesPerWorker * 4},
+		{"no extent declared", n, false, 256, strong, 2, 1},
+		{"one worker", n, true, 256, strong, 1, 1},
+		{"first access wider than the extent", 100, true, 400, strong, 2, 1},
+		{"weakwait whole-object first access: the cap", n, true, n, weakwait, 2, stripesPerWorker * 2},
+		{"weakwait whole-object, four workers", n, true, n, weakwait, 4, stripesPerWorker * 4},
+		{"weak whole-object first access: the cap", n, true, n, weak, 2, stripesPerWorker * 2},
+		{"weak two-thirds: longer than half, the cap", n, true, 2 * n / 3, weak, 2, stripesPerWorker * 2},
+		{"weak quarter: the width rule answered", n, true, n / 4, weak, 2, 4},
+		{"weakwait quarter: the width rule answered", n, true, n / 4, weakwait, 2, 4},
+		{"delegating, one worker", n, true, n, weakwait, 1, 1},
+		{"delegating, no extent declared", n, false, n, weak, 2, 1},
+		{"delegating first access wider than the extent: the cap", 100, true, 400, weak, 2, stripesPerWorker * 2},
+		{"delegating over a 4-element object: one stripe per element", 4, true, 4, weakwait, 2, 4},
 	} {
 		e := NewShardedEngine(nil)
 		if c.declared {
@@ -370,17 +456,84 @@ func TestFirstAccessRule(t *testing.T) {
 		root := e.NewNode(nil, "root", nil)
 		e.Register(root, nil)
 		a := e.NewNode(root, "a", nil)
-		e.Register(a, []Spec{inout(regions.Iv(0, c.first))})
-		st := e.stripesFor(d0, 0)
+		first := inout(regions.Iv(0, c.first))
+		switch c.access {
+		case weak:
+			first.Weak = true
+		case weakwait:
+			a.MarkWeakWait()
+		}
+		e.Register(a, []Spec{first})
+		st := e.stripesFor(d0, 0, false)
 		if got := len(st.shards); got != c.want {
 			t.Errorf("%s: %d stripes, want %d", c.name, got, c.want)
 		}
-		// The table is fixed: a later, narrower access does not re-stripe.
+		// The table is fixed: a later access — narrower, or delegating — does
+		// not re-stripe.
 		b := e.NewNode(root, "b", nil)
 		e.Register(b, []Spec{inout(regions.Iv(c.elems-1, c.elems))})
-		if e.stripesFor(d0, 0) != st {
+		w := e.NewNode(root, "w", nil)
+		w.MarkWeakWait()
+		e.Register(w, []Spec{weakinout(regions.Iv(0, c.elems))})
+		if e.stripesFor(d0, 0, false) != st {
 			t.Errorf("%s: stripe table replaced by a later registration", c.name)
 		}
+	}
+}
+
+// TestWeakWaitMarkRecycled: the weakwait mark belongs to a node's life, not
+// to its memory. A pooled node that lived as a weakwait task and comes back
+// out of the pool for a strong whole-object first access on a freshly
+// declared object leaves that object one stripe.
+func TestWeakWaitMarkRecycled(t *testing.T) {
+	const elems, d1 = 1024, DataID(1)
+	e := newDeclared(map[DataID]int64{d0: elems, d1: elems}, mempool.KindPooled)
+	root := e.NewNode(nil, "root", nil)
+	e.Register(root, nil)
+	// A node drained outside any shard lock goes back to node-pool lane 0;
+	// the children of parent are taken from there.
+	var parent *Node
+	var spares []*Node
+	for parent == nil {
+		n := e.NewNode(root, "parent", nil)
+		e.Register(n, nil)
+		if laneHint(n)%nodePoolLanes == 0 {
+			parent = n
+		} else if spares = append(spares, n); len(spares) > 64*nodePoolLanes {
+			t.Fatal("no parent node hashes to node-pool lane 0")
+		}
+	}
+	// The weakwait node stripes d0 at the cap; its dependency-free child is
+	// what it waits for, so both drain through the lock-free path when the
+	// child completes, and the weakwait node is the last one pooled.
+	marked := e.NewNode(root, "weakwait", nil)
+	marked.MarkWeakWait()
+	e.Register(marked, []Spec{inout(regions.Iv(0, elems))})
+	if got := len(e.stripesFor(d0, 0, false).shards); got != stripesPerWorker*stripeWorkers {
+		t.Fatalf("weakwait whole-object first access: %d stripes, want %d", got, stripesPerWorker*stripeWorkers)
+	}
+	child := e.NewNode(marked, "child", nil)
+	e.Register(child, nil)
+	e.Complete(marked)
+	e.Complete(child)
+
+	reused := e.NewNode(parent, "strong", nil)
+	if reused != marked {
+		t.Fatal("the node pool did not hand the weakwait node back")
+	}
+	e.Register(reused, []Spec{{Data: d1, Type: InOut, Ivs: []regions.Interval{regions.Iv(0, elems)}}})
+	if got := len(e.stripesFor(d1, 0, false).shards); got != 1 {
+		t.Errorf("strong whole-object first access by a recycled weakwait node: %d stripes, want 1", got)
+	}
+	e.Complete(reused)
+	for _, n := range append(spares, parent, root) {
+		e.Complete(n)
+	}
+	if live := e.LiveFragments(); live != 0 {
+		t.Errorf("%d fragments live at the end", live)
+	}
+	if ms, _ := e.MemStats(); ms.Outstanding() != 0 {
+		t.Errorf("%d pooled objects outstanding: %+v", ms.Outstanding(), ms)
 	}
 }
 
@@ -414,7 +567,7 @@ func BenchmarkDisjointSubtrees(b *testing.B) {
 				parents[g] = e.NewNode(root, "outer", nil)
 				e.Register(parents[g], []Spec{weakinout(regions.Iv(lo, lo+quarter))})
 			}
-			if got := len(e.stripesFor(d0, 0).shards); got != s {
+			if got := len(e.stripesFor(d0, 0, false).shards); got != s {
 				b.Fatalf("%d stripes, want %d", got, s)
 			}
 			perG := (b.N + goroutines - 1) / goroutines

@@ -36,8 +36,10 @@
 // deps.Engine interface, selectable via Config.DepEngine: EngineGlobal
 // serializes everything behind one mutex (the reference), while
 // EngineSharded partitions all dependency state per data object and, for
-// an object a program slices (NewData passes its extent on, and the first
-// access sets the grain), per stripe of its index range — each shard gets
+// an object a program slices (NewData passes its extent on; the first access
+// sets the grain, unless it is a weak or weakwait access over more than half
+// of the object — its children will slice it, so it gets the per-worker
+// stripe count), per stripe of its index range — each shard gets
 // its own lock and cascade queue, so depend clauses over disjoint data or
 // disjoint ranges register and release with no common lock, and a task's
 // cross-shard readiness countdown is a bare atomic. EngineAuto (default)
