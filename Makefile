@@ -11,7 +11,7 @@ all: build
 help:
 	@echo "Targets:"
 	@echo "  build          go build ./..."
-	@echo "  vet            go vet ./..."
+	@echo "  vet            go vet ./... + gofmt -l gate (fails on any unformatted file)"
 	@echo "  test           full test suite"
 	@echo "  race           race detector pass (short mode)"
 	@echo "  flake          flake hunt: every package N times under -race -short (N=20; narrow"
@@ -22,7 +22,8 @@ help:
 	@echo "                 tests, and one quick end-to-end pass each of axpy_nest_weak,"
 	@echo "                 sortsum_weak (the fragmenting / partial-release path) and"
 	@echo "                 gs_graph_replay (the recording sweep's guard straddles every stripe)"
-	@echo "  sched-smoke    ready-pool contention matrix (w=1/4/8) + w=1 parity guard"
+	@echo "  sched-smoke    ready-pool contention matrix (stealing vs central, w=1/4/8) + w=1"
+	@echo "                 parity guard (stealing <=1.5x the central single-lock reference)"
 	@echo "  throttle-smoke throttle-window contention matrix (impl x window x w) + w=1 parity guard"
 	@echo "  mem-smoke      memory-pool gates: >=5x alloc cut, pooled-vs-reference differentials,"
 	@echo "                 leak accounting, w=1 parity guard, SubmitDisjoint bench smoke"
@@ -68,8 +69,12 @@ help:
 build:
 	$(GO) build ./...
 
+# gofmt gate: any file gofmt would rewrite fails the target (bench/ is
+# inside the tree, so it is checked too).
 vet:
 	$(GO) vet ./...
+	@unformatted=$$(gofmt -l .); \
+	if [ -n "$$unformatted" ]; then echo "gofmt needed:"; echo "$$unformatted"; exit 1; fi
 
 test:
 	$(GO) test ./...
@@ -114,9 +119,10 @@ bench-short:
 bench-check:
 	cd bench && $(GO) vet ./... && $(GO) test ./... && $(GO) run . -quick -workload axpy_nest_weak -trace 0 && $(GO) run . -quick -workload sortsum_weak -trace 0 && $(GO) run . -quick -workload gs_graph_replay -trace 0
 
-# Scheduler admission contention smoke: the pool matrix at w=1/4/8 plus
-# the w=1 parity regression guard (the sharded pools' lock-free fast paths
-# must stay at parity with the single-lock reference when uncontended).
+# Scheduler admission contention smoke: the stealing-vs-central matrix at
+# w=1/4/8 plus the w=1 parity regression guard (the stealing pool's
+# lock-free fast paths must stay at parity with the central single-lock
+# reference when uncontended).
 sched-smoke:
 	$(GO) test -run 'TestSchedW1Parity' -bench 'BenchmarkSchedContentionMatrix' -benchtime 1x ./internal/sched
 

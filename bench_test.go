@@ -279,10 +279,10 @@ func BenchmarkAblationReleaseGranularity(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationScheduler compares the ready-pool disciplines on the
-// flat-depend AXPY: central FIFO, central LIFO, and Cilk-style work
-// stealing, each with and against the direct successor hand-off that the
-// paper's locality results rely on.
+// BenchmarkAblationScheduler compares the ready pools on the flat-depend
+// AXPY: Cilk-style work stealing (the FIFO policy), with and without the
+// direct successor hand-off that the paper's locality results rely on, and
+// the central queue under LIFO.
 func BenchmarkAblationScheduler(b *testing.B) {
 	b.ReportAllocs()
 	p := workloads.AxpyParams{N: 1 << 19, Calls: 8, TaskSize: 8 << 10, Alpha: 1, Compute: true}
@@ -290,11 +290,9 @@ func BenchmarkAblationScheduler(b *testing.B) {
 		name string
 		mode workloads.Mode
 	}{
-		{"central-fifo", workloads.Mode{Workers: 0}},
+		{"stealing", workloads.Mode{Workers: 0}},
+		{"stealing-nohandoff", workloads.Mode{Workers: 0, NoHandoff: true}},
 		{"central-lifo", workloads.Mode{Workers: 0, Policy: nanos.LIFO}},
-		{"stealing", workloads.Mode{Workers: 0, Stealing: true}},
-		{"central-fifo-nohandoff", workloads.Mode{Workers: 0, NoHandoff: true}},
-		{"stealing-nohandoff", workloads.Mode{Workers: 0, Stealing: true, NoHandoff: true}},
 	}
 	for _, c := range cases {
 		b.Run(c.name, func(b *testing.B) {

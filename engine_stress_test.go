@@ -238,18 +238,22 @@ func runEngineStress(t *testing.T, tasks []*xTask, cfg nanos.Config) {
 }
 
 // TestStressEngineSchedulerMatrix runs the multi-data stress program over
-// every engine × ready-pool combination.
+// every engine × ready-pool combination: work stealing (the FIFO policy) and
+// the central queue under LIFO and Priority, each with and without successor
+// hand-off (without it, every readied successor goes through the pool).
 func TestStressEngineSchedulerMatrix(t *testing.T) {
 	engines := []nanos.EngineKind{nanos.EngineGlobal, nanos.EngineSharded}
 	queues := []struct {
-		name     string
-		policy   nanos.Policy
-		stealing bool
+		name      string
+		policy    nanos.Policy
+		noHandoff bool
 	}{
-		{"fifo", nanos.FIFO, false},
-		{"lifo", nanos.LIFO, false},
-		{"priority", nanos.Priority, false},
-		{"stealing", nanos.FIFO, true},
+		{"stealing", nanos.FIFO, false},
+		{"stealing-nohandoff", nanos.FIFO, true},
+		{"central-lifo", nanos.LIFO, false},
+		{"central-lifo-nohandoff", nanos.LIFO, true},
+		{"central-priority", nanos.Priority, false},
+		{"central-priority-nohandoff", nanos.Priority, true},
 	}
 	seeds := 10
 	if testing.Short() {
@@ -265,7 +269,7 @@ func TestStressEngineSchedulerMatrix(t *testing.T) {
 						Workers:   1 + rng.Intn(8),
 						DepEngine: eng,
 						Policy:    q.policy,
-						Stealing:  q.stealing,
+						NoHandoff: q.noHandoff,
 					})
 					if t.Failed() {
 						t.Fatalf("seed %d failed", seed)

@@ -97,7 +97,7 @@ func ExampleRuntime_RunChecked() {
 func ExampleTaskContext_Release() {
 	rt := nanos.New(nanos.Config{Workers: 2})
 	d := rt.NewData("x", 100, 8)
-	done := make(chan string, 2)
+	consumed := make(chan struct{})
 	rt.Run(func(tc *nanos.TaskContext) {
 		tc.Submit(nanos.TaskSpec{
 			Label: "producer",
@@ -105,17 +105,17 @@ func ExampleTaskContext_Release() {
 			Body: func(tc *nanos.TaskContext) {
 				// First half finished; release it before doing the rest.
 				tc.Release(nanos.DOut(d, nanos.Iv(0, 50)))
-				done <- "released-half"
+				<-consumed // the consumer runs while this task is still live
+				fmt.Println("consumed before the producer finished")
 			},
 		})
 		tc.Submit(nanos.TaskSpec{
 			Label: "consumer",
 			Deps:  []nanos.Dep{nanos.DIn(d, nanos.Iv(0, 50))},
-			Body:  func(*nanos.TaskContext) { done <- "consumed" },
+			Body:  func(*nanos.TaskContext) { close(consumed) },
 		})
 	})
-	fmt.Println(<-done, <-done)
-	// Output: released-half consumed
+	// Output: consumed before the producer finished
 }
 
 // Verification mode records a finding when a child's depend entry escapes

@@ -21,7 +21,6 @@ import (
 func chaosStack() Config {
 	return Config{
 		Workers:           4,
-		Stealing:          true,
 		ThrottleOpenTasks: 6,
 		Watchdog:          true,
 		Debug:             true,

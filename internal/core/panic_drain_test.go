@@ -126,7 +126,7 @@ func TestPanicInGraphOwnerDuringReplay(t *testing.T) {
 	var ran atomic.Int64
 	err := r.RunChecked(func(tc *TaskContext) {
 		tc.Graph("g", func(tc *TaskContext) { graphIter(tc, d, -1, &ran) }) // records
-		tc.Graph("g", func(tc *TaskContext) { // replays, owner panics mid-stream
+		tc.Graph("g", func(tc *TaskContext) {                               // replays, owner panics mid-stream
 			graphIter(tc, d, -1, &ran)
 			panic("owner boom")
 		})
@@ -243,7 +243,6 @@ func TestRunRepanicsAfterDrain(t *testing.T) {
 	r := New(Config{
 		Workers:           4,
 		ThrottleOpenTasks: 4,
-		Stealing:          true,
 		Debug:             true,
 	})
 	var recovered any

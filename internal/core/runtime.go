@@ -70,26 +70,16 @@ type Config struct {
 	// Workers is the number of simulated cores (worker tokens / virtual
 	// cores). Defaults to 1 if zero.
 	Workers int
-	// Policy is the ready-queue discipline of the central pool (default
-	// FIFO). The Priority policy dispatches the highest TaskSpec.Priority
-	// first. Under PoolAuto, an explicit LIFO or Priority policy selects
-	// the central single-lock pool (those disciplines are global orders);
-	// the stealing pools ignore Policy.
+	// Policy is the ready-queue discipline, and it selects the ready pool.
+	// FIFO (the zero value) runs the work-stealing pool in real mode:
+	// per-worker lock-free deques, so the admission path (Submit/Finish/
+	// Yield) of different workers never serializes on a common lock, plus
+	// the per-worker creator lane that starts all-weak tasks in program
+	// order (§VI). LIFO and Priority are global orders over all ready tasks,
+	// so they run the central single-lock queue; Priority dispatches the
+	// highest TaskSpec.Priority first. Virtual mode has no ready pool: it
+	// orders its own deterministic event-driven list by Policy.
 	Policy sched.Policy
-	// ReadyPool selects the ready-pool implementation. PoolAuto (the zero
-	// value) picks the sharded work-stealing pool in real mode — per-worker
-	// lock-free deques, so the admission path (Submit/Finish/Yield) of
-	// different workers never serializes on a common lock — except that an
-	// explicit LIFO or Priority Policy selects the central queue. Virtual
-	// mode runs its own deterministic event-driven list and ignores this.
-	// All pools enforce identical admission invariants (the differential
-	// tests in internal/sched prove it); selecting one explicitly is for
-	// ablations and A/B comparisons.
-	ReadyPool sched.PoolKind
-	// Stealing is the legacy selector for the work-stealing pool, kept for
-	// existing callers: equivalent to ReadyPool = PoolStealing when
-	// ReadyPool is PoolAuto.
-	Stealing bool
 	// Topology arranges the stealing pool's worker shards into a locality
 	// tree (domain → core group → worker): steal victim selection walks
 	// nearest-neighbour-first, worksharing invitations spread nearest the
@@ -97,8 +87,8 @@ type Config struct {
 	// affinity to the shard group that last touched the data. The zero
 	// value derives a synthetic tree from the worker count;
 	// sched.TopologyFlat restores the flat victim order (the differential
-	// reference). Only the sharded pools (PoolStealing,
-	// PoolShardedCentral) consult it.
+	// reference). The central queue (LIFO, Priority) has no shards and
+	// ignores it.
 	Topology sched.Topology
 	// DepEngine selects the dependency-engine implementation. EngineAuto
 	// (the zero value) picks the per-data-object sharded engine — depend
@@ -439,35 +429,14 @@ func New(cfg Config) *Runtime {
 		r.v = newVState(cfg.Workers)
 		return r
 	}
-	pool := cfg.ReadyPool
-	if pool == sched.PoolAuto {
-		switch {
-		case cfg.Stealing:
-			pool = sched.PoolStealing
-		case cfg.Policy != sched.FIFO:
-			// LIFO and Priority are global orders over all ready tasks;
-			// only the central queue provides them.
-			pool = sched.PoolCentral
-		default:
-			pool = sched.PoolStealing
-		}
-	}
-	switch pool {
-	case sched.PoolCentral:
-		if cfg.Policy == sched.Priority {
-			r.sch = sched.NewPriority(cfg.Workers, r.runWorker,
-				func(t *Task) int64 { return t.spec.Priority })
-		} else {
-			r.sch = sched.New(cfg.Workers, cfg.Policy, r.runWorker)
-		}
-	case sched.PoolShardedCentral:
-		r.sch = sched.NewShardedCentral(cfg.Workers, r.runWorker)
-	case sched.PoolStealing:
+	switch cfg.Policy {
+	case sched.FIFO:
 		r.sch = sched.NewStealingTopo(cfg.Workers, cfg.Topology, r.runWorker)
-	case sched.PoolLockedStealing:
-		r.sch = sched.NewLockedStealing(cfg.Workers, r.runWorker)
+	case sched.Priority:
+		r.sch = sched.NewPriority(cfg.Workers, r.runWorker,
+			func(t *Task) int64 { return t.spec.Priority })
 	default:
-		panic(fmt.Sprintf("core: unknown ReadyPool %d", pool))
+		r.sch = sched.New(cfg.Workers, cfg.Policy, r.runWorker)
 	}
 	if aq, ok := r.sch.(sched.AffinityQueue[*Task]); ok && cfg.Workers > 1 {
 		r.aff = aq

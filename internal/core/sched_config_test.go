@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -53,98 +54,90 @@ func TestPriorityPolicyVirtual(t *testing.T) {
 	}
 }
 
-func TestStealingConfigRespectsDependencies(t *testing.T) {
-	rt := New(Config{Workers: 4, Stealing: true})
-	d := rt.NewData("x", 1000, 8)
-	var stage atomic.Int64
-	var bad atomic.Int64
-	rt.Run(func(tc *TaskContext) {
-		for i := 0; i < 20; i++ {
-			i := i
-			tc.Submit(TaskSpec{
-				Label: "chain",
-				Deps:  []Dep{{Data: d, Type: InOut, Ivs: []Interval{{Lo: 0, Hi: 1000}}}},
-				Body: func(*TaskContext) {
-					if !stage.CompareAndSwap(int64(i), int64(i+1)) {
-						bad.Add(1)
+// TestPolicySelectsPool pins the ready-pool selection rule — FIFO runs the
+// work-stealing pool with its creator lane (and affinity routing once there
+// is more than one worker), LIFO and Priority run the central queue — and
+// runs a strict dependency chain and a taskwait-heavy tree on each, checking
+// the dependency order and completion are pool-independent.
+func TestPolicySelectsPool(t *testing.T) {
+	for _, policy := range []sched.Policy{sched.FIFO, sched.LIFO, sched.Priority} {
+		for _, w := range []int{1, 4} {
+			t.Run(fmt.Sprintf("%s/w=%d", policy, w), func(t *testing.T) {
+				rt := New(Config{Workers: w, Policy: policy, Debug: true})
+				switch policy {
+				case sched.FIFO:
+					if _, ok := rt.sch.(*sched.Stealing[*Task]); !ok {
+						t.Fatalf("pool = %T, want *sched.Stealing", rt.sch)
 					}
-				},
+					if rt.lane == nil {
+						t.Fatal("stealing pool has no creator lane")
+					}
+					if (rt.aff != nil) != (w > 1) {
+						t.Fatalf("affinity routing = %v at w=%d, want %v", rt.aff != nil, w, w > 1)
+					}
+				default:
+					if _, ok := rt.sch.(*sched.Scheduler[*Task]); !ok {
+						t.Fatalf("pool = %T, want *sched.Scheduler", rt.sch)
+					}
+					if rt.lane != nil {
+						t.Fatal("central pool has a creator lane")
+					}
+				}
+				d := rt.NewData("x", 1000, 8)
+				var stage atomic.Int64
+				var bad atomic.Int64
+				err := rt.RunChecked(func(tc *TaskContext) {
+					for i := 0; i < 20; i++ {
+						i := i
+						tc.Submit(TaskSpec{
+							Label: "chain",
+							Deps:  []Dep{{Data: d, Type: InOut, Ivs: []Interval{{Lo: 0, Hi: 1000}}}},
+							Body: func(*TaskContext) {
+								if !stage.CompareAndSwap(int64(i), int64(i+1)) {
+									bad.Add(1)
+								}
+							},
+						})
+					}
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if bad.Load() != 0 || stage.Load() != 20 {
+					t.Fatalf("chain order violated (bad=%d, stage=%d)", bad.Load(), stage.Load())
+				}
+
+				// Taskwait tree: exercises the Yield/Acquire token protocol
+				// (including waiter priority at release points) on this pool.
+				rt2 := New(Config{Workers: w, Policy: policy, Debug: true})
+				var sum atomic.Int64
+				err = rt2.RunChecked(func(tc *TaskContext) {
+					for i := 0; i < 4; i++ {
+						tc.Submit(TaskSpec{Label: "mid", Body: func(tc *TaskContext) {
+							for j := 0; j < 4; j++ {
+								tc.Submit(TaskSpec{Label: "leaf", Body: func(*TaskContext) { sum.Add(1) }})
+							}
+							tc.Taskwait()
+							if sum.Load() < 4 {
+								panic("taskwait resumed before children completed")
+							}
+							sum.Add(100)
+						}})
+					}
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got := sum.Load(); got != 4*4+4*100 {
+					t.Fatalf("sum = %d, want %d", got, 4*4+4*100)
+				}
 			})
 		}
-	})
-	if bad.Load() != 0 {
-		t.Fatalf("%d chain tasks ran out of dependency order under stealing", bad.Load())
-	}
-	if stage.Load() != 20 {
-		t.Fatalf("chain advanced to %d, want 20", stage.Load())
-	}
-}
-
-// TestReadyPoolConfigMatrix runs a strict dependency chain and a
-// taskwait-heavy tree under every ready-pool selection, checking the
-// dependency order and completion are pool-independent.
-func TestReadyPoolConfigMatrix(t *testing.T) {
-	pools := []sched.PoolKind{
-		sched.PoolAuto, sched.PoolCentral, sched.PoolShardedCentral,
-		sched.PoolStealing, sched.PoolLockedStealing,
-	}
-	for _, pool := range pools {
-		t.Run(pool.String(), func(t *testing.T) {
-			rt := New(Config{Workers: 4, ReadyPool: pool, Debug: true})
-			d := rt.NewData("x", 1000, 8)
-			var stage atomic.Int64
-			var bad atomic.Int64
-			err := rt.RunChecked(func(tc *TaskContext) {
-				for i := 0; i < 20; i++ {
-					i := i
-					tc.Submit(TaskSpec{
-						Label: "chain",
-						Deps:  []Dep{{Data: d, Type: InOut, Ivs: []Interval{{Lo: 0, Hi: 1000}}}},
-						Body: func(*TaskContext) {
-							if !stage.CompareAndSwap(int64(i), int64(i+1)) {
-								bad.Add(1)
-							}
-						},
-					})
-				}
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if bad.Load() != 0 || stage.Load() != 20 {
-				t.Fatalf("chain order violated (bad=%d, stage=%d)", bad.Load(), stage.Load())
-			}
-
-			// Taskwait tree: exercises the Yield/Acquire token protocol
-			// (including waiter priority at release points) on this pool.
-			rt2 := New(Config{Workers: 4, ReadyPool: pool, Debug: true})
-			var sum atomic.Int64
-			err = rt2.RunChecked(func(tc *TaskContext) {
-				for i := 0; i < 4; i++ {
-					tc.Submit(TaskSpec{Label: "mid", Body: func(tc *TaskContext) {
-						for j := 0; j < 4; j++ {
-							tc.Submit(TaskSpec{Label: "leaf", Body: func(*TaskContext) { sum.Add(1) }})
-						}
-						tc.Taskwait()
-						if sum.Load() < 4 {
-							panic("taskwait resumed before children completed")
-						}
-						sum.Add(100)
-					}})
-				}
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got := sum.Load(); got != 4*4+4*100 {
-				t.Fatalf("sum = %d, want %d", got, 4*4+4*100)
-			}
-		})
 	}
 }
 
 func TestStealingConfigNestedWeak(t *testing.T) {
-	rt := New(Config{Workers: 8, Stealing: true, Debug: true})
+	rt := New(Config{Workers: 8, Debug: true})
 	d := rt.NewData("x", 800, 8)
 	var sum atomic.Int64
 	err := rt.RunChecked(func(tc *TaskContext) {

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"repro/internal/deps"
-	"repro/internal/sched"
 	"repro/internal/throttle"
 )
 
@@ -137,7 +136,6 @@ func TestThrottleShardedStackStress(t *testing.T) {
 				ThrottleOpenTasks: window,
 				ThrottleImpl:      throttle.KindSharded,
 				DepEngine:         deps.EngineSharded,
-				ReadyPool:         sched.PoolStealing,
 				Debug:             true,
 			})
 			d := rt.NewData("x", int64(outers*64), 8)

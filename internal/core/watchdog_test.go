@@ -89,11 +89,11 @@ func TestStallDetectorIgnoresHealthyStates(t *testing.T) {
 // that skipped its Dekker recheck would leave: the item queued, the token
 // parked free, and nobody responsible for matching them.
 type droppedKickPool struct {
-	*sched.LockedStealing[int]
+	*sched.Scheduler[int]
 }
 
 func (p *droppedKickPool) Probe() sched.Probe {
-	pr := p.LockedStealing.Probe()
+	pr := p.Scheduler.Probe()
 	pr.FreeTokens++
 	return pr
 }
@@ -102,7 +102,7 @@ func (p *droppedKickPool) Probe() sched.Probe {
 // in a reference pool and runs the real watchdog loop (the same code the
 // runtime starts) against it, asserting the detector fires and names it.
 func TestWatchdogSelftestSyntheticLostWakeup(t *testing.T) {
-	pool := &droppedKickPool{sched.NewLockedStealing(1, func(int, int) {})}
+	pool := &droppedKickPool{sched.New(1, sched.FIFO, func(int, int) {})}
 	// Hold the only real token so the submitted item must queue; the
 	// phantom free token then completes the lost-wakeup state.
 	pool.Acquire()

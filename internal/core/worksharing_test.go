@@ -10,7 +10,6 @@ import (
 	"repro/internal/mempool"
 	"repro/internal/randtest"
 	"repro/internal/replay"
-	"repro/internal/sched"
 )
 
 // Worksharing tests: the chunk-distributed strategy must be observably
@@ -366,7 +365,6 @@ func TestWorksharingStressRace(t *testing.T) {
 	for it := 0; it < iters; it++ {
 		r := New(Config{
 			Workers:           4,
-			ReadyPool:         sched.PoolStealing,
 			MemPool:           mempool.KindPooled,
 			TaskwaitImpl:      TaskwaitContinuation,
 			ThrottleOpenTasks: 8,

@@ -82,7 +82,6 @@ func ChaosBench(g ChaosGroup, seed uint64, rate uint32, workers, iters, width in
 	}
 	r := core.New(core.Config{
 		Workers:           workers,
-		Stealing:          true,
 		ThrottleOpenTasks: 2 * workers,
 		Watchdog:          true,
 		Debug:             true,

@@ -179,16 +179,14 @@ func DepsBench(kind deps.EngineKind, mem mempool.Kind, w, ops int) BenchCounters
 // SchedPoolMaker builds one ready pool for SchedBench.
 type SchedPoolMaker func(workers int, spawn func(item, worker int)) sched.Queue[int]
 
-// SchedPools lists the ready-pool implementations the sched table sweeps,
-// single-lock references first.
+// SchedPools lists the ready pools the sched table sweeps, the central
+// single-lock reference first.
 var SchedPools = []struct {
 	Name string
 	Make SchedPoolMaker
 }{
-	{"locked-stealing", func(w int, s func(int, int)) sched.Queue[int] { return sched.NewLockedStealing(w, s) }},
 	{"central", func(w int, s func(int, int)) sched.Queue[int] { return sched.New(w, sched.FIFO, s) }},
 	{"stealing", func(w int, s func(int, int)) sched.Queue[int] { return sched.NewStealing(w, s) }},
-	{"sharded-central", func(w int, s func(int, int)) sched.Queue[int] { return sched.NewShardedCentral(w, s) }},
 }
 
 // statser is implemented by the ready pools that report steal counters.

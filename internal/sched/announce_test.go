@@ -23,9 +23,7 @@ func announcePools() []struct {
 		name string
 		mk   func(workers int, spawn func(item, worker int)) Queue[int]
 	}{
-		{"locked-stealing", func(w int, s func(int, int)) Queue[int] { return NewLockedStealing(w, s) }},
 		{"stealing", func(w int, s func(int, int)) Queue[int] { return NewStealing(w, s) }},
-		{"sharded-central", func(w int, s func(int, int)) Queue[int] { return NewShardedCentral(w, s) }},
 		{"central", func(w int, s func(int, int)) Queue[int] { return New(w, FIFO, s) }},
 	}
 }
@@ -122,92 +120,49 @@ func TestAnnounceBusyPool(t *testing.T) {
 	}
 }
 
-// TestAnnounceSpread: on the stealing pools, queued announcement copies
-// must not pile onto the announcer's deque — they spread across the
-// workers so each idle worker finds its invitation without a steal. The
-// pool is frozen (every token occupied behind a gate) while the placement
-// is inspected directly; which worker ultimately *consumes* each copy is
-// timing-dependent and deliberately not asserted.
+// TestAnnounceSpread: on the stealing pool, queued announcement copies must
+// not pile onto the announcer's deque — they spread across the workers so
+// each idle worker finds its invitation without a steal. The pool is frozen
+// (every token occupied behind a gate) while the placement is inspected
+// directly; which worker ultimately *consumes* each copy is timing-dependent
+// and deliberately not asserted.
 func TestAnnounceSpread(t *testing.T) {
 	const workers = 4
-	{
-		var q Queue[int]
-		gate := make(chan struct{})
-		var occupied, wg sync.WaitGroup
-		ls := NewLockedStealing(workers, func(item, worker int) {
-			for {
-				if item < workers {
-					occupied.Done()
-					<-gate
-				}
-				wg.Done()
-				next, ok := q.Finish(worker)
-				if !ok {
-					return
-				}
-				item = next
+	var q Queue[int]
+	gate := make(chan struct{})
+	var occupied, wg sync.WaitGroup
+	st := NewStealing(workers, func(item, worker int) {
+		for {
+			if item < workers {
+				occupied.Done()
+				<-gate
 			}
-		})
-		q = ls
-		occupied.Add(workers)
-		wg.Add(workers * 2)
-		for i := 0; i < workers; i++ {
-			q.Submit(i, -1)
-		}
-		occupied.Wait()
-		q.Announce(workers, workers, 0)
-		ls.mu.Lock()
-		nonEmpty := 0
-		for _, d := range ls.deques {
-			if len(d) > 0 {
-				nonEmpty++
+			wg.Done()
+			next, ok := q.Finish(worker)
+			if !ok {
+				return
 			}
+			item = next
 		}
-		ls.mu.Unlock()
-		if nonEmpty < 2 {
-			t.Errorf("locked-stealing: %d spread copies landed on %d deque(s); announcement has submitter locality", workers, nonEmpty)
-		}
-		close(gate)
-		wg.Wait()
-		waitQuiesce(t, "locked-stealing", q)
+	})
+	q = st
+	occupied.Add(workers)
+	wg.Add(workers * 2)
+	for i := 0; i < workers; i++ {
+		q.Submit(i, -1)
 	}
-	{
-		var q Queue[int]
-		gate := make(chan struct{})
-		var occupied, wg sync.WaitGroup
-		st := NewStealing(workers, func(item, worker int) {
-			for {
-				if item < workers {
-					occupied.Done()
-					<-gate
-				}
-				wg.Done()
-				next, ok := q.Finish(worker)
-				if !ok {
-					return
-				}
-				item = next
-			}
-		})
-		q = st
-		occupied.Add(workers)
-		wg.Add(workers * 2)
-		for i := 0; i < workers; i++ {
-			q.Submit(i, -1)
+	occupied.Wait()
+	q.Announce(workers, workers, 0)
+	nonEmpty := 0
+	for i := range st.shards {
+		if st.shards[i].ilen.Load() > 0 {
+			nonEmpty++
 		}
-		occupied.Wait()
-		q.Announce(workers, workers, 0)
-		nonEmpty := 0
-		for i := range st.shards {
-			if st.shards[i].ilen.Load() > 0 {
-				nonEmpty++
-			}
-		}
-		if nonEmpty < 2 {
-			t.Errorf("stealing: %d spread copies landed on %d inbox(es); announcement has submitter locality", workers, nonEmpty)
-		}
-		close(gate)
-		wg.Wait()
-		waitQuiesce(t, "stealing", q)
 	}
+	if nonEmpty < 2 {
+		t.Errorf("stealing: %d spread copies landed on %d inbox(es); announcement has submitter locality", workers, nonEmpty)
+	}
+	close(gate)
+	wg.Wait()
+	waitQuiesce(t, "stealing", q)
 }

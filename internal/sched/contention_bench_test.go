@@ -14,8 +14,8 @@ import (
 // through Finish — the admission-path analogue of the dependency engine's
 // disjoint chain benchmark (every Submit and every Finish hits the
 // admission path; chains of different workers are independent). Under the
-// single-lock pools all of it serializes on one mutex; under the sharded
-// pools each chain stays on its worker's lock-free deque. GOMAXPROCS is
+// central pool all of it serializes on one mutex; under the stealing pool
+// each chain stays on its worker's lock-free deque. GOMAXPROCS is
 // raised to the worker count so the contention is real even on small
 // hosts.
 
@@ -57,9 +57,7 @@ var contentionPools = []struct {
 	name string
 	mk   func(workers int, spawn func(item, worker int)) Queue[int]
 }{
-	{"locked-stealing", func(w int, s func(int, int)) Queue[int] { return NewLockedStealing(w, s) }},
 	{"stealing", func(w int, s func(int, int)) Queue[int] { return NewStealing(w, s) }},
-	{"sharded-central", func(w int, s func(int, int)) Queue[int] { return NewShardedCentral(w, s) }},
 	{"central", func(w int, s func(int, int)) Queue[int] { return New(w, FIFO, s) }},
 }
 
@@ -84,8 +82,9 @@ func BenchmarkSchedContentionMatrix(b *testing.B) {
 }
 
 // TestSchedW1Parity is the regression guard on the single-worker case: the
-// sharded pools' lock-free admission path must not cost materially more
-// than the single-lock reference when there is no contention to win back.
+// stealing pool's lock-free admission path must not cost materially more
+// than the central single-lock reference when there is no contention to win
+// back.
 // The bound is deliberately loose (CI hosts are noisy); the precise parity
 // measurement is cmd/depbench's sched table.
 func TestSchedW1Parity(t *testing.T) {
@@ -97,24 +96,20 @@ func TestSchedW1Parity(t *testing.T) {
 	// Interleave the pools' trials so a transient stall (noisy CI
 	// neighbour, GC) hits all pools alike, and take each pool's best
 	// trial, which filters such stalls out entirely.
-	best := make([]time.Duration, len(contentionPools))
-	for i := range best {
-		best[i] = time.Duration(1<<63 - 1)
-	}
+	best := map[string]time.Duration{}
 	for trial := 0; trial < trials; trial++ {
-		for i, p := range contentionPools {
+		for _, p := range contentionPools {
 			start := time.Now()
 			runChains(p.mk, 1, ops)
-			if d := time.Since(start); d < best[i] {
-				best[i] = d
+			d := time.Since(start)
+			if b, ok := best[p.name]; !ok || d < b {
+				best[p.name] = d
 			}
 		}
 	}
-	ref := best[0] // locked-stealing
-	for i, p := range contentionPools[1:3] {
-		if f := float64(best[i+1]) / float64(ref); f > 1.5 {
-			t.Errorf("%s w=1: %.2fx slower than locked-stealing (%v vs %v); admission fast path regressed",
-				p.name, f, best[i+1], ref)
-		}
+	got, ref := best["stealing"], best["central"]
+	if f := float64(got) / float64(ref); f > 1.5 {
+		t.Errorf("stealing w=1: %.2fx slower than central (%v vs %v); admission fast path regressed",
+			f, got, ref)
 	}
 }

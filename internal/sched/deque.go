@@ -129,10 +129,8 @@ func (d *clDeque[T]) PopBottom() (p *T, ok bool) {
 // pointer through a wrapped slot fails its CAS on the stale top value.
 
 // Steal removes the oldest item (FIFO), transferring box ownership to the
-// caller. Safe from any goroutine, including the owner (the sharded
-// central pool self-pulls through Steal to get FIFO order on its own
-// ingress queue). Retries only when it loses a CAS race while items
-// remain.
+// caller. Safe from any goroutine, including the owner. Retries only when
+// it loses a CAS race while items remain.
 func (d *clDeque[T]) Steal() (p *T, ok bool) {
 	for {
 		t := d.top.Load()

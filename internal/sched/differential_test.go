@@ -11,15 +11,15 @@ import (
 	"repro/internal/randtest"
 )
 
-// Differential admission tests: the single-lock reference pools and the
-// sharded pools are driven over identical randomized schedules of Submit /
+// Differential admission tests: the central single-lock Scheduler and the
+// stealing pool are driven over identical randomized schedules of Submit /
 // SubmitBatch / Finish / Yield+Acquire, and each must uphold the same
 // admission invariants — every item runs exactly once (no lost wakeups, no
 // duplication), the concurrency cap holds (no token leaks or forgeries),
 // and at quiescence Idle() is exactly true with QueueLen() == 0. Dispatch
 // *order* legitimately differs between pools; the invariants may not. This
 // is the ready-pool analogue of internal/deps/differential_test.go, and the
-// CI race pass runs it with -race to validate the sharded pools' lock-free
+// CI race pass runs it with -race to validate the stealing pool's lock-free
 // paths.
 
 // admSchedule is a pool-independent randomized admission schedule: items
@@ -158,7 +158,6 @@ func TestPoolDifferentialAdmission(t *testing.T) {
 		name string
 		mk   func(workers int, spawn func(item, worker int)) Queue[int]
 	}{
-		{"locked-stealing", func(w int, s func(int, int)) Queue[int] { return NewLockedStealing(w, s) }},
 		{"stealing", func(w int, s func(int, int)) Queue[int] { return NewStealing(w, s) }},
 		// Topology-vs-flat differential: the two-domain tree walk and the
 		// flat reference order run the same schedules and must uphold the
@@ -167,7 +166,6 @@ func TestPoolDifferentialAdmission(t *testing.T) {
 			return NewStealingTopo(w, Topology{GroupSize: 2, Domains: 2}, s)
 		}},
 		{"stealing-flat", func(w int, s func(int, int)) Queue[int] { return NewStealingTopo(w, TopologyFlat, s) }},
-		{"sharded-central", func(w int, s func(int, int)) Queue[int] { return NewShardedCentral(w, s) }},
 		{"central", func(w int, s func(int, int)) Queue[int] { return New(w, FIFO, s) }},
 	}
 	f := func(seed int64) bool {

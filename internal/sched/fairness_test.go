@@ -8,37 +8,34 @@ import (
 
 // Token-waiter fairness: at a release point (Finish here), a blocked
 // Acquire — a resuming taskwait, which holds a live task mid-execution —
-// must win the token over spawning fresh queued work. Every pool
-// implementation is held to the same protocol, including the sharded
-// pools' lock-free release paths (run with -race to validate those).
+// must win the token over spawning fresh queued work. Both pools, and the
+// central queue under each of its orders, are held to the same protocol,
+// including the stealing pool's lock-free release paths (run with -race to
+// validate those).
 func TestTokenWaiterFairness(t *testing.T) {
 	type pool struct {
 		name string
 		make func(spawn func(item, worker int)) (q Queue[int], waiters func() int)
 	}
+	central := func(s *Scheduler[int]) (Queue[int], func() int) {
+		return s, func() int {
+			s.mu.Lock()
+			defer s.mu.Unlock()
+			return len(s.waiters)
+		}
+	}
 	pools := []pool{
 		{"central", func(spawn func(int, int)) (Queue[int], func() int) {
-			s := New(1, FIFO, spawn)
-			return s, func() int {
-				s.mu.Lock()
-				defer s.mu.Unlock()
-				return len(s.waiters)
-			}
+			return central(New(1, FIFO, spawn))
 		}},
-		{"locked-stealing", func(spawn func(int, int)) (Queue[int], func() int) {
-			s := NewLockedStealing(1, spawn)
-			return s, func() int {
-				s.mu.Lock()
-				defer s.mu.Unlock()
-				return len(s.waiters)
-			}
+		{"central-lifo", func(spawn func(int, int)) (Queue[int], func() int) {
+			return central(New(1, LIFO, spawn))
+		}},
+		{"central-priority", func(spawn func(int, int)) (Queue[int], func() int) {
+			return central(NewPriority(1, spawn, func(item int) int64 { return int64(item) }))
 		}},
 		{"stealing", func(spawn func(int, int)) (Queue[int], func() int) {
 			s := NewStealing(1, spawn)
-			return s, func() int { return int(s.nwaiters.Load()) }
-		}},
-		{"sharded-central", func(spawn func(int, int)) (Queue[int], func() int) {
-			s := NewShardedCentral(1, spawn)
 			return s, func() int { return int(s.nwaiters.Load()) }
 		}},
 	}

@@ -16,33 +16,31 @@
 // special case for this: a continuation is an ordinary queued item whose
 // dispatch callback transfers the token instead of running a body.
 //
-// Four ready-pool implementations share the Queue contract:
+// Two ready pools share the Queue contract, and the runtime picks one by
+// policy:
 //
-//   - Scheduler: a central single-lock queue with FIFO, LIFO, or Priority
-//     discipline. LIFO and Priority are global orders over all ready items,
-//     which is inherently central; this is also the simplest reference.
-//   - ShardedCentral: the scalable central variant — one ingress queue per
-//     worker, FIFO work-pulling, no pool-wide lock.
 //   - Stealing: per-worker Chase-Lev deques with lock-free LIFO self-pop
 //     and CAS-based FIFO stealing (the Cilk discipline), plus a per-worker
 //     creator lane that starts tasks which only instantiate children in
-//     program order (CreatorQueue). The default ready pool of the
-//     runtime's real mode.
-//   - LockedStealing: the single-lock stealing reference the differential
-//     tests and contention benchmarks compare the sharded pools against.
+//     program order (CreatorQueue). The runtime's pool under the FIFO
+//     policy, the default.
+//   - Scheduler: a central single-lock queue with FIFO, LIFO, or Priority
+//     discipline. LIFO and Priority are global orders over all ready items,
+//     which is inherently central, so the runtime runs them here. In FIFO
+//     mode it is the single-lock reference the differential, fairness and
+//     contention tests compare Stealing against.
 //
-// The sharded pools (Stealing, ShardedCentral) replace the pool-wide mutex
-// with per-worker shards, a lock-free token free-list, and a Dekker-style
-// idle protocol: a submitter publishes its item and then rechecks the token
-// list, a retiring worker publishes its token and then rechecks the queued
-// count and the waiter count. Under sequential consistency (Go's atomics)
-// at least one side of any race observes the other's publication, so a
-// queued item and a free token can never coexist at quiescence — the
-// lost-wakeup window that the single-lock pools close with their mutex. All
-// pools maintain the same admission invariants: token conservation, no lost
-// wakeups, waiter priority at release points, and Idle() exact at
-// quiescence; the differential tests in this package drive the locked and
-// sharded pools over identical schedules to keep them aligned.
+// Stealing replaces the pool-wide mutex with per-worker shards, a lock-free
+// token free-list, and a Dekker-style idle protocol: a submitter publishes
+// its item and then rechecks the token list, a retiring worker publishes its
+// token and then rechecks the queued count and the waiter count. Under
+// sequential consistency (Go's atomics) at least one side of any race
+// observes the other's publication, so a queued item and a free token can
+// never coexist at quiescence — the lost-wakeup window that Scheduler closes
+// with its mutex. Both pools maintain the same admission invariants: token
+// conservation, no lost wakeups, waiter priority at release points, and
+// Idle() exact at quiescence; the differential tests in this package drive
+// both over identical schedules to keep them aligned.
 package sched
 
 import (
@@ -50,44 +48,9 @@ import (
 	"sync"
 )
 
-// PoolKind selects a ready-pool implementation (core.Config.ReadyPool).
-type PoolKind uint8
-
-const (
-	// PoolAuto lets the runtime pick: sharded stealing in real mode, except
-	// that an explicit LIFO or Priority policy selects the central queue
-	// (those disciplines are global orders). Virtual mode has its own
-	// deterministic event-driven list and ignores the ready pool.
-	PoolAuto PoolKind = iota
-	// PoolCentral is the single-lock central Scheduler (FIFO, LIFO, or
-	// Priority policy).
-	PoolCentral
-	// PoolShardedCentral is the sharded central queue: per-worker ingress
-	// queues with FIFO work-pulling.
-	PoolShardedCentral
-	// PoolStealing is the sharded work-stealing pool (per-worker Chase-Lev
-	// deques, self-LIFO, steal-FIFO).
-	PoolStealing
-	// PoolLockedStealing is the single-lock work-stealing reference.
-	PoolLockedStealing
-)
-
-// String returns the kind's depbench/table name.
-func (k PoolKind) String() string {
-	switch k {
-	case PoolCentral:
-		return "central"
-	case PoolShardedCentral:
-		return "sharded-central"
-	case PoolStealing:
-		return "stealing"
-	case PoolLockedStealing:
-		return "locked-stealing"
-	}
-	return "auto"
-}
-
-// Policy selects the ready-queue discipline of the central Scheduler.
+// Policy selects the ready-queue discipline of the central Scheduler. The
+// runtime also picks its pool by it: FIFO runs on Stealing, LIFO and
+// Priority on the central Scheduler.
 type Policy uint8
 
 const (
@@ -119,15 +82,15 @@ func (p Policy) String() string {
 // from is the submitting worker, and the caller of Submit/SubmitBatch with
 // an in-range from must be the goroutine currently holding that worker's
 // token (-1, or any out-of-range value, when the caller holds none). The
-// sharded pools rely on this ownership for their single-owner deque fast
+// stealing pool relies on this ownership for its single-owner deque fast
 // paths; the runtime satisfies it by construction, since a task submits
 // children only while running on its worker.
 type Queue[T any] interface {
 	// Submit makes an item runnable. If a token is free the item starts
 	// immediately on a new goroutine; otherwise it queues. Safe for
 	// concurrent use, subject to the from-token rule above: an in-range
-	// from asserts the caller holds that worker's token (the sharded pools
-	// push onto that worker's deque lock-free, which is only safe
+	// from asserts the caller holds that worker's token (the stealing pool
+	// pushes onto that worker's deque lock-free, which is only safe
 	// single-owner); callers holding no token must pass -1.
 	Submit(item T, from int)
 	// SubmitBatch makes several items runnable in one admission: tokens are
@@ -169,7 +132,7 @@ type Queue[T any] interface {
 	// Exact only at quiescence (no operation in flight).
 	Idle() bool
 	// QueueLen returns the number of queued (not running) items. May be
-	// momentarily stale in the sharded pools; exact at quiescence.
+	// momentarily stale in the stealing pool; exact at quiescence.
 	QueueLen() int
 }
 
@@ -183,8 +146,8 @@ type Queue[T any] interface {
 // SubmitCreator admits like Submit — from follows the same ownership rule —
 // but queues the item behind the submitting worker's other work, in
 // depth-first program order among creators, and ahead of that other work
-// for thieves. Only the Stealing pool implements it; the other pools keep
-// their own order.
+// for thieves. Only the Stealing pool implements it; the central Scheduler
+// keeps its global order.
 type CreatorQueue[T any] interface {
 	Queue[T]
 	SubmitCreator(item T, from int)
@@ -463,7 +426,7 @@ func (s *Scheduler[T]) QueueLen() int {
 
 // Probe returns an instantaneous observation of the admission state. The
 // central scheduler reads all three counters under its one lock, so the
-// snapshot is consistent (unlike the sharded pools').
+// snapshot is consistent (unlike the stealing pool's).
 func (s *Scheduler[T]) Probe() Probe {
 	s.mu.Lock()
 	defer s.mu.Unlock()

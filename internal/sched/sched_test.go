@@ -180,6 +180,38 @@ func TestLIFOOrder(t *testing.T) {
 	}
 }
 
+// TestFIFOOrder: the central queue's FIFO discipline (the single-lock
+// reference the stealing pool is checked against) runs submissions in
+// arrival order.
+func TestFIFOOrder(t *testing.T) {
+	var order []int
+	done := make(chan struct{})
+	var s *Scheduler[int]
+	s = New(1, FIFO, func(item, worker int) {
+		for {
+			order = append(order, item) // single worker: no race
+			next, ok := s.Finish(worker)
+			if !ok {
+				close(done)
+				return
+			}
+			item = next
+		}
+	})
+	w := s.Acquire()
+	for i := 0; i < 5; i++ {
+		s.Submit(i, -1)
+	}
+	s.Yield(w)
+	<-done
+	want := []int{0, 1, 2, 3, 4}
+	for i := range want {
+		if i >= len(order) || order[i] != want[i] {
+			t.Fatalf("order = %v, want %v", order, want)
+		}
+	}
+}
+
 // TestAcquirePreferredOverPool: Finish hands the token to a blocked
 // Acquire (resuming taskwait) when the queue is empty.
 func TestAcquirePreferredOverPool(t *testing.T) {

@@ -8,10 +8,14 @@ import (
 	"repro/internal/mempool"
 )
 
-// shardedPool is the sharded admission path shared by the Stealing and
-// ShardedCentral pools: one deque shard per worker, a lock-free token
-// free-list, and an idle protocol that replaces the single pool-wide mutex
-// of the reference implementations.
+// Stealing is the work-stealing ready pool: one deque shard per worker, LIFO
+// self-pop (depth-first, cache-warm), FIFO stealing of the oldest — the Cilk
+// discipline — plus a per-worker creator lane, a lock-free token free-list,
+// and an idle protocol that replaces the pool-wide mutex of the central
+// Scheduler. Submission onto the own shard and self-pop are lock-free,
+// stealing is one CAS on the victim, and token accounting is the lock-free
+// free list, so Submit, SubmitBatch, Finish, and Yield of different workers
+// do not serialize on any common lock.
 //
 // Per-shard state:
 //
@@ -22,11 +26,11 @@ import (
 //     that hold no worker token (from out of range). External submissions
 //     are routed round-robin across inboxes so they cannot pile onto one
 //     shard.
-//   - lane: the creator lane (stealing discipline only; see SubmitCreator) —
-//     a mutex-guarded stack of FIFO batches for items that must start in
-//     program order rather than newest-first.
+//   - lane: the creator lane (see SubmitCreator) — a mutex-guarded stack of
+//     FIFO batches for items that must start in program order rather than
+//     newest-first.
 //
-// Admission invariants (shared with the single-lock pools, and checked by
+// Admission invariants (shared with the central Scheduler, and checked by
 // the differential tests in this package):
 //
 //   - token conservation: every worker token is, at all times, held by
@@ -39,7 +43,7 @@ import (
 //     holds a live stack — before spawning fresh queued work;
 //   - Idle() is exact at quiescence.
 //
-// The lost-wakeup window that the single-lock pools close with their mutex
+// The lost-wakeup window that the central Scheduler closes with its mutex
 // — a submitter observes no free token and queues, while a retiring worker
 // concurrently observes no queued work and parks its token — is closed here
 // with a Dekker-style publish-then-recheck protocol over seq-cst atomics:
@@ -51,7 +55,7 @@ import (
 // hands off responsibility for) the match; a reclaim that finds the
 // counterpart already consumed returns the token and re-checks, so
 // responsibility is never dropped.
-type shardedPool[T any] struct {
+type Stealing[T any] struct {
 	shards  []poolShard[T]
 	tokens  *tokenList
 	rr      atomic.Uint32
@@ -67,11 +71,6 @@ type shardedPool[T any] struct {
 	// item (a steal carries it to the thief), and the consumer recycles it
 	// into its own lane — the deque path allocates nothing in steady state.
 	boxes *mempool.Global[T]
-	// selfLIFO selects the discipline of the owner's fast path: true pops
-	// the worker's own deque from the bottom (depth-first, cache-warm —
-	// work stealing), false from the top (arrival order — the sharded
-	// central queue).
-	selfLIFO bool
 
 	wmu      sync.Mutex // guards waiters
 	waiters  []chan int // blocked Acquire calls (taskwait resumes)
@@ -80,16 +79,19 @@ type shardedPool[T any] struct {
 	spawns atomic.Int64
 
 	// soloQ replaces shard 0's deque when workers == 1: with no other
-	// shard to steal from it, the queue is only ever touched by the
-	// current holder of the single token (ownership transfers through the
-	// token list, which carries the happens-before edge), so plain slice
+	// shard to steal from, the queue is only ever touched by the current
+	// holder of the single token (ownership transfers through the token
+	// list, which carries the happens-before edge), so plain slice
 	// operations suffice and only the length is published for the idle
 	// protocol's emptiness checks. This keeps the degenerate single-worker
-	// pool at parity with the single-lock implementations.
-	soloQ    []T
-	soloHead int // index of the oldest solo item (FIFO pop side)
-	soloLen  atomic.Int64
+	// pool at parity with the central Scheduler.
+	soloQ   []T
+	soloLen atomic.Int64
 }
+
+var _ Queue[int] = (*Stealing[int])(nil)
+var _ AffinityQueue[int] = (*Stealing[int])(nil)
+var _ CreatorQueue[int] = (*Stealing[int])(nil)
 
 // poolShard pads to a whole number of cache lines so one worker's push/pop
 // traffic does not false-share with its neighbours' (the field sizes are
@@ -115,7 +117,7 @@ type poolShard[T any] struct {
 // in submission order, of which lane[head:end) are still queued.
 type laneSeg struct{ head, end int }
 
-// PoolStats are diagnostic counters of a pool.
+// PoolStats are diagnostic counters of a Stealing pool.
 type PoolStats struct {
 	// Spawns is the number of goroutines started (token matched to an item
 	// outside a Finish chain).
@@ -125,8 +127,7 @@ type PoolStats struct {
 	// StealLevels is the steal-distance histogram over the pool's resolved
 	// topology tree: StealLevels[LevelSibling] stayed inside the thief's
 	// core group, [LevelDomain] crossed groups within a domain, and
-	// [LevelRemote] crossed domains. The sum equals Steals for the sharded
-	// pools; the single-lock pools have no shards and leave it zero.
+	// [LevelRemote] crossed domains. The sum equals Steals.
 	StealLevels [NumLevels]int64
 }
 
@@ -136,12 +137,27 @@ func (s PoolStats) CrossGroup() int64 {
 	return s.StealLevels[LevelDomain] + s.StealLevels[LevelRemote]
 }
 
-func (p *shardedPool[T]) init(workers int, spawn func(item T, worker int), selfLIFO bool, topo Topology) {
+// NewStealing creates a work-stealing pool with the given number of worker
+// tokens and the default synthetic topology tree (see Topology).
+func NewStealing[T any](workers int, spawn func(item T, worker int)) *Stealing[T] {
+	return NewStealingTopo(workers, Topology{}, spawn)
+}
+
+// NewStealingTopo creates a work-stealing pool over an explicit locality
+// topology; TopologyFlat selects the flat victim order, the differential
+// reference.
+func NewStealingTopo[T any](workers int, topo Topology, spawn func(item T, worker int)) *Stealing[T] {
 	if workers < 1 {
 		panic("sched: need at least one worker")
 	}
-	p.boxes = mempool.NewGlobal(func() *T { return new(T) })
-	p.shards = make([]poolShard[T], workers)
+	p := &Stealing[T]{
+		shards:  make([]poolShard[T], workers),
+		tokens:  newTokenList(workers),
+		spawn:   spawn,
+		workers: workers,
+		topo:    resolveTopology(workers, topo),
+		boxes:   mempool.NewGlobal(func() *T { return new(T) }),
+	}
 	for i := range p.shards {
 		p.shards[i].deque.init()
 		p.shards[i].boxLane.Init(p.boxes)
@@ -150,18 +166,14 @@ func (p *shardedPool[T]) init(workers int, spawn func(item T, worker int), selfL
 		// (randtest -seed) replays the steal schedule too.
 		p.shards[i].rng = splitmix64(uint64(i) + 1)
 	}
-	p.tokens = newTokenList(workers)
-	p.spawn = spawn
-	p.workers = workers
-	p.selfLIFO = selfLIFO
-	p.topo = resolveTopology(workers, topo)
+	return p
 }
 
 // Workers returns the number of worker tokens.
-func (p *shardedPool[T]) Workers() int { return p.workers }
+func (p *Stealing[T]) Workers() int { return p.workers }
 
 // Stats returns the pool's diagnostic counters.
-func (p *shardedPool[T]) Stats() PoolStats {
+func (p *Stealing[T]) Stats() PoolStats {
 	st := PoolStats{Spawns: p.spawns.Load()}
 	for i := range p.shards {
 		st.Steals += p.shards[i].steals.Load()
@@ -172,7 +184,7 @@ func (p *shardedPool[T]) Stats() PoolStats {
 	return st
 }
 
-func (p *shardedPool[T]) spawnGo(item T, w int) {
+func (p *Stealing[T]) spawnGo(item T, w int) {
 	p.spawns.Add(1)
 	go p.spawn(item, w)
 }
@@ -182,11 +194,11 @@ func (p *shardedPool[T]) spawnGo(item T, w int) {
 // lock-free path. Out-of-range submissions go to a round-robin shard's
 // inbox (they come from goroutines holding no token, which may race each
 // other and the shard owner).
-func (p *shardedPool[T]) pushItem(item T, from int) {
+func (p *Stealing[T]) pushItem(item T, from int) {
 	if from >= 0 && from < p.workers {
 		if p.workers == 1 {
 			p.soloQ = append(p.soloQ, item)
-			p.soloLen.Store(int64(len(p.soloQ) - p.soloHead))
+			p.soloLen.Store(int64(len(p.soloQ)))
 			return
 		}
 		sh := &p.shards[from]
@@ -202,7 +214,7 @@ func (p *shardedPool[T]) pushItem(item T, from int) {
 // so any goroutine may target any shard — this is the cross-shard placement
 // primitive behind external submissions, nearest-first announcements, and
 // affinity-routed batches.
-func (p *shardedPool[T]) inboxPush(v int, item T) {
+func (p *Stealing[T]) inboxPush(v int, item T) {
 	sh := &p.shards[v]
 	sh.imu.Lock()
 	sh.inbox = append(sh.inbox, item)
@@ -212,7 +224,7 @@ func (p *shardedPool[T]) inboxPush(v int, item T) {
 
 // Submit makes an item runnable. With a free token it starts immediately on
 // a new goroutine; otherwise it queues on the submitting worker's shard.
-func (p *shardedPool[T]) Submit(item T, from int) {
+func (p *Stealing[T]) Submit(item T, from int) {
 	if w, ok := p.tokens.tryPop(); ok {
 		p.spawnGo(item, w)
 		return
@@ -225,7 +237,7 @@ func (p *shardedPool[T]) Submit(item T, from int) {
 // matched first, the rest queue on the submitting worker's shard (or are
 // scattered round-robin across inboxes for external batches), and one kick
 // closes the lost-wakeup window for the whole batch.
-func (p *shardedPool[T]) SubmitBatch(items []T, from int) {
+func (p *Stealing[T]) SubmitBatch(items []T, from int) {
 	if len(items) == 0 {
 		return
 	}
@@ -256,7 +268,7 @@ func (p *shardedPool[T]) SubmitBatch(items []T, from int) {
 // placement (the submitter's own deque is the lock-free fast path, and a
 // same-group neighbour reaches it with a sibling-level steal anyway). A
 // flat topology ignores the hints entirely — it is the reference order.
-func (p *shardedPool[T]) SubmitBatchAffinity(items []T, hints []int32, from int) {
+func (p *Stealing[T]) SubmitBatchAffinity(items []T, hints []int32, from int) {
 	if p.topo.flat || p.workers == 1 {
 		p.SubmitBatch(items, from)
 		return
@@ -305,7 +317,7 @@ func (p *shardedPool[T]) SubmitBatchAffinity(items []T, hints []int32, from int)
 // a worker identity (out-of-range from) or on a flat topology scatter
 // round-robin, the reference placement. One kick closes the lost-wakeup
 // window for the whole announcement.
-func (p *shardedPool[T]) Announce(item T, n, from int) {
+func (p *Stealing[T]) Announce(item T, n, from int) {
 	if n <= 0 {
 		return
 	}
@@ -333,7 +345,7 @@ func (p *shardedPool[T]) Announce(item T, n, from int) {
 }
 
 // takeInbox pops the oldest inbox item of sh, if any.
-func (p *shardedPool[T]) takeInbox(sh *poolShard[T]) (item T, ok bool) {
+func (p *Stealing[T]) takeInbox(sh *poolShard[T]) (item T, ok bool) {
 	if sh.ilen.Load() == 0 {
 		return item, false
 	}
@@ -431,7 +443,7 @@ const stealBatchMax = 8
 // w's lane (the caller holds w's token, making it the lane's owner — this
 // is how boxes that crossed shards via steals find their way back into
 // circulation).
-func (p *shardedPool[T]) consumeBox(w int, box *T) T {
+func (p *Stealing[T]) consumeBox(w int, box *T) T {
 	item := *box
 	var zero T
 	*box = zero
@@ -439,10 +451,10 @@ func (p *shardedPool[T]) consumeBox(w int, box *T) T {
 	return item
 }
 
-// popFor removes the next item for the holder of token w: own deque (bottom
-// under the stealing discipline, top under the central one), own creator
-// lane (newest batch, oldest item), own inbox, then the other shards —
-// creator lane (oldest batch), deque top, then inbox (stealFrom). Victim
+// popFor removes the next item for the holder of token w: own deque bottom
+// (the soloQ top at one worker), own creator lane (newest batch, oldest
+// item), own inbox, then the other shards — creator lane (oldest batch),
+// deque top, then inbox (stealFrom). Victim
 // order follows the pool's topology: nearest-first, exhausting each
 // locality level (with a randomized start *within* the level so concurrent
 // thieves spread instead of convoying) before widening to the next, or one
@@ -455,9 +467,7 @@ func (p *shardedPool[T]) consumeBox(w int, box *T) T {
 // onto the thief's own deque, so one miss amortizes the whole
 // redistribution instead of paying a full O(workers) scan per item
 // (ROADMAP's steal-half item; the depbench steals/kop column observes it).
-// Only the stealing discipline batches: the sharded central pool preserves
-// per-queue arrival order, which moving items between queues would skew.
-func (p *shardedPool[T]) popFor(w int) (item T, ok bool) {
+func (p *Stealing[T]) popFor(w int) (item T, ok bool) {
 	sh := &p.shards[w]
 	if !sh.newBatch {
 		// Whatever w runs next opens its own lane batch. (Written only on a
@@ -465,20 +475,10 @@ func (p *shardedPool[T]) popFor(w int) (item T, ok bool) {
 		sh.newBatch = true
 	}
 	if p.workers == 1 {
-		if n := len(p.soloQ) - p.soloHead; n > 0 {
+		if n := len(p.soloQ); n > 0 {
 			var zero T
-			if p.selfLIFO {
-				last := len(p.soloQ) - 1
-				item, p.soloQ[last] = p.soloQ[last], zero
-				p.soloQ = p.soloQ[:last]
-			} else {
-				item, p.soloQ[p.soloHead] = p.soloQ[p.soloHead], zero
-				p.soloHead++
-			}
-			if len(p.soloQ) == p.soloHead {
-				p.soloQ = p.soloQ[:0]
-				p.soloHead = 0
-			}
+			item, p.soloQ[n-1] = p.soloQ[n-1], zero
+			p.soloQ = p.soloQ[:n-1]
 			p.soloLen.Store(int64(n - 1))
 			return item, true
 		}
@@ -487,13 +487,7 @@ func (p *shardedPool[T]) popFor(w int) (item T, ok bool) {
 		}
 		return p.takeInbox(sh)
 	}
-	var box *T
-	if p.selfLIFO {
-		box, ok = sh.deque.PopBottom()
-	} else {
-		box, ok = sh.deque.Steal()
-	}
-	if ok {
+	if box, ok := sh.deque.PopBottom(); ok {
 		return p.consumeBox(w, box), true
 	}
 	if item, ok = sh.takeLane(false); ok {
@@ -536,13 +530,13 @@ func (p *shardedPool[T]) popFor(w int) (item T, ok bool) {
 
 // stealFrom makes one visit to victim v on behalf of thief w: the victim's
 // oldest lane creator, then its deque top (with the bounded steal-half
-// migration under the stealing discipline), then its inbox. A creator goes
+// migration), then its inbox. A creator goes
 // first because it is a whole subtree the victim will not reach until its
 // own deque is empty: the thief instantiates and runs that subtree on its
 // own deque instead of coming back for the victim's leaves a steal at a
 // time. A hit is charged to the thief's steal counters at the locality
 // level separating the two workers.
-func (p *shardedPool[T]) stealFrom(w int, sh *poolShard[T], v int) (item T, ok bool) {
+func (p *Stealing[T]) stealFrom(w int, sh *poolShard[T], v int) (item T, ok bool) {
 	vs := &p.shards[v]
 	if item, ok = vs.takeLane(true); ok {
 		sh.noteSteal(p.topo.level(w, v), 1)
@@ -553,22 +547,20 @@ func (p *shardedPool[T]) stealFrom(w int, sh *poolShard[T], v int) (item T, ok b
 		// CAS, racing it against the owner's pushes and rival thieves.
 		chaos.Maybe(chaos.SchedStealCAS)
 		if box, bok := vs.deque.Steal(); bok {
+			// Steal half (bounded): keep the extras on our own deque;
+			// their boxes migrate with them.
 			stolen := int64(1)
-			if p.selfLIFO {
-				// Steal half (bounded): keep the extras on our own
-				// deque; their boxes migrate with them.
-				n := vs.deque.Size() / 2
-				if n > stealBatchMax-1 {
-					n = stealBatchMax - 1
+			n := vs.deque.Size() / 2
+			if n > stealBatchMax-1 {
+				n = stealBatchMax - 1
+			}
+			for ; n > 0; n-- {
+				q, qok := vs.deque.Steal()
+				if !qok {
+					break
 				}
-				for ; n > 0; n-- {
-					q, qok := vs.deque.Steal()
-					if !qok {
-						break
-					}
-					sh.deque.PushBottom(q)
-					stolen++
-				}
+				sh.deque.PushBottom(q)
+				stolen++
 			}
 			sh.noteSteal(p.topo.level(w, v), stolen)
 			return p.consumeBox(w, box), true
@@ -591,7 +583,7 @@ func (sh *poolShard[T]) noteSteal(lvl int, n int64) {
 // every deque's indices and inbox and lane counts: a retirer calling this
 // after parking its token observes any item published before the
 // submitter's token-list recheck (the Dekker pairing in releaseToken).
-func (p *shardedPool[T]) anyQueued() bool {
+func (p *Stealing[T]) anyQueued() bool {
 	if p.soloLen.Load() > 0 {
 		return true
 	}
@@ -607,7 +599,7 @@ func (p *shardedPool[T]) anyQueued() bool {
 // handToWaiter gives token w to a blocked Acquire, if any. Release points
 // call this before looking at queued work: a resuming taskwait holds a live
 // task mid-execution, and finishing it beats starting fresh work.
-func (p *shardedPool[T]) handToWaiter(w int) bool {
+func (p *Stealing[T]) handToWaiter(w int) bool {
 	if p.nwaiters.Load() == 0 {
 		return false
 	}
@@ -630,7 +622,7 @@ func (p *shardedPool[T]) handToWaiter(w int) bool {
 // each recheck hit it reclaims a token and serves the counterpart; a
 // reclaim that finds the counterpart already consumed loops — the token
 // must be parked again, and the park must recheck again.
-func (p *shardedPool[T]) releaseToken(w int) {
+func (p *Stealing[T]) releaseToken(w int) {
 	for {
 		if p.handToWaiter(w) {
 			return
@@ -664,7 +656,7 @@ func (p *shardedPool[T]) releaseToken(w int) {
 // find an item after claiming a token means a racing worker took it; the
 // token goes back through the full release path (which rechecks both
 // sides).
-func (p *shardedPool[T]) kick() {
+func (p *Stealing[T]) kick() {
 	// Failpoint: widen the window between the caller's item publication
 	// and the token-list recheck — the submitter side of the Dekker pair.
 	chaos.Maybe(chaos.SchedDekkerRecheck)
@@ -685,7 +677,7 @@ func (p *shardedPool[T]) kick() {
 // Finish is called by a runner that completed its item and still holds
 // worker w: a blocked Acquire wins the token first, then the worker's own
 // shard and steal targets, and otherwise the token retires.
-func (p *shardedPool[T]) Finish(worker int) (next T, ok bool) {
+func (p *Stealing[T]) Finish(worker int) (next T, ok bool) {
 	var zero T
 	if p.handToWaiter(worker) {
 		return zero, false
@@ -700,7 +692,7 @@ func (p *shardedPool[T]) Finish(worker int) (next T, ok bool) {
 // Yield releases worker w while its holder blocks (taskwait, taskgroup,
 // throttle): the token redeploys to a blocked Acquire, to queued work on a
 // fresh goroutine, or to the free list.
-func (p *shardedPool[T]) Yield(worker int) {
+func (p *Stealing[T]) Yield(worker int) {
 	if p.handToWaiter(worker) {
 		return
 	}
@@ -714,7 +706,7 @@ func (p *shardedPool[T]) Yield(worker int) {
 // Acquire blocks until a worker token is available and returns it. The slow
 // path publishes the waiter first and then rechecks the free list, pairing
 // with releaseToken's publish-then-recheck from the other side.
-func (p *shardedPool[T]) Acquire() int {
+func (p *Stealing[T]) Acquire() int {
 	if w, ok := p.tokens.tryPop(); ok {
 		return w
 	}
@@ -736,7 +728,7 @@ func (p *shardedPool[T]) Acquire() int {
 
 // Idle reports whether no items are queued and all tokens are free — i.e.
 // the pool is quiescent. Exact when no operation is in flight.
-func (p *shardedPool[T]) Idle() bool {
+func (p *Stealing[T]) Idle() bool {
 	return !p.anyQueued() &&
 		p.tokens.free() == int64(p.workers) &&
 		p.nwaiters.Load() == 0
@@ -745,7 +737,7 @@ func (p *shardedPool[T]) Idle() bool {
 // QueueLen returns the number of queued (not running) items, summed over
 // the shards. The sum may be momentarily stale while operations are in
 // flight; it is exact at quiescence.
-func (p *shardedPool[T]) QueueLen() int {
+func (p *Stealing[T]) QueueLen() int {
 	n := p.soloLen.Load()
 	for i := range p.shards {
 		sh := &p.shards[i]
@@ -758,7 +750,7 @@ func (p *shardedPool[T]) QueueLen() int {
 // the admission state: each counter is its own atomic read, so transient
 // contradictions — queued work and a free token at once — are expected
 // during admission windows. Monitors must require the signature to persist.
-func (p *shardedPool[T]) Probe() Probe {
+func (p *Stealing[T]) Probe() Probe {
 	var creators int64
 	for i := range p.shards {
 		creators += p.shards[i].llen.Load()
@@ -771,23 +763,6 @@ func (p *shardedPool[T]) Probe() Probe {
 	}
 }
 
-// Stealing is the work-stealing ready pool: one deque per worker, LIFO
-// self-pop (depth-first, cache-warm), FIFO stealing of the oldest — the
-// Cilk discipline — over the sharded admission path above. It replaces the
-// single-lock implementation this package used to ship (preserved as
-// LockedStealing for differential testing and A/B benchmarks): submission
-// onto the own shard and self-pop are lock-free, stealing is one CAS on the
-// victim, and token accounting is the lock-free free list, so Submit,
-// SubmitBatch, Finish, and Yield of different workers no longer serialize
-// on any common lock.
-type Stealing[T any] struct {
-	shardedPool[T]
-}
-
-var _ Queue[int] = (*Stealing[int])(nil)
-var _ AffinityQueue[int] = (*Stealing[int])(nil)
-var _ CreatorQueue[int] = (*Stealing[int])(nil)
-
 // SubmitCreator implements CreatorQueue: a free token starts the item at
 // once, as Submit; otherwise it joins the submitting worker's creator lane
 // instead of its LIFO deque. The owner reaches the lane only once its deque
@@ -797,52 +772,15 @@ var _ CreatorQueue[int] = (*Stealing[int])(nil)
 // takes a victim's outermost, oldest creator ahead of the victim's deque
 // (stealFrom). A submitter holding no token has no lane: its item takes the
 // external route of Submit.
-func (s *Stealing[T]) SubmitCreator(item T, from int) {
-	if w, ok := s.tokens.tryPop(); ok {
-		s.spawnGo(item, w)
+func (p *Stealing[T]) SubmitCreator(item T, from int) {
+	if w, ok := p.tokens.tryPop(); ok {
+		p.spawnGo(item, w)
 		return
 	}
-	if from >= 0 && from < s.workers {
-		s.shards[from].pushLane(item)
+	if from >= 0 && from < p.workers {
+		p.shards[from].pushLane(item)
 	} else {
-		s.pushItem(item, from)
+		p.pushItem(item, from)
 	}
-	s.kick()
-}
-
-// NewStealing creates a work-stealing pool with the given number of worker
-// tokens and the default synthetic topology tree (see Topology).
-func NewStealing[T any](workers int, spawn func(item T, worker int)) *Stealing[T] {
-	return NewStealingTopo(workers, Topology{}, spawn)
-}
-
-// NewStealingTopo creates a work-stealing pool over an explicit locality
-// topology; TopologyFlat selects the flat victim order, the differential
-// reference.
-func NewStealingTopo[T any](workers int, topo Topology, spawn func(item T, worker int)) *Stealing[T] {
-	s := &Stealing[T]{}
-	s.init(workers, spawn, true, topo)
-	return s
-}
-
-// ShardedCentral is the sharded variant of the central Scheduler: one
-// ingress queue per worker and FIFO work-pulling. A submission lands on the
-// submitting worker's ingress queue; a worker pulls its own queue in
-// arrival order and then the other queues, oldest first. Dispatch order is
-// per-queue FIFO (approximate global FIFO), and the admission path scales
-// like the stealing pool's — no pool-wide lock. Global LIFO and Priority
-// disciplines remain central-queue-only (Scheduler), since they order all
-// ready items against each other.
-type ShardedCentral[T any] struct {
-	shardedPool[T]
-}
-
-var _ Queue[int] = (*ShardedCentral[int])(nil)
-
-// NewShardedCentral creates a sharded central pool with the given number of
-// worker tokens and the default synthetic topology tree.
-func NewShardedCentral[T any](workers int, spawn func(item T, worker int)) *ShardedCentral[T] {
-	s := &ShardedCentral[T]{}
-	s.init(workers, spawn, false, Topology{})
-	return s
+	p.kick()
 }

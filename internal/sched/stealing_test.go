@@ -300,3 +300,43 @@ func TestQuickStealingAllItemsRunOnce(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestStealingExternalSpread: with all tokens held, external submissions
+// (out-of-range from) must spread round-robin across the shard inboxes
+// instead of piling onto worker 0's.
+func TestStealingExternalSpread(t *testing.T) {
+	const workers = 4
+	var s *Stealing[int]
+	s = NewStealing(workers, func(item, worker int) {
+		for {
+			next, ok := s.Finish(worker)
+			if !ok {
+				return
+			}
+			item = next
+		}
+	})
+	held := make([]int, workers)
+	for i := range held {
+		held[i] = s.Acquire()
+	}
+	const n = 20
+	for i := 0; i < n; i++ {
+		s.Submit(i, -1)
+	}
+	for d := range s.shards {
+		if got := s.shards[d].ilen.Load(); got != n/workers {
+			t.Fatalf("shard %d inbox holds %d items, want %d", d, got, n/workers)
+		}
+	}
+	for _, w := range held {
+		s.Yield(w)
+	}
+	deadline := time.Now().Add(2 * time.Second)
+	for !s.Idle() {
+		if time.Now().After(deadline) {
+			t.Fatal("pool did not quiesce")
+		}
+		time.Sleep(time.Millisecond)
+	}
+}

@@ -1,6 +1,6 @@
 package sched
 
-// Locality topology for the sharded pools: the per-worker deque shards are
+// Locality topology for the stealing pool: the per-worker deque shards are
 // arranged into a two-level tree (domain → core group → worker), and the
 // steal path walks it nearest-neighbour-first — exhaust the sibling group,
 // then the rest of the domain, then cross domains — instead of treating
@@ -16,7 +16,7 @@ package sched
 // as every sharded/reference pair in this repo: both orders must uphold
 // identical admission invariants, only placement and steal distance differ.
 
-// Topology configures the locality tree of a sharded pool's worker shards.
+// Topology configures the locality tree of the stealing pool's worker shards.
 // The zero value derives a synthetic tree from the worker count (groups of
 // defaultGroupSize, up to defaultGroupsPerDomain groups per domain), which
 // is the default for the stealing pool.
@@ -135,8 +135,8 @@ func (t *topoTree) level(w, v int) int {
 	}
 }
 
-// AffinityQueue is the optional Queue extension implemented by the sharded
-// pools: SubmitBatchAffinity admits a batch like SubmitBatch but consults a
+// AffinityQueue is the optional Queue extension implemented by the stealing
+// pool: SubmitBatchAffinity admits a batch like SubmitBatch but consults a
 // per-item placement hint — the worker whose shard group last touched the
 // item's ready data (-1 for none). Hinted items whose group differs from
 // the submitter's are routed to the hinted worker's shard inbox, so the

@@ -12,8 +12,8 @@ import (
 // runtime shipped before the sharded window, preserved for differential
 // testing and contention A/Bs.
 type locked struct {
-	limit int64
-	open  atomic.Int64
+	limit   int64
+	open    atomic.Int64
 	mu      sync.Mutex
 	cond    *sync.Cond
 	parks   atomic.Int64

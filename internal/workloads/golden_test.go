@@ -108,85 +108,93 @@ func orderErr(bench, a string, av int64, b string, bv int64) string {
 
 // TestGoldenEngineSchedulerMatrix runs the three compute-validating
 // workloads (cholesky, sparselu, sortsum) under both dependency engines ×
-// every central-queue policy, in real mode with computation enabled, so
-// each run's numerical result is checked against the sequential oracle.
+// every ready-queue policy — FIFO on the work-stealing pool (at 8 workers
+// even in short mode, so steals and the creator lane are exercised), LIFO
+// and Priority on the central queue — in real mode with computation
+// enabled, so each run's numerical result is checked against the
+// sequential oracle.
 // This is the workload-level completion of the differential tests in
 // internal/deps: whatever the engine implementation and dispatch order,
 // the dependency semantics must produce oracle-identical numerics.
 func TestGoldenEngineSchedulerMatrix(t *testing.T) {
 	engines := []nanos.EngineKind{nanos.EngineGlobal, nanos.EngineSharded}
-	policies := []struct {
-		name   string
-		policy nanos.Policy
-	}{
-		{"fifo", nanos.FIFO},
-		{"lifo", nanos.LIFO},
-		{"priority", nanos.Priority},
-	}
 	workers := 8
 	if testing.Short() {
 		workers = 4
 	}
+	policies := []struct {
+		name    string
+		policy  nanos.Policy
+		workers int
+	}{
+		{"fifo-stealing", nanos.FIFO, 8},
+		{"lifo-central", nanos.LIFO, workers},
+		{"priority-central", nanos.Priority, workers},
+	}
 	for _, eng := range engines {
 		for _, pol := range policies {
-			// ReadyPool is forced central so each row really exercises the
-			// named policy (under PoolAuto, the FIFO default resolves to
-			// the sharded stealing pool, covered by TestGoldenEnginePools).
-			mode := Mode{Workers: workers, Engine: eng, Policy: pol.policy,
-				ReadyPool: nanos.PoolCentral, Debug: true}
+			mode := Mode{Workers: pol.workers, Engine: eng, Policy: pol.policy, Debug: true}
 			t.Run(fmt.Sprintf("%s/%s", eng, pol.name), func(t *testing.T) {
-				for _, v := range CholVariants {
-					res, err := RunCholesky(mode, v, CholParams{N: 128, TS: 32, Seed: 7, Compute: true})
-					if err != nil {
-						t.Fatalf("cholesky %s: %v", v, err)
-					}
-					if st := res.Runtime.DepStats(); st.Releases < st.Fragments {
-						t.Fatalf("cholesky %s: %d fragments, %d releases (leak)", v, st.Fragments, st.Releases)
-					}
-				}
-				for _, v := range SparseLUVariants {
-					res, _, err := RunSparseLU(mode, v, SparseLUParams{B: 6, TS: 16, Density: 0.5, Seed: 7, Compute: true})
-					if err != nil {
-						t.Fatalf("sparselu %s: %v", v, err)
-					}
-					if st := res.Runtime.DepStats(); st.Releases < st.Fragments {
-						t.Fatalf("sparselu %s: %d fragments, %d releases (leak)", v, st.Fragments, st.Releases)
-					}
-				}
-				for _, v := range SortVariants {
-					res, err := RunSortSum(mode, v, SortParams{N: 1 << 13, TS: 1 << 8, Seed: 7})
-					if err != nil {
-						t.Fatalf("sortsum %s: %v", v, err)
-					}
-					if st := res.Runtime.DepStats(); st.Releases < st.Fragments {
-						t.Fatalf("sortsum %s: %d fragments, %d releases (leak)", v, st.Fragments, st.Releases)
-					}
-				}
+				runGoldenOracle(t, mode)
 			})
 		}
 	}
 }
 
-// TestGoldenEnginePools covers the remaining ready pools: both engines
-// under the sharded work-stealing deques (the real-mode default), the
-// sharded central queue, and the single-lock stealing reference,
-// oracle-validated as above.
-func TestGoldenEnginePools(t *testing.T) {
-	pools := []nanos.PoolKind{nanos.PoolStealing, nanos.PoolShardedCentral, nanos.PoolLockedStealing}
+// TestGoldenSingleWorkerPools repeats the oracle check with one worker, under
+// both engines × every pool: the stealing pool without affinity routing or a
+// thief, and the central queue under each global order, with every taskwait
+// yielding the only token.
+func TestGoldenSingleWorkerPools(t *testing.T) {
+	policies := []struct {
+		name   string
+		policy nanos.Policy
+	}{
+		{"fifo-stealing", nanos.FIFO},
+		{"lifo-central", nanos.LIFO},
+		{"priority-central", nanos.Priority},
+	}
 	for _, eng := range []nanos.EngineKind{nanos.EngineGlobal, nanos.EngineSharded} {
-		for _, pool := range pools {
-			mode := Mode{Workers: 8, Engine: eng, ReadyPool: pool, Debug: true}
-			t.Run(fmt.Sprintf("%s/%s", eng, pool), func(t *testing.T) {
-				if _, err := RunCholesky(mode, CholNestWeak, CholParams{N: 128, TS: 32, Seed: 7, Compute: true}); err != nil {
-					t.Fatalf("cholesky: %v", err)
-				}
-				if _, _, err := RunSparseLU(mode, LUNestWeak, SparseLUParams{B: 6, TS: 16, Density: 0.5, Seed: 7, Compute: true}); err != nil {
-					t.Fatalf("sparselu: %v", err)
-				}
-				if _, err := RunSortSum(mode, SortWeak, SortParams{N: 1 << 13, TS: 1 << 8, Seed: 7}); err != nil {
-					t.Fatalf("sortsum: %v", err)
-				}
+		for _, pol := range policies {
+			mode := Mode{Workers: 1, Engine: eng, Policy: pol.policy, Debug: true}
+			t.Run(fmt.Sprintf("%s/%s", eng, pol.name), func(t *testing.T) {
+				runGoldenOracle(t, mode)
 			})
+		}
+	}
+}
+
+// runGoldenOracle runs every cholesky, sparselu and sortsum variant under
+// mode with computation enabled; each Run* checks its result against the
+// sequential oracle, and the dependency statistics must show no leaked
+// fragment.
+func runGoldenOracle(t *testing.T, mode Mode) {
+	t.Helper()
+	for _, v := range CholVariants {
+		res, err := RunCholesky(mode, v, CholParams{N: 128, TS: 32, Seed: 7, Compute: true})
+		if err != nil {
+			t.Fatalf("cholesky %s: %v", v, err)
+		}
+		if st := res.Runtime.DepStats(); st.Releases < st.Fragments {
+			t.Fatalf("cholesky %s: %d fragments, %d releases (leak)", v, st.Fragments, st.Releases)
+		}
+	}
+	for _, v := range SparseLUVariants {
+		res, _, err := RunSparseLU(mode, v, SparseLUParams{B: 6, TS: 16, Density: 0.5, Seed: 7, Compute: true})
+		if err != nil {
+			t.Fatalf("sparselu %s: %v", v, err)
+		}
+		if st := res.Runtime.DepStats(); st.Releases < st.Fragments {
+			t.Fatalf("sparselu %s: %d fragments, %d releases (leak)", v, st.Fragments, st.Releases)
+		}
+	}
+	for _, v := range SortVariants {
+		res, err := RunSortSum(mode, v, SortParams{N: 1 << 13, TS: 1 << 8, Seed: 7})
+		if err != nil {
+			t.Fatalf("sortsum %s: %v", v, err)
+		}
+		if st := res.Runtime.DepStats(); st.Releases < st.Fragments {
+			t.Fatalf("sortsum %s: %d fragments, %d releases (leak)", v, st.Fragments, st.Releases)
 		}
 	}
 }

@@ -29,14 +29,9 @@ type Mode struct {
 	// Virtual selects virtual-time execution (for core-count sweeps beyond
 	// the host machine, Figures 4 and 6).
 	Virtual bool
-	// Policy is the ready-queue discipline of the central pool.
+	// Policy is the ready-queue discipline; it also selects the ready pool
+	// (FIFO: work stealing; LIFO, Priority: the central queue).
 	Policy nanos.Policy
-	// ReadyPool selects the ready-pool implementation (scheduler ablation;
-	// real mode only — PoolAuto picks sharded stealing).
-	ReadyPool nanos.PoolKind
-	// Stealing is the legacy selector for the work-stealing pool (same as
-	// ReadyPool = PoolStealing).
-	Stealing bool
 	// Engine selects the dependency-engine implementation (engine A/B
 	// comparisons; EngineAuto picks sharded).
 	Engine nanos.EngineKind
@@ -96,8 +91,6 @@ func (m Mode) config() nanos.Config {
 		Workers:           w,
 		Virtual:           m.Virtual,
 		Policy:            m.Policy,
-		ReadyPool:         m.ReadyPool,
-		Stealing:          m.Stealing,
 		DepEngine:         m.Engine,
 		NoHandoff:         m.NoHandoff,
 		EnableTrace:       m.Trace,

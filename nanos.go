@@ -47,12 +47,12 @@
 // engines in lockstep over random task programs to keep them observably
 // equivalent.
 //
-// The scheduler admission path is sharded the same way: real mode defaults
-// to a work-stealing ready pool with one lock-free deque per worker and
-// lock-free token accounting (Config.ReadyPool = PoolAuto), so submitting,
-// finishing, and yielding tasks on different workers never serialize on a
-// common lock. The single-lock central queue (FIFO/LIFO/Priority) and a
-// sharded central variant remain selectable for ablations.
+// The scheduler admission path is sharded the same way: under the default
+// FIFO policy, real mode runs a work-stealing ready pool with one lock-free
+// deque and one creator lane per worker and lock-free token accounting, so
+// submitting, finishing, and yielding tasks on different workers never
+// serialize on a common lock. The LIFO and Priority policies are global
+// orders and run on the single-lock central queue instead.
 //
 // With the locks sharded away, the remaining steady-state cost is
 // allocator and GC traffic, and real mode therefore defaults to pooled
@@ -121,7 +121,8 @@ type (
 	AccessType = core.AccessType
 	// CacheConfig configures the per-worker cache simulation.
 	CacheConfig = cachesim.Config
-	// Policy is the ready-queue discipline.
+	// Policy is the ready-queue discipline; it also selects the ready
+	// pool (FIFO: work stealing; LIFO, Priority: the central queue).
 	Policy = sched.Policy
 	// DepStats exposes dependency-engine activity counters.
 	DepStats = deps.Stats
@@ -146,17 +147,12 @@ type (
 	// EngineKind selects the dependency-engine implementation
 	// (Config.DepEngine).
 	EngineKind = deps.EngineKind
-	// PoolKind selects the ready-pool implementation (Config.ReadyPool).
-	PoolKind = sched.PoolKind
 	// Topology arranges the stealing pool's worker shards into a locality
 	// tree (domain → core group → worker) for nearest-first steal victim
 	// selection (Config.Topology). The zero value derives a synthetic tree
 	// from the worker count; sched.TopologyFlat selects the flat reference
 	// order.
 	Topology = sched.Topology
-	// PoolStats exposes ready-pool steal counters, including the
-	// steal-distance histogram over the topology tree.
-	PoolStats = sched.PoolStats
 	// ThrottleKind selects the throttle-window implementation
 	// (Config.ThrottleImpl).
 	ThrottleKind = throttle.Kind
@@ -219,26 +215,6 @@ const (
 	// Priority dispatches the ready task with the highest TaskSpec.Priority
 	// first (FIFO among equals) — the OpenMP 4.5 priority clause.
 	Priority = sched.Priority
-)
-
-// Ready-pool kinds for Config.ReadyPool.
-const (
-	// PoolAuto picks the sharded work-stealing pool in real mode (the
-	// central queue when Policy is LIFO or Priority, which are global
-	// orders); virtual mode runs its own deterministic event list.
-	PoolAuto = sched.PoolAuto
-	// PoolCentral is the single-lock central queue (FIFO/LIFO/Priority).
-	PoolCentral = sched.PoolCentral
-	// PoolShardedCentral is the sharded central queue: per-worker ingress
-	// queues with FIFO work-pulling and no pool-wide lock.
-	PoolShardedCentral = sched.PoolShardedCentral
-	// PoolStealing is the sharded work-stealing pool: per-worker lock-free
-	// deques, LIFO self-pop, CAS-based FIFO stealing, lock-free token
-	// accounting.
-	PoolStealing = sched.PoolStealing
-	// PoolLockedStealing is the single-lock work-stealing reference
-	// implementation (differential testing and contention A/Bs).
-	PoolLockedStealing = sched.PoolLockedStealing
 )
 
 // TopologyFlat selects the flat steal victim order for Config.Topology —

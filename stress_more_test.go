@@ -98,9 +98,9 @@ func runStressCfg(t *testing.T, tasks []*stressTask, cfg nanos.Config, prio func
 }
 
 // TestStressSchedulerMatrix runs random programs (with the early-release
-// directive active in every weakwait task) across the scheduler
-// configurations: FIFO, LIFO, Priority with random priorities, and work
-// stealing, with and without hand-off.
+// directive active in every weakwait task) across the ready pools: work
+// stealing (the FIFO policy) and the central queue under LIFO and under
+// Priority with random priorities, each with and without hand-off.
 func TestStressSchedulerMatrix(t *testing.T) {
 	type cfgCase struct {
 		name string
@@ -108,12 +108,12 @@ func TestStressSchedulerMatrix(t *testing.T) {
 		prio bool
 	}
 	cases := []cfgCase{
-		{"fifo", nanos.Config{Workers: 4}, false},
-		{"lifo", nanos.Config{Workers: 4, Policy: nanos.LIFO}, false},
-		{"priority", nanos.Config{Workers: 4, Policy: nanos.Priority}, true},
-		{"stealing", nanos.Config{Workers: 4, Stealing: true}, false},
-		{"fifo-nohandoff", nanos.Config{Workers: 4, NoHandoff: true}, false},
-		{"stealing-nohandoff", nanos.Config{Workers: 4, Stealing: true, NoHandoff: true}, false},
+		{"stealing", nanos.Config{Workers: 4}, false},
+		{"stealing-nohandoff", nanos.Config{Workers: 4, NoHandoff: true}, false},
+		{"central-lifo", nanos.Config{Workers: 4, Policy: nanos.LIFO}, false},
+		{"central-lifo-nohandoff", nanos.Config{Workers: 4, Policy: nanos.LIFO, NoHandoff: true}, false},
+		{"central-priority", nanos.Config{Workers: 4, Policy: nanos.Priority}, true},
+		{"central-priority-nohandoff", nanos.Config{Workers: 4, Policy: nanos.Priority, NoHandoff: true}, true},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -263,7 +263,6 @@ func TestStressTaskwaitContinuationMatrix(t *testing.T) {
 		t.Run(fmt.Sprintf("impl=%v", impl), func(t *testing.T) {
 			rt := nanos.New(nanos.Config{
 				Workers:           4,
-				Stealing:          true,
 				ThrottleOpenTasks: 6,
 				TaskwaitImpl:      impl,
 				Debug:             true,
