@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: all help build vet test race flake bench-short bench-check sched-smoke throttle-smoke mem-smoke replay-smoke wait-smoke ws-smoke topo-smoke chaos-smoke perftrack-smoke depbench perftrack ci
+.PHONY: all help build vet test race flake bench-short bench-check sched-smoke throttle-smoke mem-smoke replay-smoke wait-smoke ws-smoke topo-smoke chaos-smoke depbench ci
 
 all: build
 
@@ -50,10 +50,6 @@ help:
 	@echo "                 lost wakeup must be named, healthy run must stay silent),"
 	@echo "                 panic-safe drain suite, chaos unit tests, and the depbench"
 	@echo "                 chaos table with its 0-stalls expectation"
-	@echo "  perftrack-smoke perf-trajectory gates: perfstat + pattern-detector unit tests,"
-	@echo "                 the synthetic gate/detector selftest (both verdicts), and a"
-	@echo "                 reduced-op collect + append + compare cycle against a scratch"
-	@echo "                 history (wide materiality floor so host noise cannot flake CI)"
 	@echo "  depbench       contention tables: deps engines (incl. pooled memory), sched pools,"
 	@echo "                 throttle windows, replay cache, taskwait strategies, worksharing"
 	@echo "                  chunks, steal locality (go run ./cmd/depbench; -mode deps|sched|"
@@ -61,10 +57,7 @@ help:
 	@echo "                  -ops/-sched-ops/-throttle-ops/-window/-replay-iters/-wait-reps/"
 	@echo "                  -ws-iters/-ws-grain/-locality-ops/-chaos-seed/-chaos-rate size the"
 	@echo "                  sweeps; -json emits machine-readable rows instead of tables)"
-	@echo "  perftrack      full perf-trajectory run: collect the depbench matrix + reproduce"
-	@echo "                 workloads under CV validation, gate against the last committed"
-	@echo "                 record, append to BENCH_history.json (go run ./cmd/perftrack)"
-	@echo "  ci             build + vet + test + race + bench-short + bench-check + sched/throttle/mem/replay/wait/ws/topo/chaos/perftrack smokes"
+	@echo "  ci             build + vet + test + race + bench-short + bench-check + sched/throttle/mem/replay/wait/ws/topo/chaos smokes"
 
 build:
 	$(GO) build ./...
@@ -179,11 +172,10 @@ ws-smoke:
 	$(GO) run ./cmd/depbench -mode ws -workers 2,4 -ws-iters 40 -ws-grain 64,256
 
 # Contention tables (deps: global vs sharded engine, plus the pooled
-# memory mode; sched: single-lock vs
-# sharded ready pools; throttle: mutex+cond vs sharded token-bucket
-# window; replay: live engine vs frozen-graph replay per sweep; wait:
-# parking vs continuation taskwait). See `go doc ./cmd/depbench` for the
-# flags and columns.
+# memory mode; sched: central single-lock vs work-stealing ready pool;
+# throttle: mutex+cond vs sharded token-bucket window; replay: live engine
+# vs frozen-graph replay per sweep; wait: parking vs continuation
+# taskwait). See `go doc ./cmd/depbench` for the flags and columns.
 depbench:
 	$(GO) run ./cmd/depbench
 
@@ -217,26 +209,4 @@ chaos-smoke:
 	$(GO) test -race -short -run 'TestChaosGroupsCoverAllSites|TestChaosBenchRows' ./internal/harness
 	$(GO) run ./cmd/depbench -mode chaos -workers 4 -chaos-iters 32
 
-# Perf-trajectory smoke: the statistics layer's unit tests (CV collection,
-# Welch/Mann-Whitney, gate verdicts both ways), the pattern detector's
-# synthetic pass/fail suite, the perftrack selftest (a synthetic regression
-# must gate, an identical sample must not; a serialized trace must
-# classify, a healthy one must not), and one reduced-op collect + append +
-# compare cycle against a scratch history. The compare step uses a wide
-# materiality floor (-min-delta 3.0) because its job here is to exercise
-# the plumbing — verdict correctness is proven by the selftest and unit
-# tests, and a tight floor would flake on noisy CI hosts.
-perftrack-smoke:
-	$(GO) test ./internal/perfstat
-	$(GO) test -run 'TestDetectPatterns|TestDetectSerializedCreation|TestDetectStarvedWorkers|TestDetectWaitHeavy|TestPatternReportRendering' ./internal/trace
-	$(GO) run ./cmd/perftrack -selftest-gate
-	rm -f /tmp/perftrack_smoke.json
-	$(GO) run ./cmd/perftrack -quick -workers 1,2 -reps 3 -history /tmp/perftrack_smoke.json
-	$(GO) run ./cmd/perftrack -quick -workers 1,2 -reps 3 -history /tmp/perftrack_smoke.json -compare -no-append -min-delta 3.0
-
-# Full trajectory run: collect, gate against the last committed record,
-# and append to BENCH_history.json (commit the result).
-perftrack:
-	$(GO) run ./cmd/perftrack -compare
-
-ci: build vet test race bench-short bench-check sched-smoke throttle-smoke mem-smoke replay-smoke wait-smoke ws-smoke topo-smoke chaos-smoke perftrack-smoke
+ci: build vet test race bench-short bench-check sched-smoke throttle-smoke mem-smoke replay-smoke wait-smoke ws-smoke topo-smoke chaos-smoke

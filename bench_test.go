@@ -1,9 +1,9 @@
 package nanos_test
 
 // One benchmark per table/figure of the paper (§VIII), plus ablations of
-// the design choices called out in DESIGN.md. Sizes are scaled so that
-// `go test -bench=. -benchmem` completes in minutes on a laptop; the
-// cmd/*bench tools run the full sweeps.
+// the design choices called out in docs/ARCHITECTURE.md. Sizes are scaled
+// so that `go test -bench=. -benchmem` completes in minutes on a laptop;
+// cmd/reproduce runs the full sweeps.
 //
 // Custom metrics: gflop/s (figures 3-5), miss-ratio (figure 3 bottom),
 // eff-par (figure 6), overlap-frac (figure 7).
@@ -13,7 +13,6 @@ import (
 	"testing"
 
 	nanos "repro"
-	"repro/internal/cluster"
 	"repro/internal/harness"
 	"repro/internal/trace"
 	"repro/internal/workloads"
@@ -417,35 +416,6 @@ func BenchmarkSparseLUVariants(b *testing.B) {
 			b.ReportMetric(float64(fills), "fill-ins")
 		})
 	}
-}
-
-// BenchmarkClusterLazyVsEager quantifies the §X future-work claim on the
-// cluster substrate: bytes moved by eager whole-dataset copies (strong
-// outer deps) versus lazy per-subtask copies (weak deps).
-func BenchmarkClusterLazyVsEager(b *testing.B) {
-	b.ReportAllocs()
-	sc := cluster.Scenario{N: 1 << 20, Calls: 8, TaskSize: 1 << 14}
-	cfg := cluster.Config{Nodes: 8, ElemSize: 8, NodeMemory: 1 << 19}
-	b.Run("eager", func(b *testing.B) {
-		b.ReportAllocs()
-		var res cluster.Result
-		for i := 0; i < b.N; i++ {
-			res = sc.RunEager(cfg)
-		}
-		b.ReportMetric(float64(res.MovedBytes)/1e6, "MB-moved")
-		b.ReportMetric(float64(res.Failures), "mem-failures")
-		b.ReportMetric(float64(res.Makespan), "makespan")
-	})
-	b.Run("lazy", func(b *testing.B) {
-		b.ReportAllocs()
-		var res cluster.Result
-		for i := 0; i < b.N; i++ {
-			res = sc.RunLazy(cfg)
-		}
-		b.ReportMetric(float64(res.MovedBytes)/1e6, "MB-moved")
-		b.ReportMetric(float64(res.Failures), "mem-failures")
-		b.ReportMetric(float64(res.Makespan), "makespan")
-	})
 }
 
 // BenchmarkMicroFibCutoff: recursive Fibonacci through the dependency

@@ -7,8 +7,8 @@
 //     global-lock engine and the per-data-object sharded engine.
 //   - sched: the scheduler admission path. The analogous disjoint chain
 //     workload (w runner chains, each submitting its successor from its
-//     own worker and chaining through Finish) runs through the single-lock
-//     ready pools and the sharded (lock-free deque) pools.
+//     own worker and chaining through Finish) runs through the central
+//     single-lock ready pool and the work-stealing (lock-free deque) pool.
 //   - throttle: the open-task admission window (bounded lookahead). The
 //     analogous cycle workload (w submitters sharing one contended window,
 //     each cycling reserve → enter → start) runs through the mutex+cond
@@ -52,9 +52,9 @@
 //
 // The benchmark kernels live in internal/harness (DepsBench, SchedBench,
 // ThrottleBench, ReplayOverheadBench, WSChunkBench, WaitBench,
-// LocalityBench), shared with cmd/perftrack; see that package for the
-// per-kernel workload and counter documentation. This command owns the
-// sweep loops, warm-up passes, and formatting.
+// LocalityBench); see that package for the per-kernel workload and
+// counter documentation. This command owns the sweep loops, warm-up
+// passes, and formatting.
 //
 // Usage:
 //
@@ -73,7 +73,7 @@
 // -json replaces the text tables with one machine-readable JSON array on
 // stdout: one object per table row, {"table","row","workers","params",
 // "metrics"}, with every numeric column under its snake_case key in
-// "metrics". cmd/perftrack and plotting pipelines consume this form.
+// "metrics", for plotting pipelines.
 package main
 
 import (

@@ -1,11 +1,9 @@
 package harness
 
 // This file holds the contention benchmark kernels behind cmd/depbench's
-// tables, extracted so that cmd/perftrack can run the same matrix
-// in-process (one measurement = one kernel call) instead of scraping the
-// depbench text output. Each kernel drives one subsystem's worst-case
-// workload and returns raw counters; the callers own formatting,
-// warm-up policy, and GOMAXPROCS pinning.
+// tables (one measurement = one kernel call). Each kernel drives one
+// subsystem's worst-case workload and returns raw counters; the callers
+// own formatting, warm-up policy, and GOMAXPROCS pinning.
 //
 // The counters every kernel samples:
 //

@@ -4,16 +4,14 @@ import (
 	"fmt"
 	"io"
 
-	"repro/internal/cluster"
 	"repro/internal/metrics"
 	"repro/internal/workloads"
 )
 
 // This file drives the experiments that go beyond the paper's evaluation
 // section: the blocked-Cholesky workload (harness.Cholesky in harness.go),
-// the task-granularity microbenchmarks, and the §X future-work cluster
-// scenario. EXPERIMENTS.md records their expected shapes alongside the
-// paper's figures.
+// the task-granularity microbenchmarks, and the record-and-replay
+// graph-region sweeps (replaybench.go).
 
 // FibOverhead prints the per-task overhead exposure: recursive Fibonacci
 // under the three granularity cutoffs. Full tasking pays the runtime on
@@ -43,31 +41,6 @@ func FibOverhead(w io.Writer, o Options) error {
 	return nil
 }
 
-// ClusterReport prints the §X eager-vs-lazy comparison on the distributed
-// substrate: bytes moved, makespan under the bandwidth/latency model, peak
-// node memory, and capacity failures under a node-memory cap.
-func ClusterReport(w io.Writer, o Options) error {
-	o = o.defaults()
-	sc := cluster.Scenario{N: scaled(1<<20, o.Scale), Calls: 8, TaskSize: 1 << 14}
-	if o.Quick {
-		sc = cluster.Scenario{N: 1 << 14, Calls: 4, TaskSize: 1 << 10}
-	}
-	cfg := cluster.Config{Nodes: 8, ElemSize: 8, NodeMemory: sc.N / 2}
-	t := metrics.NewTable(
-		fmt.Sprintf("OmpSs@cluster scenario (§X) — N=%d elems, %d calls, %d nodes, node memory N/2",
-			sc.N, sc.Calls, cfg.Nodes),
-		"strategy", "MB moved", "makespan", "peak node elems", "capacity failures")
-	for _, res := range []cluster.Result{sc.RunEager(cfg), sc.RunLazy(cfg)} {
-		t.Add(res.Strategy,
-			fmt.Sprintf("%.2f", float64(res.MovedBytes)/1e6),
-			fmt.Sprintf("%d", res.Makespan),
-			fmt.Sprintf("%d", res.PeakUsage),
-			fmt.Sprintf("%d", res.Failures))
-	}
-	fmt.Fprintln(w, t)
-	return nil
-}
-
 // Extensions runs every beyond-the-paper experiment.
 func Extensions(w io.Writer, o Options) error {
 	fmt.Fprintln(w, "=== Extensions beyond the paper's evaluation ===")
@@ -78,8 +51,5 @@ func Extensions(w io.Writer, o Options) error {
 	if err := FibOverhead(w, o); err != nil {
 		return err
 	}
-	if err := ReplayBench(w, o, ""); err != nil {
-		return err
-	}
-	return ClusterReport(w, o)
+	return ReplayBench(w, o)
 }

@@ -352,8 +352,8 @@ func Fig7(w io.Writer, o Options) error {
 
 // ExportFig7 runs the Figure 7 workload once per variant and writes the
 // trace of each through export, which receives the variant name and the
-// tracer. Used by cmd/sortbench to emit Chrome-trace JSON or Paraver-like
-// PRV files for external viewers.
+// tracer. Used by cmd/reproduce -chrome/-prv to emit Chrome-trace JSON or
+// Paraver-like PRV files for external viewers.
 func ExportFig7(o Options, export func(variant string, tr *trace.Tracer) error) error {
 	o = o.defaults()
 	n := scaled(1<<18, o.Scale)

@@ -2,10 +2,12 @@ package harness
 
 import (
 	"bytes"
+	"encoding/json"
 	"strings"
 	"testing"
 
 	"repro/internal/metrics"
+	"repro/internal/trace"
 	"repro/internal/workloads"
 )
 
@@ -81,6 +83,56 @@ func TestFig7Quick(t *testing.T) {
 	}
 	if !strings.Contains(out, "phase overlap") || !strings.Contains(out, "=idle") {
 		t.Fatalf("missing timeline or overlap metric:\n%s", out)
+	}
+}
+
+// TestExportFig7Quick: the trace export behind reproduce -chrome/-prv
+// hands over one tracer per sort variant, whose Chrome output is a valid
+// event array covering both algorithm phases and whose PRV output carries
+// the Paraver header.
+func TestExportFig7Quick(t *testing.T) {
+	var got []string
+	err := ExportFig7(Options{Quick: true}, func(variant string, tr *trace.Tracer) error {
+		got = append(got, variant)
+		var chrome bytes.Buffer
+		if err := tr.WriteChrome(&chrome); err != nil {
+			return err
+		}
+		var events []trace.ChromeEvent
+		if err := json.Unmarshal(chrome.Bytes(), &events); err != nil {
+			t.Fatalf("%s: Chrome output does not unmarshal: %v", variant, err)
+		}
+		if len(events) == 0 {
+			t.Fatalf("%s: Chrome output has no events", variant)
+		}
+		kinds := map[string]bool{}
+		for _, e := range events {
+			kinds[e.Name] = true
+		}
+		for _, want := range []string{"quick_sort", "prefix_sum"} {
+			if !kinds[want] {
+				t.Errorf("%s: Chrome output has no %q event (kinds %v)", variant, want, kinds)
+			}
+		}
+		var prv bytes.Buffer
+		if err := tr.WritePRV(&prv); err != nil {
+			return err
+		}
+		if !strings.HasPrefix(prv.String(), "#Paraver") {
+			t.Errorf("%s: PRV output lacks the #Paraver header: %.40q", variant, prv.String())
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != len(workloads.SortVariants) {
+		t.Fatalf("exported variants %v, want one per %v", got, workloads.SortVariants)
+	}
+	for i, v := range workloads.SortVariants {
+		if got[i] != string(v) {
+			t.Errorf("variant %d exported as %q, want %q", i, got[i], v)
+		}
 	}
 }
 

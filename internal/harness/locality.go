@@ -8,12 +8,11 @@ import (
 	"repro/internal/sched"
 )
 
-// Locality kernel behind depbench's -mode locality table and the
-// perftrack locality entries: a deliberately imbalanced drain workload —
-// every group's work starts piled on one shard, so every other worker
-// can only make progress by stealing — driven through the stealing pool
-// under a tree topology and under the flat reference order. The
-// interesting outputs are not ops/s but *where* the steals went: the
+// Locality kernel behind depbench's -mode locality table: a deliberately
+// imbalanced drain workload — every group's work starts piled on one
+// shard, so every other worker can only make progress by stealing —
+// driven through the stealing pool under a tree topology and under the
+// flat reference order. The interesting outputs are not ops/s but *where* the steals went: the
 // steal-distance histogram and the cross-group steal rate, which the
 // nearest-first victim walk must push toward the sibling level while the
 // flat order scatters them across the tree.

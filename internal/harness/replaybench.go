@@ -1,10 +1,8 @@
 package harness
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
-	"os"
 
 	nanos "repro"
 	"repro/internal/metrics"
@@ -16,26 +14,10 @@ import (
 // formulations of the Gauss-Seidel and heat sweeps run with the cache off
 // (every sweep through the live dependency engine) and on (first sweep
 // records, the rest replay frozen countdown graphs), and the per-sweep
-// times land in a table and, optionally, a JSON file (BENCH_replay.json).
-
-// ReplayRow is one workload × cache-mode measurement of the replay
-// experiment, as serialized into the JSON report.
-type ReplayRow struct {
-	Workload   string  `json:"workload"`
-	Replay     string  `json:"replay"`
-	Workers    int     `json:"workers"`
-	Iters      int     `json:"iters"`
-	Tasks      int64   `json:"tasks"`
-	WallMS     float64 `json:"wall_ms"`
-	PerSweepMS float64 `json:"per_sweep_ms"`
-	Records    int64   `json:"records"`
-	Replays    int64   `json:"replays"`
-}
+// times land in a table.
 
 // ReplayBench measures the graph-region sweeps with the cache off and on.
-// jsonPath, when non-empty, receives the rows as a JSON array (the
-// BENCH_replay.json record the repository keeps).
-func ReplayBench(w io.Writer, o Options, jsonPath string) error {
+func ReplayBench(w io.Writer, o Options) error {
 	o = o.defaults()
 	gsP := workloads.GSParams{N: scaled(512, o.Scale), TS: 32, Iters: 24, Compute: true}
 	heatP := workloads.HeatParams{N: scaled(512, o.Scale), TS: 32, Iters: 24, Compute: true}
@@ -47,7 +29,6 @@ func ReplayBench(w io.Writer, o Options, jsonPath string) error {
 		fmt.Sprintf("Record-and-replay graph regions — %d workers, %d sweeps (before/after per-sweep time)",
 			o.Cores, gsP.Iters),
 		"workload", "replay", "tasks", "wall", "ms/sweep", "records", "replays", "speedup")
-	var rows []ReplayRow
 	type bench struct {
 		name  string
 		iters int
@@ -80,24 +61,8 @@ func ReplayBench(w io.Writer, o Options, jsonPath string) error {
 			t.Add(b.name, kind.String(), fmt.Sprintf("%d", res.Tasks),
 				res.Wall.Round(10000).String(), fmt.Sprintf("%.3f", perSweep),
 				fmt.Sprintf("%d", st.Records), fmt.Sprintf("%d", st.Replays), speedup)
-			rows = append(rows, ReplayRow{
-				Workload: b.name, Replay: kind.String(), Workers: o.Cores,
-				Iters: b.iters, Tasks: res.Tasks,
-				WallMS:     float64(res.Wall.Microseconds()) / 1000,
-				PerSweepMS: perSweep, Records: st.Records, Replays: st.Replays,
-			})
 		}
 	}
 	fmt.Fprintln(w, t)
-	if jsonPath != "" {
-		data, err := json.MarshalIndent(rows, "", "  ")
-		if err != nil {
-			return err
-		}
-		if err := os.WriteFile(jsonPath, append(data, '\n'), 0o644); err != nil {
-			return fmt.Errorf("harness: writing %s: %w", jsonPath, err)
-		}
-		fmt.Fprintf(w, "(rows written to %s)\n\n", jsonPath)
-	}
 	return nil
 }

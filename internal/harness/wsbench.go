@@ -1,10 +1,8 @@
 package harness
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
-	"os"
 
 	nanos "repro"
 	"repro/internal/metrics"
@@ -16,26 +14,11 @@ import (
 // loop workloads run twice — decomposed into one task per chunk (the
 // Taskloop shape the paper's listing 5 hand-writes) and as worksharing
 // tasks (one dependency-carrying task per region, chunk-distributed body).
-// The before/after wall times land in a table and, optionally, a JSON
-// file (BENCH_ws.json).
-
-// WSRow is one workload × strategy measurement of the worksharing
-// experiment, as serialized into the JSON report.
-type WSRow struct {
-	Workload     string  `json:"workload"`
-	Impl         string  `json:"impl"`
-	Workers      int     `json:"workers"`
-	Tasks        int64   `json:"tasks"`
-	WallMS       float64 `json:"wall_ms"`
-	Regions      int64   `json:"regions"`
-	HelperChunks int64   `json:"helper_chunks"`
-}
+// The before/after wall times land in a table.
 
 // WSBench measures the fine-grain loop workloads under the per-chunk-task
-// expansion and the worksharing strategy. jsonPath, when non-empty,
-// receives the rows as a JSON array (the BENCH_ws.json record the
-// repository keeps).
-func WSBench(w io.Writer, o Options, jsonPath string) error {
+// expansion and the worksharing strategy.
+func WSBench(w io.Writer, o Options) error {
 	o = o.defaults()
 	// Fine grains on purpose: chunks small enough that the per-task cost
 	// of the expansion is comparable to the chunk body, which is the
@@ -50,7 +33,6 @@ func WSBench(w io.Writer, o Options, jsonPath string) error {
 		fmt.Sprintf("Worksharing chunk distribution — %d workers (before/after: per-chunk tasks vs one task per region)",
 			o.Cores),
 		"workload", "impl", "tasks", "wall", "regions", "helper-chks", "speedup")
-	var rows []WSRow
 	type run struct {
 		impl string
 		f    func() (workloads.Result, error)
@@ -101,23 +83,8 @@ func WSBench(w io.Writer, o Options, jsonPath string) error {
 			t.Add(b.name, r.impl, fmt.Sprintf("%d", res.Tasks),
 				res.Wall.Round(10000).String(), fmt.Sprintf("%d", st.Regions),
 				fmt.Sprintf("%d", st.HelperChunks), speedup)
-			rows = append(rows, WSRow{
-				Workload: b.name, Impl: r.impl, Workers: o.Cores,
-				Tasks: res.Tasks, WallMS: wallMS,
-				Regions: st.Regions, HelperChunks: st.HelperChunks,
-			})
 		}
 	}
 	fmt.Fprintln(w, t)
-	if jsonPath != "" {
-		data, err := json.MarshalIndent(rows, "", "  ")
-		if err != nil {
-			return err
-		}
-		if err := os.WriteFile(jsonPath, append(data, '\n'), 0o644); err != nil {
-			return fmt.Errorf("harness: writing %s: %w", jsonPath, err)
-		}
-		fmt.Fprintf(w, "(rows written to %s)\n\n", jsonPath)
-	}
 	return nil
 }

@@ -99,6 +99,57 @@ func TestBatchTransferAcrossLanes(t *testing.T) {
 	}
 }
 
+// TestGlobalDirectGetPut covers the mutex-guarded Global.Get/Put path the
+// lane-less call sites use: it recycles LIFO, allocates only when the free
+// list is dry, and keeps the leak accounting exact.
+func TestGlobalDirectGetPut(t *testing.T) {
+	g := NewGlobal(func() *obj { return &obj{} })
+	a, b := g.Get(), g.Get()
+	if a == b {
+		t.Fatal("two Gets on an empty shard returned the same object")
+	}
+	if st := g.Stats(); st.News != 2 || st.Gets != 2 || st.Outstanding() != 2 {
+		t.Fatalf("after two Gets: %+v (Outstanding %d), want News=2 Gets=2 Outstanding=2", st, st.Outstanding())
+	}
+	a.gen.Retire()
+	g.Put(a)
+	b.gen.Retire()
+	g.Put(b)
+	if got := g.Get(); got != b {
+		t.Fatalf("Get after Put(a), Put(b) = %p, want the last put %p", got, b)
+	}
+	if got := g.Get(); got != a {
+		t.Fatalf("second Get = %p, want %p", got, a)
+	}
+	st := g.Stats()
+	if st.News != 2 {
+		t.Errorf("News = %d after recycling, want 2 (no fresh allocation)", st.News)
+	}
+	if st.Gets != 4 || st.Puts != 2 || g.Outstanding() != 2 {
+		t.Errorf("stats %+v, Outstanding %d; want Gets=4 Puts=2 Outstanding=2", st, g.Outstanding())
+	}
+}
+
+// TestPoolGlobalSharesAccounting checks that an owner Lane attached to a
+// Pool's Global shares the pool's objects and rolls up into its Stats.
+func TestPoolGlobalSharesAccounting(t *testing.T) {
+	p := NewPool(2, func() *obj { return &obj{} })
+	l := NewLane(p.Global())
+	x := l.Get()
+	if got := p.Outstanding(); got != 1 {
+		t.Fatalf("pool Outstanding = %d with one object held by an attached lane, want 1", got)
+	}
+	x.gen.Retire()
+	p.Global().Put(x)
+	if got := p.Get(0); got != x {
+		t.Fatalf("pool Get = %p, want the object the attached lane returned %p", got, x)
+	}
+	st := p.Stats()
+	if st.News != 1 || st.Gets != 2 || st.Puts != 1 || st.Refills != 1 {
+		t.Errorf("stats %+v, want News=1 Gets=2 Puts=1 Refills=1", st)
+	}
+}
+
 func TestPoolConcurrent(t *testing.T) {
 	p := NewPool(4, func() *obj { return &obj{} })
 	const goroutines = 8

@@ -265,6 +265,73 @@ func TestParkAndWake(t *testing.T) {
 	}
 }
 
+// TestWindowIntrospection pins the monitor accessors the runtime's leak
+// checks read: Limit is the configured bound, Credits equals Limit - Open at
+// quiescence (negative while cascade entries overdraw), and Waiters counts a
+// reserver parked on a full window until a Started wakes it.
+func TestWindowIntrospection(t *testing.T) {
+	for _, kind := range []Kind{KindLocked, KindSharded} {
+		t.Run(kind.String(), func(t *testing.T) {
+			const limit = 4
+			w := New(kind, limit, 2)
+			quiescent := func(when string) {
+				t.Helper()
+				if got, want := w.Credits(), int64(limit)-w.Open(); got != want {
+					t.Errorf("%s: Credits() = %d, want Limit-Open = %d", when, got, want)
+				}
+				if got := w.Waiters(); got != 0 {
+					t.Errorf("%s: Waiters() = %d, want 0", when, got)
+				}
+			}
+			if got := w.Limit(); got != limit {
+				t.Fatalf("Limit() = %d, want %d", got, limit)
+			}
+			quiescent("fresh")
+			w.Entered(limit + 2) // a cascade overdraws the bound
+			quiescent("overdrawn")
+			if got := w.Credits(); got != -2 {
+				t.Errorf("overdrawn Credits() = %d, want -2", got)
+			}
+			for i := 0; i < limit+2; i++ {
+				w.Started(i % 2)
+			}
+			quiescent("drained")
+
+			// Fill the window through reservations, which (unlike cascade
+			// entries) consume every credit, so the next reserver parks.
+			for i := 0; i < limit; i++ {
+				if _, prepaid := w.Reserve(0, nil); prepaid {
+					w.EnteredReserved()
+				} else {
+					w.Entered(1)
+				}
+			}
+			got := make(chan bool)
+			go func() {
+				_, prepaid := w.Reserve(1, nil)
+				got <- prepaid
+			}()
+			deadline := time.Now().Add(5 * time.Second)
+			for w.Waiters() != 1 {
+				if time.Now().After(deadline) {
+					t.Fatalf("Waiters() = %d with a reserver blocked on a full window, want 1", w.Waiters())
+				}
+				time.Sleep(time.Millisecond)
+			}
+			w.Started(0)
+			if <-got {
+				w.EnteredReserved()
+			} else {
+				w.Entered(1)
+			}
+			for i := 0; i < limit; i++ {
+				w.Started(i % 2)
+			}
+			quiescent("woken and drained")
+		})
+	}
+}
+
 // TestShardedBatchWakeHandsCreditsDirectly pins the batch-wake protocol:
 // a completion burst against a full window hands its freed credits
 // directly to the parked reservers — every wake carries a credit, no woken

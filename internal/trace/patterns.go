@@ -7,12 +7,11 @@ import (
 	"repro/internal/metrics"
 )
 
-// Detrimental-pattern detection: when the perf-trajectory gate
-// (cmd/perftrack) flags a regression, the raw number says nothing about
-// the cause. This classifier runs over an execution trace and tests for
-// the detrimental task execution patterns of "Detrimental task execution
-// patterns in mainstream OpenMP runtimes" (Tuft et al., PAPERS.md), so a
-// red gate comes with a diagnosis:
+// Detrimental-pattern detection: when a benchmark regresses, the raw
+// number says nothing about the cause. This classifier runs over an
+// execution trace and tests for the detrimental task execution patterns of
+// "Detrimental task execution patterns in mainstream OpenMP runtimes"
+// (Tuft et al., PAPERS.md), so a slow run comes with a diagnosis:
 //
 //   - serialized-creation: a long leading phase where at most one worker
 //     is busy — the single task generator instantiating the graph while
@@ -200,8 +199,8 @@ func (t *Tracer) detectWaitHeavy(wall int64) (Finding, bool) {
 	}, true
 }
 
-// PatternReport renders findings as the diagnosis table perftrack prints
-// under a red gate; no findings renders an explicit all-clear line.
+// PatternReport renders findings as a diagnosis table; no findings renders
+// an explicit all-clear line.
 func PatternReport(findings []Finding) string {
 	if len(findings) == 0 {
 		return "no detrimental execution pattern detected\n"
