@@ -32,9 +32,10 @@ help:
 	@echo "                 leak accounting, w=1 parity guard (replay <=1.5x live), workload"
 	@echo "                 validation (GS graph variant + heat vs sequential reference)"
 	@echo "  wait-smoke     taskwait gates: parking-vs-continuation differential over random"
-	@echo "                 nested programs, zero-parks continuation check (w=2/4/8), exact"
-	@echo "                 w=1 stats, edge cases, w=1 parity guard (continuation <=1.5x"
-	@echo "                 parking), plus the depbench nested-taskwait table"
+	@echo "                 nested programs on the helping stealing pool and the central queue,"
+	@echo "                 descendants-only help counterexample, zero-parks continuation check"
+	@echo "                 (w=2/4/8), exact w=1 stats, edge cases, plus the depbench"
+	@echo "                 nested-taskwait table"
 	@echo "  ws-smoke       worksharing gates: chunked-vs-expand differential over randomized"
 	@echo "                 grains and skewed chunk costs, single-replay-node check, w=1 parity"
 	@echo "                 guard (chunked <=1.5x expand), chunk-descriptor alloc gate, workload"
@@ -147,14 +148,19 @@ replay-smoke:
 	$(GO) test -run 'TestHeatValidates|TestGSGraphValidates' ./internal/workloads
 
 # Taskwait smoke: the parking-vs-continuation differential over randomized
-# nested programs (identical checksums and exact w=1 blocking-wait counts),
-# the zero-parks check (continuation mode must never park a worker at
-# w=2/4/8 while the parking reference always does), the exact-stats and
-# edge-case suites, the w=1 parity guard (continuation handoff must stay
-# within 1.5x of the parking reference when uncontended), and one pass of
-# the depbench nested-taskwait table.
+# nested programs, run on the stealing pool (whose waits run their queued
+# descendants inline) and on the central queue (whose waits always block):
+# identical checksums and task counts, and exact w=1 counts — every task
+# inlined and no blocking wait on the one, the predicted blocking waits on
+# the other. Then the descendants-only counterexample (a wait that ran a
+# task it is not waiting for would deadlock; the test times out), the
+# zero-parks check (with the children started on other workers, every wait
+# blocks, and continuation mode must never park a worker at w=2/4/8 while
+# the parking reference always does), the exact-stats and edge-case
+# suites, and one pass of the depbench nested-taskwait table (its inlined
+# column counts the children the waits ran themselves).
 wait-smoke:
-	$(GO) test -run 'TestTaskwaitImplResolution|TestTaskwaitExactStats|TestTaskwaitZeroParksMultiWorker|TestTaskwaitEdgeCases|TestTaskwaitW1Parity' ./internal/core
+	$(GO) test -run 'TestTaskwaitImplResolution|TestTaskwaitExactStats|TestTaskwaitDifferential|TestTaskwaitInlineDescendantsOnly|TestTaskwaitZeroParksMultiWorker|TestTaskwaitEdgeCases' ./internal/core
 	$(GO) run ./cmd/depbench -mode wait -workers 2,4,8 -wait-reps 60
 
 # Worksharing smoke: the chunked-vs-expand differential (identical final

@@ -413,8 +413,8 @@ func main() {
 		}
 		reps, fan := *waitRepsFlag, *waitFanFlag
 		em.printf("taskwait blocking strategy (nested parents over spinning leaves)\n")
-		em.printf("%-13s %8s %10s %12s %10s %10s %10s %11s %7s\n",
-			"impl", "workers", "waits", "wall", "us/wait", "parks", "handoffs", "steal-res", "idle")
+		em.printf("%-13s %8s %10s %10s %12s %10s %10s %10s %11s %7s\n",
+			"impl", "workers", "waits", "inlined", "wall", "us/wait", "parks", "handoffs", "steal-res", "idle")
 		kinds := []struct {
 			name string
 			kind core.TaskwaitKind
@@ -428,14 +428,15 @@ func main() {
 					harness.WaitBench(r.kind, w, reps/10+1, fan) // warm-up
 					runtime.GC()
 					res := harness.WaitBench(r.kind, w, reps, fan)
-					em.printf("%-13s %8d %10d %12s %10.2f %10d %10d %11d %6.1f%%\n",
-						r.name, w, res.Waits, res.Wall.Round(time.Millisecond),
+					em.printf("%-13s %8d %10d %10d %12s %10.2f %10d %10d %11d %6.1f%%\n",
+						r.name, w, res.Waits, res.Stats.Inlined, res.Wall.Round(time.Millisecond),
 						float64(res.Wall.Microseconds())/float64(res.Waits),
 						res.Stats.Parks, res.Stats.Handoffs, res.Stats.StealResumes, res.Idle*100)
 					em.add("wait", r.name, w,
 						map[string]int64{"reps": int64(reps), "fan": int64(fan)},
 						map[string]float64{
 							"wall_ns": float64(res.Wall), "waits": float64(res.Waits),
+							"inlined":       float64(res.Stats.Inlined),
 							"us_per_wait":   float64(res.Wall.Microseconds()) / float64(res.Waits),
 							"parks":         float64(res.Stats.Parks),
 							"handoffs":      float64(res.Stats.Handoffs),

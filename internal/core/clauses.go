@@ -81,7 +81,7 @@ func (r *Runtime) runErr() error {
 	if n := r.eng.LiveFragments(); n != 0 {
 		check("%d dependency fragments not released at end of run", n)
 	}
-	if n := r.live.Load(); n != 0 {
+	if n := r.taskCounts().live; n != 0 {
 		check("%d tasks still live at end of run", n)
 	}
 	if st, pooled := r.eng.MemStats(); pooled {
@@ -205,7 +205,7 @@ func (tc *TaskContext) Taskgroup(body func()) {
 // trivially satisfies any dependencies the specs declare, so the depend
 // entries are accepted and ignored.
 func (r *Runtime) runInline(tc *TaskContext, spec TaskSpec) {
-	r.taskCount.Add(1)
+	r.ctr(tc.worker).tasks.Add(1)
 	t := r.newTask(tc.task, spec, tc.worker)
 	child := &TaskContext{rt: r, task: t, worker: tc.worker}
 	if r.caches != nil {

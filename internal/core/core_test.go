@@ -219,7 +219,7 @@ func TestThrottleBound(t *testing.T) {
 	r.Run(func(tc *TaskContext) {
 		for i := 0; i < 200; i++ {
 			tc.Submit(TaskSpec{Label: "t", Body: func(*TaskContext) {
-				c := tc.rt.open.Load()
+				c := tc.rt.taskCounts().open
 				for {
 					p := peak.Load()
 					if c <= p || peak.CompareAndSwap(p, c) {

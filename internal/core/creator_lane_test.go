@@ -200,7 +200,7 @@ func TestCreatorLaneThrottled(t *testing.T) {
 			rt := New(Config{Workers: workers, ThrottleOpenTasks: 3, Debug: true, Watchdog: true})
 			nest.run(t, rt)
 			assertDrained(t, rt)
-			if n := rt.open.Load(); n != 0 {
+			if n := rt.taskCounts().open; n != 0 {
 				t.Errorf("%d tasks still counted ready-but-unstarted after the run", n)
 			}
 			if reps := rt.StallReports(); len(reps) != 0 {

@@ -28,7 +28,7 @@ func (r *Runtime) dispatchAll(nodes []*deps.Node, from int) {
 	if len(nodes) == 0 {
 		return
 	}
-	r.windowEnter(int64(len(nodes)))
+	r.windowEnter(int64(len(nodes)), from)
 	if r.v != nil {
 		for _, n := range nodes {
 			r.venqueue(n.User.(*Task))
@@ -132,7 +132,7 @@ func (r *Runtime) dispatchPreferFirst(nodes []*deps.Node, w int, donePD deps.Dat
 		}
 	}
 	next := nodes[pick].User.(*Task)
-	r.windowEnter(1)
+	r.windowEnter(1, w)
 	nodes[pick] = nodes[0] // displaced head joins the batch
 	r.dispatchAll(nodes[1:], w)
 	return next

@@ -374,9 +374,9 @@ func (g *graphRun) replaySubmit(tc *TaskContext, spec TaskSpec, idx int32) {
 	n.User = t
 	if n.Dec() {
 		if prepaid {
-			r.windowEnterReserved()
+			r.windowEnterReserved(tc.worker)
 		} else {
-			r.windowEnter(1)
+			r.windowEnter(1, tc.worker)
 		}
 		r.enqueue(t, tc.worker)
 	} else if prepaid {
@@ -404,7 +404,7 @@ func (r *Runtime) replaySuccessors(t *Task, worker int) {
 		}
 	}
 	if len(ready) > 0 {
-		r.windowEnter(int64(len(ready)))
+		r.windowEnter(int64(len(ready)), worker)
 		if len(ready) == 1 {
 			r.sch.Submit(ready[0], worker)
 		} else {
@@ -501,7 +501,7 @@ func (r *Runtime) graphGuardReady(tc *TaskContext, rec *replay.Recording) bool {
 		return true // no dependencies anywhere in the region
 	}
 	guard := r.newTask(tc.task, TaskSpec{Label: "graph-guard"}, tc.worker)
-	r.live.Add(1) // internal bookkeeping task: excluded from TaskCount
+	r.ctr(tc.worker).live.Add(1) // internal bookkeeping task: excluded from TaskCount
 	tc.task.mu.Lock()
 	tc.task.children++
 	tc.task.mu.Unlock()

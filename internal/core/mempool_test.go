@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/mempool"
 	"repro/internal/regions"
+	"repro/internal/sched"
 )
 
 // Runtime-level memory-pool tests: the pooled mode (the real-mode default)
@@ -209,22 +210,25 @@ func TestMemPoolViolationsSurviveRecycling(t *testing.T) {
 	}
 }
 
-// TestMemPoolAllocGate gates the blocking-Taskwait allocation fix: the
-// parking path reuses one signal channel per task (allocated on the first
-// blocking wait, kept across waits and recycles) instead of making a fresh
-// chan per wait, and the continuation path draws its nodes from a pool. A
+// TestMemPoolAllocGate gates the Taskwait allocation fixes: the parking
+// path reuses one signal channel per task (allocated on the first blocking
+// wait, kept across waits and recycles) instead of making a fresh chan per
+// wait, and the continuation path draws its nodes from a pool. A
 // steady-state {submit child; Taskwait} cycle in the pooled memory mode
 // must stay at its 2-mallocs floor under both strategies — a per-wait
 // channel (or unpooled continuation node) would push it to 3 — and well
-// under the allocate-always reference.
+// under the allocate-always reference. The blocking paths are measured on
+// the central queue, where at w=1 every such wait blocks; the stealing
+// pool's waits run the child inline instead, and must stay as cheap.
 func TestMemPoolAllocGate(t *testing.T) {
-	measure := func(mem mempool.Kind, kind TaskwaitKind) float64 {
-		r := New(Config{Workers: 1, TaskwaitImpl: kind, MemPool: mem})
+	measure := func(mem mempool.Kind, policy sched.Policy, kind TaskwaitKind) float64 {
+		r := New(Config{Workers: 1, Policy: policy, TaskwaitImpl: kind, MemPool: mem})
+		blocks := policy == sched.LIFO
 		var per float64
 		r.Run(func(tc *TaskContext) {
 			tc.Submit(TaskSpec{Label: "driver", Body: func(tc *TaskContext) {
-				// At w=1 every wait blocks: the driver holds the only token,
-				// so the submitted child cannot have run yet.
+				// The driver holds the only token, so the submitted child
+				// cannot have run when the wait starts.
 				var firstSig chan struct{}
 				cycle := func() {
 					tc.Submit(TaskSpec{Label: "c"})
@@ -232,14 +236,14 @@ func TestMemPoolAllocGate(t *testing.T) {
 				}
 				for i := 0; i < 200; i++ {
 					cycle()
-					if kind == TaskwaitParking {
+					if kind == TaskwaitParking && blocks {
 						if firstSig == nil {
 							firstSig = tc.task.waitSig
 							if firstSig == nil {
-								t.Error("no signal channel after a blocking parking wait")
+								t.Fatal("no signal channel after a blocking parking wait")
 							}
 						} else if tc.task.waitSig != firstSig {
-							t.Error("parking wait replaced the task's signal channel; it must be reused")
+							t.Fatal("parking wait replaced the task's signal channel; it must be reused")
 						}
 					}
 				}
@@ -254,19 +258,24 @@ func TestMemPoolAllocGate(t *testing.T) {
 				per = float64(m1.Mallocs-m0.Mallocs) / N
 			}})
 		})
+		if st := r.TaskwaitStats(); blocks != (st.blockingWaits() > 0) || blocks == (st.Inlined > 0) {
+			t.Errorf("%v %v: stats %+v; the central queue's waits must block, the stealing pool's help", policy, kind, st)
+		}
 		return per
 	}
-	for _, kind := range []TaskwaitKind{TaskwaitParking, TaskwaitContinuation} {
-		pooled := measure(mempool.KindPooled, kind)
-		ref := measure(mempool.KindReference, kind)
-		t.Logf("%v: pooled %.2f mallocs/cycle, reference %.2f", kind, pooled, ref)
-		if pooled > 2.5 {
-			t.Errorf("%v: %.2f mallocs per blocking-wait cycle, want <= 2.5 (a per-wait allocation crept in)",
-				kind, pooled)
-		}
-		if ref < pooled*1.5 {
-			t.Errorf("%v: reference mode %.2f vs pooled %.2f mallocs/cycle; expected the pooled mode well below the reference",
-				kind, ref, pooled)
+	for _, policy := range twPolicies {
+		for _, kind := range taskwaitKinds {
+			pooled := measure(mempool.KindPooled, policy, kind)
+			ref := measure(mempool.KindReference, policy, kind)
+			t.Logf("%v %v: pooled %.2f mallocs/cycle, reference %.2f", policy, kind, pooled, ref)
+			if pooled > 2.5 {
+				t.Errorf("%v %v: %.2f mallocs per wait cycle, want <= 2.5 (a per-wait allocation crept in)",
+					policy, kind, pooled)
+			}
+			if ref < pooled*1.5 {
+				t.Errorf("%v %v: reference mode %.2f vs pooled %.2f mallocs/cycle; expected the pooled mode well below the reference",
+					policy, kind, ref, pooled)
+			}
 		}
 	}
 }

@@ -163,12 +163,15 @@ type Config struct {
 	// differential tests in this package prove it). Virtual mode runs the
 	// chunked strategy's chunks serially inside the single task.
 	WorksharingImpl WorksharingKind
-	// TaskwaitImpl selects the TaskContext.Taskwait blocking strategy.
-	// TaskwaitAuto (the zero value) picks the continuation handoff in real
-	// mode: a blocked taskwait yields its worker into other ready work and
-	// the *last completing child* submits the waiting task back into the
-	// sharded ready pools as a pooled continuation — the worker-token
-	// protocol never parks a worker on a nested sync point.
+	// TaskwaitImpl selects the TaskContext.Taskwait blocking strategy: how
+	// a wait blocks once its help step (running the queued descendants on
+	// its own worker's deque itself, the same under either strategy) has
+	// found nothing left to run. TaskwaitAuto (the zero value) picks the
+	// continuation handoff in real mode: a blocked taskwait yields its
+	// worker into other ready work and the *last completing child* submits
+	// the waiting task back into the sharded ready pools as a pooled
+	// continuation — the worker-token protocol never parks a worker on a
+	// nested sync point.
 	// TaskwaitParking is the classic park-on-channel reference. Both
 	// strategies share the same child-countdown state (the differential
 	// tests in this package prove them observably equivalent); selecting
@@ -262,10 +265,14 @@ type Runtime struct {
 	// deque, and their children find their predecessors already run.
 	lane sched.CreatorQueue[*Task]
 
-	open      atomic.Int64 // dependency-ready, not yet started (throttle window)
-	live      atomic.Int64 // instantiated, not yet completed (diagnostics)
-	taskCount atomic.Int64
-	flops     atomic.Int64
+	// help is the pool's owner-only pop for Taskwait's help step (nil when
+	// the pool has none: a wait on the central queue always blocks).
+	help sched.HelpQueue[*Task]
+
+	// ctrs holds the per-task counters, one stripe per worker plus one for
+	// callers holding no token (see taskCounters).
+	ctrs  []taskCounters
+	flops atomic.Int64
 
 	// Pooled memory mode (Config.MemPool; real mode only). tasksG is the
 	// shared free-list shard for Task objects; ws holds one per-worker
@@ -341,6 +348,43 @@ type workerScratch struct {
 	_      [24]byte           // 168 -> 192 (multiple of the 64-byte line)
 }
 
+// taskCounters is one worker's stripe of the counters every task moves.
+// On one shared cache line, two workers would trade that line on every
+// task; instead each adds to its own stripe (callers holding no token, and
+// virtual mode's -1, share the last one) and readers sum the stripes, which
+// is exact once the run is quiescent.
+type taskCounters struct {
+	open    atomic.Int64 // dependency-ready, not yet started (throttle window)
+	live    atomic.Int64 // instantiated, not yet completed (diagnostics)
+	tasks   atomic.Int64 // submitted (TaskCount)
+	inlined atomic.Int64 // run by a waiting task's help step (TaskwaitStats)
+	_       [32]byte     // 32 -> 64
+}
+
+// taskCounts is the sum of the counter stripes.
+type taskCounts struct{ open, live, tasks, inlined int64 }
+
+// ctr returns worker w's counter stripe.
+func (r *Runtime) ctr(w int) *taskCounters {
+	if w < 0 || w >= r.cfg.Workers {
+		w = r.cfg.Workers
+	}
+	return &r.ctrs[w]
+}
+
+// taskCounts sums the counter stripes.
+func (r *Runtime) taskCounts() taskCounts {
+	var s taskCounts
+	for i := range r.ctrs {
+		c := &r.ctrs[i]
+		s.open += c.open.Load()
+		s.live += c.live.Load()
+		s.tasks += c.tasks.Load()
+		s.inlined += c.inlined.Load()
+	}
+	return s
+}
+
 // scratchFor returns worker w's scratch set, or nil when w is out of range
 // or the runtime runs in the reference memory mode.
 func (r *Runtime) scratchFor(w int) *workerScratch {
@@ -355,7 +399,7 @@ func New(cfg Config) *Runtime {
 	if cfg.Workers <= 0 {
 		cfg.Workers = 1
 	}
-	r := &Runtime{cfg: cfg, rootDone: make(chan struct{})}
+	r := &Runtime{cfg: cfg, rootDone: make(chan struct{}), ctrs: make([]taskCounters, cfg.Workers+1)}
 	kind := cfg.DepEngine
 	if kind == deps.EngineAuto {
 		kind = deps.EngineSharded
@@ -442,6 +486,7 @@ func New(cfg Config) *Runtime {
 		r.aff = aq
 	}
 	r.lane, _ = r.sch.(sched.CreatorQueue[*Task])
+	r.help, _ = r.sch.(sched.HelpQueue[*Task])
 	if cfg.Watchdog {
 		r.hb = make([]hbSlot, cfg.Workers)
 	}
@@ -513,7 +558,7 @@ func (r *Runtime) CacheCounts() (hits, misses int64) {
 func (r *Runtime) Flops() int64 { return r.flops.Load() }
 
 // TaskCount returns the number of tasks submitted (excluding the root).
-func (r *Runtime) TaskCount() int64 { return r.taskCount.Load() }
+func (r *Runtime) TaskCount() int64 { return r.taskCounts().tasks }
 
 // WallTime returns the real-mode wall-clock duration of Run.
 func (r *Runtime) WallTime() time.Duration { return r.wallDur }

@@ -219,8 +219,9 @@ func (r *Runtime) admitChild(tc *TaskContext, spec TaskSpec) (t *Task, prepaid b
 		tc.task.vCreate += r.cfg.VirtualSubmitCost
 		t.vArrival = r.v.now + tc.task.vCreate
 	}
-	r.live.Add(1)
-	r.taskCount.Add(1)
+	c := r.ctr(tc.worker)
+	c.live.Add(1)
+	c.tasks.Add(1)
 	if grp := tc.task.curGroup; grp != nil {
 		t.group = grp
 		grp.add()
@@ -248,9 +249,9 @@ func (r *Runtime) submitLive(tc *TaskContext, spec TaskSpec, g *graphRun, gidx i
 	}
 	if r.eng.Register(t.node, specs) {
 		if prepaid {
-			r.windowEnterReserved()
+			r.windowEnterReserved(tc.worker)
 		} else {
-			r.windowEnter(1)
+			r.windowEnter(1, tc.worker)
 		}
 		// A creator waits in the lane as a ready task like any other: it
 		// holds its window slot until a worker starts it (taskStarted).
@@ -303,9 +304,10 @@ func (tc *TaskContext) Release(ds ...Dep) {
 // prepaid reservation (dependency-cascade admissions, which never block
 // and may overdraw the bound): the occupancy diagnostic and the window's
 // own accounting move together — every entry point must use this helper
-// (or windowEnterReserved) so the two counters cannot drift.
-func (r *Runtime) windowEnter(n int64) {
-	r.open.Add(n)
+// (or windowEnterReserved) so the two counters cannot drift. worker is the
+// caller's held token (-1 for none).
+func (r *Runtime) windowEnter(n int64, worker int) {
+	r.ctr(worker).open.Add(n)
 	if r.thr != nil {
 		r.thr.Entered(n)
 	}
@@ -313,8 +315,8 @@ func (r *Runtime) windowEnter(n int64) {
 
 // windowEnterReserved records one window entry paid for by a prepaid
 // Reserve in Submit.
-func (r *Runtime) windowEnterReserved() {
-	r.open.Add(1)
+func (r *Runtime) windowEnterReserved(worker int) {
+	r.ctr(worker).open.Add(1)
 	if r.thr != nil {
 		r.thr.EnteredReserved()
 	}
@@ -327,7 +329,7 @@ func (r *Runtime) taskStarted(t *Task, worker int) {
 	if t.parent == nil {
 		return
 	}
-	r.open.Add(-1)
+	r.ctr(worker).open.Add(-1)
 	if r.thr != nil {
 		r.thr.Started(worker)
 	}
@@ -396,7 +398,7 @@ func (r *Runtime) completeTask(t *Task, worker int, buf []*deps.Node) []*deps.No
 		close(r.rootDone)
 		return buf
 	}
-	r.live.Add(-1)
+	r.ctr(worker).live.Add(-1)
 	if g := t.group; g != nil {
 		g.taskCompleted()
 	}

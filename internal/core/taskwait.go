@@ -1,13 +1,24 @@
 package core
 
-// Wait-free taskwait: the continuation-handoff blocking strategy behind
-// TaskContext.Taskwait (Config.TaskwaitImpl).
+// TaskContext.Taskwait: the help step, and the two blocking strategies
+// behind it (Config.TaskwaitImpl).
 //
 // The paper's wait clause exists precisely because an in-body taskwait
 // costs a worker (§IV): the classic implementation yields the worker
 // token, parks the goroutine on a channel, and re-acquires a token through
 // the scheduler's waiter list when the last child completes — a park plus
-// a token round-trip per nested sync point. Following "Advanced
+// a token round-trip per nested sync point.
+//
+// Most waits need neither. As OpenMP runtimes do, a waiting task first runs
+// the queued tasks it is waiting for itself (helpChildren): the newest items
+// of its own worker's deque, on its own goroutine and token, as long as
+// each descends from it (the task scheduling constraint). On the stealing
+// pool a recursive program's children are mostly still on that deque when
+// the wait starts, so the wait finishes without a goroutine hand-off. The
+// central queue (LIFO, Priority) offers no owner-only pop, and its waits
+// always block.
+//
+// A wait that still finds incomplete children blocks. Following "Advanced
 // Synchronization Techniques for Task-based Runtime Systems" (Álvarez et
 // al.), the continuation strategy removes the blocking from the token
 // protocol entirely:
@@ -29,7 +40,8 @@ package core
 // counters never see it. The parking strategy is kept as the differential
 // reference (Config.TaskwaitImpl = TaskwaitParking); both paths share the
 // same child-countdown state under Task.mu, so the differential suite can
-// drive identical programs through both and compare every observable.
+// drive identical programs through both and compare every observable. The
+// help step is the same for both and comes before either.
 
 import (
 	"sync/atomic"
@@ -70,10 +82,15 @@ func (k TaskwaitKind) String() string {
 	return "auto"
 }
 
-// TaskwaitStats counts Taskwait blocking activity (Runtime.TaskwaitStats).
-// Taskwaits that find no incomplete children block in neither strategy and
-// count nowhere.
+// TaskwaitStats counts Taskwait activity (Runtime.TaskwaitStats): the
+// descendants waiting tasks ran themselves, and the waits that blocked.
+// Taskwaits that find no incomplete children count nowhere.
 type TaskwaitStats struct {
+	// Inlined counts queued descendants a waiting task ran itself, on its
+	// own goroutine and token, before (or instead of) blocking. Either
+	// strategy; always zero on the central queue (LIFO, Priority), whose
+	// waits block without helping.
+	Inlined int64
 	// Parks counts parking-strategy blocking waits: the goroutine parked
 	// on its signal channel and re-acquired a worker token through the
 	// scheduler's waiter list. Zero under the continuation strategy.
@@ -116,11 +133,13 @@ func newContPool(workers int) *mempool.Pool[contNode] {
 	})
 }
 
-// TaskwaitStats returns the Taskwait blocking counters: parks (parking
-// strategy), continuation handoffs, and steal-resumes (continuations
-// resumed on a different worker than they were submitted from).
+// TaskwaitStats returns the Taskwait counters: descendants run inline by
+// their waiting ancestor, parks (parking strategy), continuation handoffs,
+// and steal-resumes (continuations resumed on a different worker than they
+// were submitted from).
 func (r *Runtime) TaskwaitStats() TaskwaitStats {
 	return TaskwaitStats{
+		Inlined:      r.taskCounts().inlined,
 		Parks:        r.tw.parks.Load(),
 		Handoffs:     r.tw.handoffs.Load(),
 		StealResumes: r.tw.stealResumes.Load(),
@@ -140,23 +159,103 @@ func (r *Runtime) ContPoolStats() mempool.Stats {
 }
 
 // Taskwait blocks until all direct children (and, transitively, their
-// descendants) have completed. Under the default continuation strategy the
-// caller's worker token is yielded into other ready work immediately and
-// the resume is submitted into the ready pools by the last completing
-// child — the token protocol never parks (Config.TaskwaitImpl,
-// Runtime.TaskwaitStats). Under the parking reference the goroutine parks
-// and re-acquires a token through the scheduler's waiter list — the cost
-// the paper's wait clause avoids (§IV). Not available in virtual mode.
+// descendants) have completed. A wait that finds incomplete children first
+// helps: it runs the queued descendants on its own worker's deque inline,
+// on its own goroutine and token (helpChildren). It blocks only when none
+// is left. Under the default continuation strategy the caller's worker
+// token is then yielded into other ready work and the resume is submitted
+// into the ready pools by the last completing child — the token protocol
+// never parks (Config.TaskwaitImpl, Runtime.TaskwaitStats). Under the
+// parking reference the goroutine parks and re-acquires a token through the
+// scheduler's waiter list — the cost the paper's wait clause avoids (§IV).
+// Not available in virtual mode.
 func (tc *TaskContext) Taskwait() {
 	r := tc.rt
 	if r.cfg.Virtual {
 		panic("core: Taskwait is not supported in virtual mode; use WeakWait or the default wait-clause completion")
+	}
+	t := tc.task
+	if t.pendingChildren() == 0 {
+		return
+	}
+	// Recorded here, not on the blocking paths: whether the wait ends up
+	// blocking depends on the schedule, and the replay decision must not.
+	t.markRegionTaskwait()
+	if r.help != nil && r.helpChildren(tc) {
+		return
 	}
 	if r.twKind == TaskwaitContinuation {
 		r.taskwaitContinuation(tc)
 		return
 	}
 	r.taskwaitParking(tc)
+}
+
+// pendingChildren returns the number of t's direct children not yet
+// complete.
+func (t *Task) pendingChildren() int {
+	t.mu.Lock()
+	n := t.children
+	t.mu.Unlock()
+	return n
+}
+
+// helpChildren is Taskwait's help step: while the waiting task has
+// incomplete children, pop the newest item of the waiter's own deque and, if
+// it is a plain descendant of the waiter, run it inline on the waiter's
+// goroutine and token — and after it the hand-off successor its completion
+// picked, when that one descends from the waiter too (any other successor
+// goes back to the pool). It reports whether the children are all complete;
+// false means the deque ran dry or its newest item is not the waiter's to
+// run (put back), and the wait must block.
+//
+// Descendants only — OpenMP's task scheduling constraint for tied tasks —
+// is what makes this safe: everything a descendant waits for, the waiter
+// waits for anyway, since a task completes only after its whole subtree.
+// A ready non-descendant carries no such bound. Its children may wait on a
+// release the waiter makes only after the wait returns, and run inline it
+// would park on top of the waiter's frame, which then never returns
+// (TestTaskwaitInlineDescendantsOnly builds exactly that shape).
+func (r *Runtime) helpChildren(tc *TaskContext) bool {
+	t := tc.task
+	for t.pendingChildren() > 0 {
+		c, ok := r.help.PopOwn(tc.worker)
+		if !ok {
+			return false
+		}
+		if !c.descendsFrom(t) {
+			r.help.PutBack(c, tc.worker)
+			return false
+		}
+		for c != nil {
+			r.ctr(tc.worker).inlined.Add(1)
+			c, tc.worker = r.executeTask(c, tc.worker)
+			if c != nil && !c.descendsFrom(t) {
+				r.sch.Submit(c, tc.worker)
+				c = nil
+			}
+		}
+	}
+	return true
+}
+
+// descendsFrom reports whether the queued task c is a plain task below t in
+// the nesting tree: not a resuming taskwait continuation nor a worksharing
+// invitation (both stand for a body that is already running), and t is the
+// ancestor exactly depth-difference steps up c's parent chain. The chain is
+// safe to walk: c has not completed, so none of its ancestors has either.
+func (c *Task) descendsFrom(t *Task) bool {
+	if c.cont != nil || c.wsRun != nil {
+		return false
+	}
+	d := c.depth - t.depth
+	if d <= 0 {
+		return false
+	}
+	for ; d > 0; d-- {
+		c = c.parent
+	}
+	return c == t
 }
 
 // taskwaitParking is the reference blocking path: park on the task's
@@ -175,7 +274,6 @@ func (r *Runtime) taskwaitParking(tc *TaskContext) {
 	}
 	t.waiting = true
 	t.mu.Unlock()
-	t.markRegionTaskwait()
 	r.tw.parks.Add(1)
 	r.sch.Yield(tc.worker)
 	<-t.waitSig
@@ -197,7 +295,6 @@ func (r *Runtime) taskwaitContinuation(tc *TaskContext) {
 	cn.from = -1
 	t.cont = cn
 	t.mu.Unlock()
-	t.markRegionTaskwait()
 	r.sch.Yield(tc.worker)
 	w := <-cn.resume
 	r.beat(w, hbResume)
@@ -235,8 +332,9 @@ func (r *Runtime) resumeContinuation(t *Task, cn *contNode, w int) {
 	cn.resume <- w
 }
 
-// markRegionTaskwait records a blocking taskwait's record-and-replay
-// interaction while the enclosing graph region is recording. Two
+// markRegionTaskwait records the record-and-replay interaction of a
+// taskwait that finds incomplete children — whether it then helps or
+// blocks — while the enclosing graph region is recording. Two
 // directions, decided here (and tested in both):
 //
 //   - owner-level taskwait (gidx < 0, the region owner's body between
@@ -246,8 +344,8 @@ func (r *Runtime) resumeContinuation(t *Task, cn *contNode, w int) {
 //     submission stream; the frozen edge set need not express it. The
 //     recorder keeps a count (Recording.OwnerWaits) as the recorded trace
 //     of the continuation edge.
-//   - taskwait inside a region member task (gidx >= 0): a blocking wait
-//     implies the member submitted nested children, a shape the frozen
+//   - taskwait inside a region member task (gidx >= 0): a wait with
+//     children implies the member submitted nested children, a shape the frozen
 //     completion-edge graph cannot express; the recording is marked
 //     ineligible (nestedSubmit already marks it when the children were
 //     submitted — this keeps the invariant even if that path changes).

@@ -1,12 +1,19 @@
 package core
 
-// Tests for the Taskwait blocking strategies (Config.TaskwaitImpl): the
-// parking-vs-continuation differential suite over randomized nested
-// programs, exact-stats determinism at w=1, the zero-parks guarantee at
-// multiple widths, the W1 parity guard, edge cases (zero children racing a
-// child finish, taskwait inside a final region, double taskwait in one
-// body), and the record-and-replay eligibility decision in both
-// directions.
+// Tests for Taskwait: the help step (a waiting task runs its queued
+// descendants itself) and the two blocking strategies behind it
+// (Config.TaskwaitImpl). The differential suite runs randomized nested
+// programs through both strategies on the stealing pool, whose waits help,
+// and on the central queue, whose waits never do; exact stats at w=1; the
+// descendants-only rule's counterexample; the zero-parks guarantee at
+// multiple widths; edge cases (zero children racing a child finish,
+// taskwait inside a final region, double taskwait in one body); and the
+// record-and-replay eligibility decision in both directions.
+//
+// At one worker on the stealing pool no wait blocks: every child is still
+// on the waiter's deque. Tests of the blocking paths therefore either run
+// on the central queue or start the children on another worker
+// (submitElsewhere).
 
 import (
 	"fmt"
@@ -17,17 +24,55 @@ import (
 	"time"
 
 	"repro/internal/randtest"
+	"repro/internal/sched"
 )
 
 var taskwaitKinds = []TaskwaitKind{TaskwaitParking, TaskwaitContinuation}
+
+// twPolicies pick the two ready pools: FIFO runs the stealing pool, whose
+// waits help, LIFO the central queue, whose waits always block.
+var twPolicies = []sched.Policy{sched.FIFO, sched.LIFO}
+
+// blockingWaits counts the waits that blocked, on either path.
+func (s TaskwaitStats) blockingWaits() int64 { return s.Parks + s.Handoffs }
+
+// blockedInWait reports whether t is blocked in a taskwait, on either path.
+func (t *Task) blockedInWait() bool {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return t.waiting || t.cont != nil
+}
+
+// submitElsewhere submits a child that is certain to start on another
+// worker and to still be running when the caller's next wait begins, so
+// that wait blocks: the submission waits for a free token (a child started
+// on a free token never reaches the caller's deque, so the wait has nothing
+// to help with), and the child holds back until the caller is blocked. For
+// programs in which nothing else competes for free tokens.
+func submitElsewhere(tc *TaskContext, body func()) {
+	for tc.rt.sch.(sched.Prober).Probe().FreeTokens == 0 {
+		runtime.Gosched()
+	}
+	parent := tc.task
+	tc.Submit(TaskSpec{Label: "elsewhere", Body: func(*TaskContext) {
+		for !parent.blockedInWait() {
+			runtime.Gosched()
+		}
+		if body != nil {
+			body()
+		}
+	}})
+}
 
 // TestTaskwaitImplResolution pins the auto resolution (continuation in
 // real mode) and the structural mode-exclusivity of the stats: the parking
 // counter can only move on the parking path and vice versa.
 func TestTaskwaitImplResolution(t *testing.T) {
-	// One guaranteed-blocking wait at w=1: the parent holds the only
-	// token, so its submitted child cannot have run when the wait starts.
+	// One guaranteed-blocking wait at w=1 on the central queue: the parent
+	// holds the only token, so its submitted child cannot have run when the
+	// wait starts, and the central queue's waits do not help.
 	run := func(cfg Config) TaskwaitStats {
+		cfg.Policy = sched.LIFO
 		r := New(cfg)
 		r.Run(func(tc *TaskContext) {
 			tc.Submit(TaskSpec{Label: "p", Body: func(tc *TaskContext) {
@@ -64,47 +109,54 @@ func TestTaskwaitImplResolution(t *testing.T) {
 	}
 }
 
-// TestTaskwaitExactStats: at w=1 blocking is deterministic — a parent
+// TestTaskwaitExactStats: at w=1 everything is deterministic — a parent
 // holding the only worker token guarantees its queued child has not run
-// when the wait starts — so the blocking-wait count is exact: K parent
-// waits plus the root's implicit end-of-program wait, in both strategies.
+// when the wait starts. On the stealing pool every wait therefore helps and
+// none blocks: K parents and K children, all run inline (the parents by the
+// root's implicit end-of-program wait). On the central queue none helps and
+// every wait blocks: K parent waits plus the root's.
 func TestTaskwaitExactStats(t *testing.T) {
 	const parents = 7
-	for _, kind := range taskwaitKinds {
-		r := New(Config{Workers: 1, TaskwaitImpl: kind, Debug: true})
-		var ran atomic.Int64
-		err := r.RunChecked(func(tc *TaskContext) {
-			for i := 0; i < parents; i++ {
-				tc.Submit(TaskSpec{Label: "p", Body: func(tc *TaskContext) {
-					tc.Submit(TaskSpec{Label: "c", Body: func(*TaskContext) { ran.Add(1) }})
-					tc.Taskwait()
-					if ran.Load() == 0 {
-						t.Error("taskwait returned before the child ran")
-					}
-				}})
+	for _, policy := range twPolicies {
+		for _, kind := range taskwaitKinds {
+			r := New(Config{Workers: 1, Policy: policy, TaskwaitImpl: kind, Debug: true})
+			var ran atomic.Int64
+			err := r.RunChecked(func(tc *TaskContext) {
+				for i := 0; i < parents; i++ {
+					tc.Submit(TaskSpec{Label: "p", Body: func(tc *TaskContext) {
+						tc.Submit(TaskSpec{Label: "c", Body: func(*TaskContext) { ran.Add(1) }})
+						tc.Taskwait()
+						if ran.Load() == 0 {
+							t.Error("taskwait returned before the child ran")
+						}
+					}})
+				}
+			})
+			if err != nil {
+				t.Fatalf("%v %v: %v", policy, kind, err)
 			}
-		})
-		if err != nil {
-			t.Fatalf("%v: %v", kind, err)
-		}
-		st := r.TaskwaitStats()
-		blocked := st.Parks + st.Handoffs
-		if blocked != parents+1 {
-			t.Errorf("%v: %d blocking waits (stats %+v), want %d parents + 1 root = %d",
-				kind, blocked, st, parents, parents+1)
-		}
-		if kind == TaskwaitParking && (st.Handoffs != 0 || st.StealResumes != 0) {
-			t.Errorf("parking: stats %+v, want zero handoffs and steal-resumes", st)
-		}
-		if kind == TaskwaitContinuation {
-			if st.Parks != 0 {
-				t.Errorf("continuation: stats %+v, want zero parks", st)
+			st := r.TaskwaitStats()
+			wantBlocked, wantInlined := int64(0), int64(2*parents)
+			if policy == sched.LIFO {
+				wantBlocked, wantInlined = parents+1, 0
 			}
-			if st.StealResumes != 0 {
-				t.Errorf("continuation w=1: %d steal-resumes with a single worker", st.StealResumes)
+			if st.blockingWaits() != wantBlocked || st.Inlined != wantInlined {
+				t.Errorf("%v %v: stats %+v, want %d blocking waits and %d inlined",
+					policy, kind, st, wantBlocked, wantInlined)
 			}
-			if n := r.ContPoolStats().Outstanding(); n != 0 {
-				t.Errorf("continuation: %d nodes outstanding after drain", n)
+			if kind == TaskwaitParking && (st.Handoffs != 0 || st.StealResumes != 0) {
+				t.Errorf("%v parking: stats %+v, want zero handoffs and steal-resumes", policy, st)
+			}
+			if kind == TaskwaitContinuation {
+				if st.Parks != 0 {
+					t.Errorf("%v continuation: stats %+v, want zero parks", policy, st)
+				}
+				if st.StealResumes != 0 {
+					t.Errorf("%v continuation w=1: %d steal-resumes with a single worker", policy, st.StealResumes)
+				}
+				if n := r.ContPoolStats().Outstanding(); n != 0 {
+					t.Errorf("%v continuation: %d nodes outstanding after drain", policy, n)
+				}
 			}
 		}
 	}
@@ -134,12 +186,12 @@ func buildTWTree(rng *rand.Rand, depth int, next *int) *twTree {
 	return n
 }
 
-// w1BlockingWaits counts the blocking taskwaits the tree produces at w=1,
-// where blocking is deterministic: a wait blocks iff at least one child
-// was submitted since the body's previous wait (the submitter holds the
-// only token, so such a child cannot have completed). The return includes
-// the root's implicit end-of-program wait, which blocks under the same
-// rule.
+// w1BlockingWaits counts the blocking taskwaits the tree produces at w=1 on
+// the central queue, where blocking is deterministic: a wait blocks iff at
+// least one child was submitted since the body's previous wait (the
+// submitter holds the only token, so such a child cannot have completed).
+// The return includes the root's implicit end-of-program wait, which blocks
+// under the same rule.
 func (n *twTree) w1BlockingWaits(isRoot bool) int64 {
 	var total int64
 	pending := false // a child submitted since the last wait
@@ -177,10 +229,10 @@ func (n *twTree) assertSubtreeDone(t *testing.T, done []atomic.Bool) {
 	}
 }
 
-// runTWProgram executes the tree under one strategy and returns the
-// observables: checksum, task count, and taskwait stats.
-func runTWProgram(t *testing.T, root *twTree, kind TaskwaitKind, workers int) (int64, int64, TaskwaitStats) {
-	r := New(Config{Workers: workers, TaskwaitImpl: kind, Debug: true})
+// runTWProgram executes the tree under one strategy and pool and returns
+// the observables: checksum, task count, and taskwait stats.
+func runTWProgram(t *testing.T, root *twTree, policy sched.Policy, kind TaskwaitKind, workers int) (int64, int64, TaskwaitStats) {
+	r := New(Config{Workers: workers, Policy: policy, TaskwaitImpl: kind, Debug: true})
 	total := root.count()
 	done := make([]atomic.Bool, total)
 	var sum atomic.Int64
@@ -218,102 +270,157 @@ func runTWProgram(t *testing.T, root *twTree, kind TaskwaitKind, workers int) (i
 		}
 	})
 	if err != nil {
-		t.Fatalf("%v w=%d: %v", kind, workers, err)
+		t.Fatalf("%v %v w=%d: %v", policy, kind, workers, err)
 	}
 	root.assertSubtreeDone(t, done)
 	if kind == TaskwaitContinuation {
 		if n := r.ContPoolStats().Outstanding(); n != 0 {
-			t.Errorf("%v w=%d: %d continuation nodes outstanding after drain", kind, workers, n)
+			t.Errorf("%v %v w=%d: %d continuation nodes outstanding after drain", policy, kind, workers, n)
 		}
 	}
 	return sum.Load(), r.TaskCount(), r.TaskwaitStats()
 }
 
 // TestTaskwaitDifferential drives identical randomized nested-taskwait
-// programs through the parking and continuation strategies: identical
-// checksums and task counts, strategy-exclusive stats, and — at w=1, where
-// blocking is deterministic — exact park/handoff counts that match the
-// tree's predicted blocking waits (plus the root's implicit wait when the
-// root submitted anything).
+// programs through both strategies on both pools — the stealing pool, whose
+// waits help, and the central queue, whose waits never do: identical
+// checksums and task counts at w=1 and w=4, strategy-exclusive stats, and,
+// at w=1, where everything is deterministic, exact counts — on the stealing
+// pool every task runs inline and no wait blocks, on the central queue
+// nothing runs inline and the parks or handoffs match the tree's predicted
+// blocking waits (plus the root's implicit wait when the root submitted
+// anything).
 func TestTaskwaitDifferential(t *testing.T) {
+	type run struct {
+		policy sched.Policy
+		kind   TaskwaitKind
+	}
 	for _, seed := range randtest.SeedRange(t, 1, 7) {
 		rng := rand.New(rand.NewSource(1300 + seed))
 		var next int
 		root := buildTWTree(rng, 3, &next)
 		for _, workers := range []int{1, 4} {
-			sums := make(map[TaskwaitKind]int64)
-			counts := make(map[TaskwaitKind]int64)
-			stats := make(map[TaskwaitKind]TaskwaitStats)
-			for _, kind := range taskwaitKinds {
-				sums[kind], counts[kind], stats[kind] = runTWProgram(t, root, kind, workers)
-			}
-			if sums[TaskwaitParking] != sums[TaskwaitContinuation] {
-				t.Errorf("seed %d w=%d: checksum diverged: parking %d, continuation %d",
-					seed, workers, sums[TaskwaitParking], sums[TaskwaitContinuation])
-			}
-			if counts[TaskwaitParking] != counts[TaskwaitContinuation] {
-				t.Errorf("seed %d w=%d: task count diverged: parking %d, continuation %d",
-					seed, workers, counts[TaskwaitParking], counts[TaskwaitContinuation])
-			}
-			ps, cs := stats[TaskwaitParking], stats[TaskwaitContinuation]
-			if ps.Handoffs != 0 || ps.StealResumes != 0 {
-				t.Errorf("seed %d w=%d parking: stats %+v, want zero handoffs/steal-resumes", seed, workers, ps)
-			}
-			if cs.Parks != 0 {
-				t.Errorf("seed %d w=%d continuation: stats %+v, want zero parks", seed, workers, cs)
-			}
-			if workers == 1 {
-				want := root.w1BlockingWaits(true)
-				if ps.Parks != want {
-					t.Errorf("seed %d w=1 parking: %d parks, want exactly %d", seed, ps.Parks, want)
-				}
-				if cs.Handoffs != want {
-					t.Errorf("seed %d w=1 continuation: %d handoffs, want exactly %d", seed, cs.Handoffs, want)
+			var first run
+			var sum0, count0 int64
+			for i, policy := range twPolicies {
+				for j, kind := range taskwaitKinds {
+					sum, count, st := runTWProgram(t, root, policy, kind, workers)
+					if i == 0 && j == 0 {
+						first, sum0, count0 = run{policy, kind}, sum, count
+					} else if sum != sum0 || count != count0 {
+						t.Errorf("seed %d w=%d: %v %v ran checksum %d over %d tasks, %v %v %d over %d",
+							seed, workers, policy, kind, sum, count, first.policy, first.kind, sum0, count0)
+					}
+					if kind == TaskwaitParking && (st.Handoffs != 0 || st.StealResumes != 0) {
+						t.Errorf("seed %d w=%d %v parking: stats %+v, want zero handoffs/steal-resumes", seed, workers, policy, st)
+					}
+					if kind == TaskwaitContinuation && st.Parks != 0 {
+						t.Errorf("seed %d w=%d %v continuation: stats %+v, want zero parks", seed, workers, policy, st)
+					}
+					if policy == sched.LIFO && st.Inlined != 0 {
+						t.Errorf("seed %d w=%d central queue %v: %d tasks inlined, want none", seed, workers, kind, st.Inlined)
+					}
+					if workers > 1 {
+						continue
+					}
+					wantBlocked, wantInlined := int64(0), root.count()-1
+					if policy == sched.LIFO {
+						wantBlocked, wantInlined = root.w1BlockingWaits(true), 0
+					}
+					if st.blockingWaits() != wantBlocked || st.Inlined != wantInlined {
+						t.Errorf("seed %d w=1 %v %v: stats %+v, want exactly %d blocking waits and %d inlined",
+							seed, policy, kind, st, wantBlocked, wantInlined)
+					}
 				}
 			}
 		}
 	}
 }
 
-// TestTaskwaitZeroParksMultiWorker is the headline guarantee: on a nested
-// wait-heavy workload the continuation strategy never parks a worker at
-// any width, while the parking reference parks on every blocking wait.
-// Leaf bodies sleep so the parents' waits are guaranteed to block.
+// TestTaskwaitInlineDescendantsOnly is the counterexample behind the help
+// step's descendants-only rule, at one worker, where every ready task sits
+// on the deque the waits help from. W {inout x[0,8)} submits d (no deps)
+// and c {inout x[0,4)}, releases x[0,4) — handed over to c — and waits. Its
+// sibling Y {inout x[0,4), weakinout x[4,8)} becomes ready when c completes
+// inside W's wait; Y's child y2 {inout x[4,8)} needs W to complete. Run on
+// W's goroutine, Y would wait for y2 on top of W's frame, which can return
+// — and release x[4,8) — only after Y's wait does: a deadlock. Declining Y
+// makes W block, and Y runs on a goroutine of its own.
+func TestTaskwaitInlineDescendantsOnly(t *testing.T) {
+	for _, kind := range taskwaitKinds {
+		r := New(Config{Workers: 1, TaskwaitImpl: kind, Debug: true})
+		x := r.NewData("x", 8, 8)
+		on := func(typ AccessType, weak bool, lo, hi int64) Dep {
+			return Dep{Data: x, Type: typ, Weak: weak, Ivs: []Interval{iv(lo, hi)}}
+		}
+		var ran atomic.Int64
+		leaf := func(*TaskContext) { ran.Add(1) }
+		done := make(chan error, 1)
+		go func() {
+			done <- r.RunChecked(func(tc *TaskContext) {
+				tc.Submit(TaskSpec{Label: "W", Deps: []Dep{on(InOut, false, 0, 8)}, Body: func(tc *TaskContext) {
+					tc.Submit(TaskSpec{Label: "d", Body: leaf})
+					tc.Submit(TaskSpec{Label: "c", Deps: []Dep{on(InOut, false, 0, 4)}, Body: leaf})
+					tc.Release(Dep{Data: x, Ivs: []Interval{iv(0, 4)}})
+					tc.Taskwait()
+				}})
+				tc.Submit(TaskSpec{Label: "Y", Deps: []Dep{on(InOut, false, 0, 4), on(InOut, true, 4, 8)}, Body: func(tc *TaskContext) {
+					tc.Submit(TaskSpec{Label: "y2", Deps: []Dep{on(InOut, false, 4, 8)}, Body: leaf})
+					tc.Taskwait()
+				}})
+			})
+		}()
+		select {
+		case err := <-done:
+			if err != nil {
+				t.Fatalf("%v: %v", kind, err)
+			}
+		case <-time.After(3 * time.Second):
+			t.Fatalf("%v: no progress after 3s — a wait ran a task that is not its descendant", kind)
+		}
+		if got := ran.Load(); got != 3 {
+			t.Errorf("%v: %d leaves ran, want 3", kind, got)
+		}
+		// Deterministic at one worker: the root's end-of-program wait runs W,
+		// W's runs c, and the root adopts y2 as W's hand-off successor (y2
+		// descends from the root); W, Y and then the root block.
+		if st := r.TaskwaitStats(); st.Inlined != 3 || st.blockingWaits() != 3 {
+			t.Errorf("%v: stats %+v, want 3 inlined and 3 blocking waits", kind, st)
+		}
+	}
+}
+
+// TestTaskwaitZeroParksMultiWorker is the headline guarantee: once a wait
+// blocks, the continuation strategy never parks a worker at any width,
+// while the parking reference parks on every blocking wait. Each round the
+// root starts every other worker on a child it must wait for, so each of
+// its waits blocks exactly once and helps with nothing.
 func TestTaskwaitZeroParksMultiWorker(t *testing.T) {
+	const rounds = 5
 	for _, workers := range []int{2, 4, 8} {
 		for _, kind := range taskwaitKinds {
 			r := New(Config{Workers: workers, TaskwaitImpl: kind, Debug: true})
+			var ran atomic.Int64
 			err := r.RunChecked(func(tc *TaskContext) {
-				for p := 0; p < 2*workers; p++ {
-					tc.Submit(TaskSpec{Label: "p", Body: func(tc *TaskContext) {
-						for c := 0; c < 2; c++ {
-							tc.Submit(TaskSpec{Label: "c", Body: func(*TaskContext) {
-								time.Sleep(200 * time.Microsecond)
-							}})
-						}
-						tc.Taskwait()
-					}})
+				for round := 0; round < rounds; round++ {
+					for c := 1; c < workers; c++ {
+						submitElsewhere(tc, func() { ran.Add(1) })
+					}
+					tc.Taskwait()
+					if got := ran.Load(); got != int64((round+1)*(workers-1)) {
+						t.Errorf("%v w=%d round %d: wait returned after %d children", kind, workers, round, got)
+					}
 				}
 			})
 			if err != nil {
 				t.Fatalf("%v w=%d: %v", kind, workers, err)
 			}
-			st := r.TaskwaitStats()
-			switch kind {
-			case TaskwaitContinuation:
-				if st.Parks != 0 {
-					t.Errorf("continuation w=%d: %d parks, want zero (stats %+v)", workers, st.Parks, st)
-				}
-				if st.Handoffs == 0 {
-					t.Errorf("continuation w=%d: no handoffs on a blocking workload (stats %+v)", workers, st)
-				}
-			case TaskwaitParking:
-				if st.Parks == 0 {
-					t.Errorf("parking w=%d: no parks on a blocking workload (stats %+v)", workers, st)
-				}
-				if st.Handoffs != 0 {
-					t.Errorf("parking w=%d: %d handoffs, want zero", workers, st.Handoffs)
-				}
+			want := TaskwaitStats{Parks: rounds}
+			if kind == TaskwaitContinuation {
+				want = TaskwaitStats{Handoffs: rounds}
+			}
+			if st := r.TaskwaitStats(); st.Inlined != 0 || st.Parks != want.Parks || st.Handoffs != want.Handoffs {
+				t.Errorf("%v w=%d: stats %+v, want %+v (steal-resumes aside)", kind, workers, st, want)
 			}
 		}
 	}
@@ -359,7 +466,8 @@ func TestTaskwaitEdgeCases(t *testing.T) {
 			t.Run("final-region", func(t *testing.T) {
 				// Submissions inside a final task run inline and register no
 				// children, so an inner taskwait is a completed no-op: at w=1
-				// the only blocking wait in the program is the root's.
+				// the only wait with a child is the root's, and it runs f
+				// itself.
 				r := New(Config{Workers: 1, TaskwaitImpl: kind, Debug: true})
 				var order []string
 				err := r.RunChecked(func(tc *TaskContext) {
@@ -379,25 +487,27 @@ func TestTaskwaitEdgeCases(t *testing.T) {
 				if len(order) != 3 || order[0] != "included" || order[2] != "after-wait" {
 					t.Errorf("final-region order %v", order)
 				}
-				st := r.TaskwaitStats()
-				if got := st.Parks + st.Handoffs; got != 1 {
-					t.Errorf("%d blocking waits (stats %+v), want 1 (the root's)", got, st)
+				if st := r.TaskwaitStats(); st.blockingWaits() != 0 || st.Inlined != 1 {
+					t.Errorf("stats %+v, want no blocking wait and 1 inlined (f)", st)
 				}
 			})
 			t.Run("double-taskwait", func(t *testing.T) {
-				// Two blocking waits in one body: the second wait must block
-				// again (fresh signal/continuation state), giving exactly
-				// 2 parent waits + 1 root wait at w=1.
-				r := New(Config{Workers: 1, TaskwaitImpl: kind, Debug: true})
+				// Two blocking waits in one body, on children started on the
+				// other worker: the second wait must block again (fresh
+				// signal/continuation state), giving exactly 2 parent waits +
+				// 1 root wait. p starts on the free token; the root's wait
+				// finds nothing to help with and blocks first, freeing the
+				// token c1 starts on.
+				r := New(Config{Workers: 2, TaskwaitImpl: kind, Debug: true})
 				var ran atomic.Int64
 				err := r.RunChecked(func(tc *TaskContext) {
 					tc.Submit(TaskSpec{Label: "p", Body: func(tc *TaskContext) {
-						tc.Submit(TaskSpec{Label: "c1", Body: func(*TaskContext) { ran.Add(1) }})
+						submitElsewhere(tc, func() { ran.Add(1) })
 						tc.Taskwait()
 						if ran.Load() != 1 {
 							t.Error("first wait returned before c1")
 						}
-						tc.Submit(TaskSpec{Label: "c2", Body: func(*TaskContext) { ran.Add(1) }})
+						submitElsewhere(tc, func() { ran.Add(1) })
 						tc.Taskwait()
 						if ran.Load() != 2 {
 							t.Error("second wait returned before c2")
@@ -407,127 +517,79 @@ func TestTaskwaitEdgeCases(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				st := r.TaskwaitStats()
-				if got := st.Parks + st.Handoffs; got != 3 {
-					t.Errorf("%d blocking waits (stats %+v), want 3", got, st)
+				if st := r.TaskwaitStats(); st.blockingWaits() != 3 || st.Inlined != 0 {
+					t.Errorf("stats %+v, want 3 blocking waits and none inlined", st)
 				}
 			})
 		})
 	}
 }
 
-// TestTaskwaitW1Parity guards the continuation machinery's constant factor
-// on one worker, where wait-freedom buys nothing: a nested-taskwait
-// workload must run within 1.5x of the parking reference.
-func TestTaskwaitW1Parity(t *testing.T) {
-	if testing.Short() {
-		t.Skip("timing guard; skipped in short mode")
-	}
-	if raceEnabledCore {
-		t.Skip("timing guard; race instrumentation skews the comparison")
-	}
-	const waves = 400
-	const trials = 5
-	sweep := func(kind TaskwaitKind) time.Duration {
-		r := New(Config{Workers: 1, TaskwaitImpl: kind})
-		start := time.Now()
-		r.Run(func(tc *TaskContext) {
-			tc.Submit(TaskSpec{Label: "driver", Body: func(tc *TaskContext) {
-				for i := 0; i < waves; i++ {
-					tc.Submit(TaskSpec{Label: "c", Body: func(tc *TaskContext) {
-						tc.Submit(TaskSpec{Label: "g"})
-						tc.Taskwait()
-					}})
-					tc.Taskwait()
-				}
-			}})
-		})
-		return time.Since(start)
-	}
-	best := map[TaskwaitKind]time.Duration{TaskwaitParking: 1<<63 - 1, TaskwaitContinuation: 1<<63 - 1}
-	for trial := 0; trial < trials; trial++ {
-		for _, kind := range taskwaitKinds {
-			runtime.GC()
-			if dur := sweep(kind); dur < best[kind] {
-				best[kind] = dur
-			}
-		}
-	}
-	f := float64(best[TaskwaitContinuation]) / float64(best[TaskwaitParking])
-	if f > 1.5 {
-		t.Errorf("continuation w=1: %.2fx slower than parking (%v vs %v); the handoff path regressed",
-			f, best[TaskwaitContinuation], best[TaskwaitParking])
-	} else {
-		t.Logf("continuation w=1: %.2fx of parking (%v vs %v)",
-			f, best[TaskwaitContinuation], best[TaskwaitParking])
-	}
-}
-
 // TestGraphOwnerTaskwaitStaysEligible pins one direction of the
-// replay-eligibility decision: a blocking owner-level taskwait between
-// submissions is owner body code, re-executed identically by every
-// execution, so the recording stays replayable — and the recorded trace
-// counts the wait (Recording.OwnerWaits).
+// replay-eligibility decision: an owner-level taskwait between submissions
+// is owner body code, re-executed identically by every execution, so the
+// recording stays replayable — and the recorded trace counts the wait
+// (Recording.OwnerWaits) whether it blocked or ran A itself: at one worker
+// the owner's wait always runs A inline, at two A starts on the free token
+// and the wait blocks.
 func TestGraphOwnerTaskwaitStaysEligible(t *testing.T) {
-	for _, kind := range taskwaitKinds {
-		r := New(Config{Workers: 2, TaskwaitImpl: kind, Debug: true})
-		d := r.NewData("a", 8, 8)
-		data := make([]int64, 8)
-		const iters = 3
-		err := r.RunChecked(func(tc *TaskContext) {
-			for it := 0; it < iters; it++ {
-				tc.Graph("owner-wait", func(tc *TaskContext) {
-					tc.Submit(TaskSpec{Label: "A",
-						Deps: []Dep{{Data: d, Type: InOut, Ivs: []Interval{iv(0, 8)}}},
-						Body: func(*TaskContext) {
-							// Hold back until the owner is blocked in its
-							// wait: a wait that finds nothing to wait for
-							// is not recorded, and whether the recording
-							// sweep's did was a race between A and the
-							// owner.
-							for owner := tc.task; ; runtime.Gosched() {
-								owner.mu.Lock()
-								blocked := owner.waiting || owner.cont != nil
-								owner.mu.Unlock()
-								if blocked {
-									break
+	for _, workers := range []int{1, 2} {
+		for _, kind := range taskwaitKinds {
+			r := New(Config{Workers: workers, TaskwaitImpl: kind, Debug: true})
+			d := r.NewData("a", 8, 8)
+			data := make([]int64, 8)
+			const iters = 3
+			err := r.RunChecked(func(tc *TaskContext) {
+				for it := 0; it < iters; it++ {
+					tc.Graph("owner-wait", func(tc *TaskContext) {
+						inlined := r.TaskwaitStats().Inlined
+						tc.Submit(TaskSpec{Label: "A",
+							Deps: []Dep{{Data: d, Type: InOut, Ivs: []Interval{iv(0, 8)}}},
+							Body: func(*TaskContext) {
+								// Hold back until the owner is in its wait —
+								// blocked, or running A itself: a wait that
+								// finds nothing to wait for is not recorded,
+								// and whether the recording sweep's did
+								// would be a race between A and the owner.
+								for owner := tc.task; !owner.blockedInWait() && r.TaskwaitStats().Inlined == inlined; {
+									runtime.Gosched()
 								}
-							}
-							for p := range data {
-								data[p]++
-							}
-						}})
-					// Owner-level barrier mid-region: A must be complete
-					// before B is even submitted, on every execution mode.
-					tc.Taskwait()
-					want := int64(1)
-					tc.Submit(TaskSpec{Label: "B",
-						Deps: []Dep{{Data: d, Type: In, Ivs: []Interval{iv(0, 8)}}},
-						Body: func(*TaskContext) {
-							if data[0] < want {
-								t.Error("B observed A incomplete after the owner wait")
-							}
-						}})
-				})
+								for p := range data {
+									data[p]++
+								}
+							}})
+						// Owner-level barrier mid-region: A must be complete
+						// before B is even submitted, on every execution mode.
+						tc.Taskwait()
+						want := int64(1)
+						tc.Submit(TaskSpec{Label: "B",
+							Deps: []Dep{{Data: d, Type: In, Ivs: []Interval{iv(0, 8)}}},
+							Body: func(*TaskContext) {
+								if data[0] < want {
+									t.Error("B observed A incomplete after the owner wait")
+								}
+							}})
+					})
+				}
+			})
+			if err != nil {
+				t.Fatalf("w=%d %v: %v", workers, kind, err)
 			}
-		})
-		if err != nil {
-			t.Fatalf("%v: %v", kind, err)
-		}
-		st := r.ReplayStats()
-		if st.Records != 1 || st.Replays != iters-1 || st.Fallbacks != 0 || st.Invalidations != 0 {
-			t.Errorf("%v: replay stats %+v, want 1 record, %d replays, no fallbacks/invalidations",
-				kind, st, iters-1)
-		}
-		region := r.regionFor("owner-wait")
-		if region.rec == nil {
-			t.Fatalf("%v: no recording retained", kind)
-		}
-		if ok, reason := region.rec.Eligible(); !ok {
-			t.Errorf("%v: recording ineligible (%s); owner waits must stay eligible", kind, reason)
-		}
-		if got := region.rec.OwnerWaits(); got != 1 {
-			t.Errorf("%v: OwnerWaits = %d, want 1 (the recorded mid-region wait)", kind, got)
+			st := r.ReplayStats()
+			if st.Records != 1 || st.Replays != iters-1 || st.Fallbacks != 0 || st.Invalidations != 0 {
+				t.Errorf("w=%d %v: replay stats %+v, want 1 record, %d replays, no fallbacks/invalidations",
+					workers, kind, st, iters-1)
+			}
+			region := r.regionFor("owner-wait")
+			if region.rec == nil {
+				t.Fatalf("w=%d %v: no recording retained", workers, kind)
+			}
+			if ok, reason := region.rec.Eligible(); !ok {
+				t.Errorf("w=%d %v: recording ineligible (%s); owner waits must stay eligible", workers, kind, reason)
+			}
+			if got := region.rec.OwnerWaits(); got != 1 {
+				t.Errorf("w=%d %v: OwnerWaits = %d, want 1 (the recorded mid-region wait)", workers, kind, got)
+			}
 		}
 	}
 }

@@ -67,7 +67,7 @@ func TestThrottleWindowBoundsReadyBacklog(t *testing.T) {
 			rt.Run(func(tc *TaskContext) {
 				for i := 0; i < 200; i++ {
 					tc.Submit(TaskSpec{Label: "t", Body: func(*TaskContext) {
-						if o := rt.open.Load(); o > maxOpen.Load() {
+						if o := rt.taskCounts().open; o > maxOpen.Load() {
 							maxOpen.Store(o)
 						}
 					}})

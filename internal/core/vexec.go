@@ -155,8 +155,8 @@ func (r *Runtime) runVirtual(root func(tc *TaskContext)) {
 		}
 	}
 done:
-	if r.live.Load() != 0 {
-		panic(fmt.Sprintf("core: virtual run deadlocked with %d live tasks", r.live.Load()))
+	if n := r.taskCounts().live; n != 0 {
+		panic(fmt.Sprintf("core: virtual run deadlocked with %d live tasks", n))
 	}
 	r.wallDur = 0
 }

@@ -322,9 +322,9 @@ func (r *Runtime) renderStall(reason string, s probeSample) StallReport {
 		Waiters:         s.waiters,
 		ThrottleWaiters: s.thrWaiters,
 		ThrottleCredits: s.thrCredits,
-		Open:            r.open.Load(),
-		Live:            r.live.Load(),
 	}
+	counts := r.taskCounts()
+	rep.Open, rep.Live = counts.open, counts.live
 	if r.thr != nil {
 		rep.ThrottleOpen = r.thr.Open()
 	}

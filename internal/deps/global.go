@@ -30,7 +30,7 @@ func newGlobalEngine(obs Observer, pooled bool) *GlobalEngine {
 	e.c.hook = &e.hookSlot
 	if pooled {
 		e.ep = newEnginePools()
-		e.c.mem = newDepMem(e.ep, everyShard, 0)
+		e.c.mem = newDepMem(e.ep, everyShard)
 	}
 	return e
 }
@@ -75,7 +75,7 @@ func (e *GlobalEngine) NewNode(parent *Node, label string, user any) *Node {
 	e.c.stats.Nodes++
 	var n *Node
 	if e.ep != nil {
-		n = e.ep.newPooledNode(0, parent, label, user)
+		n = e.ep.newPooledNode(laneHint(parent), parent, label, user)
 		if parent != nil {
 			parent.pins.Add(1) // released when the child node is recycled
 		}

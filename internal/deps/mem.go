@@ -107,13 +107,11 @@ func laneHintFrag(f *fragment) int {
 }
 
 // depMem is one shard's view of the engine pools: owner lanes entered only
-// while holding that shard's lock, the key of the shard (what it hands out
-// it takes back; see recycleNode), and the node-pool lane hint used when
-// this shard recycles nodes.
+// while holding that shard's lock, and the key of the shard (what it hands
+// out it takes back; see recycleNode).
 type depMem struct {
 	ep     *enginePools
 	key    shardKey
-	lane   int
 	frags  mempool.Lane[fragment]
 	accs   mempool.Lane[access]
 	amaps  mempool.Lane[regions.Map[*fragment]]
@@ -130,8 +128,8 @@ func (m *depMem) owns(key shardKey) bool {
 	return m != nil && (m.key == key || m.key == everyShard)
 }
 
-func newDepMem(ep *enginePools, key shardKey, lane int) *depMem {
-	m := &depMem{ep: ep, key: key, lane: lane}
+func newDepMem(ep *enginePools, key shardKey) *depMem {
+	m := &depMem{ep: ep, key: key}
 	m.frags.Init(ep.frags)
 	m.accs.Init(ep.accs)
 	m.amaps.Init(ep.amaps)
@@ -210,12 +208,12 @@ func putBack[T any](lane *mempool.Lane[T], g *mempool.Global[T], p *T) {
 // of other shards go to the shared globals, from where their own lanes
 // refill. A lane that took back more than it hands out would sit on objects
 // — the rarely cycled, grown interval maps of an outer task above all —
-// that the lanes they came from then allocate anew.
+// that the lanes they came from then allocate anew. The node itself goes
+// back to the node-pool lane NewNode takes its siblings from (laneHint of
+// the parent): one fixed lane for every drain outside a shard lock would
+// put every dependency-free task's node through one mutex from all workers.
 func (ep *enginePools) recycleNode(n *Node, m *depMem) {
-	lane := 0
-	if m != nil {
-		lane = m.lane
-	}
+	lane := laneHint(n.parent)
 	for _, acc := range n.accesses {
 		var frags *mempool.Lane[fragment]
 		var accs *mempool.Lane[access]

@@ -182,6 +182,48 @@ func TestMemPoolRecyclingHappens(t *testing.T) {
 	}
 }
 
+// TestNodeRecyclesToParentLane: a drained node goes back to the node-pool
+// lane NewNode takes its siblings from — the parent's — where the next node
+// created under the same parent finds it. A dependency-free node drains
+// outside any shard lock; sending all of those to one fixed lane would put
+// every such task's node through one mutex from all workers.
+func TestNodeRecyclesToParentLane(t *testing.T) {
+	if testEngineKind != EngineGlobal {
+		t.Skip("memory-mode test instantiates its engines explicitly")
+	}
+	for _, kind := range []EngineKind{EngineGlobal, EngineSharded} {
+		e := NewEngineMem(kind, nil, mempool.KindPooled)
+		root := e.NewNode(nil, "root", nil)
+		e.Register(root, nil)
+		// A parent off lane 0, the lane every lock-free drain used to take.
+		var parent *Node
+		var spares []*Node
+		for parent == nil {
+			n := e.NewNode(root, "parent", nil)
+			e.Register(n, nil)
+			if laneHint(n)%nodePoolLanes != 0 {
+				parent = n
+			} else {
+				spares = append(spares, n)
+			}
+		}
+		child := e.NewNode(parent, "child", nil)
+		e.Register(child, nil)
+		e.Complete(child)
+		next := e.NewNode(parent, "next", nil)
+		if next != child {
+			t.Errorf("%v: the next node under the same parent is not the recycled one", kind)
+		}
+		e.Register(next, nil)
+		for _, n := range append(spares, next, parent, root) {
+			e.Complete(n)
+		}
+		if ms, _ := e.MemStats(); ms.Outstanding() != 0 {
+			t.Errorf("%v: %d pooled objects outstanding: %+v", kind, ms.Outstanding(), ms)
+		}
+	}
+}
+
 // handleRecorder captures a generation-checked handle (and the label the
 // node carried) for every node the engine creates.
 type handleRecorder struct {

@@ -67,10 +67,8 @@ type ShardedEngine struct {
 	table atomic.Pointer[[]*stripes]
 	mu    sync.Mutex
 	// extents holds what DeclareExtent was told, by DataID, until the
-	// object's first registration consumes it. Guarded by mu, like nshards
-	// (shards created so far: each one's memory-lane number).
+	// object's first registration consumes it. Guarded by mu.
 	extents []extent
-	nshards int
 }
 
 type shard struct {
@@ -214,9 +212,8 @@ func (e *ShardedEngine) stripesFor(data DataID, firstLen int64, delegating bool)
 		sh.c.obs = e.obs
 		sh.c.hook = &e.hookSlot
 		if e.ep != nil {
-			sh.c.mem = newDepMem(e.ep, makeKey(data, i), e.nshards)
+			sh.c.mem = newDepMem(e.ep, makeKey(data, i))
 		}
-		e.nshards++
 		st.shards[i] = sh
 	}
 	grown := make([]*stripes, max(len(t), int(data)+1))

@@ -490,22 +490,10 @@ func TestWeakWaitMarkRecycled(t *testing.T) {
 	e := newDeclared(map[DataID]int64{d0: elems, d1: elems}, mempool.KindPooled)
 	root := e.NewNode(nil, "root", nil)
 	e.Register(root, nil)
-	// A node drained outside any shard lock goes back to node-pool lane 0;
-	// the children of parent are taken from there.
-	var parent *Node
-	var spares []*Node
-	for parent == nil {
-		n := e.NewNode(root, "parent", nil)
-		e.Register(n, nil)
-		if laneHint(n)%nodePoolLanes == 0 {
-			parent = n
-		} else if spares = append(spares, n); len(spares) > 64*nodePoolLanes {
-			t.Fatal("no parent node hashes to node-pool lane 0")
-		}
-	}
 	// The weakwait node stripes d0 at the cap; its dependency-free child is
 	// what it waits for, so both drain through the lock-free path when the
-	// child completes, and the weakwait node is the last one pooled.
+	// child completes, and the weakwait node is the last one pooled into the
+	// lane of its parent, root.
 	marked := e.NewNode(root, "weakwait", nil)
 	marked.MarkWeakWait()
 	e.Register(marked, []Spec{inout(regions.Iv(0, elems))})
@@ -517,7 +505,7 @@ func TestWeakWaitMarkRecycled(t *testing.T) {
 	e.Complete(marked)
 	e.Complete(child)
 
-	reused := e.NewNode(parent, "strong", nil)
+	reused := e.NewNode(root, "strong", nil)
 	if reused != marked {
 		t.Fatal("the node pool did not hand the weakwait node back")
 	}
@@ -526,9 +514,7 @@ func TestWeakWaitMarkRecycled(t *testing.T) {
 		t.Errorf("strong whole-object first access by a recycled weakwait node: %d stripes, want 1", got)
 	}
 	e.Complete(reused)
-	for _, n := range append(spares, parent, root) {
-		e.Complete(n)
-	}
+	e.Complete(root)
 	if live := e.LiveFragments(); live != 0 {
 		t.Errorf("%d fragments live at the end", live)
 	}

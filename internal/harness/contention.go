@@ -434,9 +434,10 @@ type WaitResult struct {
 
 // WaitBench drives reps waves of a nested-taskwait workload: each wave
 // submits 2w parent tasks, and each parent submits fan spinning leaf
-// children and blocks on them twice (two batches per parent). The leaf
-// spins guarantee the parents' taskwaits find incomplete children — the
-// blocking path under measurement.
+// children and waits for them twice (two batches per parent). The leaf
+// spins guarantee the parents' taskwaits find incomplete children: a wait
+// runs the ones still on its worker's deque itself (Stats.Inlined) and
+// blocks on the rest — the blocking path under measurement.
 func WaitBench(kind core.TaskwaitKind, w, reps, fan int) WaitResult {
 	rt := core.New(core.Config{Workers: w, TaskwaitImpl: kind})
 	cpu0 := cpuTime()

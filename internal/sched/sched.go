@@ -3,8 +3,10 @@
 // implementations with configurable policy, and token hand-off.
 //
 // The runtime model is goroutine-per-task gated by tokens: a task body runs
-// on its own goroutine only while it holds a token, so at most Workers task
-// bodies execute at once. A task blocking in taskwait yields its token (the
+// only on a goroutine that holds a token, so at most Workers task bodies
+// execute at once. A task waiting in taskwait first runs the queued
+// descendants on its own worker's queue itself, on its own token
+// (HelpQueue); only when none is left does it block and yield its token (the
 // paper's observation that a taskwait forces the runtime to keep the task
 // context alive, §IV, maps to the blocked goroutine). How the blocked task
 // gets a token back depends on the core runtime's Taskwait strategy: the
@@ -151,6 +153,20 @@ type Queue[T any] interface {
 type CreatorQueue[T any] interface {
 	Queue[T]
 	SubmitCreator(item T, from int)
+}
+
+// HelpQueue is the optional Queue extension behind a waiting task's help
+// step: the holder of worker's token takes the newest item of its own
+// queue to run on its own goroutine instead of blocking, and puts back an
+// item it declines. PopOwn never steals and never reads the creator lane or
+// the inbox. PutBack queues the item at the bottom again and rechecks the
+// free tokens, so a declined item never sits beside a free token. Both are
+// owner-only, like a deque push. Only the Stealing pool implements it; the
+// central Scheduler's waits block without helping.
+type HelpQueue[T any] interface {
+	Queue[T]
+	PopOwn(worker int) (item T, ok bool)
+	PutBack(item T, worker int)
 }
 
 // Probe is one instantaneous observation of a pool's admission state, for

@@ -92,6 +92,7 @@ type Stealing[T any] struct {
 var _ Queue[int] = (*Stealing[int])(nil)
 var _ AffinityQueue[int] = (*Stealing[int])(nil)
 var _ CreatorQueue[int] = (*Stealing[int])(nil)
+var _ HelpQueue[int] = (*Stealing[int])(nil)
 
 // poolShard pads to a whole number of cache lines so one worker's push/pop
 // traffic does not false-share with its neighbours' (the field sizes are
@@ -468,33 +469,15 @@ func (p *Stealing[T]) consumeBox(w int, box *T) T {
 // redistribution instead of paying a full O(workers) scan per item
 // (ROADMAP's steal-half item; the depbench steals/kop column observes it).
 func (p *Stealing[T]) popFor(w int) (item T, ok bool) {
+	if item, ok = p.PopOwn(w); ok {
+		return item, true
+	}
 	sh := &p.shards[w]
-	if !sh.newBatch {
-		// Whatever w runs next opens its own lane batch. (Written only on a
-		// change: the flag shares the shard with counters thieves poll.)
-		sh.newBatch = true
-	}
-	if p.workers == 1 {
-		if n := len(p.soloQ); n > 0 {
-			var zero T
-			item, p.soloQ[n-1] = p.soloQ[n-1], zero
-			p.soloQ = p.soloQ[:n-1]
-			p.soloLen.Store(int64(n - 1))
-			return item, true
-		}
-		if item, ok = sh.takeLane(false); ok {
-			return item, true
-		}
-		return p.takeInbox(sh)
-	}
-	if box, ok := sh.deque.PopBottom(); ok {
-		return p.consumeBox(w, box), true
-	}
 	if item, ok = sh.takeLane(false); ok {
 		return item, true
 	}
-	if item, ok = p.takeInbox(sh); ok {
-		return item, true
+	if item, ok = p.takeInbox(sh); ok || p.workers == 1 {
+		return item, ok
 	}
 	if p.topo.flat {
 		start := sh.randN(p.workers)
@@ -526,6 +509,40 @@ func (p *Stealing[T]) popFor(w int) (item T, ok bool) {
 	}
 	var zero T
 	return zero, false
+}
+
+// PopOwn implements HelpQueue: the newest item of worker's own deque (the
+// soloQ top at one worker) — popFor's first step, and nothing else.
+func (p *Stealing[T]) PopOwn(worker int) (item T, ok bool) {
+	sh := &p.shards[worker]
+	if !sh.newBatch {
+		// Whatever worker runs next opens its own lane batch. (Written only
+		// on a change: the flag shares the shard with counters thieves poll.)
+		sh.newBatch = true
+	}
+	if p.workers == 1 {
+		n := len(p.soloQ)
+		if n == 0 {
+			return item, false
+		}
+		var zero T
+		item, p.soloQ[n-1] = p.soloQ[n-1], zero
+		p.soloQ = p.soloQ[:n-1]
+		p.soloLen.Store(int64(n - 1))
+		return item, true
+	}
+	if box, ok := sh.deque.PopBottom(); ok {
+		return p.consumeBox(worker, box), true
+	}
+	return item, false
+}
+
+// PutBack implements HelpQueue: the item returns to the bottom of worker's
+// own deque, and the kick matches it with any token that retired while it
+// was out (the Dekker pairing of Submit).
+func (p *Stealing[T]) PutBack(item T, worker int) {
+	p.pushItem(item, worker)
+	p.kick()
 }
 
 // stealFrom makes one visit to victim v on behalf of thief w: the victim's

@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"fmt"
 	"math/rand"
 	"sync"
 	"sync/atomic"
@@ -338,5 +339,88 @@ func TestStealingExternalSpread(t *testing.T) {
 			t.Fatal("pool did not quiesce")
 		}
 		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestPopOwnOwnDequeOnly: the help pop (HelpQueue) takes the owner's own
+// deque newest-first — the soloQ at one worker — and nothing else: not the
+// creator lane, not the inbox, not another worker's deque. PutBack returns
+// an item where the next pop finds it, and a put-back item that meets a
+// free token starts at once instead of waiting for the owner.
+func TestPopOwnOwnDequeOnly(t *testing.T) {
+	for _, workers := range []int{1, 2} {
+		t.Run(fmt.Sprintf("w%d", workers), func(t *testing.T) {
+			var mu sync.Mutex
+			ran := map[int]bool{}
+			var s *Stealing[int]
+			s = NewStealing(workers, func(item, worker int) {
+				for {
+					mu.Lock()
+					ran[item] = true
+					mu.Unlock()
+					next, ok := s.Finish(worker)
+					if !ok {
+						return
+					}
+					item = next
+				}
+			})
+			ranCount := func() int {
+				mu.Lock()
+				defer mu.Unlock()
+				return len(ran)
+			}
+			held := holdAll(s)
+			w := held[0]
+			s.Submit(1, w)
+			s.Submit(2, w)
+			s.SubmitCreator(100, w)
+			s.Submit(50, -1)
+			others := 2 // the creator and the external item
+			if workers > 1 {
+				s.Submit(7, held[1])
+				others++
+			}
+			for _, want := range []int{2, 1} {
+				if got, ok := s.PopOwn(w); !ok || got != want {
+					t.Fatalf("PopOwn = %d, %v; want %d", got, ok, want)
+				}
+			}
+			if got, ok := s.PopOwn(w); ok {
+				t.Fatalf("PopOwn took %d from beyond the own deque", got)
+			}
+			s.PutBack(1, w)
+			if got, ok := s.PopOwn(w); !ok || got != 1 {
+				t.Fatalf("PopOwn after PutBack = %d, %v; want 1", got, ok)
+			}
+			if workers > 1 {
+				// The other worker drains everything it can reach and retires.
+				for _, h := range held[1:] {
+					s.Yield(h)
+				}
+				deadline := time.Now().Add(5 * time.Second)
+				for ranCount() < others || s.Probe().FreeTokens == 0 {
+					if time.Now().After(deadline) {
+						t.Fatalf("other worker ran %d of %d items", ranCount(), others)
+					}
+					time.Sleep(100 * time.Microsecond)
+				}
+				// w still holds its token: only the free one can run this.
+				s.PutBack(1, w)
+				for ranCount() < others+1 {
+					if time.Now().After(deadline) {
+						t.Fatal("a put-back item sat beside a free token")
+					}
+					time.Sleep(100 * time.Microsecond)
+				}
+			} else {
+				s.PutBack(1, w)
+			}
+			s.Yield(w)
+			waitQuiesce(t, "stealing", s)
+			if got := ranCount(); got != others+1 {
+				t.Errorf("ran %d items, want %d", got, others+1)
+			}
+		})
 	}
 }

@@ -93,12 +93,26 @@ func (t *Tracer) Spans() []Span {
 	return out
 }
 
-// BusyTime returns the summed span durations across all workers.
+// BusyTime returns the time during which each worker had a span open,
+// summed across workers. Spans of one worker may nest — a task run inline
+// by a waiting task on the same worker records its span inside the
+// waiter's — so per worker this is the length of the union of its spans,
+// not the sum of their durations, and busy time never exceeds the extent.
 func (t *Tracer) BusyTime() int64 {
 	var sum int64
+	var spans []Span
 	for _, ws := range t.perWorker {
-		for _, s := range ws {
-			sum += s.End - s.Start
+		spans = append(spans[:0], ws...)
+		sort.Slice(spans, func(i, j int) bool { return spans[i].Start < spans[j].Start })
+		var end int64
+		for i, s := range spans {
+			if i == 0 || s.Start > end {
+				sum += s.End - s.Start
+				end = s.End
+			} else if s.End > end {
+				sum += s.End - end
+				end = s.End
+			}
 		}
 	}
 	return sum

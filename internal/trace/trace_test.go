@@ -38,6 +38,27 @@ func TestBusyAndExtent(t *testing.T) {
 	}
 }
 
+// TestBusyTimeNestedSpans: spans nested on one worker (a task run inline
+// inside its waiting ancestor's span, recorded first because it ends first)
+// count once, overlapping ones by their union, and a gap is not busy — so
+// a fully busy worker never reports more than the wall time.
+func TestBusyTimeNestedSpans(t *testing.T) {
+	tr := New(2)
+	k := tr.KindID("k")
+	tr.Record(0, k, 20, 30) // inline child
+	tr.Record(0, k, 40, 50) // inline child
+	tr.Record(0, k, 10, 60) // the waiter around both
+	tr.Record(0, k, 55, 70) // overlaps the waiter's tail
+	tr.Record(0, k, 80, 90) // after a gap
+	tr.Record(1, k, 0, 100)
+	if got := tr.BusyTime(); got != 70+100 {
+		t.Fatalf("BusyTime = %d, want 170 (60 + 10 on worker 0, 100 on worker 1)", got)
+	}
+	if ep := tr.EffectiveParallelism(100); ep > 2 {
+		t.Fatalf("EffectiveParallelism = %f exceeds the worker count", ep)
+	}
+}
+
 func TestEffectiveParallelismFullWidth(t *testing.T) {
 	tr := New(4)
 	k := tr.KindID("k")

@@ -64,12 +64,14 @@
 //
 // Nested synchronization points are wait-free by default (Config.
 // TaskwaitImpl = TaskwaitAuto): a Taskwait that finds incomplete children
-// yields its worker token into other ready work, and the last completing
-// child submits the waiting task back into the ready pools as a pooled
-// continuation — the worker that pulls it hands its token straight to the
-// parked goroutine, so the token protocol never idles a worker on a sync
-// point. TaskwaitParking restores the classic park-on-channel reference;
-// Runtime.TaskwaitStats reports parks, handoffs, and steal-resumes.
+// first runs the queued descendants on its own worker's deque itself; only
+// when none is left does it yield its worker token into other ready work,
+// and the last completing child submits the waiting task back into the
+// ready pools as a pooled continuation — the worker that pulls it hands its
+// token straight to the parked goroutine, so the token protocol never idles
+// a worker on a sync point. TaskwaitParking restores the classic park-on-channel reference;
+// Runtime.TaskwaitStats reports inlined descendants, parks, handoffs, and
+// steal-resumes.
 //
 // A minimal program:
 //
@@ -175,9 +177,9 @@ type (
 	// TaskwaitKind selects the Taskwait blocking strategy
 	// (Config.TaskwaitImpl).
 	TaskwaitKind = core.TaskwaitKind
-	// TaskwaitStats exposes the Taskwait blocking counters
-	// (Runtime.TaskwaitStats): parks (parking strategy), continuation
-	// handoffs, and steal-resumes.
+	// TaskwaitStats exposes the Taskwait counters (Runtime.TaskwaitStats):
+	// descendants run inline by their waiting ancestor, parks (parking
+	// strategy), continuation handoffs, and steal-resumes.
 	TaskwaitStats = core.TaskwaitStats
 )
 
