@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: all help build vet test race flake bench-short bench-check sched-smoke throttle-smoke mem-smoke replay-smoke wait-smoke ws-smoke topo-smoke chaos-smoke depbench ci
+.PHONY: all help build vet test race flake bench-short bench-check sched-smoke throttle-smoke mem-smoke replay-smoke wait-smoke ws-smoke chaos-smoke depbench ci
 
 all: build
 
@@ -31,20 +31,14 @@ help:
 	@echo "                 iterative programs, shape-flip invalidation fallback, countdown-node"
 	@echo "                 leak accounting, w=1 parity guard (replay <=1.5x live), workload"
 	@echo "                 validation (GS graph variant + heat vs sequential reference)"
-	@echo "  wait-smoke     taskwait gates: parking-vs-continuation differential over random"
-	@echo "                 nested programs on the helping stealing pool and the central queue,"
-	@echo "                 descendants-only help counterexample, zero-parks continuation check"
-	@echo "                 (w=2/4/8), exact w=1 stats, edge cases, plus the depbench"
-	@echo "                 nested-taskwait table"
+	@echo "  wait-smoke     taskwait gates: stealing-vs-central differential over random nested"
+	@echo "                 programs (the stealing pool's waits help, the central queue's park),"
+	@echo "                 exact w=1 stats, descendants-only help counterexample, one park per"
+	@echo "                 blocked wait (w=2/4/8), edge cases"
 	@echo "  ws-smoke       worksharing gates: chunked-vs-expand differential over randomized"
 	@echo "                 grains and skewed chunk costs, single-replay-node check, w=1 parity"
 	@echo "                 guard (chunked <=1.5x expand), chunk-descriptor alloc gate, workload"
 	@echo "                 validation (axpy + GS wavefront), plus the depbench ws table"
-	@echo "  topo-smoke     steal-topology gates: resolved-tree shape, exact nearest-first"
-	@echo "                 steal-distance walk, nearest-first announce spread, affinity batch"
-	@echo "                 routing, w=1 parity guard (tree <=1.5x flat), the cross-group"
-	@echo "                 steal-rate drop (tree strictly below flat at w=4/8, histogram"
-	@echo "                 mostly sibling-level), plus the depbench locality table"
 	@echo "  chaos-smoke    robustness gates (-race): seeded chaos soak (failpoints on every"
 	@echo "                 lock-free edge, checksum + drain + zero-stall oracles, failing"
 	@echo "                 seeds print a -seed replay line), watchdog selftest (induced"
@@ -52,13 +46,12 @@ help:
 	@echo "                 panic-safe drain suite, chaos unit tests, and the depbench"
 	@echo "                 chaos table with its 0-stalls expectation"
 	@echo "  depbench       contention tables: deps engines (incl. pooled memory), sched pools,"
-	@echo "                 throttle windows, replay cache, taskwait strategies, worksharing"
-	@echo "                  chunks, steal locality (go run ./cmd/depbench; -mode deps|sched|"
-	@echo "                  throttle|replay|wait|ws|locality|chaos selects one table, -workers/"
-	@echo "                  -ops/-sched-ops/-throttle-ops/-window/-replay-iters/-wait-reps/"
-	@echo "                  -ws-iters/-ws-grain/-locality-ops/-chaos-seed/-chaos-rate size the"
-	@echo "                  sweeps; -json emits machine-readable rows instead of tables)"
-	@echo "  ci             build + vet + test + race + bench-short + bench-check + sched/throttle/mem/replay/wait/ws/topo/chaos smokes"
+	@echo "                 throttle windows, replay cache, worksharing chunks (go run"
+	@echo "                 ./cmd/depbench; -mode deps|sched|throttle|replay|ws|chaos selects one"
+	@echo "                 table, -workers/-ops/-sched-ops/-throttle-ops/-window/-replay-iters/"
+	@echo "                 -ws-iters/-ws-grain/-chaos-seed/-chaos-rate size the sweeps; -json"
+	@echo "                 emits machine-readable rows instead of tables)"
+	@echo "  ci             build + vet + test + race + bench-short + bench-check + sched/throttle/mem/replay/wait/ws/chaos smokes"
 
 build:
 	$(GO) build ./...
@@ -147,21 +140,17 @@ replay-smoke:
 	$(GO) test -run 'TestGraphReplayDifferential|TestGraphShapeFlipInvalidation|TestReplayW1Parity' ./internal/core
 	$(GO) test -run 'TestHeatValidates|TestGSGraphValidates' ./internal/workloads
 
-# Taskwait smoke: the parking-vs-continuation differential over randomized
-# nested programs, run on the stealing pool (whose waits run their queued
-# descendants inline) and on the central queue (whose waits always block):
-# identical checksums and task counts, and exact w=1 counts — every task
-# inlined and no blocking wait on the one, the predicted blocking waits on
-# the other. Then the descendants-only counterexample (a wait that ran a
-# task it is not waiting for would deadlock; the test times out), the
-# zero-parks check (with the children started on other workers, every wait
-# blocks, and continuation mode must never park a worker at w=2/4/8 while
-# the parking reference always does), the exact-stats and edge-case
-# suites, and one pass of the depbench nested-taskwait table (its inlined
-# column counts the children the waits ran themselves).
+# Taskwait smoke: the differential over randomized nested programs, run on
+# the stealing pool (whose waits run their queued descendants inline) and
+# on the central queue (whose waits always park): identical checksums and
+# task counts, and exact w=1 counts — every task inlined and no park on the
+# one, the predicted parks on the other. Then the descendants-only
+# counterexample (a wait that ran a task it is not waiting for would
+# deadlock; the test times out), the one-park-per-blocked-wait check (with
+# the children started on other workers, every wait parks exactly once at
+# w=2/4/8), and the exact-stats and edge-case suites.
 wait-smoke:
-	$(GO) test -run 'TestTaskwaitImplResolution|TestTaskwaitExactStats|TestTaskwaitDifferential|TestTaskwaitInlineDescendantsOnly|TestTaskwaitZeroParksMultiWorker|TestTaskwaitEdgeCases' ./internal/core
-	$(GO) run ./cmd/depbench -mode wait -workers 2,4,8 -wait-reps 60
+	$(GO) test -run 'TestTaskwaitExactStats|TestTaskwaitDifferential|TestTaskwaitInlineDescendantsOnly|TestTaskwaitOneParkPerBlockedWait|TestTaskwaitEdgeCases' ./internal/core
 
 # Worksharing smoke: the chunked-vs-expand differential (identical final
 # state over randomized grains, widths, and skewed chunk costs), the
@@ -180,24 +169,10 @@ ws-smoke:
 # Contention tables (deps: global vs sharded engine, plus the pooled
 # memory mode; sched: central single-lock vs work-stealing ready pool;
 # throttle: mutex+cond vs sharded token-bucket window; replay: live engine
-# vs frozen-graph replay per sweep; wait: parking vs continuation
-# taskwait). See `go doc ./cmd/depbench` for the flags and columns.
+# vs frozen-graph replay per sweep; ws: per-chunk tasks vs one worksharing
+# task). See `go doc ./cmd/depbench` for the flags and columns.
 depbench:
 	$(GO) run ./cmd/depbench
-
-# Steal-topology smoke: the resolved-tree shape checks, the exact
-# nearest-first walk order on a frozen two-domain pool (sibling level
-# exhausted before the domain, domain before remote, per-level counters
-# exact), the nearest-first announce spread, affinity-hinted batch
-# routing (cross-group hints divert to the hinted shard's inbox), the
-# w=1 parity guard (the topology walk must not cost anything with no one
-# to steal from), the locality acceptance gate (tree cross-group steal
-# rate strictly below the flat reference at w=4/8 with a mostly
-# sibling-level histogram), and one pass of the depbench locality table.
-topo-smoke:
-	$(GO) test -run 'TestTopologyResolve|TestStealDistanceDistribution|TestAnnounceNearestFirst|TestSubmitBatchAffinityRouting|TestTopologyW1Parity' ./internal/sched
-	$(GO) test -run 'TestLocalityCrossGroupDrop' ./internal/harness
-	$(GO) run ./cmd/depbench -mode locality -workers 4,8 -locality-ops 100000
 
 # Robustness smoke: the chaos soak (short mode: >=12 seeded failpoint
 # schedules x 3 fire rates over the mixed-construct workload, under the
@@ -215,4 +190,4 @@ chaos-smoke:
 	$(GO) test -race -short -run 'TestChaosGroupsCoverAllSites|TestChaosBenchRows' ./internal/harness
 	$(GO) run ./cmd/depbench -mode chaos -workers 4 -chaos-iters 32
 
-ci: build vet test race bench-short bench-check sched-smoke throttle-smoke mem-smoke replay-smoke wait-smoke ws-smoke topo-smoke chaos-smoke
+ci: build vet test race bench-short bench-check sched-smoke throttle-smoke mem-smoke replay-smoke wait-smoke ws-smoke chaos-smoke

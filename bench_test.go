@@ -202,11 +202,10 @@ func BenchmarkAblationHandoff(b *testing.B) {
 
 // BenchmarkAblationThrottle measures the task-creation throttle (bounded
 // lookahead window, §III) on the flat-depend AXPY: first the window sweep
-// with the default (sharded) implementation, then the implementation ×
-// window × worker-count contention matrix comparing the mutex+cond
-// reference window against the sharded token bucket on the end-to-end
-// workload (the isolated-component measurement is cmd/depbench's throttle
-// table and internal/throttle's contention matrix).
+// at the default worker count, then the window × worker-count contention
+// matrix on the end-to-end workload (the mutex+cond reference window is
+// compared against the sharded token bucket in isolation by cmd/depbench's
+// throttle table and internal/throttle's contention matrix).
 func BenchmarkAblationThrottle(b *testing.B) {
 	b.ReportAllocs()
 	p := workloads.AxpyParams{N: 1 << 19, Calls: 8, TaskSize: 4 << 10, Alpha: 1, Compute: true}
@@ -221,27 +220,17 @@ func BenchmarkAblationThrottle(b *testing.B) {
 			}
 		})
 	}
-	impls := []struct {
-		name string
-		kind nanos.ThrottleKind
-	}{
-		{"locked", nanos.ThrottleLocked},
-		{"sharded", nanos.ThrottleSharded},
-	}
-	for _, impl := range impls {
-		for _, window := range []int{16, 256} {
-			for _, workers := range []int{1, 4, 8} {
-				b.Run(fmt.Sprintf("impl=%s/window=%d/w=%d", impl.name, window, workers), func(b *testing.B) {
-					b.ReportAllocs()
-					for i := 0; i < b.N; i++ {
-						if _, err := workloads.RunAxpy(workloads.Mode{
-							Workers: workers, Throttle: window, ThrottleImpl: impl.kind,
-						}, workloads.AxpyFlatDepend, p); err != nil {
-							b.Fatal(err)
-						}
+	for _, window := range []int{16, 256} {
+		for _, workers := range []int{1, 4, 8} {
+			b.Run(fmt.Sprintf("window=%d/w=%d", window, workers), func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					if _, err := workloads.RunAxpy(workloads.Mode{Workers: workers, Throttle: window},
+						workloads.AxpyFlatDepend, p); err != nil {
+						b.Fatal(err)
 					}
-				})
-			}
+				}
+			})
 		}
 	}
 }

@@ -26,20 +26,6 @@
 //     spin proportionally to chunk length) runs twice per grain: expanded
 //     to one task per chunk (the Taskloop shape) and as one worksharing
 //     task whose chunks self-schedule against a shared cursor.
-//   - wait: the Taskwait blocking strategies. A nested-taskwait workload
-//     (parents submitting spinning leaf children and blocking on them,
-//     repeated in waves) runs through the parking reference and the
-//     continuation handoff; the continuation rows must show zero parks at
-//     every width — a blocked wait's resume rides the ready pools instead
-//     of parking the worker.
-//   - locality: the topology-aware steal victim selection. An imbalanced
-//     drain workload (each core group's work piled on one shard, every
-//     other worker progressing only by stealing) runs through the
-//     stealing pool over a synthetic two-domain topology twice: flat
-//     victim order (the reference) and the nearest-first tree walk. The
-//     columns are the steal-distance histogram (sibling / in-domain /
-//     cross-domain) and the cross-group steal rate, which the tree rows
-//     must push toward the sibling level.
 //   - chaos: the fault-injection robustness table. The mixed-construct
 //     workload (graph regions, nested taskwait, worksharing, taskgroups)
 //     runs once per subsystem group of failpoint sites (internal/chaos)
@@ -51,17 +37,16 @@
 //     not in -mode all: it measures robustness, not contention.
 //
 // The benchmark kernels live in internal/harness (DepsBench, SchedBench,
-// ThrottleBench, ReplayOverheadBench, WSChunkBench, WaitBench,
-// LocalityBench); see that package for the per-kernel workload and
+// ThrottleBench, ReplayOverheadBench, WSChunkBench, ChaosBench); see that
+// package for the per-kernel workload and
 // counter documentation. This command owns the sweep loops, warm-up
 // passes, and formatting.
 //
 // Usage:
 //
-//	depbench [-mode all|deps|sched|throttle|replay|ws|wait|locality|chaos] [-workers 1,2,4,8]
+//	depbench [-mode all|deps|sched|throttle|replay|ws|chaos] [-workers 1,2,4,8]
 //	         [-ops N] [-sched-ops N] [-throttle-ops N] [-window N]
 //	         [-replay-iters N] [-replay-blocks N] [-ws-iters N] [-ws-grain G,G,...]
-//	         [-wait-reps N] [-wait-fan N] [-locality-ops N] [-locality-spin N]
 //	         [-chaos-seed S] [-chaos-rate N] [-chaos-iters N] [-json]
 //
 // -ops, -sched-ops, and -throttle-ops size the three workloads
@@ -91,7 +76,6 @@ import (
 	"repro/internal/deps"
 	"repro/internal/harness"
 	"repro/internal/mempool"
-	"repro/internal/sched"
 	"repro/internal/throttle"
 )
 
@@ -145,7 +129,7 @@ func withGOMAXPROCS(w int, f func()) {
 }
 
 func main() {
-	modeFlag := flag.String("mode", "all", "which table to print: all, deps, sched, throttle, replay, ws, wait, or locality")
+	modeFlag := flag.String("mode", "all", "which table to print: all, deps, sched, throttle, replay, ws, or chaos")
 	opsFlag := flag.Int("ops", 400_000, "chain steps per dependency-engine configuration")
 	// Scheduler admission ops are ~10x cheaper than engine ops, so the
 	// sched table needs a longer run for lock contention to accumulate
@@ -158,10 +142,6 @@ func main() {
 	wsItersFlag := flag.Int("ws-iters", 100, "loop regions per worksharing-table configuration")
 	wsGrainFlag := flag.String("ws-grain", "16,64,256", "comma-separated grain sweep for the worksharing table")
 	wsRangeFlag := flag.Int64("ws-n", 1<<16, "iteration-space size of each worksharing region")
-	waitRepsFlag := flag.Int("wait-reps", 200, "waves per taskwait-table configuration")
-	waitFanFlag := flag.Int("wait-fan", 8, "leaf children per parent in the taskwait-table workload")
-	localityOpsFlag := flag.Int("locality-ops", 200_000, "leaf items per locality-table configuration")
-	localitySpinFlag := flag.Int("locality-spin", 400, "leaf busy-spin of the locality-table workload")
 	chaosSeedFlag := flag.Uint64("chaos-seed", 1, "failpoint PRNG seed of the chaos table")
 	chaosRateFlag := flag.Uint("chaos-rate", 2, "per-site fire rate denominator of the chaos table (1 = every call)")
 	chaosItersFlag := flag.Int("chaos-iters", 64, "workload iterations per chaos-table row")
@@ -179,9 +159,9 @@ func main() {
 		workers = append(workers, n)
 	}
 	switch *modeFlag {
-	case "all", "deps", "sched", "throttle", "replay", "ws", "wait", "locality", "chaos":
+	case "all", "deps", "sched", "throttle", "replay", "ws", "chaos":
 	default:
-		fmt.Fprintf(os.Stderr, "depbench: bad mode %q (want all, deps, sched, throttle, replay, ws, wait, locality, or chaos)\n", *modeFlag)
+		fmt.Fprintf(os.Stderr, "depbench: bad mode %q (want all, deps, sched, throttle, replay, ws, or chaos)\n", *modeFlag)
 		os.Exit(2)
 	}
 	var wsGrains []int64
@@ -402,89 +382,6 @@ func main() {
 								"idle_pct":          res.Idle * 100, "speedup_x": ratio,
 							})
 					}
-				}
-			})
-		}
-	}
-
-	if *modeFlag == "all" || *modeFlag == "wait" {
-		if *modeFlag == "all" {
-			em.printf("\n")
-		}
-		reps, fan := *waitRepsFlag, *waitFanFlag
-		em.printf("taskwait blocking strategy (nested parents over spinning leaves)\n")
-		em.printf("%-13s %8s %10s %10s %12s %10s %10s %10s %11s %7s\n",
-			"impl", "workers", "waits", "inlined", "wall", "us/wait", "parks", "handoffs", "steal-res", "idle")
-		kinds := []struct {
-			name string
-			kind core.TaskwaitKind
-		}{
-			{"parking", core.TaskwaitParking},
-			{"continuation", core.TaskwaitContinuation},
-		}
-		for _, w := range workers {
-			withGOMAXPROCS(w, func() {
-				for _, r := range kinds {
-					harness.WaitBench(r.kind, w, reps/10+1, fan) // warm-up
-					runtime.GC()
-					res := harness.WaitBench(r.kind, w, reps, fan)
-					em.printf("%-13s %8d %10d %10d %12s %10.2f %10d %10d %11d %6.1f%%\n",
-						r.name, w, res.Waits, res.Stats.Inlined, res.Wall.Round(time.Millisecond),
-						float64(res.Wall.Microseconds())/float64(res.Waits),
-						res.Stats.Parks, res.Stats.Handoffs, res.Stats.StealResumes, res.Idle*100)
-					em.add("wait", r.name, w,
-						map[string]int64{"reps": int64(reps), "fan": int64(fan)},
-						map[string]float64{
-							"wall_ns": float64(res.Wall), "waits": float64(res.Waits),
-							"inlined":       float64(res.Stats.Inlined),
-							"us_per_wait":   float64(res.Wall.Microseconds()) / float64(res.Waits),
-							"parks":         float64(res.Stats.Parks),
-							"handoffs":      float64(res.Stats.Handoffs),
-							"steal_resumes": float64(res.Stats.StealResumes),
-							"idle_pct":      res.Idle * 100,
-						})
-				}
-			})
-		}
-	}
-
-	if *modeFlag == "all" || *modeFlag == "locality" {
-		if *modeFlag == "all" {
-			em.printf("\n")
-		}
-		ops, spin := *localityOpsFlag, *localitySpinFlag
-		em.printf("steal locality (per-group work piles over a two-domain topology)\n")
-		em.printf("%-6s %8s %10s %12s %10s %11s %8s %8s %8s %7s\n",
-			"topo", "workers", "ops", "wall", "Mops/s", "steals/kop", "sib%", "dom%", "rem%", "cross%")
-		for _, w := range workers {
-			withGOMAXPROCS(w, func() {
-				for _, tp := range harness.LocalityTopologies {
-					harness.LocalityBench(tp.Topo, w, ops/10+1, spin) // warm-up
-					runtime.GC()
-					res := harness.LocalityBench(tp.Topo, w, ops, spin)
-					pct := func(lvl int) float64 {
-						if res.Steals == 0 {
-							return 0
-						}
-						return 100 * float64(res.StealLevels[lvl]) / float64(res.Steals)
-					}
-					em.printf("%-6s %8d %10d %12s %10.2f %11.1f %7.1f%% %7.1f%% %7.1f%% %6.1f%%\n",
-						tp.Name, w, res.Ops, res.Wall.Round(time.Millisecond),
-						float64(res.Ops)/1e6/res.Wall.Seconds(),
-						1000*float64(res.Steals)/float64(res.Ops),
-						pct(sched.LevelSibling), pct(sched.LevelDomain), pct(sched.LevelRemote),
-						res.CrossRate*100)
-					em.add("locality", tp.Name, w,
-						map[string]int64{"ops": int64(ops), "spin": int64(spin)},
-						map[string]float64{
-							"wall_ns": float64(res.Wall), "ops": float64(res.Ops),
-							"mops":           float64(res.Ops) / 1e6 / res.Wall.Seconds(),
-							"steals_per_kop": 1000 * float64(res.Steals) / float64(res.Ops),
-							"sib_pct":        pct(sched.LevelSibling),
-							"dom_pct":        pct(sched.LevelDomain),
-							"rem_pct":        pct(sched.LevelRemote),
-							"cross_pct":      res.CrossRate * 100,
-						})
 				}
 			})
 		}

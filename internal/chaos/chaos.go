@@ -1,9 +1,9 @@
 // Package chaos is the runtime's failpoint registry: named injection
 // sites threaded through every lock-free protocol edge (the steal-CAS
-// retry, Dekker recheck and creator-lane take windows in internal/sched, the credit-steal
-// and batch-wake hand-off in internal/throttle, the cascade ordering and
-// pin-count release in internal/deps, the lane-refill path in
-// internal/mempool, and the replay/taskwait/worksharing intercepts in
+// retry, Dekker recheck and creator-lane take windows in internal/sched,
+// the credit-steal and batch-wake hand-off in internal/throttle, the
+// cascade ordering and pin-count release in internal/deps, the lane-refill
+// path in internal/mempool, and the replay and worksharing intercepts in
 // internal/core). A site does nothing when the registry is disarmed — the
 // fast path is a single atomic bool load and a predictable branch, cheap
 // enough to leave compiled into production paths — and injects
@@ -82,10 +82,6 @@ const (
 	// fallback (drain the admitted prefix, finish live, re-record next
 	// time).
 	ReplayInvalidate
-	// TaskwaitIntercept sits in the continuation resume between the
-	// intercept and the token hand-off send, delaying a parked taskwait's
-	// resume while its subtree's completions race ahead.
-	TaskwaitIntercept
 	// WsAnnounceConsume sits in the worksharing helper intercept between
 	// popping the invitation and joining the chunk drain, racing the
 	// announce-hold release against the owner's completion.
@@ -110,7 +106,6 @@ var siteNames = [NumSites]string{
 	"deps-pin-release",
 	"mempool-refill",
 	"replay-invalidate",
-	"taskwait-intercept",
 	"ws-announce-consume",
 	"sched-creator-lane",
 }

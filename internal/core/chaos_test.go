@@ -9,7 +9,7 @@ import (
 )
 
 // Chaos soak: the full real-mode stack — sharded deps, stealing pool,
-// sharded throttle, pooled memory, record-and-replay regions, continuation
+// sharded throttle, pooled memory, record-and-replay regions, parking
 // taskwait, chunked worksharing — driven under randomized seeded failpoint
 // schedules (internal/chaos) that widen every lock-free race window the
 // runtime owns. The oracles are the existing ones: a deterministic final
@@ -35,7 +35,7 @@ func chaosStack() Config {
 //     (records once, replays after — and every forced ReplayInvalidate
 //     falls back live mid-region and re-records);
 //   - a dependency-carrying parent with a nested submit + blocking
-//     taskwait per iteration (continuation handoffs under chaos);
+//     taskwait per iteration (parks under chaos);
 //   - a worksharing sweep and a taskgroup burst per iteration;
 //   - an all-weak creator nest per iteration (four weakwait creators, every
 //     other one through a weak sub-creator, over leaves that chain across

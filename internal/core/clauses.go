@@ -102,15 +102,6 @@ func (r *Runtime) runErr() error {
 			check("%d replay countdown nodes not recycled at end of run", n)
 		}
 	}
-	if r.contPool != nil {
-		// Every blocked taskwait resumes before its subtree can complete,
-		// and the resumed waiter recycles its continuation node before its
-		// body continues — all of which happens-before the root's
-		// completion, so a positive count here is a leaked continuation.
-		if n := r.contPool.Outstanding(); n != 0 {
-			check("%d taskwait continuation nodes not recycled at end of run", n)
-		}
-	}
 	if r.wsPool != nil {
 		// Every worksharing chunk descriptor recycles in its task's
 		// completeTask, which happens-before the root's completion, so a

@@ -35,69 +35,26 @@ func (r *Runtime) dispatchAll(nodes []*deps.Node, from int) {
 		}
 		return
 	}
-	if len(nodes) == 1 && r.aff == nil {
+	if len(nodes) == 1 {
 		r.sch.Submit(nodes[0].User.(*Task), from)
 		return
 	}
 	var tasks []*Task
-	var hints []int32
 	ws := r.scratchFor(from)
 	if ws != nil {
 		tasks = ws.batch[:0]
-		hints = ws.hints[:0]
 	} else {
 		tasks = make([]*Task, 0, len(nodes))
-		if r.aff != nil {
-			hints = make([]int32, 0, len(nodes))
-		}
 	}
 	for _, n := range nodes {
 		tasks = append(tasks, n.User.(*Task))
-		if r.aff != nil {
-			hints = append(hints, r.affinityHint(n))
-		}
 	}
-	// The pools copy every item out of the slices before the submit call
+	// The pools copy every item out of the slice before the submit call
 	// returns, so the scratch is immediately reusable.
-	if r.aff != nil {
-		// Affinity routing: each node's ReadyData names the data object
-		// whose grant made it ready; a task over data another shard group
-		// last touched is handed to that group instead of parked on the
-		// submitter's deque, so the group with the data warm finds it
-		// without a cross-group steal.
-		r.aff.SubmitBatchAffinity(tasks, hints, from)
-	} else {
-		r.sch.SubmitBatch(tasks, from)
-	}
+	r.sch.SubmitBatch(tasks, from)
 	if ws != nil {
 		clear(tasks)
 		ws.batch = tasks[:0]
-		ws.hints = hints[:0]
-	}
-}
-
-// affinityHint returns the worker that last ran a task whose primary data
-// is n's ready-data object — the locality hint the deps engines record on
-// each node — or -1 when unknown.
-func (r *Runtime) affinityHint(n *deps.Node) int32 {
-	rd, ok := n.ReadyData()
-	if !ok {
-		return -1
-	}
-	tab := r.lastW.Load()
-	if tab == nil || int(rd) >= len(*tab) {
-		return -1
-	}
-	return (*tab)[rd].Load()
-}
-
-// noteLastWorker records worker w as the last to run a task whose primary
-// data is d (the recycle-safe half of the affinity hint: the node that
-// carries ReadyData may be recycled, the data object is forever).
-func (r *Runtime) noteLastWorker(d deps.DataID, w int) {
-	tab := r.lastW.Load()
-	if tab != nil && int(d) < len(*tab) {
-		(*tab)[d].Store(int32(w))
 	}
 }
 
@@ -145,27 +102,15 @@ func (r *Runtime) dispatchPreferFirst(nodes []*deps.Node, w int, donePD deps.Dat
 // with the stale id would double-release it — putting two goroutines on
 // one worker and corrupting the per-worker cache and trace state.
 //
-// A task arriving with a continuation node attached is not new work but a
-// parked taskwait riding the ready pool: the worker hands its token to the
-// parked goroutine and exits in its place. The unlocked cont read is
-// ordered by the pool: the waiter sets cont (then the last child reads it
-// under the parent's mu and submits), and the pool's Submit/pop pair
-// orders that write before this read. The intercept runs before
-// taskStarted, so the throttle window never counts a resume.
-//
 // A task arriving with a chunk descriptor attached is a worksharing
 // invitation (announced by wsExecute after the task's own body started):
 // the worker joins the chunk drain instead of executing a body, releases
 // its announce-hold, and looks for more work. The unlocked wsRun read is
-// ordered by the pool's Announce/pop pair exactly like cont; the task's
-// first dispatch — the one that runs the body — always sees wsRun nil,
-// which is only set from inside the running body.
+// ordered by the pool's Announce/pop pair; the task's first dispatch — the
+// one that runs the body — always sees wsRun nil, which is only set from
+// inside the running body.
 func (r *Runtime) runWorker(t *Task, w int) {
 	for {
-		if cn := t.cont; cn != nil {
-			r.resumeContinuation(t, cn, w)
-			return
-		}
 		if wr := t.wsRun; wr != nil {
 			w = r.runWsHelper(t, wr, w)
 			nt, ok := r.sch.Finish(w)
@@ -222,12 +167,6 @@ func (r *Runtime) executeTask(t *Task, w int) (*Task, int) {
 		donePD, doneOK = t.node.PrimaryData()
 	}
 	worker := tc.worker
-	if doneOK && r.aff != nil && worker >= 0 {
-		// Record the affinity hint before the completion cascade dispatches
-		// successors, so a successor readied by this completion can be
-		// routed toward the shard group that just produced its input.
-		r.noteLastWorker(donePD, worker)
-	}
 	ready, completed := r.finishBody(t, tc.worker)
 	if completed {
 		// Completed here, in this goroutine: nothing references t anymore

@@ -210,19 +210,17 @@ func TestMemPoolViolationsSurviveRecycling(t *testing.T) {
 	}
 }
 
-// TestMemPoolAllocGate gates the Taskwait allocation fixes: the parking
-// path reuses one signal channel per task (allocated on the first blocking
+// TestMemPoolAllocGate gates the Taskwait allocation fix: the parking path
+// reuses one signal channel per task (allocated on the first blocking
 // wait, kept across waits and recycles) instead of making a fresh chan per
-// wait, and the continuation path draws its nodes from a pool. A
-// steady-state {submit child; Taskwait} cycle in the pooled memory mode
-// must stay at its 2-mallocs floor under both strategies — a per-wait
-// channel (or unpooled continuation node) would push it to 3 — and well
-// under the allocate-always reference. The blocking paths are measured on
+// wait. A steady-state {submit child; Taskwait} cycle in the pooled memory
+// mode must stay at its 2-mallocs floor — a per-wait channel would push it
+// to 3 — and well under the allocate-always reference. The blocking paths are measured on
 // the central queue, where at w=1 every such wait blocks; the stealing
 // pool's waits run the child inline instead, and must stay as cheap.
 func TestMemPoolAllocGate(t *testing.T) {
-	measure := func(mem mempool.Kind, policy sched.Policy, kind TaskwaitKind) float64 {
-		r := New(Config{Workers: 1, Policy: policy, TaskwaitImpl: kind, MemPool: mem})
+	measure := func(mem mempool.Kind, policy sched.Policy) float64 {
+		r := New(Config{Workers: 1, Policy: policy, MemPool: mem})
 		blocks := policy == sched.LIFO
 		var per float64
 		r.Run(func(tc *TaskContext) {
@@ -236,7 +234,7 @@ func TestMemPoolAllocGate(t *testing.T) {
 				}
 				for i := 0; i < 200; i++ {
 					cycle()
-					if kind == TaskwaitParking && blocks {
+					if blocks {
 						if firstSig == nil {
 							firstSig = tc.task.waitSig
 							if firstSig == nil {
@@ -258,24 +256,22 @@ func TestMemPoolAllocGate(t *testing.T) {
 				per = float64(m1.Mallocs-m0.Mallocs) / N
 			}})
 		})
-		if st := r.TaskwaitStats(); blocks != (st.blockingWaits() > 0) || blocks == (st.Inlined > 0) {
-			t.Errorf("%v %v: stats %+v; the central queue's waits must block, the stealing pool's help", policy, kind, st)
+		if st := r.TaskwaitStats(); blocks != (st.Parks > 0) || blocks == (st.Inlined > 0) {
+			t.Errorf("%v: stats %+v; the central queue's waits must block, the stealing pool's help", policy, st)
 		}
 		return per
 	}
 	for _, policy := range twPolicies {
-		for _, kind := range taskwaitKinds {
-			pooled := measure(mempool.KindPooled, policy, kind)
-			ref := measure(mempool.KindReference, policy, kind)
-			t.Logf("%v %v: pooled %.2f mallocs/cycle, reference %.2f", policy, kind, pooled, ref)
-			if pooled > 2.5 {
-				t.Errorf("%v %v: %.2f mallocs per wait cycle, want <= 2.5 (a per-wait allocation crept in)",
-					policy, kind, pooled)
-			}
-			if ref < pooled*1.5 {
-				t.Errorf("%v %v: reference mode %.2f vs pooled %.2f mallocs/cycle; expected the pooled mode well below the reference",
-					policy, kind, ref, pooled)
-			}
+		pooled := measure(mempool.KindPooled, policy)
+		ref := measure(mempool.KindReference, policy)
+		t.Logf("%v: pooled %.2f mallocs/cycle, reference %.2f", policy, pooled, ref)
+		if pooled > 2.5 {
+			t.Errorf("%v: %.2f mallocs per wait cycle, want <= 2.5 (a per-wait allocation crept in)",
+				policy, pooled)
+		}
+		if ref < pooled*1.5 {
+			t.Errorf("%v: reference mode %.2f vs pooled %.2f mallocs/cycle; expected the pooled mode well below the reference",
+				policy, ref, pooled)
 		}
 	}
 }

@@ -49,9 +49,6 @@ func assertDrained(t *testing.T, r *Runtime) {
 	if n := r.ReplayPoolStats().Outstanding(); n != 0 {
 		t.Errorf("%d replay countdown nodes outstanding", n)
 	}
-	if n := r.ContPoolStats().Outstanding(); n != 0 {
-		t.Errorf("%d continuation nodes outstanding", n)
-	}
 	if n := r.WsPoolStats().Outstanding(); n != 0 {
 		t.Errorf("%d worksharing descriptors outstanding", n)
 	}

@@ -80,16 +80,6 @@ type Config struct {
 	// highest TaskSpec.Priority first. Virtual mode has no ready pool: it
 	// orders its own deterministic event-driven list by Policy.
 	Policy sched.Policy
-	// Topology arranges the stealing pool's worker shards into a locality
-	// tree (domain → core group → worker): steal victim selection walks
-	// nearest-neighbour-first, worksharing invitations spread nearest the
-	// announcing owner, and ready batches are routed by Node.ReadyData
-	// affinity to the shard group that last touched the data. The zero
-	// value derives a synthetic tree from the worker count;
-	// sched.TopologyFlat restores the flat victim order (the differential
-	// reference). The central queue (LIFO, Priority) has no shards and
-	// ignores it.
-	Topology sched.Topology
 	// DepEngine selects the dependency-engine implementation. EngineAuto
 	// (the zero value) picks the per-data-object sharded engine — depend
 	// clauses over disjoint data then register and release with no common
@@ -112,6 +102,9 @@ type Config struct {
 	// always wakes. (Counting all instantiated tasks would deadlock nested
 	// weak programs: a task can be dependency-blocked on fragments that
 	// release only when its blocked submitter's own body finishes.)
+	// Real mode runs the sharded token-bucket window (internal/throttle):
+	// a global atomic credit balance with per-worker credit caches and
+	// per-shard wait lists; virtual mode never blocks submitters.
 	ThrottleOpenTasks int
 	// MemPool selects the task-lifecycle memory management.
 	// mempool.KindAuto (the zero value) picks the pooled mode in real mode:
@@ -139,17 +132,6 @@ type Config struct {
 	// disables the cache (regions keep their barrier); virtual mode always
 	// resolves to off.
 	Replay replay.Kind
-	// ThrottleImpl selects the throttle-window implementation.
-	// throttle.KindAuto (the zero value) picks the sharded token-bucket
-	// window in real mode — a global atomic credit balance with per-worker
-	// credit caches and per-shard wait lists, so throttled submitters and
-	// task starts on different workers do not serialize on a common lock.
-	// throttle.KindLocked is the single mutex+cond reference window. Both
-	// enforce the same bound (the differential tests in internal/throttle
-	// prove it); selecting one explicitly is for ablations and A/B
-	// comparisons. Ignored when ThrottleOpenTasks is 0 or in virtual mode
-	// (the sequential simulation never blocks submitters).
-	ThrottleImpl throttle.Kind
 	// WorksharingImpl selects the TaskContext.Worksharing execution
 	// strategy. WorksharingAuto (the zero value) picks the chunk-distributed
 	// strategy in real mode: one task registers the loop's union depend
@@ -163,21 +145,6 @@ type Config struct {
 	// differential tests in this package prove it). Virtual mode runs the
 	// chunked strategy's chunks serially inside the single task.
 	WorksharingImpl WorksharingKind
-	// TaskwaitImpl selects the TaskContext.Taskwait blocking strategy: how
-	// a wait blocks once its help step (running the queued descendants on
-	// its own worker's deque itself, the same under either strategy) has
-	// found nothing left to run. TaskwaitAuto (the zero value) picks the
-	// continuation handoff in real mode: a blocked taskwait yields its
-	// worker into other ready work and the *last completing child* submits
-	// the waiting task back into the sharded ready pools as a pooled
-	// continuation — the worker-token protocol never parks a worker on a
-	// nested sync point.
-	// TaskwaitParking is the classic park-on-channel reference. Both
-	// strategies share the same child-countdown state (the differential
-	// tests in this package prove them observably equivalent); selecting
-	// one explicitly is for ablations and A/B comparisons. Virtual mode has
-	// no Taskwait and ignores this.
-	TaskwaitImpl TaskwaitKind
 	// Virtual selects the discrete-event virtual-time mode.
 	Virtual bool
 	// VirtualSubmitCost charges the creating task this many virtual cost
@@ -247,17 +214,6 @@ type Runtime struct {
 	datas   []dataInfo
 	datasMu sync.Mutex
 
-	// Affinity routing (stealing pool with a topology tree). aff is the
-	// pool's hint-accepting submit interface (nil when the pool has none or
-	// a single worker makes routing moot); lastW maps each DataID to the
-	// worker that last ran a task whose primary data it is (-1 = none yet).
-	// The table is indexed by recycle-safe state — the data object, not the
-	// task or node, both of which return to their free lists on completion —
-	// and grown copy-on-write under datasMu by NewData, so readers just load
-	// the pointer and index (a stale snapshot only costs hint freshness).
-	aff   sched.AffinityQueue[*Task]
-	lastW atomic.Pointer[[]atomic.Int32]
-
 	// lane is the pool's program-order admission (nil when the pool has
 	// none): tasks whose depend clause is all weak — creators, which touch
 	// no data and only instantiate children (§VI) — are enqueued through it
@@ -284,12 +240,7 @@ type Runtime struct {
 
 	thr throttle.Window // admission window (nil if unthrottled or virtual)
 
-	// Taskwait strategy (Config.TaskwaitImpl). contPool is the continuation-
-	// node free list (continuation strategy, real mode only); tw counts
-	// parks/handoffs/steal-resumes (Runtime.TaskwaitStats).
-	twKind   TaskwaitKind
-	contPool *mempool.Pool[contNode]
-	tw       twStats
+	parks atomic.Int64 // blocking taskwaits (Runtime.TaskwaitStats)
 
 	// Worksharing strategy (Config.WorksharingImpl). wsPool is the chunk-
 	// descriptor free list (chunked strategy, real mode only); wsc counts
@@ -344,8 +295,7 @@ type workerScratch struct {
 	ready  []*deps.Node       // 24
 	batch  []*Task            // 24
 	gready []*Task            // 24 (replay successor dispatch)
-	hints  []int32            // 24 (affinity-routed batch dispatch)
-	_      [24]byte           // 168 -> 192 (multiple of the 64-byte line)
+	_      [48]byte           // 144 -> 192 (multiple of the 64-byte line)
 }
 
 // taskCounters is one worker's stripe of the counters every task moves.
@@ -421,11 +371,7 @@ func New(cfg Config) *Runtime {
 		}
 	}
 	if cfg.ThrottleOpenTasks > 0 && !cfg.Virtual {
-		tk := cfg.ThrottleImpl
-		if tk == throttle.KindAuto {
-			tk = throttle.KindSharded
-		}
-		r.thr = throttle.New(tk, cfg.ThrottleOpenTasks, cfg.Workers)
+		r.thr = throttle.New(throttle.KindSharded, cfg.ThrottleOpenTasks, cfg.Workers)
 	}
 	rp := cfg.Replay
 	if rp == replay.KindAuto {
@@ -447,18 +393,6 @@ func New(cfg Config) *Runtime {
 	if wsk == WorksharingChunked && !cfg.Virtual {
 		r.wsPool = newWsPool(cfg.Workers)
 	}
-	tw := cfg.TaskwaitImpl
-	if tw == TaskwaitAuto {
-		if cfg.Virtual {
-			tw = TaskwaitParking // inert: virtual mode has no Taskwait
-		} else {
-			tw = TaskwaitContinuation
-		}
-	}
-	r.twKind = tw
-	if tw == TaskwaitContinuation && !cfg.Virtual {
-		r.contPool = newContPool(cfg.Workers)
-	}
 	if cfg.EnableTrace {
 		r.tracer = trace.New(cfg.Workers)
 	}
@@ -475,15 +409,12 @@ func New(cfg Config) *Runtime {
 	}
 	switch cfg.Policy {
 	case sched.FIFO:
-		r.sch = sched.NewStealingTopo(cfg.Workers, cfg.Topology, r.runWorker)
+		r.sch = sched.NewStealing(cfg.Workers, r.runWorker)
 	case sched.Priority:
 		r.sch = sched.NewPriority(cfg.Workers, r.runWorker,
 			func(t *Task) int64 { return t.spec.Priority })
 	default:
 		r.sch = sched.New(cfg.Workers, cfg.Policy, r.runWorker)
-	}
-	if aq, ok := r.sch.(sched.AffinityQueue[*Task]); ok && cfg.Workers > 1 {
-		r.aff = aq
 	}
 	r.lane, _ = r.sch.(sched.CreatorQueue[*Task])
 	r.help, _ = r.sch.(sched.HelpQueue[*Task])
@@ -508,20 +439,6 @@ func (r *Runtime) NewData(name string, elems int64, elemSize int) DataID {
 	// recorded golden makespans are sensitive to.
 	if ed, ok := r.eng.(extentDeclarer); ok && !r.cfg.Virtual {
 		ed.DeclareExtent(id, elems, r.cfg.Workers)
-	}
-	if r.aff != nil {
-		// Grow the last-worker affinity table copy-on-write: registration
-		// is rare (program setup), reads are per-dispatch.
-		tab := make([]atomic.Int32, len(r.datas))
-		old := r.lastW.Load()
-		for i := range tab {
-			if old != nil && i < len(*old) {
-				tab[i].Store((*old)[i].Load())
-			} else {
-				tab[i].Store(-1)
-			}
-		}
-		r.lastW.Store(&tab)
 	}
 	return id
 }

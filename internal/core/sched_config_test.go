@@ -55,8 +55,8 @@ func TestPriorityPolicyVirtual(t *testing.T) {
 }
 
 // TestPolicySelectsPool pins the ready-pool selection rule — FIFO runs the
-// work-stealing pool with its creator lane (and affinity routing once there
-// is more than one worker), LIFO and Priority run the central queue — and
+// work-stealing pool with its creator lane and help step, LIFO and Priority
+// run the central queue, which has neither — and
 // runs a strict dependency chain and a taskwait-heavy tree on each, checking
 // the dependency order and completion are pool-independent.
 func TestPolicySelectsPool(t *testing.T) {
@@ -72,15 +72,15 @@ func TestPolicySelectsPool(t *testing.T) {
 					if rt.lane == nil {
 						t.Fatal("stealing pool has no creator lane")
 					}
-					if (rt.aff != nil) != (w > 1) {
-						t.Fatalf("affinity routing = %v at w=%d, want %v", rt.aff != nil, w, w > 1)
+					if rt.help == nil {
+						t.Fatal("stealing pool has no help step")
 					}
 				default:
 					if _, ok := rt.sch.(*sched.Scheduler[*Task]); !ok {
 						t.Fatalf("pool = %T, want *sched.Scheduler", rt.sch)
 					}
-					if rt.lane != nil {
-						t.Fatal("central pool has a creator lane")
+					if rt.lane != nil || rt.help != nil {
+						t.Fatal("central pool has a creator lane or a help step")
 					}
 				}
 				d := rt.NewData("x", 1000, 8)

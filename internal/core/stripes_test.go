@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"testing"
+	"unsafe"
 
 	"repro/internal/deps"
 )
@@ -77,5 +78,16 @@ func TestNewDataDeclaresExtent(t *testing.T) {
 				t.Errorf("%s %s: %d fragments, want %d", name, p.name, got, p.fragments)
 			}
 		}
+	}
+}
+
+// TestPerWorkerStructsPadded pins the per-worker arrays' elements to whole
+// cache lines, so two workers' scratch or counter stripes never share one.
+func TestPerWorkerStructsPadded(t *testing.T) {
+	if s := unsafe.Sizeof(workerScratch{}); s%64 != 0 {
+		t.Errorf("workerScratch size %d is not a multiple of 64; fix the pad", s)
+	}
+	if s := unsafe.Sizeof(taskCounters{}); s%64 != 0 {
+		t.Errorf("taskCounters size %d is not a multiple of 64; fix the pad", s)
 	}
 }

@@ -80,22 +80,16 @@ type Task struct {
 	children  int // direct children not yet fully complete
 	bodyDone  bool
 	completed bool
-	// waiting/waitSig serve the parking Taskwait strategy: the blocked body
-	// goroutine parks on waitSig (capacity 1) and the last completing child
-	// signals it. The channel is allocated on the task's first blocking wait
-	// and then reused across waits *and* recycles (it is always empty when
-	// the wait returns), so the steady-state parking path allocates nothing.
+	// waiting/waitSig serve a blocking Taskwait: the blocked body goroutine
+	// parks on waitSig (capacity 1) and the last completing child signals
+	// it. The channel is allocated on the task's first blocking wait and
+	// then reused across waits *and* recycles (it is always empty when the
+	// wait returns), so the steady-state parking path allocates nothing.
 	waiting bool
 	waitSig chan struct{}
-	// cont is the continuation Taskwait strategy's parked waiter: set while
-	// the body goroutine is blocked in taskwaitContinuation, read by the
-	// last completing child (under mu) to submit the resume into the ready
-	// pools, and by runWorker (unlocked — ordered by the pool's internal
-	// synchronization) to hand its token over.
-	cont *contNode
 	// wsRun is the worksharing chunk descriptor: set by the running body
 	// (wsExecute) before announcing helper invitations, read by runWorker
-	// (unlocked — ordered like cont by the pool's Announce/pop pair) to
+	// (unlocked — ordered by the pool's Announce/pop pair) to
 	// route popped invitations into the chunk drain, and recycled by
 	// completeTask. nil on every task that is not an executing worksharing
 	// region.
@@ -150,7 +144,7 @@ func (r *Runtime) recycleTask(t *Task, worker int) {
 	t.greg, t.gidx, t.gnode = nil, 0, nil
 	t.children = 0
 	t.bodyDone, t.completed = false, false
-	t.waiting, t.cont = false, nil
+	t.waiting = false
 	t.wsRun = nil
 	// waitSig is deliberately kept: it is empty again by the time the task
 	// can recycle, and reusing it keeps repeat blocking waits allocation-free
@@ -406,18 +400,12 @@ func (r *Runtime) completeTask(t *Task, worker int, buf []*deps.Node) []*deps.No
 	p.mu.Lock()
 	p.children--
 	var sig chan struct{}
-	var cont *contNode
-	if p.children == 0 {
-		if p.waiting {
-			p.waiting = false
-			sig = p.waitSig
-		}
-		// cont stays set on p: the resumer reads it through the ready pool,
-		// and the woken waiter detaches it before recycling the node.
-		cont = p.cont
+	if p.children == 0 && p.waiting {
+		p.waiting = false
+		sig = p.waitSig
 	}
 	// A parked waiter implies the parent's body has not returned, so cascade
-	// and the wakeups below are mutually exclusive.
+	// and the wakeup below are mutually exclusive.
 	cascade := p.children == 0 && p.bodyDone && !p.completed
 	if cascade {
 		p.completed = true
@@ -426,9 +414,6 @@ func (r *Runtime) completeTask(t *Task, worker int, buf []*deps.Node) []*deps.No
 	if sig != nil {
 		// Capacity 1 with a single consumer: the send never blocks.
 		sig <- struct{}{}
-	}
-	if cont != nil {
-		r.submitContinuation(p, cont, worker)
 	}
 	if cascade {
 		buf = r.completeTask(p, worker, buf)

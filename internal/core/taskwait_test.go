@@ -1,11 +1,10 @@
 package core
 
 // Tests for Taskwait: the help step (a waiting task runs its queued
-// descendants itself) and the two blocking strategies behind it
-// (Config.TaskwaitImpl). The differential suite runs randomized nested
-// programs through both strategies on the stealing pool, whose waits help,
-// and on the central queue, whose waits never do; exact stats at w=1; the
-// descendants-only rule's counterexample; the zero-parks guarantee at
+// descendants itself) and the parking path behind it. The differential
+// suite runs randomized nested programs on the stealing pool, whose waits
+// help, and on the central queue, whose waits never do; exact stats at w=1;
+// the descendants-only rule's counterexample; one park per blocked wait at
 // multiple widths; edge cases (zero children racing a child finish,
 // taskwait inside a final region, double taskwait in one body); and the
 // record-and-replay eligibility decision in both directions.
@@ -27,20 +26,15 @@ import (
 	"repro/internal/sched"
 )
 
-var taskwaitKinds = []TaskwaitKind{TaskwaitParking, TaskwaitContinuation}
-
 // twPolicies pick the two ready pools: FIFO runs the stealing pool, whose
 // waits help, LIFO the central queue, whose waits always block.
 var twPolicies = []sched.Policy{sched.FIFO, sched.LIFO}
 
-// blockingWaits counts the waits that blocked, on either path.
-func (s TaskwaitStats) blockingWaits() int64 { return s.Parks + s.Handoffs }
-
-// blockedInWait reports whether t is blocked in a taskwait, on either path.
+// blockedInWait reports whether t is parked in a taskwait.
 func (t *Task) blockedInWait() bool {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return t.waiting || t.cont != nil
+	return t.waiting
 }
 
 // submitElsewhere submits a child that is certain to start on another
@@ -64,51 +58,6 @@ func submitElsewhere(tc *TaskContext, body func()) {
 	}})
 }
 
-// TestTaskwaitImplResolution pins the auto resolution (continuation in
-// real mode) and the structural mode-exclusivity of the stats: the parking
-// counter can only move on the parking path and vice versa.
-func TestTaskwaitImplResolution(t *testing.T) {
-	// One guaranteed-blocking wait at w=1 on the central queue: the parent
-	// holds the only token, so its submitted child cannot have run when the
-	// wait starts, and the central queue's waits do not help.
-	run := func(cfg Config) TaskwaitStats {
-		cfg.Policy = sched.LIFO
-		r := New(cfg)
-		r.Run(func(tc *TaskContext) {
-			tc.Submit(TaskSpec{Label: "p", Body: func(tc *TaskContext) {
-				tc.Submit(TaskSpec{Label: "c"})
-				tc.Taskwait()
-			}})
-		})
-		return r.TaskwaitStats()
-	}
-	// Auto resolves to continuation: handoffs move, parks stay zero.
-	st := run(Config{Workers: 1})
-	if st.Parks != 0 || st.Handoffs == 0 {
-		t.Errorf("auto (real mode): stats %+v, want parks=0 and handoffs>0", st)
-	}
-	st = run(Config{Workers: 1, TaskwaitImpl: TaskwaitParking})
-	if st.Handoffs != 0 || st.StealResumes != 0 || st.Parks == 0 {
-		t.Errorf("parking: stats %+v, want handoffs=0, stealResumes=0, parks>0", st)
-	}
-	st = run(Config{Workers: 1, TaskwaitImpl: TaskwaitContinuation})
-	if st.Parks != 0 || st.Handoffs == 0 {
-		t.Errorf("continuation: stats %+v, want parks=0 and handoffs>0", st)
-	}
-	// The continuation pool exists only where the strategy does.
-	if New(Config{Workers: 1, TaskwaitImpl: TaskwaitParking}).contPool != nil {
-		t.Error("parking runtime built a continuation pool")
-	}
-	if New(Config{Workers: 1, Virtual: true}).contPool != nil {
-		t.Error("virtual runtime built a continuation pool")
-	}
-	for _, k := range []TaskwaitKind{TaskwaitAuto, TaskwaitParking, TaskwaitContinuation} {
-		if k.String() == "" {
-			t.Errorf("kind %d has no name", k)
-		}
-	}
-}
-
 // TestTaskwaitExactStats: at w=1 everything is deterministic — a parent
 // holding the only worker token guarantees its queued child has not run
 // when the wait starts. On the stealing pool every wait therefore helps and
@@ -118,46 +67,28 @@ func TestTaskwaitImplResolution(t *testing.T) {
 func TestTaskwaitExactStats(t *testing.T) {
 	const parents = 7
 	for _, policy := range twPolicies {
-		for _, kind := range taskwaitKinds {
-			r := New(Config{Workers: 1, Policy: policy, TaskwaitImpl: kind, Debug: true})
-			var ran atomic.Int64
-			err := r.RunChecked(func(tc *TaskContext) {
-				for i := 0; i < parents; i++ {
-					tc.Submit(TaskSpec{Label: "p", Body: func(tc *TaskContext) {
-						tc.Submit(TaskSpec{Label: "c", Body: func(*TaskContext) { ran.Add(1) }})
-						tc.Taskwait()
-						if ran.Load() == 0 {
-							t.Error("taskwait returned before the child ran")
-						}
-					}})
-				}
-			})
-			if err != nil {
-				t.Fatalf("%v %v: %v", policy, kind, err)
+		r := New(Config{Workers: 1, Policy: policy, Debug: true})
+		var ran atomic.Int64
+		err := r.RunChecked(func(tc *TaskContext) {
+			for i := 0; i < parents; i++ {
+				tc.Submit(TaskSpec{Label: "p", Body: func(tc *TaskContext) {
+					tc.Submit(TaskSpec{Label: "c", Body: func(*TaskContext) { ran.Add(1) }})
+					tc.Taskwait()
+					if ran.Load() == 0 {
+						t.Error("taskwait returned before the child ran")
+					}
+				}})
 			}
-			st := r.TaskwaitStats()
-			wantBlocked, wantInlined := int64(0), int64(2*parents)
-			if policy == sched.LIFO {
-				wantBlocked, wantInlined = parents+1, 0
-			}
-			if st.blockingWaits() != wantBlocked || st.Inlined != wantInlined {
-				t.Errorf("%v %v: stats %+v, want %d blocking waits and %d inlined",
-					policy, kind, st, wantBlocked, wantInlined)
-			}
-			if kind == TaskwaitParking && (st.Handoffs != 0 || st.StealResumes != 0) {
-				t.Errorf("%v parking: stats %+v, want zero handoffs and steal-resumes", policy, st)
-			}
-			if kind == TaskwaitContinuation {
-				if st.Parks != 0 {
-					t.Errorf("%v continuation: stats %+v, want zero parks", policy, st)
-				}
-				if st.StealResumes != 0 {
-					t.Errorf("%v continuation w=1: %d steal-resumes with a single worker", policy, st.StealResumes)
-				}
-				if n := r.ContPoolStats().Outstanding(); n != 0 {
-					t.Errorf("%v continuation: %d nodes outstanding after drain", policy, n)
-				}
-			}
+		})
+		if err != nil {
+			t.Fatalf("%v: %v", policy, err)
+		}
+		want := TaskwaitStats{Inlined: 2 * parents}
+		if policy == sched.LIFO {
+			want = TaskwaitStats{Parks: parents + 1}
+		}
+		if st := r.TaskwaitStats(); st != want {
+			t.Errorf("%v: stats %+v, want %+v", policy, st, want)
 		}
 	}
 }
@@ -170,8 +101,7 @@ type twTree struct {
 }
 
 // buildTWTree generates a random tree with per-position wait decisions,
-// all derived from rng up front so both strategies run the identical
-// program.
+// all derived from rng up front so both pools run the identical program.
 func buildTWTree(rng *rand.Rand, depth int, next *int) *twTree {
 	n := &twTree{id: *next}
 	*next++
@@ -229,10 +159,10 @@ func (n *twTree) assertSubtreeDone(t *testing.T, done []atomic.Bool) {
 	}
 }
 
-// runTWProgram executes the tree under one strategy and pool and returns
-// the observables: checksum, task count, and taskwait stats.
-func runTWProgram(t *testing.T, root *twTree, policy sched.Policy, kind TaskwaitKind, workers int) (int64, int64, TaskwaitStats) {
-	r := New(Config{Workers: workers, Policy: policy, TaskwaitImpl: kind, Debug: true})
+// runTWProgram executes the tree on one pool and returns the observables:
+// checksum, task count, and taskwait stats.
+func runTWProgram(t *testing.T, root *twTree, policy sched.Policy, workers int) (int64, int64, TaskwaitStats) {
+	r := New(Config{Workers: workers, Policy: policy, Debug: true})
 	total := root.count()
 	done := make([]atomic.Bool, total)
 	var sum atomic.Int64
@@ -270,67 +200,51 @@ func runTWProgram(t *testing.T, root *twTree, policy sched.Policy, kind Taskwait
 		}
 	})
 	if err != nil {
-		t.Fatalf("%v %v w=%d: %v", policy, kind, workers, err)
+		t.Fatalf("%v w=%d: %v", policy, workers, err)
 	}
 	root.assertSubtreeDone(t, done)
-	if kind == TaskwaitContinuation {
-		if n := r.ContPoolStats().Outstanding(); n != 0 {
-			t.Errorf("%v %v w=%d: %d continuation nodes outstanding after drain", policy, kind, workers, n)
-		}
-	}
 	return sum.Load(), r.TaskCount(), r.TaskwaitStats()
 }
 
 // TestTaskwaitDifferential drives identical randomized nested-taskwait
-// programs through both strategies on both pools — the stealing pool, whose
-// waits help, and the central queue, whose waits never do: identical
-// checksums and task counts at w=1 and w=4, strategy-exclusive stats, and,
-// at w=1, where everything is deterministic, exact counts — on the stealing
-// pool every task runs inline and no wait blocks, on the central queue
-// nothing runs inline and the parks or handoffs match the tree's predicted
-// blocking waits (plus the root's implicit wait when the root submitted
-// anything).
+// programs through both pools — the stealing pool, whose waits help, and
+// the central queue, whose waits never do: identical checksums and task
+// counts at w=1 and w=4, nothing inlined on the central queue, zero
+// Handoffs and StealResumes anywhere, and, at w=1, where everything is
+// deterministic, exact counts — on the stealing pool every task runs inline
+// and no wait parks, on the central queue nothing runs inline and the parks
+// match the tree's predicted blocking waits (plus the root's implicit wait
+// when the root submitted anything).
 func TestTaskwaitDifferential(t *testing.T) {
-	type run struct {
-		policy sched.Policy
-		kind   TaskwaitKind
-	}
 	for _, seed := range randtest.SeedRange(t, 1, 7) {
 		rng := rand.New(rand.NewSource(1300 + seed))
 		var next int
 		root := buildTWTree(rng, 3, &next)
 		for _, workers := range []int{1, 4} {
-			var first run
 			var sum0, count0 int64
 			for i, policy := range twPolicies {
-				for j, kind := range taskwaitKinds {
-					sum, count, st := runTWProgram(t, root, policy, kind, workers)
-					if i == 0 && j == 0 {
-						first, sum0, count0 = run{policy, kind}, sum, count
-					} else if sum != sum0 || count != count0 {
-						t.Errorf("seed %d w=%d: %v %v ran checksum %d over %d tasks, %v %v %d over %d",
-							seed, workers, policy, kind, sum, count, first.policy, first.kind, sum0, count0)
-					}
-					if kind == TaskwaitParking && (st.Handoffs != 0 || st.StealResumes != 0) {
-						t.Errorf("seed %d w=%d %v parking: stats %+v, want zero handoffs/steal-resumes", seed, workers, policy, st)
-					}
-					if kind == TaskwaitContinuation && st.Parks != 0 {
-						t.Errorf("seed %d w=%d %v continuation: stats %+v, want zero parks", seed, workers, policy, st)
-					}
-					if policy == sched.LIFO && st.Inlined != 0 {
-						t.Errorf("seed %d w=%d central queue %v: %d tasks inlined, want none", seed, workers, kind, st.Inlined)
-					}
-					if workers > 1 {
-						continue
-					}
-					wantBlocked, wantInlined := int64(0), root.count()-1
-					if policy == sched.LIFO {
-						wantBlocked, wantInlined = root.w1BlockingWaits(true), 0
-					}
-					if st.blockingWaits() != wantBlocked || st.Inlined != wantInlined {
-						t.Errorf("seed %d w=1 %v %v: stats %+v, want exactly %d blocking waits and %d inlined",
-							seed, policy, kind, st, wantBlocked, wantInlined)
-					}
+				sum, count, st := runTWProgram(t, root, policy, workers)
+				if i == 0 {
+					sum0, count0 = sum, count
+				} else if sum != sum0 || count != count0 {
+					t.Errorf("seed %d w=%d: %v ran checksum %d over %d tasks, %v %d over %d",
+						seed, workers, policy, sum, count, twPolicies[0], sum0, count0)
+				}
+				if st.Handoffs != 0 || st.StealResumes != 0 {
+					t.Errorf("seed %d w=%d %v: stats %+v, want zero handoffs/steal-resumes", seed, workers, policy, st)
+				}
+				if policy == sched.LIFO && st.Inlined != 0 {
+					t.Errorf("seed %d w=%d central queue: %d tasks inlined, want none", seed, workers, st.Inlined)
+				}
+				if workers > 1 {
+					continue
+				}
+				want := TaskwaitStats{Inlined: root.count() - 1}
+				if policy == sched.LIFO {
+					want = TaskwaitStats{Parks: root.w1BlockingWaits(true)}
+				}
+				if st != want {
+					t.Errorf("seed %d w=1 %v: stats %+v, want exactly %+v", seed, policy, st, want)
 				}
 			}
 		}
@@ -347,59 +261,57 @@ func TestTaskwaitDifferential(t *testing.T) {
 // — and release x[4,8) — only after Y's wait does: a deadlock. Declining Y
 // makes W block, and Y runs on a goroutine of its own.
 func TestTaskwaitInlineDescendantsOnly(t *testing.T) {
-	for _, kind := range taskwaitKinds {
-		r := New(Config{Workers: 1, TaskwaitImpl: kind, Debug: true})
-		x := r.NewData("x", 8, 8)
-		on := func(typ AccessType, weak bool, lo, hi int64) Dep {
-			return Dep{Data: x, Type: typ, Weak: weak, Ivs: []Interval{iv(lo, hi)}}
+	r := New(Config{Workers: 1, Debug: true})
+	x := r.NewData("x", 8, 8)
+	on := func(typ AccessType, weak bool, lo, hi int64) Dep {
+		return Dep{Data: x, Type: typ, Weak: weak, Ivs: []Interval{iv(lo, hi)}}
+	}
+	var ran atomic.Int64
+	leaf := func(*TaskContext) { ran.Add(1) }
+	done := make(chan error, 1)
+	go func() {
+		done <- r.RunChecked(func(tc *TaskContext) {
+			tc.Submit(TaskSpec{Label: "W", Deps: []Dep{on(InOut, false, 0, 8)}, Body: func(tc *TaskContext) {
+				tc.Submit(TaskSpec{Label: "d", Body: leaf})
+				tc.Submit(TaskSpec{Label: "c", Deps: []Dep{on(InOut, false, 0, 4)}, Body: leaf})
+				tc.Release(Dep{Data: x, Ivs: []Interval{iv(0, 4)}})
+				tc.Taskwait()
+			}})
+			tc.Submit(TaskSpec{Label: "Y", Deps: []Dep{on(InOut, false, 0, 4), on(InOut, true, 4, 8)}, Body: func(tc *TaskContext) {
+				tc.Submit(TaskSpec{Label: "y2", Deps: []Dep{on(InOut, false, 4, 8)}, Body: leaf})
+				tc.Taskwait()
+			}})
+		})
+	}()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatal(err)
 		}
-		var ran atomic.Int64
-		leaf := func(*TaskContext) { ran.Add(1) }
-		done := make(chan error, 1)
-		go func() {
-			done <- r.RunChecked(func(tc *TaskContext) {
-				tc.Submit(TaskSpec{Label: "W", Deps: []Dep{on(InOut, false, 0, 8)}, Body: func(tc *TaskContext) {
-					tc.Submit(TaskSpec{Label: "d", Body: leaf})
-					tc.Submit(TaskSpec{Label: "c", Deps: []Dep{on(InOut, false, 0, 4)}, Body: leaf})
-					tc.Release(Dep{Data: x, Ivs: []Interval{iv(0, 4)}})
-					tc.Taskwait()
-				}})
-				tc.Submit(TaskSpec{Label: "Y", Deps: []Dep{on(InOut, false, 0, 4), on(InOut, true, 4, 8)}, Body: func(tc *TaskContext) {
-					tc.Submit(TaskSpec{Label: "y2", Deps: []Dep{on(InOut, false, 4, 8)}, Body: leaf})
-					tc.Taskwait()
-				}})
-			})
-		}()
-		select {
-		case err := <-done:
-			if err != nil {
-				t.Fatalf("%v: %v", kind, err)
-			}
-		case <-time.After(3 * time.Second):
-			t.Fatalf("%v: no progress after 3s — a wait ran a task that is not its descendant", kind)
-		}
-		if got := ran.Load(); got != 3 {
-			t.Errorf("%v: %d leaves ran, want 3", kind, got)
-		}
-		// Deterministic at one worker: the root's end-of-program wait runs W,
-		// W's runs c, and the root adopts y2 as W's hand-off successor (y2
-		// descends from the root); W, Y and then the root block.
-		if st := r.TaskwaitStats(); st.Inlined != 3 || st.blockingWaits() != 3 {
-			t.Errorf("%v: stats %+v, want 3 inlined and 3 blocking waits", kind, st)
-		}
+	case <-time.After(3 * time.Second):
+		t.Fatal("no progress after 3s — a wait ran a task that is not its descendant")
+	}
+	if got := ran.Load(); got != 3 {
+		t.Errorf("%d leaves ran, want 3", got)
+	}
+	// Deterministic at one worker: the root's end-of-program wait runs W,
+	// W's runs c, and the root adopts y2 as W's hand-off successor (y2
+	// descends from the root); W, Y and then the root park.
+	if st := r.TaskwaitStats(); st != (TaskwaitStats{Inlined: 3, Parks: 3}) {
+		t.Errorf("stats %+v, want 3 inlined and 3 parks", st)
 	}
 }
 
-// TestTaskwaitZeroParksMultiWorker is the headline guarantee: once a wait
-// blocks, the continuation strategy never parks a worker at any width,
-// while the parking reference parks on every blocking wait. Each round the
-// root starts every other worker on a child it must wait for, so each of
-// its waits blocks exactly once and helps with nothing.
-func TestTaskwaitZeroParksMultiWorker(t *testing.T) {
+// TestTaskwaitOneParkPerBlockedWait: a wait that finds nothing to help with
+// parks exactly once, at every width, and Handoffs and StealResumes stay
+// at zero. Each round the root starts every other worker on a child it must
+// wait for, so each of its waits blocks exactly once and helps with
+// nothing.
+func TestTaskwaitOneParkPerBlockedWait(t *testing.T) {
 	const rounds = 5
 	for _, workers := range []int{2, 4, 8} {
-		for _, kind := range taskwaitKinds {
-			r := New(Config{Workers: workers, TaskwaitImpl: kind, Debug: true})
+		t.Run(fmt.Sprintf("w=%d", workers), func(t *testing.T) {
+			r := New(Config{Workers: workers, Debug: true})
 			var ran atomic.Int64
 			err := r.RunChecked(func(tc *TaskContext) {
 				for round := 0; round < rounds; round++ {
@@ -408,36 +320,32 @@ func TestTaskwaitZeroParksMultiWorker(t *testing.T) {
 					}
 					tc.Taskwait()
 					if got := ran.Load(); got != int64((round+1)*(workers-1)) {
-						t.Errorf("%v w=%d round %d: wait returned after %d children", kind, workers, round, got)
+						t.Errorf("w=%d round %d: wait returned after %d children", workers, round, got)
 					}
 				}
 			})
 			if err != nil {
-				t.Fatalf("%v w=%d: %v", kind, workers, err)
+				t.Fatalf("w=%d: %v", workers, err)
 			}
-			want := TaskwaitStats{Parks: rounds}
-			if kind == TaskwaitContinuation {
-				want = TaskwaitStats{Handoffs: rounds}
+			if st := r.TaskwaitStats(); st != (TaskwaitStats{Parks: rounds}) {
+				t.Errorf("w=%d: stats %+v, want exactly %d parks", workers, st, rounds)
 			}
-			if st := r.TaskwaitStats(); st.Inlined != 0 || st.Parks != want.Parks || st.Handoffs != want.Handoffs {
-				t.Errorf("%v w=%d: stats %+v, want %+v (steal-resumes aside)", kind, workers, st, want)
-			}
-		}
+		})
 	}
 }
 
-// TestTaskwaitEdgeCases covers the corners: a taskwait racing a concurrent
-// child finish (fast path vs blocking path decided by timing), taskwait
-// inside a final (included) region, and double taskwait in one body.
+// TestTaskwaitEdgeCases covers the corners, on both pools: a taskwait
+// racing a concurrent child finish (fast path vs blocking path decided by
+// timing), taskwait inside a final (included) region, and double taskwait
+// in one body.
 func TestTaskwaitEdgeCases(t *testing.T) {
-	for _, kind := range taskwaitKinds {
-		kind := kind
-		t.Run(kind.String(), func(t *testing.T) {
+	for _, policy := range twPolicies {
+		t.Run(policy.String(), func(t *testing.T) {
 			t.Run("zero-children-race", func(t *testing.T) {
 				// At w=2 the child often finishes before the parent's wait
 				// (children==0 fast path) and often not — the loop exercises
 				// both sides of the race; correctness must hold either way.
-				r := New(Config{Workers: 2, TaskwaitImpl: kind, Debug: true})
+				r := New(Config{Workers: 2, Policy: policy, Debug: true})
 				iters := 300
 				if testing.Short() {
 					iters = 50
@@ -466,9 +374,9 @@ func TestTaskwaitEdgeCases(t *testing.T) {
 			t.Run("final-region", func(t *testing.T) {
 				// Submissions inside a final task run inline and register no
 				// children, so an inner taskwait is a completed no-op: at w=1
-				// the only wait with a child is the root's, and it runs f
-				// itself.
-				r := New(Config{Workers: 1, TaskwaitImpl: kind, Debug: true})
+				// the only wait with a child is the root's: the stealing
+				// pool's runs f itself, the central queue's parks.
+				r := New(Config{Workers: 1, Policy: policy, Debug: true})
 				var order []string
 				err := r.RunChecked(func(tc *TaskContext) {
 					tc.Submit(TaskSpec{Label: "f", Final: true, Body: func(tc *TaskContext) {
@@ -487,18 +395,22 @@ func TestTaskwaitEdgeCases(t *testing.T) {
 				if len(order) != 3 || order[0] != "included" || order[2] != "after-wait" {
 					t.Errorf("final-region order %v", order)
 				}
-				if st := r.TaskwaitStats(); st.blockingWaits() != 0 || st.Inlined != 1 {
-					t.Errorf("stats %+v, want no blocking wait and 1 inlined (f)", st)
+				want := TaskwaitStats{Inlined: 1}
+				if policy == sched.LIFO {
+					want = TaskwaitStats{Parks: 1}
+				}
+				if st := r.TaskwaitStats(); st != want {
+					t.Errorf("stats %+v, want %+v", st, want)
 				}
 			})
 			t.Run("double-taskwait", func(t *testing.T) {
 				// Two blocking waits in one body, on children started on the
-				// other worker: the second wait must block again (fresh
-				// signal/continuation state), giving exactly 2 parent waits +
-				// 1 root wait. p starts on the free token; the root's wait
+				// other worker: the second wait must park again (the reused
+				// signal channel is empty), giving exactly 2 parent parks +
+				// 1 root park. p starts on the free token; the root's wait
 				// finds nothing to help with and blocks first, freeing the
 				// token c1 starts on.
-				r := New(Config{Workers: 2, TaskwaitImpl: kind, Debug: true})
+				r := New(Config{Workers: 2, Policy: policy, Debug: true})
 				var ran atomic.Int64
 				err := r.RunChecked(func(tc *TaskContext) {
 					tc.Submit(TaskSpec{Label: "p", Body: func(tc *TaskContext) {
@@ -517,8 +429,8 @@ func TestTaskwaitEdgeCases(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if st := r.TaskwaitStats(); st.blockingWaits() != 3 || st.Inlined != 0 {
-					t.Errorf("stats %+v, want 3 blocking waits and none inlined", st)
+				if st := r.TaskwaitStats(); st != (TaskwaitStats{Parks: 3}) {
+					t.Errorf("stats %+v, want 3 parks and none inlined", st)
 				}
 			})
 		})
@@ -534,62 +446,60 @@ func TestTaskwaitEdgeCases(t *testing.T) {
 // and the wait blocks.
 func TestGraphOwnerTaskwaitStaysEligible(t *testing.T) {
 	for _, workers := range []int{1, 2} {
-		for _, kind := range taskwaitKinds {
-			r := New(Config{Workers: workers, TaskwaitImpl: kind, Debug: true})
-			d := r.NewData("a", 8, 8)
-			data := make([]int64, 8)
-			const iters = 3
-			err := r.RunChecked(func(tc *TaskContext) {
-				for it := 0; it < iters; it++ {
-					tc.Graph("owner-wait", func(tc *TaskContext) {
-						inlined := r.TaskwaitStats().Inlined
-						tc.Submit(TaskSpec{Label: "A",
-							Deps: []Dep{{Data: d, Type: InOut, Ivs: []Interval{iv(0, 8)}}},
-							Body: func(*TaskContext) {
-								// Hold back until the owner is in its wait —
-								// blocked, or running A itself: a wait that
-								// finds nothing to wait for is not recorded,
-								// and whether the recording sweep's did
-								// would be a race between A and the owner.
-								for owner := tc.task; !owner.blockedInWait() && r.TaskwaitStats().Inlined == inlined; {
-									runtime.Gosched()
-								}
-								for p := range data {
-									data[p]++
-								}
-							}})
-						// Owner-level barrier mid-region: A must be complete
-						// before B is even submitted, on every execution mode.
-						tc.Taskwait()
-						want := int64(1)
-						tc.Submit(TaskSpec{Label: "B",
-							Deps: []Dep{{Data: d, Type: In, Ivs: []Interval{iv(0, 8)}}},
-							Body: func(*TaskContext) {
-								if data[0] < want {
-									t.Error("B observed A incomplete after the owner wait")
-								}
-							}})
-					})
-				}
-			})
-			if err != nil {
-				t.Fatalf("w=%d %v: %v", workers, kind, err)
+		r := New(Config{Workers: workers, Debug: true})
+		d := r.NewData("a", 8, 8)
+		data := make([]int64, 8)
+		const iters = 3
+		err := r.RunChecked(func(tc *TaskContext) {
+			for it := 0; it < iters; it++ {
+				tc.Graph("owner-wait", func(tc *TaskContext) {
+					inlined := r.TaskwaitStats().Inlined
+					tc.Submit(TaskSpec{Label: "A",
+						Deps: []Dep{{Data: d, Type: InOut, Ivs: []Interval{iv(0, 8)}}},
+						Body: func(*TaskContext) {
+							// Hold back until the owner is in its wait —
+							// blocked, or running A itself: a wait that
+							// finds nothing to wait for is not recorded,
+							// and whether the recording sweep's did
+							// would be a race between A and the owner.
+							for owner := tc.task; !owner.blockedInWait() && r.TaskwaitStats().Inlined == inlined; {
+								runtime.Gosched()
+							}
+							for p := range data {
+								data[p]++
+							}
+						}})
+					// Owner-level barrier mid-region: A must be complete
+					// before B is even submitted, on every execution mode.
+					tc.Taskwait()
+					want := int64(1)
+					tc.Submit(TaskSpec{Label: "B",
+						Deps: []Dep{{Data: d, Type: In, Ivs: []Interval{iv(0, 8)}}},
+						Body: func(*TaskContext) {
+							if data[0] < want {
+								t.Error("B observed A incomplete after the owner wait")
+							}
+						}})
+				})
 			}
-			st := r.ReplayStats()
-			if st.Records != 1 || st.Replays != iters-1 || st.Fallbacks != 0 || st.Invalidations != 0 {
-				t.Errorf("w=%d %v: replay stats %+v, want 1 record, %d replays, no fallbacks/invalidations",
-					workers, kind, st, iters-1)
-			}
-			region := r.regionFor("owner-wait")
-			if region.rec == nil {
-				t.Fatalf("w=%d %v: no recording retained", workers, kind)
-			}
-			if ok, reason := region.rec.Eligible(); !ok {
-				t.Errorf("w=%d %v: recording ineligible (%s); owner waits must stay eligible", workers, kind, reason)
-			}
-			if got := region.rec.OwnerWaits(); got != 1 {
-				t.Errorf("w=%d %v: OwnerWaits = %d, want 1 (the recorded mid-region wait)", workers, kind, got)
-			}
+		})
+		if err != nil {
+			t.Fatalf("w=%d: %v", workers, err)
+		}
+		st := r.ReplayStats()
+		if st.Records != 1 || st.Replays != iters-1 || st.Fallbacks != 0 || st.Invalidations != 0 {
+			t.Errorf("w=%d: replay stats %+v, want 1 record, %d replays, no fallbacks/invalidations",
+				workers, st, iters-1)
+		}
+		region := r.regionFor("owner-wait")
+		if region.rec == nil {
+			t.Fatalf("w=%d: no recording retained", workers)
+		}
+		if ok, reason := region.rec.Eligible(); !ok {
+			t.Errorf("w=%d: recording ineligible (%s); owner waits must stay eligible", workers, reason)
+		}
+		if got := region.rec.OwnerWaits(); got != 1 {
+			t.Errorf("w=%d: OwnerWaits = %d, want 1 (the recorded mid-region wait)", workers, got)
 		}
 	}
 }
@@ -599,42 +509,40 @@ func TestGraphOwnerTaskwaitStaysEligible(t *testing.T) {
 // the frozen completion-edge graph cannot express — the recording is
 // marked ineligible and every later execution falls back to live.
 func TestGraphRegionTaskwaitIneligible(t *testing.T) {
-	for _, kind := range taskwaitKinds {
-		r := New(Config{Workers: 2, TaskwaitImpl: kind, Debug: true})
-		var nested atomic.Int64
-		const iters = 3
-		err := r.RunChecked(func(tc *TaskContext) {
-			for it := 0; it < iters; it++ {
-				tc.Graph("member-wait", func(tc *TaskContext) {
-					tc.Submit(TaskSpec{Label: "M", Body: func(tc *TaskContext) {
-						tc.Submit(TaskSpec{Label: "inner", Body: func(*TaskContext) {
-							nested.Add(1)
-						}})
-						tc.Taskwait() // member-task wait: poisons replayability
-						if nested.Load() == 0 {
-							t.Error("member taskwait returned before the nested child ran")
-						}
+	r := New(Config{Workers: 2, Debug: true})
+	var nested atomic.Int64
+	const iters = 3
+	err := r.RunChecked(func(tc *TaskContext) {
+		for it := 0; it < iters; it++ {
+			tc.Graph("member-wait", func(tc *TaskContext) {
+				tc.Submit(TaskSpec{Label: "M", Body: func(tc *TaskContext) {
+					tc.Submit(TaskSpec{Label: "inner", Body: func(*TaskContext) {
+						nested.Add(1)
 					}})
-				})
-			}
-		})
-		if err != nil {
-			t.Fatalf("%v: %v", kind, err)
+					tc.Taskwait() // member-task wait: poisons replayability
+					if nested.Load() == 0 {
+						t.Error("member taskwait returned before the nested child ran")
+					}
+				}})
+			})
 		}
-		if got := nested.Load(); got != iters {
-			t.Errorf("%v: %d nested children ran, want %d", kind, got, iters)
-		}
-		st := r.ReplayStats()
-		if st.Records != 1 || st.Replays != 0 || st.Fallbacks != iters-1 {
-			t.Errorf("%v: replay stats %+v, want 1 record, 0 replays, %d fallbacks",
-				kind, st, iters-1)
-		}
-		region := r.regionFor("member-wait")
-		if region.rec == nil {
-			t.Fatalf("%v: no recording retained", kind)
-		}
-		if ok, _ := region.rec.Eligible(); ok {
-			t.Errorf("%v: recording still eligible after a member-task taskwait", kind)
-		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := nested.Load(); got != iters {
+		t.Errorf("%d nested children ran, want %d", got, iters)
+	}
+	st := r.ReplayStats()
+	if st.Records != 1 || st.Replays != 0 || st.Fallbacks != iters-1 {
+		t.Errorf("replay stats %+v, want 1 record, 0 replays, %d fallbacks",
+			st, iters-1)
+	}
+	region := r.regionFor("member-wait")
+	if region.rec == nil {
+		t.Fatal("no recording retained")
+	}
+	if ok, _ := region.rec.Eligible(); ok {
+		t.Error("recording still eligible after a member-task taskwait")
 	}
 }

@@ -8,10 +8,6 @@ import (
 	"repro/internal/throttle"
 )
 
-// throttleImpls are the window implementations every throttle test runs
-// under: the mutex+cond reference and the sharded token bucket.
-var throttleImpls = []throttle.Kind{throttle.KindLocked, throttle.KindSharded}
-
 // TestThrottleNoDeadlockWithWeakNesting is a regression test: the throttle
 // window must count only dependency-ready tasks. If it counted every
 // instantiated task, this program could deadlock — a child of the second
@@ -19,39 +15,35 @@ var throttleImpls = []throttle.Kind{throttle.KindLocked, throttle.KindSharded}
 // outer task's body finishes, while that body is blocked in the throttle
 // because the waiting child fills the window.
 func TestThrottleNoDeadlockWithWeakNesting(t *testing.T) {
-	for _, impl := range throttleImpls {
-		t.Run(impl.String(), func(t *testing.T) {
-			for iter := 0; iter < 20; iter++ {
-				for _, workers := range []int{1, 2, 4} {
-					rt := New(Config{Workers: workers, ThrottleOpenTasks: 1, ThrottleImpl: impl})
-					d := rt.NewData("x", 100, 8)
-					var ran atomic.Int64
-					outer := func(lbl string) TaskSpec {
-						return TaskSpec{
-							Label:    lbl,
-							WeakWait: true,
-							Deps:     []Dep{{Data: d, Type: InOut, Weak: true, Ivs: []Interval{{Lo: 0, Hi: 100}}}},
-							Body: func(tc *TaskContext) {
-								for i := int64(0); i < 4; i++ {
-									tc.Submit(TaskSpec{
-										Label: lbl + "-leaf",
-										Deps:  []Dep{{Data: d, Type: InOut, Ivs: []Interval{{Lo: i * 25, Hi: (i + 1) * 25}}}},
-										Body:  func(*TaskContext) { ran.Add(1) },
-									})
-								}
-							},
+	for iter := 0; iter < 20; iter++ {
+		for _, workers := range []int{1, 2, 4} {
+			rt := New(Config{Workers: workers, ThrottleOpenTasks: 1})
+			d := rt.NewData("x", 100, 8)
+			var ran atomic.Int64
+			outer := func(lbl string) TaskSpec {
+				return TaskSpec{
+					Label:    lbl,
+					WeakWait: true,
+					Deps:     []Dep{{Data: d, Type: InOut, Weak: true, Ivs: []Interval{{Lo: 0, Hi: 100}}}},
+					Body: func(tc *TaskContext) {
+						for i := int64(0); i < 4; i++ {
+							tc.Submit(TaskSpec{
+								Label: lbl + "-leaf",
+								Deps:  []Dep{{Data: d, Type: InOut, Ivs: []Interval{{Lo: i * 25, Hi: (i + 1) * 25}}}},
+								Body:  func(*TaskContext) { ran.Add(1) },
+							})
 						}
-					}
-					rt.Run(func(tc *TaskContext) {
-						tc.Submit(outer("t1"))
-						tc.Submit(outer("t2"))
-					})
-					if got := ran.Load(); got != 8 {
-						t.Fatalf("workers=%d: ran %d leaves, want 8", workers, got)
-					}
+					},
 				}
 			}
-		})
+			rt.Run(func(tc *TaskContext) {
+				tc.Submit(outer("t1"))
+				tc.Submit(outer("t2"))
+			})
+			if got := ran.Load(); got != 8 {
+				t.Fatalf("workers=%d: ran %d leaves, want 8", workers, got)
+			}
+		}
 	}
 }
 
@@ -60,32 +52,28 @@ func TestThrottleNoDeadlockWithWeakNesting(t *testing.T) {
 // scheduler queue length can never exceed the window.
 func TestThrottleWindowBoundsReadyBacklog(t *testing.T) {
 	const window = 4
-	for _, impl := range throttleImpls {
-		t.Run(impl.String(), func(t *testing.T) {
-			rt := New(Config{Workers: 2, ThrottleOpenTasks: window, ThrottleImpl: impl})
-			var maxOpen atomic.Int64
-			rt.Run(func(tc *TaskContext) {
-				for i := 0; i < 200; i++ {
-					tc.Submit(TaskSpec{Label: "t", Body: func(*TaskContext) {
-						if o := rt.taskCounts().open; o > maxOpen.Load() {
-							maxOpen.Store(o)
-						}
-					}})
+	rt := New(Config{Workers: 2, ThrottleOpenTasks: window})
+	var maxOpen atomic.Int64
+	rt.Run(func(tc *TaskContext) {
+		for i := 0; i < 200; i++ {
+			tc.Submit(TaskSpec{Label: "t", Body: func(*TaskContext) {
+				if o := rt.taskCounts().open; o > maxOpen.Load() {
+					maxOpen.Store(o)
 				}
-			})
-			// The submitter may overshoot by one (check-then-submit), and the
-			// two running tasks are already out of the window.
-			if maxOpen.Load() > window+1 {
-				t.Fatalf("ready backlog reached %d, want <= %d", maxOpen.Load(), window+1)
-			}
-		})
+			}})
+		}
+	})
+	// The submitter may overshoot by one (check-then-submit), and the
+	// two running tasks are already out of the window.
+	if maxOpen.Load() > window+1 {
+		t.Fatalf("ready backlog reached %d, want <= %d", maxOpen.Load(), window+1)
 	}
 }
 
-// TestThrottleImplAutoResolution checks the kind plumbing: Auto builds the
-// sharded window in real mode, virtual mode builds none, and an
-// unthrottled runtime builds none.
-func TestThrottleImplAutoResolution(t *testing.T) {
+// TestThrottleWindowResolution checks the window plumbing: a throttled
+// real-mode runtime builds the window with the configured limit, virtual
+// mode builds none, and an unthrottled runtime builds none.
+func TestThrottleWindowResolution(t *testing.T) {
 	if rt := New(Config{Workers: 2, ThrottleOpenTasks: 8}); rt.thr == nil {
 		t.Error("throttled real-mode runtime has no window")
 	} else if rt.thr.Limit() != 8 {
@@ -103,7 +91,7 @@ func TestThrottleImplAutoResolution(t *testing.T) {
 // diagnostic counters: a contended sharded window must report borrows (the
 // token-bucket batch refills that amortize the global balance traffic).
 func TestThrottleStatsExposed(t *testing.T) {
-	rt := New(Config{Workers: 4, ThrottleOpenTasks: 64, ThrottleImpl: throttle.KindSharded})
+	rt := New(Config{Workers: 4, ThrottleOpenTasks: 64})
 	rt.Run(func(tc *TaskContext) {
 		for i := 0; i < 500; i++ {
 			tc.Submit(TaskSpec{Label: "t", Body: func(*TaskContext) {}})
@@ -134,7 +122,6 @@ func TestThrottleShardedStackStress(t *testing.T) {
 			rt := New(Config{
 				Workers:           4,
 				ThrottleOpenTasks: window,
-				ThrottleImpl:      throttle.KindSharded,
 				DepEngine:         deps.EngineSharded,
 				Debug:             true,
 			})

@@ -19,9 +19,9 @@ package core
 // detects persistence with two mechanisms:
 //
 //   - per-worker heartbeat epochs: one padded counter per worker, bumped on
-//     every task start, worksharing-helper entry, and taskwait resume. The
-//     per-beat cost when enabled is two uncontended atomic writes on a
-//     worker-private cache line; when disabled it is one nil check.
+//     every task start and worksharing-helper entry. The per-beat cost
+//     when enabled is two uncontended atomic writes on a worker-private
+//     cache line; when disabled it is one nil check.
 //   - a monitor goroutine sampling the pool (sched.Prober), the throttle
 //     window, and the heartbeat sum every WatchdogInterval. A stall
 //     signature only accumulates suspicion while the heartbeat sum is
@@ -56,10 +56,9 @@ const (
 	hbIdle uint32 = iota // never beaten: no task started on this worker yet
 	hbTask
 	hbWsHelper
-	hbResume
 )
 
-var hbStateNames = [...]string{"idle", "task", "ws-helper", "resume"}
+var hbStateNames = [...]string{"idle", "task", "ws-helper"}
 
 // hbSlot is one worker's heartbeat, padded to a cache line so beats of
 // neighbouring workers never false-share.
@@ -150,7 +149,7 @@ type WorkerState struct {
 	// Epoch is the worker's heartbeat count (dispatch events observed).
 	Epoch uint64
 	// State names what the worker last started: "idle" (no dispatch yet),
-	// "task", "ws-helper", or "resume".
+	// "task", or "ws-helper".
 	State string
 }
 
@@ -175,10 +174,9 @@ type StallReport struct {
 	Open, Live int64
 	// Outstanding leak accounting at detection: objects currently held out
 	// of the dependency-engine pools, the Task free list, the replay
-	// countdown-node pool, the taskwait continuation pool, and the
-	// worksharing descriptor pool. A stalled-but-correct drain holds some;
+	// countdown-node pool, and the worksharing descriptor pool. A stalled-but-correct drain holds some;
 	// wildly growing values point at a leak rather than a lost wakeup.
-	DepsHeld, TasksHeld, ReplayHeld, ContsHeld, WsHeld int64
+	DepsHeld, TasksHeld, ReplayHeld, WsHeld int64
 	// Workers is the per-worker heartbeat state at detection.
 	Workers []WorkerState
 }
@@ -192,8 +190,8 @@ func (sr *StallReport) String() string {
 	fmt.Fprintf(&b, "  throttle: waiters=%d credits=%d open=%d\n",
 		sr.ThrottleWaiters, sr.ThrottleCredits, sr.ThrottleOpen)
 	fmt.Fprintf(&b, "  tasks: open=%d live=%d\n", sr.Open, sr.Live)
-	fmt.Fprintf(&b, "  held: deps=%d tasks=%d replay=%d conts=%d ws=%d\n",
-		sr.DepsHeld, sr.TasksHeld, sr.ReplayHeld, sr.ContsHeld, sr.WsHeld)
+	fmt.Fprintf(&b, "  held: deps=%d tasks=%d replay=%d ws=%d\n",
+		sr.DepsHeld, sr.TasksHeld, sr.ReplayHeld, sr.WsHeld)
 	b.WriteString("  workers:")
 	for i, w := range sr.Workers {
 		fmt.Fprintf(&b, " %d:%s/%d", i, w.State, w.Epoch)
@@ -333,7 +331,6 @@ func (r *Runtime) renderStall(reason string, s probeSample) StallReport {
 	}
 	rep.TasksHeld = r.TaskPoolStats().Outstanding()
 	rep.ReplayHeld = r.ReplayPoolStats().Outstanding()
-	rep.ContsHeld = r.ContPoolStats().Outstanding()
 	rep.WsHeld = r.WsPoolStats().Outstanding()
 	rep.Workers = make([]WorkerState, len(r.hb))
 	for i := range r.hb {

@@ -16,8 +16,7 @@ package core
 //     atomic chunk cursor, and the runtime announces the task itself into
 //     the sharded ready pools (sched.Announce) as an invitation to every
 //     idle worker; a worker that pops an invitation joins the drain instead
-//     of executing a body (the runWorker intercept, exactly like a taskwait
-//     continuation riding the pools);
+//     of executing a body (the runWorker intercept);
 //   - owner and helpers self-schedule grain-sized chunks against the
 //     cursor (one atomic add per chunk, so irregular chunk costs balance
 //     across the fleet without a work-distribution plan);
@@ -25,9 +24,8 @@ package core
 //     announce-hold: a helper that finishes draining releases its hold
 //     through the same countdown the completion pipeline already uses, so
 //     the task completes exactly once, after the body returned and every
-//     helper left — and a taskwait on the task composes with the
-//     continuation handoff for free (the last hold-release submits the
-//     waiting continuation).
+//     helper left — and a taskwait on the task composes for free (the last
+//     hold-release wakes the parked waiter).
 //
 // The per-region descriptor (wsRun: cursor, bounds, body) recycles through
 // a mempool lane, so steady-state execution allocates nothing. The plain
@@ -313,8 +311,7 @@ func (r *Runtime) wsExecute(tc *TaskContext, lo, hi, grain int64, body func(*Tas
 		t.mu.Unlock()
 		// Publish the descriptor before the announcement: a helper reads
 		// t.wsRun unlocked after popping the invitation, and the pool's
-		// Announce/pop pair orders this write before that read (the same
-		// argument as the continuation intercept's t.cont read).
+		// Announce/pop pair orders this write before that read.
 		t.wsRun = wr
 		r.wsc.announced.Add(helpers)
 		r.sch.Announce(t, int(helpers), w)
@@ -357,8 +354,7 @@ func (r *Runtime) wsDrain(tc *TaskContext, wr *wsRun, helper bool) {
 
 // runWsHelper is the ready-pool intercept for a worksharing invitation:
 // the popping worker joins t's chunk drain instead of executing a body,
-// then releases its announce-hold. Like the continuation intercept it runs
-// before taskStarted — an invitation is not new work, so the throttle
+// then releases its announce-hold. It runs before taskStarted — an invitation is not new work, so the throttle
 // window's occupancy accounting never sees it.
 func (r *Runtime) runWsHelper(t *Task, wr *wsRun, w int) int {
 	r.beat(w, hbWsHelper)
@@ -399,20 +395,15 @@ func (r *Runtime) wsDrainHelper(tc *TaskContext, wr *wsRun) {
 // the completion countdown, mirroring completeTask's parent block with t
 // in the parent role. The last release — whichever of finishBody (owner)
 // or this (helper) sees the count hit zero after bodyDone — completes the
-// task exactly once, wakes a parked waiter or submits the waiting
-// continuation (taskwait on a worksharing task composes wait-free), and
-// recycles the task and its descriptor.
+// task exactly once, wakes a parked waiter, and recycles the task and its
+// descriptor.
 func (r *Runtime) wsMemberDone(t *Task, worker int) {
 	t.mu.Lock()
 	t.children--
 	var sig chan struct{}
-	var cont *contNode
-	if t.children == 0 {
-		if t.waiting {
-			t.waiting = false
-			sig = t.waitSig
-		}
-		cont = t.cont
+	if t.children == 0 && t.waiting {
+		t.waiting = false
+		sig = t.waitSig
 	}
 	cascade := t.children == 0 && t.bodyDone && !t.completed
 	if cascade {
@@ -421,9 +412,6 @@ func (r *Runtime) wsMemberDone(t *Task, worker int) {
 	t.mu.Unlock()
 	if sig != nil {
 		sig <- struct{}{}
-	}
-	if cont != nil {
-		r.submitContinuation(t, cont, worker)
 	}
 	if cascade {
 		var buf []*deps.Node

@@ -10,6 +10,7 @@ import (
 	"repro/internal/mempool"
 	"repro/internal/randtest"
 	"repro/internal/replay"
+	"repro/internal/sched"
 )
 
 // Worksharing tests: the chunk-distributed strategy must be observably
@@ -313,12 +314,11 @@ func TestWorksharingReplaySingleNode(t *testing.T) {
 }
 
 // TestWorksharingTaskwaitComposition: a taskwait covering a worksharing
-// region must not resolve until every helper has left the region, under
-// both taskwait strategies — the continuation handoff resumes wait-free
-// off the region's last hold release.
+// region must not resolve until every helper has left the region, on both
+// pools — the parked waiter wakes off the region's last hold release.
 func TestWorksharingTaskwaitComposition(t *testing.T) {
-	for _, tw := range []TaskwaitKind{TaskwaitParking, TaskwaitContinuation} {
-		r := New(Config{Workers: 4, TaskwaitImpl: tw, Debug: true})
+	for _, policy := range []sched.Policy{sched.FIFO, sched.LIFO} {
+		r := New(Config{Workers: 4, Policy: policy, Debug: true})
 		var sum atomic.Int64
 		var observed int64 = -1
 		err := r.RunChecked(func(tc *TaskContext) {
@@ -341,20 +341,20 @@ func TestWorksharingTaskwaitComposition(t *testing.T) {
 			}})
 		})
 		if err != nil {
-			t.Fatalf("tw=%v: %v", tw, err)
+			t.Fatalf("%v: %v", policy, err)
 		}
 		if observed >= 0 {
-			t.Fatalf("tw=%v: taskwait resolved with %d iterations done; the region escaped the wait", tw, observed)
+			t.Fatalf("%v: taskwait resolved with %d iterations done; the region escaped the wait", policy, observed)
 		}
 		if got := sum.Load(); got != 8*2048 {
-			t.Fatalf("tw=%v: total %d, want %d", tw, got, 8*2048)
+			t.Fatalf("%v: total %d, want %d", policy, got, 8*2048)
 		}
 	}
 }
 
 // TestWorksharingStressRace combines worksharing with every composing
 // subsystem — stealing pool, pooled memory, bounded throttle window,
-// replayed graph regions, continuation taskwaits, nested parent tasks —
+// replayed graph regions, blocking taskwaits, nested parent tasks —
 // under churn. Run with -race this is the concurrency-safety net for the
 // announce-hold protocol.
 func TestWorksharingStressRace(t *testing.T) {
@@ -366,7 +366,6 @@ func TestWorksharingStressRace(t *testing.T) {
 		r := New(Config{
 			Workers:           4,
 			MemPool:           mempool.KindPooled,
-			TaskwaitImpl:      TaskwaitContinuation,
 			ThrottleOpenTasks: 8,
 			Replay:            replay.KindOn,
 			Debug:             true,
@@ -394,7 +393,7 @@ func TestWorksharingStressRace(t *testing.T) {
 				})
 			}
 			// Nested parents: each submits dependency-free regions through
-			// the bounded window and taskwaits on them (continuation path),
+			// the bounded window and taskwaits on them (help, then park),
 			// racing the graph stream above for workers.
 			for p := 0; p < 4; p++ {
 				tc.Submit(TaskSpec{Label: "parent", Body: func(tc *TaskContext) {

@@ -36,7 +36,6 @@ var ChaosGroups = []ChaosGroup{
 	{Name: "deps", Sites: []chaos.Site{chaos.DepsCascade, chaos.DepsPinRelease}},
 	{Name: "mempool", Sites: []chaos.Site{chaos.MempoolRefill}},
 	{Name: "replay", Sites: []chaos.Site{chaos.ReplayInvalidate}},
-	{Name: "taskwait", Sites: []chaos.Site{chaos.TaskwaitIntercept}},
 	{Name: "worksharing", Sites: []chaos.Site{chaos.WsAnnounceConsume}},
 	{Name: "all", Sites: allChaosSites()},
 }

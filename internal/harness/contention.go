@@ -423,55 +423,3 @@ func WSChunkBench(kind core.WorksharingKind, w, iters int, grain, n int64) WSChu
 	}
 	return out
 }
-
-// WaitResult extends the counters with the taskwait strategy counters.
-type WaitResult struct {
-	BenchCounters
-	Waits int64 // blocking waits driven (parks + handoffs)
-	Stats core.TaskwaitStats
-	Idle  float64 // fraction of worker capacity left unused
-}
-
-// WaitBench drives reps waves of a nested-taskwait workload: each wave
-// submits 2w parent tasks, and each parent submits fan spinning leaf
-// children and waits for them twice (two batches per parent). The leaf
-// spins guarantee the parents' taskwaits find incomplete children: a wait
-// runs the ones still on its worker's deque itself (Stats.Inlined) and
-// blocks on the rest — the blocking path under measurement.
-func WaitBench(kind core.TaskwaitKind, w, reps, fan int) WaitResult {
-	rt := core.New(core.Config{Workers: w, TaskwaitImpl: kind})
-	cpu0 := cpuTime()
-	start := time.Now()
-	rt.Run(func(tc *core.TaskContext) {
-		for rep := 0; rep < reps; rep++ {
-			for p := 0; p < 2*w; p++ {
-				tc.Submit(core.TaskSpec{Label: "parent", Body: func(tc *core.TaskContext) {
-					for batch := 0; batch < 2; batch++ {
-						for c := 0; c < fan; c++ {
-							tc.Submit(core.TaskSpec{Label: "leaf", Body: func(*core.TaskContext) {
-								waitSpin(2000)
-							}})
-						}
-						tc.Taskwait()
-					}
-				}})
-			}
-			tc.Taskwait()
-		}
-	})
-	wall := time.Since(start)
-	cpu := cpuTime() - cpu0
-	st := rt.TaskwaitStats()
-	out := WaitResult{
-		BenchCounters: BenchCounters{Ops: reps, Wall: wall},
-		Waits:         st.Parks + st.Handoffs,
-		Stats:         st,
-	}
-	if wall > 0 {
-		out.Idle = 1 - float64(cpu)/(float64(w)*float64(wall))
-		if out.Idle < 0 {
-			out.Idle = 0
-		}
-	}
-	return out
-}

@@ -121,23 +121,3 @@ func TestWSChunkBench(t *testing.T) {
 		})
 	}
 }
-
-func TestWaitBench(t *testing.T) {
-	const reps, fan = 2, 4
-	for _, kind := range []core.TaskwaitKind{core.TaskwaitParking, core.TaskwaitContinuation} {
-		t.Run(kind.String(), func(t *testing.T) {
-			res := WaitBench(kind, kernelWorkers, reps, fan)
-			checkCounters(t, res.BenchCounters, reps)
-			if res.Waits != res.Stats.Parks+res.Stats.Handoffs {
-				t.Errorf("Waits = %d, want Parks+Handoffs = %d", res.Waits, res.Stats.Parks+res.Stats.Handoffs)
-			}
-			if kind == core.TaskwaitParking && (res.Stats.Handoffs != 0 || res.Stats.StealResumes != 0) {
-				t.Errorf("parking strategy recorded continuation counters: %+v", res.Stats)
-			}
-			if kind == core.TaskwaitContinuation && res.Stats.Parks != 0 {
-				t.Errorf("continuation strategy recorded %d parks", res.Stats.Parks)
-			}
-			checkIdle(t, res.Idle)
-		})
-	}
-}

@@ -2,10 +2,10 @@
 // allocation-free steady-state hot path. Every submit→complete cycle used
 // to heap-allocate its task-lifecycle objects (a core.Task, a deps.Node,
 // access structs, interval fragments, interval-map cells, deque boxes,
-// replay countdown cells, taskwait continuation nodes);
-// once the locks are sharded away, that allocator and GC traffic is the
-// dominant per-task overhead in the fine-grained-task regime. The pools
-// here recycle those objects instead, with three safety nets:
+// replay countdown cells, worksharing chunk descriptors); once the locks
+// are sharded away, that allocator and GC traffic is the dominant per-task
+// overhead in the fine-grained-task regime. The pools here recycle those
+// objects instead, with three safety nets:
 //
 //   - generation counters: every recyclable object embeds a Gen that is
 //     bumped when the object is retired to a pool, so a Handle captured

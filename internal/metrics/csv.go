@@ -1,20 +1,15 @@
 package metrics
 
 import (
-	"bufio"
 	"encoding/csv"
 	"fmt"
 	"io"
-	"strconv"
-	"strings"
 )
 
 // CSV export: machine-readable forms of Series and Table for plotting
 // pipelines (gnuplot, pandas). The first row is the header; the title
-// travels as a leading comment line. ReadSeriesCSV / ReadTableCSV invert
-// the writers exactly — including empty bodies, quoted labels, and
-// non-finite values (%g renders NaN/±Inf as "NaN"/"+Inf"/"-Inf", which
-// strconv.ParseFloat accepts back).
+// travels as a leading comment line. Non-finite values render as %g does
+// ("NaN", "+Inf", "-Inf"), which strconv.ParseFloat and pandas accept.
 
 // WriteCSV writes the series as CSV: a "# title" comment, a header of the
 // x label and the variant names, then one row per x point.
@@ -42,84 +37,6 @@ func (s *Series) WriteCSV(w io.Writer) error {
 	}
 	cw.Flush()
 	return cw.Error()
-}
-
-// readTitle consumes an optional leading "# title" comment line.
-func readTitle(br *bufio.Reader) (string, error) {
-	b, err := br.Peek(1)
-	if err == io.EOF || len(b) == 0 || b[0] != '#' {
-		return "", nil
-	}
-	if err != nil {
-		return "", err
-	}
-	line, err := br.ReadString('\n')
-	if err != nil && err != io.EOF {
-		return "", err
-	}
-	return strings.TrimSpace(strings.TrimPrefix(strings.TrimSpace(line), "#")), nil
-}
-
-// ReadSeriesCSV parses a series previously written with Series.WriteCSV:
-// optional title comment, header (x label + variant names), then one row
-// per x point. An empty body yields an empty series, and non-finite cells
-// ("NaN", "+Inf", "-Inf") round-trip into their float64 values.
-func ReadSeriesCSV(r io.Reader) (*Series, error) {
-	br := bufio.NewReader(r)
-	title, err := readTitle(br)
-	if err != nil {
-		return nil, err
-	}
-	cr := csv.NewReader(br)
-	recs, err := cr.ReadAll()
-	if err != nil {
-		return nil, fmt.Errorf("metrics: series CSV: %w", err)
-	}
-	if len(recs) == 0 {
-		return nil, fmt.Errorf("metrics: series CSV has no header row")
-	}
-	hdr := recs[0]
-	order := hdr[1:]
-	if len(order) == 0 {
-		order = nil // match NewSeries(title, x) with no variants
-	}
-	s := NewSeries(title, hdr[0], order...)
-	for n, rec := range recs[1:] {
-		vals := make(map[string]float64, len(s.Order))
-		for i, name := range s.Order {
-			v, err := strconv.ParseFloat(rec[i+1], 64)
-			if err != nil {
-				return nil, fmt.Errorf("metrics: series CSV row %d, column %q: %w", n+1, name, err)
-			}
-			vals[name] = v
-		}
-		s.AddPoint(rec[0], vals)
-	}
-	return s, nil
-}
-
-// ReadTableCSV parses a table previously written with Table.WriteCSV:
-// optional title comment, header row, then data rows verbatim.
-func ReadTableCSV(r io.Reader) (*Table, error) {
-	br := bufio.NewReader(r)
-	title, err := readTitle(br)
-	if err != nil {
-		return nil, err
-	}
-	cr := csv.NewReader(br)
-	cr.FieldsPerRecord = -1 // Table.Add allows ragged rows
-	recs, err := cr.ReadAll()
-	if err != nil {
-		return nil, fmt.Errorf("metrics: table CSV: %w", err)
-	}
-	if len(recs) == 0 {
-		return nil, fmt.Errorf("metrics: table CSV has no header row")
-	}
-	t := NewTable(title, recs[0]...)
-	for _, rec := range recs[1:] {
-		t.Add(rec...)
-	}
-	return t, nil
 }
 
 // WriteCSV writes the table as CSV: a "# title" comment, the headers, then

@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"fmt"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -165,4 +166,87 @@ func TestAnnounceSpread(t *testing.T) {
 	close(gate)
 	wg.Wait()
 	waitQuiesce(t, "stealing", q)
+}
+
+// TestAnnounceNeighbourOrder freezes a four-worker stealing pool and
+// announces from worker 2: the queued copies land on the other workers'
+// inboxes in the order 3, 0, 1, 3, 0, … — the announcer's right-hand
+// neighbour first, wrapping around — and never on the announcer's own
+// inbox or deque.
+func TestAnnounceNeighbourOrder(t *testing.T) {
+	const workers = 4
+	for _, c := range []struct {
+		n    int
+		want [workers]int64
+	}{
+		{1, [workers]int64{0, 0, 0, 1}},
+		{3, [workers]int64{1, 1, 0, 1}},
+		{5, [workers]int64{2, 1, 0, 2}},
+	} {
+		s := NewStealing(workers, func(item, worker int) {
+			t.Errorf("spawn of item %d: the frozen pool must not start goroutines", item)
+		})
+		for w := 0; w < workers; w++ {
+			s.Acquire()
+		}
+		s.Announce(42, c.n, 2)
+		for v := 0; v < workers; v++ {
+			if got := s.shards[v].ilen.Load(); got != c.want[v] {
+				t.Fatalf("n=%d: shard %d inbox holds %d copies, want %v", c.n, v, got, c.want)
+			}
+		}
+		if got := s.shards[2].deque.Size(); got != 0 {
+			t.Fatalf("n=%d: announcer's deque holds %d copies, want 0", c.n, got)
+		}
+		// Drain: each inbox copy is reachable from the announcer's steal path.
+		for i := 0; i < c.n; i++ {
+			if item, ok := s.popFor(2); !ok || item != 42 {
+				t.Fatalf("n=%d: drain pop %d: got %d/%v", c.n, i, item, ok)
+			}
+		}
+		for w := 0; w < workers; w++ {
+			s.Yield(w)
+		}
+		waitQuiesce(t, "stealing", s)
+	}
+}
+
+// TestStealScanCoversEveryVictim freezes a stealing pool and, for every
+// thief and every other worker, puts one item on that victim's deque: the
+// thief's steal path must find it, whatever its randomized start, and
+// charge exactly one steal. This pins the flat victim order — the W−1 other
+// workers, the thief itself skipped — at every width up to eight.
+func TestStealScanCoversEveryVictim(t *testing.T) {
+	for workers := 2; workers <= 8; workers++ {
+		t.Run(fmt.Sprintf("w=%d", workers), func(t *testing.T) {
+			s := NewStealing(workers, func(item, worker int) {
+				t.Errorf("w=%d: spawn of item %d: the frozen pool must not start goroutines", workers, item)
+			})
+			for w := 0; w < workers; w++ {
+				s.Acquire()
+			}
+			steals := int64(0)
+			for thief := 0; thief < workers; thief++ {
+				for victim := 0; victim < workers; victim++ {
+					if victim == thief {
+						continue
+					}
+					item := 100*thief + victim
+					s.Submit(item, victim) // we hold victim's token: its own deque
+					got, ok := s.popFor(thief)
+					if !ok || got != item {
+						t.Fatalf("w=%d thief %d: popped %d/%v, want item %d from victim %d", workers, thief, got, ok, item, victim)
+					}
+					steals++
+					if st := s.Stats(); st.Steals != steals {
+						t.Fatalf("w=%d thief %d victim %d: Steals = %d, want %d", workers, thief, victim, st.Steals, steals)
+					}
+				}
+			}
+			for w := 0; w < workers; w++ {
+				s.Yield(w)
+			}
+			waitQuiesce(t, "stealing", s)
+		})
+	}
 }

@@ -159,13 +159,6 @@ func TestPoolDifferentialAdmission(t *testing.T) {
 		mk   func(workers int, spawn func(item, worker int)) Queue[int]
 	}{
 		{"stealing", func(w int, s func(int, int)) Queue[int] { return NewStealing(w, s) }},
-		// Topology-vs-flat differential: the two-domain tree walk and the
-		// flat reference order run the same schedules and must uphold the
-		// same invariants — only steal distance may differ.
-		{"stealing-topo", func(w int, s func(int, int)) Queue[int] {
-			return NewStealingTopo(w, Topology{GroupSize: 2, Domains: 2}, s)
-		}},
-		{"stealing-flat", func(w int, s func(int, int)) Queue[int] { return NewStealingTopo(w, TopologyFlat, s) }},
 		{"central", func(w int, s func(int, int)) Queue[int] { return New(w, FIFO, s) }},
 	}
 	f := func(seed int64) bool {

@@ -8,15 +8,9 @@
 // descendants on its own worker's queue itself, on its own token
 // (HelpQueue); only when none is left does it block and yield its token (the
 // paper's observation that a taskwait forces the runtime to keep the task
-// context alive, §IV, maps to the blocked goroutine). How the blocked task
-// gets a token back depends on the core runtime's Taskwait strategy: the
-// parking reference re-acquires one through Acquire's waiter list (a full
-// token round-trip per sync point), while the default continuation handoff
-// re-submits the waiting task into these ready pools — it competes for a
-// worker like any other item, may be stolen, and the worker that pulls it
-// hands its token directly to the parked goroutine. The pools need no
-// special case for this: a continuation is an ordinary queued item whose
-// dispatch callback transfers the token instead of running a body.
+// context alive, §IV, maps to the blocked goroutine). The blocked task gets
+// a token back through Acquire's waiter list, which every release point
+// serves before starting fresh queued work.
 //
 // Two ready pools share the Queue contract, and the runtime picks one by
 // policy:

@@ -61,11 +61,6 @@ type Stealing[T any] struct {
 	rr      atomic.Uint32
 	spawn   func(item T, worker int)
 	workers int
-	// topo is the resolved locality tree (topology.go): per-worker victim
-	// orders for the nearest-first steal walk, and the group/domain tables
-	// that classify steal distances. A flat topology keeps the tables (for
-	// distance accounting) but scans victims in one flat randomized pass.
-	topo topoTree
 	// boxes is the shared free-list shard for deque boxes: each worker's
 	// poolShard holds an owner lane over it, a pushed box travels with its
 	// item (a steal carries it to the thief), and the consumer recycles it
@@ -90,7 +85,6 @@ type Stealing[T any] struct {
 }
 
 var _ Queue[int] = (*Stealing[int])(nil)
-var _ AffinityQueue[int] = (*Stealing[int])(nil)
 var _ CreatorQueue[int] = (*Stealing[int])(nil)
 var _ HelpQueue[int] = (*Stealing[int])(nil)
 
@@ -99,19 +93,18 @@ var _ HelpQueue[int] = (*Stealing[int])(nil)
 // T-independent — slices are headers — so the pad is a constant; a test
 // asserts the 64-byte multiple).
 type poolShard[T any] struct {
-	deque     clDeque[T]              // 24 bytes
-	imu       sync.Mutex              // 8
-	inbox     []T                     // 24
-	ilen      atomic.Int64            // 8
-	steals    atomic.Int64            // 8; items this worker took from other shards
-	lvlSteals [NumLevels]atomic.Int64 // 24; steal-distance histogram
-	rng       uint64                  // 8; owner-only victim-start PRNG state
-	newBatch  bool                    // 8 with padding; owner-only: an item was taken since the last lane push
-	boxLane   mempool.Lane[T]         // 48; owner-only box free list
-	lane      []T                     // 24; creator-lane storage (guarded by imu)
-	segs      []laneSeg               // 24; the lane's batches, oldest first (guarded by imu)
-	llen      atomic.Int64            // 8; items in the lane
-	_         [40]byte                // 216 -> 256
+	deque    clDeque[T]      // 24 bytes
+	imu      sync.Mutex      // 8
+	inbox    []T             // 24
+	ilen     atomic.Int64    // 8
+	steals   atomic.Int64    // 8; items this worker took from other shards
+	rng      uint64          // 8; owner-only victim-start PRNG state
+	newBatch bool            // 8 with padding; owner-only: an item was taken since the last lane push
+	boxLane  mempool.Lane[T] // 48; owner-only box free list
+	lane     []T             // 24; creator-lane storage (guarded by imu)
+	segs     []laneSeg       // 24; the lane's batches, oldest first (guarded by imu)
+	llen     atomic.Int64    // 8; items in the lane
+	_        [64]byte        // 192 -> 256
 }
 
 // laneSeg is one batch of the creator lane: the items one task body pushed,
@@ -125,29 +118,11 @@ type PoolStats struct {
 	Spawns int64
 	// Steals counts items a worker took from another worker's shard.
 	Steals int64
-	// StealLevels is the steal-distance histogram over the pool's resolved
-	// topology tree: StealLevels[LevelSibling] stayed inside the thief's
-	// core group, [LevelDomain] crossed groups within a domain, and
-	// [LevelRemote] crossed domains. The sum equals Steals.
-	StealLevels [NumLevels]int64
-}
-
-// CrossGroup returns the steals that left the thief's sibling group — the
-// expensive distances (shared-LLC crossing and beyond on a real machine).
-func (s PoolStats) CrossGroup() int64 {
-	return s.StealLevels[LevelDomain] + s.StealLevels[LevelRemote]
 }
 
 // NewStealing creates a work-stealing pool with the given number of worker
-// tokens and the default synthetic topology tree (see Topology).
+// tokens.
 func NewStealing[T any](workers int, spawn func(item T, worker int)) *Stealing[T] {
-	return NewStealingTopo(workers, Topology{}, spawn)
-}
-
-// NewStealingTopo creates a work-stealing pool over an explicit locality
-// topology; TopologyFlat selects the flat victim order, the differential
-// reference.
-func NewStealingTopo[T any](workers int, topo Topology, spawn func(item T, worker int)) *Stealing[T] {
 	if workers < 1 {
 		panic("sched: need at least one worker")
 	}
@@ -156,7 +131,6 @@ func NewStealingTopo[T any](workers int, topo Topology, spawn func(item T, worke
 		tokens:  newTokenList(workers),
 		spawn:   spawn,
 		workers: workers,
-		topo:    resolveTopology(workers, topo),
 		boxes:   mempool.NewGlobal(func() *T { return new(T) }),
 	}
 	for i := range p.shards {
@@ -178,9 +152,6 @@ func (p *Stealing[T]) Stats() PoolStats {
 	st := PoolStats{Spawns: p.spawns.Load()}
 	for i := range p.shards {
 		st.Steals += p.shards[i].steals.Load()
-		for l := 0; l < NumLevels; l++ {
-			st.StealLevels[l] += p.shards[i].lvlSteals[l].Load()
-		}
 	}
 	return st
 }
@@ -213,8 +184,7 @@ func (p *Stealing[T]) pushItem(item T, from int) {
 
 // inboxPush appends an item to shard v's inbox. Inboxes are mutex-guarded,
 // so any goroutine may target any shard — this is the cross-shard placement
-// primitive behind external submissions, nearest-first announcements, and
-// affinity-routed batches.
+// primitive behind external submissions and announcements.
 func (p *Stealing[T]) inboxPush(v int, item T) {
 	sh := &p.shards[v]
 	sh.imu.Lock()
@@ -260,64 +230,15 @@ func (p *Stealing[T]) SubmitBatch(items []T, from int) {
 	p.kick()
 }
 
-// SubmitBatchAffinity implements AffinityQueue: like SubmitBatch, but each
-// queued item whose hint — the worker whose group last touched the item's
-// ready data — lies outside the submitter's own group is placed on the
-// hinted worker's shard inbox instead of the submitter's deque, so the
-// group that has the data warm finds the item locally instead of through a
-// cross-group steal. Same-group and unhinted items keep the SubmitBatch
-// placement (the submitter's own deque is the lock-free fast path, and a
-// same-group neighbour reaches it with a sibling-level steal anyway). A
-// flat topology ignores the hints entirely — it is the reference order.
-func (p *Stealing[T]) SubmitBatchAffinity(items []T, hints []int32, from int) {
-	if p.topo.flat || p.workers == 1 {
-		p.SubmitBatch(items, from)
-		return
-	}
-	if len(items) == 0 {
-		return
-	}
-	i := 0
-	for ; i < len(items); i++ {
-		w, ok := p.tokens.tryPop()
-		if !ok {
-			break
-		}
-		p.spawnGo(items[i], w)
-	}
-	if i == len(items) {
-		return
-	}
-	fromGroup := int32(-1)
-	if from >= 0 && from < p.workers {
-		fromGroup = p.topo.groupOf[from]
-	}
-	for ; i < len(items); i++ {
-		h := int32(-1)
-		if i < len(hints) {
-			h = hints[i]
-		}
-		if h >= 0 && int(h) < p.workers && p.topo.groupOf[h] != fromGroup {
-			p.inboxPush(int(h), items[i])
-			continue
-		}
-		p.pushItem(items[i], from)
-	}
-	p.kick()
-}
-
 // Announce publishes n copies of one item: free tokens are matched first,
 // and the remaining copies spread across the *other* workers' shard
-// inboxes — never the announcer's own deque (the announcer is already
-// running the body the copies invite helpers into, so a copy there would
-// force every other worker through a steal to find one). With a topology
-// tree and a known announcer the spread walks the announcer's victim order
-// nearest-first — sibling group, then the rest of the domain, then across —
-// so the helpers most likely to share cache with the owner find their
-// invitation first and without a cross-group steal. Announcements without
-// a worker identity (out-of-range from) or on a flat topology scatter
-// round-robin, the reference placement. One kick closes the lost-wakeup
-// window for the whole announcement.
+// inboxes — never the announcer's own deque or inbox (the announcer is
+// already running the body the copies invite helpers into, so a copy there
+// would force every other worker through a steal to find one). With a
+// known announcer the spread starts at its right-hand neighbour and walks
+// from+1, from+2, … (mod workers), skipping the announcer; an announcement
+// without a worker identity (out-of-range from) scatters round-robin. One
+// kick closes the lost-wakeup window for the whole announcement.
 func (p *Stealing[T]) Announce(item T, n, from int) {
 	if n <= 0 {
 		return
@@ -332,10 +253,9 @@ func (p *Stealing[T]) Announce(item T, n, from int) {
 	if n == 0 {
 		return
 	}
-	if from >= 0 && from < p.workers && p.workers > 1 && !p.topo.flat {
-		order := p.topo.victims[from] // nearest-first, excludes the announcer
+	if from >= 0 && from < p.workers && p.workers > 1 {
 		for i := 0; i < n; i++ {
-			p.inboxPush(int(order[i%len(order)]), item)
+			p.inboxPush((from+1+i%(p.workers-1))%p.workers, item)
 		}
 	} else {
 		for i := 0; i < n; i++ {
@@ -455,13 +375,10 @@ func (p *Stealing[T]) consumeBox(w int, box *T) T {
 // popFor removes the next item for the holder of token w: own deque bottom
 // (the soloQ top at one worker), own creator lane (newest batch, oldest
 // item), own inbox, then the other shards — creator lane (oldest batch),
-// deque top, then inbox (stealFrom). Victim
-// order follows the pool's topology: nearest-first, exhausting each
-// locality level (with a randomized start *within* the level so concurrent
-// thieves spread instead of convoying) before widening to the next, or one
-// flat randomized pass under TopologyFlat (the reference order). The
-// randomized starts draw from the shard's private PRNG — the miss path
-// touches no shared state.
+// deque top, then inbox (stealFrom). The victims are the other workers in
+// ascending order, scanned once from a randomized start so concurrent
+// thieves spread instead of convoying; the start draws from the shard's
+// private PRNG, so the miss path touches no shared state.
 //
 // A hit on a victim's deque steals half its items (bounded by
 // stealBatchMax): the first is returned, the rest move — boxes and all —
@@ -479,32 +396,17 @@ func (p *Stealing[T]) popFor(w int) (item T, ok bool) {
 	if item, ok = p.takeInbox(sh); ok || p.workers == 1 {
 		return item, ok
 	}
-	if p.topo.flat {
-		start := sh.randN(p.workers)
-		for i := 0; i < p.workers; i++ {
-			v := (start + i) % p.workers
-			if v == w {
-				continue
-			}
-			if item, ok = p.stealFrom(w, sh, v); ok {
-				return item, true
-			}
+	n := p.workers - 1
+	start := sh.randN(n)
+	for i := 0; i < n; i++ {
+		// Index (start+i)%n of the other workers in ascending order: the
+		// indices at or above w shift up by one to skip w itself.
+		v := (start + i) % n
+		if v >= w {
+			v++
 		}
-	} else {
-		vs := p.topo.victims[w]
-		lo := 0
-		for lvl := 0; lvl < NumLevels; lvl++ {
-			hi := int(p.topo.levelEnd[w][lvl])
-			if n := hi - lo; n > 0 {
-				start := sh.randN(n)
-				for i := 0; i < n; i++ {
-					v := int(vs[lo+(start+i)%n])
-					if item, ok = p.stealFrom(w, sh, v); ok {
-						return item, true
-					}
-				}
-			}
-			lo = hi
+		if item, ok = p.stealFrom(w, sh, v); ok {
+			return item, true
 		}
 	}
 	var zero T
@@ -551,12 +453,11 @@ func (p *Stealing[T]) PutBack(item T, worker int) {
 // first because it is a whole subtree the victim will not reach until its
 // own deque is empty: the thief instantiates and runs that subtree on its
 // own deque instead of coming back for the victim's leaves a steal at a
-// time. A hit is charged to the thief's steal counters at the locality
-// level separating the two workers.
+// time. A hit is charged to the thief's steal counter.
 func (p *Stealing[T]) stealFrom(w int, sh *poolShard[T], v int) (item T, ok bool) {
 	vs := &p.shards[v]
 	if item, ok = vs.takeLane(true); ok {
-		sh.noteSteal(p.topo.level(w, v), 1)
+		sh.steals.Add(1)
 		return item, true
 	}
 	if vs.deque.Size() > 0 {
@@ -579,21 +480,15 @@ func (p *Stealing[T]) stealFrom(w int, sh *poolShard[T], v int) (item T, ok bool
 				sh.deque.PushBottom(q)
 				stolen++
 			}
-			sh.noteSteal(p.topo.level(w, v), stolen)
+			sh.steals.Add(stolen)
 			return p.consumeBox(w, box), true
 		}
 	}
 	if item, ok = p.takeInbox(vs); ok {
-		sh.noteSteal(p.topo.level(w, v), 1)
+		sh.steals.Add(1)
 		return item, true
 	}
 	return item, false
-}
-
-// noteSteal charges n stolen items at locality level lvl.
-func (sh *poolShard[T]) noteSteal(lvl int, n int64) {
-	sh.steals.Add(n)
-	sh.lvlSteals[lvl].Add(n)
 }
 
 // anyQueued reports whether any shard holds a queued item. Seq-cst loads of
@@ -800,4 +695,29 @@ func (p *Stealing[T]) SubmitCreator(item T, from int) {
 		p.pushItem(item, from)
 	}
 	p.kick()
+}
+
+// splitmix64 expands a small seed into a full-entropy PRNG state (the
+// standard SplitMix64 finalizer); used to seed the per-shard xorshift
+// states at pool construction.
+func splitmix64(x uint64) uint64 {
+	x += 0x9e3779b97f4a7c15
+	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
+	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
+	return x ^ (x >> 31)
+}
+
+// randN draws from the shard's private xorshift64 state: the victim-start
+// randomization of the steal path. Owner-only, like the deque bottom — the
+// caller holds this shard's worker token (ownership transfers through the
+// token list, which carries the happens-before edge), so no shared PRNG
+// state is touched on the miss path and steal schedules are reproducible
+// given the same interleaving (the fixed construction-time seeds).
+func (sh *poolShard[T]) randN(n int) int {
+	x := sh.rng
+	x ^= x << 13
+	x ^= x >> 7
+	x ^= x << 17
+	sh.rng = x
+	return int(x % uint64(n))
 }

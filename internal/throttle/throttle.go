@@ -28,7 +28,9 @@
 //     between a parking submitter and a completion that frees slots.
 package throttle
 
-// Kind selects a Window implementation (core.Config.ThrottleImpl).
+// Kind selects a Window implementation (New). The runtime always builds the
+// sharded window; the locked one is the differential reference of this
+// package's tests and of cmd/depbench's throttle table.
 type Kind uint8
 
 const (

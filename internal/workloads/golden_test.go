@@ -142,8 +142,8 @@ func TestGoldenEngineSchedulerMatrix(t *testing.T) {
 }
 
 // TestGoldenSingleWorkerPools repeats the oracle check with one worker, under
-// both engines × every pool: the stealing pool without affinity routing or a
-// thief, and the central queue under each global order, with every taskwait
+// both engines × every pool: the stealing pool without a thief, and the
+// central queue under each global order, with every taskwait
 // yielding the only token.
 func TestGoldenSingleWorkerPools(t *testing.T) {
 	policies := []struct {

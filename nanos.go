@@ -62,16 +62,11 @@
 // allocates nothing once warm. MemReference restores the allocate-always
 // baseline for A/B comparisons.
 //
-// Nested synchronization points are wait-free by default (Config.
-// TaskwaitImpl = TaskwaitAuto): a Taskwait that finds incomplete children
-// first runs the queued descendants on its own worker's deque itself; only
-// when none is left does it yield its worker token into other ready work,
-// and the last completing child submits the waiting task back into the
-// ready pools as a pooled continuation — the worker that pulls it hands its
-// token straight to the parked goroutine, so the token protocol never idles
-// a worker on a sync point. TaskwaitParking restores the classic park-on-channel reference;
-// Runtime.TaskwaitStats reports inlined descendants, parks, handoffs, and
-// steal-resumes.
+// A Taskwait that finds incomplete children first runs the queued
+// descendants on its own worker's deque itself (on the default FIFO pool);
+// only when none is left does it yield its worker token into other ready
+// work and park until the last child completes. Runtime.TaskwaitStats
+// reports inlined descendants and parks.
 //
 // A minimal program:
 //
@@ -149,15 +144,6 @@ type (
 	// EngineKind selects the dependency-engine implementation
 	// (Config.DepEngine).
 	EngineKind = deps.EngineKind
-	// Topology arranges the stealing pool's worker shards into a locality
-	// tree (domain → core group → worker) for nearest-first steal victim
-	// selection (Config.Topology). The zero value derives a synthetic tree
-	// from the worker count; sched.TopologyFlat selects the flat reference
-	// order.
-	Topology = sched.Topology
-	// ThrottleKind selects the throttle-window implementation
-	// (Config.ThrottleImpl).
-	ThrottleKind = throttle.Kind
 	// ThrottleStats exposes throttle-window activity counters
 	// (Runtime.ThrottleStats).
 	ThrottleStats = throttle.Stats
@@ -174,12 +160,8 @@ type (
 	// (Runtime.ReplayStats): recordings, replays, invalidations, live
 	// fallbacks.
 	ReplayStats = replay.Stats
-	// TaskwaitKind selects the Taskwait blocking strategy
-	// (Config.TaskwaitImpl).
-	TaskwaitKind = core.TaskwaitKind
 	// TaskwaitStats exposes the Taskwait counters (Runtime.TaskwaitStats):
-	// descendants run inline by their waiting ancestor, parks (parking
-	// strategy), continuation handoffs, and steal-resumes.
+	// descendants run inline by their waiting ancestor, and parks.
 	TaskwaitStats = core.TaskwaitStats
 )
 
@@ -219,23 +201,6 @@ const (
 	Priority = sched.Priority
 )
 
-// TopologyFlat selects the flat steal victim order for Config.Topology —
-// the pre-topology placement, kept as the differential reference.
-var TopologyFlat = sched.TopologyFlat
-
-// Throttle-window kinds for Config.ThrottleImpl (meaningful only with
-// Config.ThrottleOpenTasks > 0).
-const (
-	// ThrottleAuto picks the sharded token-bucket window in real mode
-	// (virtual mode never blocks submitters and builds no window).
-	ThrottleAuto = throttle.KindAuto
-	// ThrottleLocked is the single mutex+cond reference window.
-	ThrottleLocked = throttle.KindLocked
-	// ThrottleSharded is the sharded token-bucket window: a global atomic
-	// credit balance, per-worker credit caches, and per-shard wait lists.
-	ThrottleSharded = throttle.KindSharded
-)
-
 // Memory-management modes for Config.MemPool.
 const (
 	// MemAuto picks the pooled mode in real mode (reference in virtual
@@ -265,25 +230,6 @@ const (
 	ReplayOff = replay.KindOff
 	// ReplayOn enables the cache in real mode.
 	ReplayOn = replay.KindOn
-)
-
-// Taskwait strategies for Config.TaskwaitImpl. Both enforce the same
-// semantics (the differential tests in internal/core prove it); selecting
-// one explicitly is for ablations and A/B comparisons.
-const (
-	// TaskwaitAuto picks the continuation handoff in real mode (virtual
-	// mode has no Taskwait).
-	TaskwaitAuto = core.TaskwaitAuto
-	// TaskwaitParking is the classic reference: a blocked taskwait parks
-	// its goroutine and re-acquires a worker token through the scheduler's
-	// waiter list when the last child completes.
-	TaskwaitParking = core.TaskwaitParking
-	// TaskwaitContinuation is the wait-free strategy: a blocked taskwait's
-	// resume is submitted into the sharded ready pools by the last
-	// completing child as a pooled continuation, and the worker that pulls
-	// it hands its token straight to the parked goroutine — the token
-	// protocol never parks a worker on a nested sync point.
-	TaskwaitContinuation = core.TaskwaitContinuation
 )
 
 // Verification finding kinds.

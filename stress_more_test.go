@@ -245,26 +245,41 @@ func TestStressFailureInjection(t *testing.T) {
 	}
 }
 
-// TestStressTaskwaitContinuationMatrix combines the taskwait strategies
-// with every sharded subsystem at once — stealing ready pool, sharded
-// throttle window, pooled memory, and replay graph regions (one
-// replay-eligible region with owner-level waits, one made ineligible by
-// member-task waits over nested submissions) — under Debug, whose
-// end-of-run checks assert zero continuation nodes outstanding at drain.
-// Run with -race this is the concurrency-safety net for the continuation
-// handoff across all layers.
-func TestStressTaskwaitContinuationMatrix(t *testing.T) {
+// TestStressTaskwaitMatrix runs a wait-heavy program over the matrix of
+// ready pool (the helping stealing pool, the central queue) × throttle
+// window (off, 6) × record-and-replay (on, off), with pooled memory and
+// Debug's end-of-run leak checks throughout. The program mixes graph
+// regions (one replay-eligible region with owner-level waits, one made
+// ineligible by member-task waits over nested submissions) with loose
+// throttled wait churn. Run with -race this is the concurrency-safety net
+// for the help step and the parking path across all layers.
+func TestStressTaskwaitMatrix(t *testing.T) {
 	iters, inner := 4, 20
 	if testing.Short() {
 		iters, inner = 2, 8
 	}
-	for _, impl := range []nanos.TaskwaitKind{nanos.TaskwaitParking, nanos.TaskwaitContinuation} {
-		impl := impl
-		t.Run(fmt.Sprintf("impl=%v", impl), func(t *testing.T) {
+	type cell struct {
+		policy   nanos.Policy
+		throttle int
+		replay   nanos.ReplayKind
+	}
+	var cells []cell
+	for _, policy := range []nanos.Policy{nanos.FIFO, nanos.LIFO} {
+		for _, throttle := range []int{0, 6} {
+			for _, replay := range []nanos.ReplayKind{nanos.ReplayOn, nanos.ReplayOff} {
+				cells = append(cells, cell{policy, throttle, replay})
+			}
+		}
+	}
+	for _, c := range cells {
+		c := c
+		replayOn := c.replay == nanos.ReplayOn
+		t.Run(fmt.Sprintf("%v/throttle=%d/replay=%v", c.policy, c.throttle, replayOn), func(t *testing.T) {
 			rt := nanos.New(nanos.Config{
 				Workers:           4,
-				ThrottleOpenTasks: 6,
-				TaskwaitImpl:      impl,
+				Policy:            c.policy,
+				ThrottleOpenTasks: c.throttle,
+				Replay:            c.replay,
 				Debug:             true,
 			})
 			d := rt.NewData("x", stressUniverse, 8)
@@ -329,27 +344,23 @@ func TestStressTaskwaitContinuationMatrix(t *testing.T) {
 			if got := sum.Load(); got != want {
 				t.Fatalf("ran %d bodies, want %d", got, want)
 			}
-			if n := rt.ContPoolStats().Outstanding(); n != 0 {
-				t.Fatalf("%d continuation nodes outstanding after drain", n)
-			}
 			st := rt.TaskwaitStats()
-			switch impl {
-			case nanos.TaskwaitContinuation:
-				if st.Parks != 0 {
-					t.Errorf("continuation: %d parks, want zero (stats %+v)", st.Parks, st)
-				}
-				if st.Handoffs == 0 {
-					t.Errorf("continuation: no handoffs on a wait-heavy workload (stats %+v)", st)
-				}
-			case nanos.TaskwaitParking:
-				if st.Handoffs != 0 || st.StealResumes != 0 {
-					t.Errorf("parking: stats %+v, want zero handoffs and steal-resumes", st)
-				}
-				if st.Parks == 0 {
-					t.Errorf("parking: no parks on a wait-heavy workload (stats %+v)", st)
-				}
+			if st.Handoffs != 0 || st.StealResumes != 0 {
+				t.Errorf("stats %+v, want zero handoffs and steal-resumes", st)
+			}
+			if c.policy == nanos.LIFO && st.Inlined != 0 {
+				t.Errorf("central queue: %d descendants inlined, want none (its waits never help)", st.Inlined)
+			}
+			if st.Parks+st.Inlined == 0 {
+				t.Errorf("no wait helped or parked on a wait-heavy workload (stats %+v)", st)
 			}
 			rst := rt.ReplayStats()
+			if !replayOn {
+				if rst != (nanos.ReplayStats{}) {
+					t.Errorf("replay off: stats %+v, want zero", rst)
+				}
+				return
+			}
 			if rst.Records == 0 {
 				t.Errorf("no region recorded: %+v", rst)
 			}
