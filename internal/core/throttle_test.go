@@ -8,6 +8,20 @@ import (
 	"repro/internal/throttle"
 )
 
+// throttleImpls are the window implementations every throttle test runs
+// under: the mutex+cond reference and the sharded token bucket the runtime
+// builds.
+var throttleImpls = []throttle.Kind{throttle.KindLocked, throttle.KindSharded}
+
+// newThrottled builds a runtime from cfg and swaps in a window of the given
+// kind, so the runtime-level throttle tests also run on the locked
+// reference window, which New never builds.
+func newThrottled(cfg Config, impl throttle.Kind) *Runtime {
+	rt := New(cfg)
+	rt.thr = throttle.New(impl, cfg.ThrottleOpenTasks, cfg.Workers)
+	return rt
+}
+
 // TestThrottleNoDeadlockWithWeakNesting is a regression test: the throttle
 // window must count only dependency-ready tasks. If it counted every
 // instantiated task, this program could deadlock — a child of the second
@@ -15,35 +29,39 @@ import (
 // outer task's body finishes, while that body is blocked in the throttle
 // because the waiting child fills the window.
 func TestThrottleNoDeadlockWithWeakNesting(t *testing.T) {
-	for iter := 0; iter < 20; iter++ {
-		for _, workers := range []int{1, 2, 4} {
-			rt := New(Config{Workers: workers, ThrottleOpenTasks: 1})
-			d := rt.NewData("x", 100, 8)
-			var ran atomic.Int64
-			outer := func(lbl string) TaskSpec {
-				return TaskSpec{
-					Label:    lbl,
-					WeakWait: true,
-					Deps:     []Dep{{Data: d, Type: InOut, Weak: true, Ivs: []Interval{{Lo: 0, Hi: 100}}}},
-					Body: func(tc *TaskContext) {
-						for i := int64(0); i < 4; i++ {
-							tc.Submit(TaskSpec{
-								Label: lbl + "-leaf",
-								Deps:  []Dep{{Data: d, Type: InOut, Ivs: []Interval{{Lo: i * 25, Hi: (i + 1) * 25}}}},
-								Body:  func(*TaskContext) { ran.Add(1) },
-							})
+	for _, impl := range throttleImpls {
+		t.Run(impl.String(), func(t *testing.T) {
+			for iter := 0; iter < 20; iter++ {
+				for _, workers := range []int{1, 2, 4} {
+					rt := newThrottled(Config{Workers: workers, ThrottleOpenTasks: 1}, impl)
+					d := rt.NewData("x", 100, 8)
+					var ran atomic.Int64
+					outer := func(lbl string) TaskSpec {
+						return TaskSpec{
+							Label:    lbl,
+							WeakWait: true,
+							Deps:     []Dep{{Data: d, Type: InOut, Weak: true, Ivs: []Interval{{Lo: 0, Hi: 100}}}},
+							Body: func(tc *TaskContext) {
+								for i := int64(0); i < 4; i++ {
+									tc.Submit(TaskSpec{
+										Label: lbl + "-leaf",
+										Deps:  []Dep{{Data: d, Type: InOut, Ivs: []Interval{{Lo: i * 25, Hi: (i + 1) * 25}}}},
+										Body:  func(*TaskContext) { ran.Add(1) },
+									})
+								}
+							},
 						}
-					},
+					}
+					rt.Run(func(tc *TaskContext) {
+						tc.Submit(outer("t1"))
+						tc.Submit(outer("t2"))
+					})
+					if got := ran.Load(); got != 8 {
+						t.Fatalf("workers=%d: ran %d leaves, want 8", workers, got)
+					}
 				}
 			}
-			rt.Run(func(tc *TaskContext) {
-				tc.Submit(outer("t1"))
-				tc.Submit(outer("t2"))
-			})
-			if got := ran.Load(); got != 8 {
-				t.Fatalf("workers=%d: ran %d leaves, want 8", workers, got)
-			}
-		}
+		})
 	}
 }
 
@@ -52,21 +70,25 @@ func TestThrottleNoDeadlockWithWeakNesting(t *testing.T) {
 // scheduler queue length can never exceed the window.
 func TestThrottleWindowBoundsReadyBacklog(t *testing.T) {
 	const window = 4
-	rt := New(Config{Workers: 2, ThrottleOpenTasks: window})
-	var maxOpen atomic.Int64
-	rt.Run(func(tc *TaskContext) {
-		for i := 0; i < 200; i++ {
-			tc.Submit(TaskSpec{Label: "t", Body: func(*TaskContext) {
-				if o := rt.taskCounts().open; o > maxOpen.Load() {
-					maxOpen.Store(o)
+	for _, impl := range throttleImpls {
+		t.Run(impl.String(), func(t *testing.T) {
+			rt := newThrottled(Config{Workers: 2, ThrottleOpenTasks: window}, impl)
+			var maxOpen atomic.Int64
+			rt.Run(func(tc *TaskContext) {
+				for i := 0; i < 200; i++ {
+					tc.Submit(TaskSpec{Label: "t", Body: func(*TaskContext) {
+						if o := rt.taskCounts().open; o > maxOpen.Load() {
+							maxOpen.Store(o)
+						}
+					}})
 				}
-			}})
-		}
-	})
-	// The submitter may overshoot by one (check-then-submit), and the
-	// two running tasks are already out of the window.
-	if maxOpen.Load() > window+1 {
-		t.Fatalf("ready backlog reached %d, want <= %d", maxOpen.Load(), window+1)
+			})
+			// The submitter may overshoot by one (check-then-submit), and the
+			// two running tasks are already out of the window.
+			if maxOpen.Load() > window+1 {
+				t.Fatalf("ready backlog reached %d, want <= %d", maxOpen.Load(), window+1)
+			}
+		})
 	}
 }
 
