@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: all help build vet test race flake bench-short bench-check sched-smoke throttle-smoke mem-smoke replay-smoke wait-smoke ws-smoke chaos-smoke depbench ci
+.PHONY: all help build vet test race flake bench-short bench-check smoke depbench ci
 
 all: build
 
@@ -22,36 +22,21 @@ help:
 	@echo "                 tests, and one quick end-to-end pass each of axpy_nest_weak,"
 	@echo "                 sortsum_weak (the fragmenting / partial-release path) and"
 	@echo "                 gs_graph_replay (the recording sweep's guard straddles every stripe)"
-	@echo "  sched-smoke    ready-pool contention matrix (stealing vs central, w=1/4/8) + w=1"
-	@echo "                 parity guard (stealing <=1.5x the central single-lock reference)"
-	@echo "  throttle-smoke throttle-window contention matrix (impl x window x w) + w=1 parity guard"
-	@echo "  mem-smoke      memory-pool gates: >=5x alloc cut, pooled-vs-reference differentials,"
-	@echo "                 leak accounting, w=1 parity guard, SubmitDisjoint bench smoke"
-	@echo "  replay-smoke   record-and-replay gates: replay-vs-live differential over random"
-	@echo "                 iterative programs, shape-flip invalidation fallback, countdown-node"
-	@echo "                 leak accounting, w=1 parity guard (replay <=1.5x live), workload"
-	@echo "                 validation (GS graph variant + heat vs sequential reference)"
-	@echo "  wait-smoke     taskwait gates: stealing-vs-central differential over random nested"
-	@echo "                 programs (the stealing pool's waits help, the central queue's park),"
-	@echo "                 exact w=1 stats, descendants-only help counterexample, one park per"
-	@echo "                 blocked wait (w=2/4/8), edge cases"
-	@echo "  ws-smoke       worksharing gates: chunked-vs-expand differential over randomized"
-	@echo "                 grains and skewed chunk costs, single-replay-node check, w=1 parity"
-	@echo "                 guard (chunked <=1.5x expand), chunk-descriptor alloc gate, workload"
-	@echo "                 validation (axpy + GS wavefront), plus the depbench ws table"
-	@echo "  chaos-smoke    robustness gates (-race): seeded chaos soak (failpoints on every"
-	@echo "                 lock-free edge, checksum + drain + zero-stall oracles, failing"
-	@echo "                 seeds print a -seed replay line), watchdog selftest (induced"
-	@echo "                 lost wakeup must be named, healthy run must stay silent),"
-	@echo "                 panic-safe drain suite, chaos unit tests, and the depbench"
-	@echo "                 chaos table with its 0-stalls expectation"
+	@echo "  smoke          per-subsystem gates, one table row each (see SMOKE_TESTS): ready-pool"
+	@echo "                 and throttle w=1 parity + contention matrices; memory-pool alloc gates,"
+	@echo "                 pooled-vs-reference differentials and leak accounting; replay-vs-live"
+	@echo "                 differential + shape-flip fallback; taskwait differential, exact stats,"
+	@echo "                 descendants-only help, one park per blocked wait; worksharing vs its"
+	@echo "                 Taskloop oracle, w=1 parity, alloc gate, workload validation; the"
+	@echo "                 chaos soak, watchdog selftest and panic-safe drain (-race); plus the"
+	@echo "                 depbench ws and chaos tables (chaos expects 0 stalls)"
 	@echo "  depbench       contention tables: deps engines (incl. pooled memory), sched pools,"
 	@echo "                 throttle windows, replay cache, worksharing chunks (go run"
 	@echo "                 ./cmd/depbench; -mode deps|sched|throttle|replay|ws|chaos selects one"
 	@echo "                 table, -workers/-ops/-sched-ops/-throttle-ops/-window/-replay-iters/"
 	@echo "                 -ws-iters/-ws-grain/-chaos-seed/-chaos-rate size the sweeps; -json"
 	@echo "                 emits machine-readable rows instead of tables)"
-	@echo "  ci             build + vet + test + race + bench-short + bench-check + sched/throttle/mem/replay/wait/ws/chaos smokes"
+	@echo "  ci             build + vet + test + race + bench-short + bench-check + smoke"
 
 build:
 	$(GO) build ./...
@@ -106,65 +91,45 @@ bench-short:
 bench-check:
 	cd bench && $(GO) vet ./... && $(GO) test ./... && $(GO) run . -quick -workload axpy_nest_weak -trace 0 && $(GO) run . -quick -workload sortsum_weak -trace 0 && $(GO) run . -quick -workload gs_graph_replay -trace 0
 
-# Scheduler admission contention smoke: the stealing-vs-central matrix at
-# w=1/4/8 plus the w=1 parity regression guard (the stealing pool's
-# lock-free fast paths must stay at parity with the central single-lock
-# reference when uncontended).
-sched-smoke:
-	$(GO) test -run 'TestSchedW1Parity' -bench 'BenchmarkSchedContentionMatrix' -benchtime 1x ./internal/sched
+# Per-subsystem smoke, one row per package and pass: the go test flags (a
+# -run pattern, any -bench pass, -race), then the package.
+#   sched, throttle: the w=1 parity guards (the lock-free fast paths stay at
+#     parity with the single-lock references when uncontended) and one pass
+#     of each contention matrix.
+#   deps, core (first core row): the memory-pool gates — steady-state alloc
+#     cut, pooled-vs-reference differentials, leak accounting, w=1 parity;
+#     the replay-vs-live differential, shape-flip fallback and replay w=1
+#     parity; the taskwait differential (stealing pool helps, central queue
+#     parks), exact w=1 stats, the descendants-only counterexample and one
+#     park per blocked wait; worksharing coverage, replay-as-one-node,
+#     edge cases and the chunk-descriptor alloc gate.
+#   root: worksharing against its Taskloop oracle (differential, w=1
+#     parity, replay task counts).
+#   workloads: heat, GS graph and worksharing variants validated against
+#     their sequential references.
+#   core (-race), chaos, harness: the seeded chaos soak, watchdog selftest,
+#     panic-safe drain suite, and the chaos registry and bench-row tests.
+SMOKE_TESTS = \
+	'-run TestSchedW1Parity -bench BenchmarkSchedContentionMatrix -benchtime 1x ./internal/sched' \
+	'-run TestThrottleW1Parity -bench BenchmarkThrottleContentionMatrix -benchtime 1x ./internal/throttle' \
+	'-run TestMemPool -bench BenchmarkSubmitDisjoint -benchtime 1x ./internal/deps' \
+	'-run TestMemPool|TestGraphReplayDifferential|TestGraphShapeFlipInvalidation|TestReplayW1Parity|TestTaskwaitExactStats|TestTaskwaitDifferential|TestTaskwaitInlineDescendantsOnly|TestTaskwaitOneParkPerBlockedWait|TestTaskwaitEdgeCases|TestWorksharingBasic|TestWorksharingReplaySingleNode|TestWorksharingEdgeCases ./internal/core' \
+	'-run TestWorksharingDifferential|TestWorksharingW1Parity|TestWorksharingReplayVsTaskloop .' \
+	'-run TestHeatValidates|TestGSGraphValidates|TestAxpyWorksharingAllStrategies|TestGSWsWavefrontValidates ./internal/workloads' \
+	'-race -short -run TestChaos|TestWatchdog|TestStallDetector|TestPanic|TestRunRepanicsAfterDrain ./internal/core' \
+	'-race ./internal/chaos' \
+	'-race -short -run TestChaosGroupsCoverAllSites|TestChaosBenchRows ./internal/harness'
 
-# Throttle admission-window contention smoke: the window matrix
-# (impl x window x w=1/4/8) plus the w=1 parity regression guard (the
-# sharded window's credit-cache fast path must stay at parity with the
-# mutex+cond reference when uncontended).
-throttle-smoke:
-	$(GO) test -run 'TestThrottleW1Parity' -bench 'BenchmarkThrottleContentionMatrix' -benchtime 1x ./internal/throttle
+# The depbench passes of the smoke: the worksharing table, and the chaos
+# table, which exits non-zero on any stall report.
+SMOKE_DEPBENCH = \
+	'-mode ws -workers 2,4 -ws-iters 40 -ws-grain 64,256' \
+	'-mode chaos -workers 4 -chaos-iters 32'
 
-# Memory-pool smoke: the steady-state allocation gate (pooled must cut
-# allocs/op >=5x vs the allocate-always reference), the pooled-vs-reference
-# differentials and leak accounting at both the engine and runtime level,
-# the w=1 parity guard (pooled free-list hops must stay at parity with
-# plain allocation when uncontended), and one pass over the SubmitDisjoint
-# benchmark's memory-mode matrix.
-mem-smoke:
-	$(GO) test -run 'TestMemPool' -bench 'BenchmarkSubmitDisjoint' -benchtime 1x ./internal/deps
-	$(GO) test -run 'TestMemPool' ./internal/core
-
-# Record-and-replay smoke: the replay-vs-live differential (identical
-# final state and task counts over randomized iterative programs), the
-# shape-flip invalidation fallback (no lost tasks, zero countdown nodes
-# outstanding), the w=1 parity guard (a replayed sweep must not cost more
-# than 1.5x the live engine when uncontended — in practice it is several
-# times cheaper), and the graph-region workload validations.
-replay-smoke:
-	$(GO) test -run 'TestGraphReplayDifferential|TestGraphShapeFlipInvalidation|TestReplayW1Parity' ./internal/core
-	$(GO) test -run 'TestHeatValidates|TestGSGraphValidates' ./internal/workloads
-
-# Taskwait smoke: the differential over randomized nested programs, run on
-# the stealing pool (whose waits run their queued descendants inline) and
-# on the central queue (whose waits always park): identical checksums and
-# task counts, and exact w=1 counts — every task inlined and no park on the
-# one, the predicted parks on the other. Then the descendants-only
-# counterexample (a wait that ran a task it is not waiting for would
-# deadlock; the test times out), the one-park-per-blocked-wait check (with
-# the children started on other workers, every wait parks exactly once at
-# w=2/4/8), and the exact-stats and edge-case suites.
-wait-smoke:
-	$(GO) test -run 'TestTaskwaitExactStats|TestTaskwaitDifferential|TestTaskwaitInlineDescendantsOnly|TestTaskwaitOneParkPerBlockedWait|TestTaskwaitEdgeCases' ./internal/core
-
-# Worksharing smoke: the chunked-vs-expand differential (identical final
-# state over randomized grains, widths, and skewed chunk costs), the
-# single-replay-node composition check (a region records and replays as
-# one graph node), the w=1 parity guard (the chunked body must stay within
-# 1.5x of the per-chunk-task expansion when uncontended), the
-# chunk-descriptor allocation gate (zero fresh descriptors in steady
-# state, with leak accounting), the workload validations (axpy +
-# Gauss-Seidel wavefront against their sequential references), and one
-# pass of the depbench ws table.
-ws-smoke:
-	$(GO) test -run 'TestWorksharingBasic|TestWorksharingKindResolution|TestWorksharingDifferential|TestWorksharingW1Parity|TestWorksharingReplaySingleNode|TestWorksharingEdgeCases|TestMemPoolAllocGateWorksharing' ./internal/core
-	$(GO) test -run 'TestAxpyWorksharingAllStrategies|TestGSWsWavefrontValidates' ./internal/workloads
-	$(GO) run ./cmd/depbench -mode ws -workers 2,4 -ws-iters 40 -ws-grain 64,256
+smoke:
+	@set -e; \
+	for args in $(SMOKE_TESTS); do echo "go test $$args"; $(GO) test $$args; done; \
+	for args in $(SMOKE_DEPBENCH); do echo "depbench $$args"; $(GO) run ./cmd/depbench $$args; done
 
 # Contention tables (deps: global vs sharded engine, plus the pooled
 # memory mode; sched: central single-lock vs work-stealing ready pool;
@@ -174,20 +139,4 @@ ws-smoke:
 depbench:
 	$(GO) run ./cmd/depbench
 
-# Robustness smoke: the chaos soak (short mode: >=12 seeded failpoint
-# schedules x 3 fire rates over the mixed-construct workload, under the
-# race detector, with checksum/drain/zero-stall oracles; failing seeds
-# print a `-seed N` replay line), the combined chaos+panic soak, the
-# watchdog selftest (a synthetic lost wakeup in a reference pool must be
-# detected and named; a healthy nested/worksharing run at aggressive
-# sampling must stay silent), the panic-safe drain suite (replayed graph
-# regions, owner aborts, final tasks, worksharing owners, taskgroups,
-# Run's re-panic-after-drain), the chaos registry unit tests, and one
-# pass of the depbench chaos table (stalls column must read 0).
-chaos-smoke:
-	$(GO) test -race -short -run 'TestChaos|TestWatchdog|TestStallDetector|TestPanic|TestRunRepanicsAfterDrain' ./internal/core
-	$(GO) test -race ./internal/chaos
-	$(GO) test -race -short -run 'TestChaosGroupsCoverAllSites|TestChaosBenchRows' ./internal/harness
-	$(GO) run ./cmd/depbench -mode chaos -workers 4 -chaos-iters 32
-
-ci: build vet test race bench-short bench-check sched-smoke throttle-smoke mem-smoke replay-smoke wait-smoke ws-smoke chaos-smoke
+ci: build vet test race bench-short bench-check smoke

@@ -482,46 +482,3 @@ func BenchmarkTaskSpawn(b *testing.B) {
 		}
 	})
 }
-
-// BenchmarkEngineContentionMatrix: full-runtime A/B of the dependency
-// engines under parallel task instantiation. W generator tasks each
-// submit a serial chain over their own data object from their own worker,
-// so dependency registration and release happen concurrently from W
-// goroutines: the global engine serializes every one of them behind its
-// single mutex, the sharded engine gives each generator a private shard.
-func BenchmarkEngineContentionMatrix(b *testing.B) {
-	b.ReportAllocs()
-	const chain = 64
-	for _, eng := range []nanos.EngineKind{nanos.EngineGlobal, nanos.EngineSharded} {
-		for _, w := range []int{1, 4, 8} {
-			b.Run(fmt.Sprintf("%s/w=%d", eng, w), func(b *testing.B) {
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					rt := nanos.New(nanos.Config{Workers: w, DepEngine: eng})
-					datas := make([]nanos.DataID, w)
-					for g := range datas {
-						datas[g] = rt.NewData(fmt.Sprintf("x%d", g), 64, 8)
-					}
-					rt.Run(func(tc *nanos.TaskContext) {
-						for g := 0; g < w; g++ {
-							g := g
-							tc.Submit(nanos.TaskSpec{
-								Label:    "gen",
-								WeakWait: true,
-								Body: func(tc *nanos.TaskContext) {
-									for k := 0; k < chain; k++ {
-										tc.Submit(nanos.TaskSpec{
-											Label: "link",
-											Deps:  []nanos.Dep{nanos.DInOut(datas[g], nanos.Iv(0, 64))},
-										})
-									}
-								},
-							})
-						}
-					})
-				}
-				b.ReportMetric(float64(chain*w), "tasks/op")
-			})
-		}
-	}
-}

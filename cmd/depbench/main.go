@@ -23,9 +23,9 @@
 //     the cost of atomic countdowns plus ready-pool admission.
 //   - ws: the worksharing chunk distribution. A chain of fine-grained
 //     loop regions (union inout over one data object, chunk bodies that
-//     spin proportionally to chunk length) runs twice per grain: expanded
-//     to one task per chunk (the Taskloop shape) and as one worksharing
-//     task whose chunks self-schedule against a shared cursor.
+//     spin proportionally to chunk length) runs twice per grain: through
+//     nanos.Taskloop, one task per chunk, and as one worksharing task
+//     whose chunks self-schedule against a shared cursor.
 //   - chaos: the fault-injection robustness table. The mixed-construct
 //     workload (graph regions, nested taskwait, worksharing, taskgroups)
 //     runs once per subsystem group of failpoint sites (internal/chaos)
@@ -72,7 +72,6 @@ import (
 	"strings"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/deps"
 	"repro/internal/harness"
 	"repro/internal/mempool"
@@ -342,29 +341,29 @@ func main() {
 		em.printf("worksharing chunk distribution (chained fine-grain loop regions)\n")
 		em.printf("%-8s %8s %7s %10s %8s %12s %12s %11s %12s %7s %9s\n",
 			"impl", "workers", "grain", "chunks/it", "iters", "wall", "us/iter", "allocs/kop", "helper-chks", "idle", "speedup")
-		kinds := []struct {
-			name string
-			kind core.WorksharingKind
+		impls := []struct {
+			name     string
+			taskloop bool
 		}{
-			{"expand", core.WorksharingExpand},
-			{"chunked", core.WorksharingChunked},
+			{"taskloop", true},
+			{"chunked", false},
 		}
 		for _, w := range workers {
 			withGOMAXPROCS(w, func() {
 				for _, grain := range wsGrains {
-					var expandWall time.Duration
-					for _, r := range kinds {
-						harness.WSChunkBench(r.kind, w, iters/10+1, grain, n) // warm-up
+					var loopWall time.Duration
+					for _, r := range impls {
+						harness.WSChunkBench(r.taskloop, w, iters/10+1, grain, n) // warm-up
 						runtime.GC()
-						res := harness.WSChunkBench(r.kind, w, iters, grain, n)
+						res := harness.WSChunkBench(r.taskloop, w, iters, grain, n)
 						speedup := "-"
 						ratio := 1.0
-						if r.kind == core.WorksharingExpand {
-							expandWall = res.Wall
-						} else if res.Wall > 0 && expandWall > 0 {
-							// The acceptance metric: the per-chunk-task expansion
+						if r.taskloop {
+							loopWall = res.Wall
+						} else if res.Wall > 0 && loopWall > 0 {
+							// The acceptance metric: the per-chunk Taskloop
 							// costs this many times the worksharing region.
-							ratio = float64(expandWall) / float64(res.Wall)
+							ratio = float64(loopWall) / float64(res.Wall)
 							speedup = fmt.Sprintf("%.2fx", ratio)
 						}
 						em.printf("%-8s %8d %7d %10d %8d %12s %12.1f %11.1f %12d %6.1f%% %9s\n",

@@ -1,14 +1,15 @@
 package nanos_test
 
 // Engine × scheduler stress matrix: randomized multi-data nested programs
-// execute under real goroutine parallelism on every combination of
-// dependency engine (global-lock, sharded) and ready pool (FIFO, LIFO,
-// Priority, work stealing). Tasks mix weakwait completion, early release
-// directives, and depend clauses spanning several data objects — the
-// multi-shard paths of the sharded engine. Every read is checked against
-// the sequential pre-order oracle and the final state must match it
-// exactly; run with -race to also prove the engines publish task memory
-// correctly. Short mode trims seeds and worker counts so `go test ./...`
+// execute under real goroutine parallelism on the sharded dependency
+// engine and every ready pool (FIFO work stealing, LIFO, Priority). Tasks
+// mix weakwait completion, early release directives, and depend clauses
+// spanning several data objects — the multi-shard paths of the sharded
+// engine. Every read is checked against the sequential pre-order oracle
+// and the final state must match it exactly; run with -race to also prove
+// the engine publishes task memory correctly. (The single-mutex reference
+// engine is driven against the sharded one in internal/deps and, through
+// whole runs, in internal/core's TestMemPoolCoreDifferential.) Short mode trims seeds and worker counts so `go test ./...`
 // stays fast.
 
 import (
@@ -238,11 +239,10 @@ func runEngineStress(t *testing.T, tasks []*xTask, cfg nanos.Config) {
 }
 
 // TestStressEngineSchedulerMatrix runs the multi-data stress program over
-// every engine × ready-pool combination: work stealing (the FIFO policy) and
-// the central queue under LIFO and Priority, each with and without successor
-// hand-off (without it, every readied successor goes through the pool).
+// every ready pool: work stealing (the FIFO policy) and the central queue
+// under LIFO and Priority, each with and without successor hand-off
+// (without it, every readied successor goes through the pool).
 func TestStressEngineSchedulerMatrix(t *testing.T) {
-	engines := []nanos.EngineKind{nanos.EngineGlobal, nanos.EngineSharded}
 	queues := []struct {
 		name      string
 		policy    nanos.Policy
@@ -259,24 +259,21 @@ func TestStressEngineSchedulerMatrix(t *testing.T) {
 	if testing.Short() {
 		seeds = 2
 	}
-	for _, eng := range engines {
-		for _, q := range queues {
-			t.Run(fmt.Sprintf("%s/%s", eng, q.name), func(t *testing.T) {
-				for seed := int64(0); seed < int64(seeds); seed++ {
-					rng := rand.New(rand.NewSource(5000 + seed))
-					prog := buildMultiProgram(rng, 3)
-					runEngineStress(t, prog, nanos.Config{
-						Workers:   1 + rng.Intn(8),
-						DepEngine: eng,
-						Policy:    q.policy,
-						NoHandoff: q.noHandoff,
-					})
-					if t.Failed() {
-						t.Fatalf("seed %d failed", seed)
-					}
+	for _, q := range queues {
+		t.Run(q.name, func(t *testing.T) {
+			for seed := int64(0); seed < int64(seeds); seed++ {
+				rng := rand.New(rand.NewSource(5000 + seed))
+				prog := buildMultiProgram(rng, 3)
+				runEngineStress(t, prog, nanos.Config{
+					Workers:   1 + rng.Intn(8),
+					Policy:    q.policy,
+					NoHandoff: q.noHandoff,
+				})
+				if t.Failed() {
+					t.Fatalf("seed %d failed", seed)
 				}
-			})
-		}
+			}
+		})
 	}
 }
 
@@ -291,7 +288,7 @@ func TestStressShardedManyWorkers(t *testing.T) {
 	for seed := int64(0); seed < int64(seeds); seed++ {
 		rng := rand.New(rand.NewSource(9000 + seed))
 		prog := buildMultiProgram(rng, 2)
-		runEngineStress(t, prog, nanos.Config{Workers: 24, DepEngine: nanos.EngineSharded})
+		runEngineStress(t, prog, nanos.Config{Workers: 24})
 		if t.Failed() {
 			t.Fatalf("seed %d failed", seed)
 		}
@@ -311,7 +308,6 @@ func TestStressShardedThrottleRelease(t *testing.T) {
 		prog := buildMultiProgram(rng, 2)
 		runEngineStress(t, prog, nanos.Config{
 			Workers:           4,
-			DepEngine:         nanos.EngineSharded,
 			ThrottleOpenTasks: 6,
 		})
 		if t.Failed() {

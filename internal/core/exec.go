@@ -67,7 +67,7 @@ func (r *Runtime) dispatchAll(nodes []*deps.Node, from int) {
 // rest of the batch lands on this worker's shard for the other workers to
 // steal. donePD is the finished task's primary data, captured by the caller
 // before the completion pipeline ran (the finished node may already be
-// recycled by now in the pooled memory mode).
+// recycled by now).
 func (r *Runtime) dispatchPreferFirst(nodes []*deps.Node, w int, donePD deps.DataID, doneOK bool) *Task {
 	if len(nodes) == 0 {
 		return nil
@@ -158,7 +158,7 @@ func (r *Runtime) executeTask(t *Task, w int) (*Task, int) {
 		r.flops.Add(t.spec.Flops)
 	}
 	// The hand-off locality hint must be read before the completion
-	// pipeline: completing the node may recycle it (pooled memory mode).
+	// pipeline: completing the node may recycle it.
 	// Replayed region tasks carry no engine node (their dependency state
 	// is a frozen countdown cell) and use no locality hint.
 	var donePD deps.DataID

@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/deps"
 	"repro/internal/mempool"
 	"repro/internal/regions"
 	"repro/internal/sched"
@@ -19,11 +20,14 @@ import (
 // outlive tasks — verification Violations — intact after the tasks and
 // nodes they describe have been recycled.
 
-// memDiffProgram runs a randomized nested dependency program and returns a
-// deterministic digest of its observable results: the final data array,
-// the task count, and the engine's activity counters.
-func memDiffProgram(t *testing.T, mem mempool.Kind, workers int, seed int64) string {
-	rt := New(Config{Workers: workers, MemPool: mem, ThrottleOpenTasks: 8, Debug: true})
+// memDiffProgram runs a randomized nested dependency program under cfg on
+// the given engine and memory mode and returns a deterministic digest of
+// its observable results (the final data array, the task count, and the
+// virtual makespan, 0 in real mode) and the engine's registered fragment
+// count.
+func memDiffProgram(t *testing.T, cfg Config, kind deps.EngineKind, mem mempool.Kind, seed int64) (string, int64) {
+	cfg.Debug = true
+	rt := newWithEngine(cfg, kind, mem)
 	const elems = 256
 	data := rt.NewData("a", elems, 8)
 	arr := make([]int64, elems)
@@ -54,6 +58,7 @@ func memDiffProgram(t *testing.T, mem mempool.Kind, workers int, seed int64) str
 						mid := (b.lo + b.hi) / 2
 						tc.Submit(TaskSpec{
 							Label: fmt.Sprintf("lo%d", step),
+							Cost:  mid - b.lo,
 							Deps:  []Dep{{Data: data, Type: InOut, Ivs: []Interval{regions.Iv(b.lo, mid)}}},
 							Body: func(tc *TaskContext) {
 								for p := b.lo; p < mid; p++ {
@@ -63,6 +68,7 @@ func memDiffProgram(t *testing.T, mem mempool.Kind, workers int, seed int64) str
 						})
 						tc.Submit(TaskSpec{
 							Label: fmt.Sprintf("hi%d", step),
+							Cost:  b.hi - mid,
 							Deps:  []Dep{{Data: data, Type: InOut, Ivs: []Interval{regions.Iv(mid, b.hi)}}},
 							Body: func(tc *TaskContext) {
 								for p := mid; p < b.hi; p++ {
@@ -76,44 +82,79 @@ func memDiffProgram(t *testing.T, mem mempool.Kind, workers int, seed int64) str
 		}
 	})
 	if err != nil {
-		t.Fatalf("mem=%v: %v", mem, err)
+		t.Fatalf("engine=%v mem=%v: %v", kind, mem, err)
 	}
-	st := rt.DepStats()
 	// Only scheduling-independent observables: link/grant counts legally
 	// vary with interleaving (a predecessor that already released needs no
-	// link), but the data outcome, the task count, and the registered
-	// fragment count must not.
-	return fmt.Sprintf("arr=%v tasks=%d frags=%d", arr, rt.TaskCount(), st.Fragments)
+	// link), but the data outcome, the task count, and (for one engine) the
+	// registered fragment count must not.
+	return fmt.Sprintf("arr=%v tasks=%d makespan=%d", arr, rt.TaskCount(), rt.VirtualTime()), rt.DepStats().Fragments
 }
 
 // TestMemPoolCoreDifferential drives identical nested weak-dependency
-// programs through the pooled and reference runtimes and requires
-// identical observable results. Multi-worker rounds exercise concurrent
-// recycling; the Debug config adds the end-of-run leak check to every run.
+// programs through the runtime New builds (sharded engine, pooled memory)
+// and through the references swapped in by newWithEngine — the
+// allocate-always memory mode, and the single-mutex engine on top of it,
+// under each ready pool — and requires identical observable results (the
+// sharded engine stripes objects the global one keeps whole, so only the
+// two memory modes must also agree on the fragment count). Multi-worker
+// rounds exercise
+// concurrent recycling; the Debug config adds the end-of-run leak check to
+// every run.
 func TestMemPoolCoreDifferential(t *testing.T) {
 	for _, workers := range []int{1, 4} {
+		cfg := Config{Workers: workers, ThrottleOpenTasks: 8}
 		for seed := int64(1); seed <= 6; seed++ {
-			ref := memDiffProgram(t, mempool.KindReference, workers, seed)
-			pooled := memDiffProgram(t, mempool.KindPooled, workers, seed)
-			if ref != pooled {
-				t.Fatalf("w=%d seed=%d diverged:\n  reference: %s\n  pooled:    %s", workers, seed, ref, pooled)
+			pooled, pooledFrags := memDiffProgram(t, cfg, deps.EngineSharded, mempool.KindPooled, seed)
+			ref, refFrags := memDiffProgram(t, cfg, deps.EngineSharded, mempool.KindReference, seed)
+			if ref != pooled || refFrags != pooledFrags {
+				t.Fatalf("w=%d seed=%d diverged:\n  reference: %s frags=%d\n  pooled:    %s frags=%d",
+					workers, seed, ref, refFrags, pooled, pooledFrags)
+			}
+			// The global engine under every ready pool, with and without
+			// successor hand-off: the digest is schedule-independent.
+			for _, policy := range []sched.Policy{sched.FIFO, sched.LIFO, sched.Priority} {
+				gcfg := cfg
+				gcfg.Policy, gcfg.NoHandoff = policy, seed%2 == 0
+				if global, _ := memDiffProgram(t, gcfg, deps.EngineGlobal, mempool.KindReference, seed); global != pooled {
+					t.Fatalf("w=%d seed=%d %v nohandoff=%v diverged:\n  global: %s\n  pooled: %s",
+						workers, seed, policy, gcfg.NoHandoff, global, pooled)
+				}
 			}
 		}
 	}
 }
 
-// TestMemPoolAutoResolution pins the auto resolution: pooled in real mode,
-// reference in virtual mode.
-func TestMemPoolAutoResolution(t *testing.T) {
-	rt := New(Config{Workers: 2})
-	rt.Run(func(tc *TaskContext) {})
-	if _, pooled := rt.MemStats(); !pooled {
-		t.Error("real-mode auto did not resolve to the pooled engine")
+// TestVirtualEngineParity: a virtual-mode makespan must not depend on the
+// engine behind it. The golden makespans in internal/workloads were
+// recorded on the single-mutex engine with allocate-always memory and are
+// asserted on what virtual mode runs now, the sharded engine with pooled
+// memory; this drives the nested weak programs of the differential above
+// through both in virtual mode and requires the same data, task count and
+// makespan, with and without creation cost.
+func TestVirtualEngineParity(t *testing.T) {
+	for _, submitCost := range []int64{0, 4} {
+		cfg := Config{Workers: 8, Virtual: true, VirtualSubmitCost: submitCost}
+		for seed := int64(1); seed <= 6; seed++ {
+			pooled, _ := memDiffProgram(t, cfg, deps.EngineSharded, mempool.KindPooled, seed)
+			global, _ := memDiffProgram(t, cfg, deps.EngineGlobal, mempool.KindReference, seed)
+			if global != pooled {
+				t.Fatalf("submit cost %d seed=%d diverged:\n  global: %s\n  pooled: %s", submitCost, seed, global, pooled)
+			}
+		}
 	}
-	vrt := New(Config{Workers: 2, Virtual: true})
-	vrt.Run(func(tc *TaskContext) {})
-	if _, pooled := vrt.MemStats(); pooled {
-		t.Error("virtual-mode auto resolved to the pooled engine")
+}
+
+// TestMemPoolBothModesPooled pins the one memory mode: the dependency
+// engine recycles in real and in virtual mode alike, so Debug's pooled-
+// object leak check applies to both.
+func TestMemPoolBothModesPooled(t *testing.T) {
+	for _, virtual := range []bool{false, true} {
+		rt := New(Config{Workers: 2, Virtual: virtual, Debug: true})
+		rt.Run(func(tc *TaskContext) {})
+		if _, pooled := rt.MemStats(); !pooled {
+			t.Errorf("virtual=%v: the dependency engine is not pooled", virtual)
+		}
 	}
 }
 
@@ -123,7 +164,7 @@ func TestMemPoolAutoResolution(t *testing.T) {
 // more tasks than workers must allocate far fewer Tasks than it executes,
 // and drain back to zero outstanding once the workers retire.
 func TestMemPoolTaskRecycling(t *testing.T) {
-	rt := New(Config{Workers: 2, MemPool: mempool.KindPooled, ThrottleOpenTasks: 8})
+	rt := New(Config{Workers: 2, ThrottleOpenTasks: 8})
 	data := rt.NewData("a", 64, 8)
 	const total = 1200
 	rt.Run(func(tc *TaskContext) {
@@ -163,7 +204,7 @@ func TestMemPoolTaskRecycling(t *testing.T) {
 // tasks only through copied labels, so Violations() stays intact after the
 // offending tasks and their dependency nodes have been recycled.
 func TestMemPoolViolationsSurviveRecycling(t *testing.T) {
-	rt := New(Config{Workers: 2, MemPool: mempool.KindPooled, Verify: true})
+	rt := New(Config{Workers: 2, Verify: true})
 	data := rt.NewData("a", 128, 8)
 	rt.Run(func(tc *TaskContext) {
 		tc.Submit(TaskSpec{
@@ -215,12 +256,12 @@ func TestMemPoolViolationsSurviveRecycling(t *testing.T) {
 // wait, kept across waits and recycles) instead of making a fresh chan per
 // wait. A steady-state {submit child; Taskwait} cycle in the pooled memory
 // mode must stay at its 2-mallocs floor — a per-wait channel would push it
-// to 3 — and well under the allocate-always reference. The blocking paths are measured on
+// to 3 — and well under the allocate-always reference (newWithEngine). The blocking paths are measured on
 // the central queue, where at w=1 every such wait blocks; the stealing
 // pool's waits run the child inline instead, and must stay as cheap.
 func TestMemPoolAllocGate(t *testing.T) {
 	measure := func(mem mempool.Kind, policy sched.Policy) float64 {
-		r := New(Config{Workers: 1, Policy: policy, MemPool: mem})
+		r := newWithEngine(Config{Workers: 1, Policy: policy}, deps.EngineSharded, mem)
 		blocks := policy == sched.LIFO
 		var per float64
 		r.Run(func(tc *TaskContext) {
@@ -284,7 +325,7 @@ func TestMemPoolAllocGate(t *testing.T) {
 // per-chunk or per-region descriptor allocation would scale with the
 // region count and blow the bound.
 func TestMemPoolAllocGateWorksharing(t *testing.T) {
-	r := New(Config{Workers: 1, MemPool: mempool.KindPooled})
+	r := New(Config{Workers: 1})
 	var sink atomic.Int64
 	var per float64
 	var newsDelta, outstanding int64
@@ -340,7 +381,6 @@ func TestMemPoolStressRace(t *testing.T) {
 	for it := 0; it < iters; it++ {
 		rt := New(Config{
 			Workers:           4,
-			MemPool:           mempool.KindPooled,
 			ThrottleOpenTasks: 6,
 			Debug:             true,
 		})

@@ -80,15 +80,6 @@ type Config struct {
 	// highest TaskSpec.Priority first. Virtual mode has no ready pool: it
 	// orders its own deterministic event-driven list by Policy.
 	Policy sched.Policy
-	// DepEngine selects the dependency-engine implementation. EngineAuto
-	// (the zero value) picks the per-data-object sharded engine — depend
-	// clauses over disjoint data then register and release with no common
-	// lock — in both real and virtual mode (the sharded engine's ready
-	// ordering reproduces the recorded golden makespans; see
-	// internal/workloads' golden tests). Both implementations enforce
-	// identical semantics (the differential tests in internal/deps prove
-	// it); selecting one explicitly is for benchmarks and A/B comparisons.
-	DepEngine deps.EngineKind
 	// NoHandoff disables direct successor hand-off: by default, a worker
 	// that finishes a task immediately runs one of the tasks its completion
 	// made ready. This is the locality policy §VIII-A credits for the lower
@@ -106,19 +97,6 @@ type Config struct {
 	// a global atomic credit balance with per-worker credit caches and
 	// per-shard wait lists; virtual mode never blocks submitters.
 	ThrottleOpenTasks int
-	// MemPool selects the task-lifecycle memory management.
-	// mempool.KindAuto (the zero value) picks the pooled mode in real mode:
-	// Tasks, dependency nodes, access fragments, and interval-map cells are
-	// recycled through typed free lists (internal/mempool) instead of being
-	// reallocated every submit→complete cycle, removing the allocator and
-	// GC traffic that dominates fine-grained-task overhead once the locks
-	// are sharded away. mempool.KindReference is the allocate-always
-	// baseline, kept as the differential reference (the pooled and
-	// reference modes are proven observably equivalent by the differential
-	// tests in internal/deps and this package). Virtual mode resolves auto
-	// to the reference mode; selecting pooled explicitly there pools the
-	// dependency engine only.
-	MemPool mempool.Kind
 	// Replay selects the record-and-replay taskgraph cache behind
 	// TaskContext.Graph. replay.KindAuto (the zero value) enables it in
 	// real mode: the first execution of a named graph region records the
@@ -132,19 +110,6 @@ type Config struct {
 	// disables the cache (regions keep their barrier); virtual mode always
 	// resolves to off.
 	Replay replay.Kind
-	// WorksharingImpl selects the TaskContext.Worksharing execution
-	// strategy. WorksharingAuto (the zero value) picks the chunk-distributed
-	// strategy in real mode: one task registers the loop's union depend
-	// entries, and when its body starts the grain-sized chunks self-schedule
-	// across idle workers via a shared atomic cursor, with announced helper
-	// invitations riding the task's completion countdown (see
-	// worksharing.go). WorksharingExpand is the per-chunk-task reference
-	// (the shape Taskloop submits), kept as the differential baseline and
-	// for A/B comparisons — both strategies produce identical final state
-	// on programs whose depend entries cover their accesses (the
-	// differential tests in this package prove it). Virtual mode runs the
-	// chunked strategy's chunks serially inside the single task.
-	WorksharingImpl WorksharingKind
 	// Virtual selects the discrete-event virtual-time mode.
 	Virtual bool
 	// VirtualSubmitCost charges the creating task this many virtual cost
@@ -230,7 +195,7 @@ type Runtime struct {
 	ctrs  []taskCounters
 	flops atomic.Int64
 
-	// Pooled memory mode (Config.MemPool; real mode only). tasksG is the
+	// Pooled task memory (real mode only). tasksG is the
 	// shared free-list shard for Task objects; ws holds one per-worker
 	// scratch set — a task lane plus reusable spec/ready/batch slices —
 	// entered only while holding that worker's token, so the steady-state
@@ -242,10 +207,8 @@ type Runtime struct {
 
 	parks atomic.Int64 // blocking taskwaits (Runtime.TaskwaitStats)
 
-	// Worksharing strategy (Config.WorksharingImpl). wsPool is the chunk-
-	// descriptor free list (chunked strategy, real mode only); wsc counts
-	// regions/chunks/helper activity (Runtime.WsStats).
-	wsKind WorksharingKind
+	// Worksharing. wsPool is the chunk-descriptor free list (real mode
+	// only); wsc counts regions/chunks/helper activity (Runtime.WsStats).
 	wsPool *mempool.Pool[wsRun]
 	wsc    wsCounters
 
@@ -336,7 +299,7 @@ func (r *Runtime) taskCounts() taskCounts {
 }
 
 // scratchFor returns worker w's scratch set, or nil when w is out of range
-// or the runtime runs in the reference memory mode.
+// or the runtime has no task pools (virtual mode).
 func (r *Runtime) scratchFor(w int) *workerScratch {
 	if r.ws == nil || w < 0 || w >= len(r.ws) {
 		return nil
@@ -350,25 +313,19 @@ func New(cfg Config) *Runtime {
 		cfg.Workers = 1
 	}
 	r := &Runtime{cfg: cfg, rootDone: make(chan struct{}), ctrs: make([]taskCounters, cfg.Workers+1)}
-	kind := cfg.DepEngine
-	if kind == deps.EngineAuto {
-		kind = deps.EngineSharded
-	}
-	mem := cfg.MemPool
-	if mem == mempool.KindAuto {
-		if cfg.Virtual {
-			mem = mempool.KindReference
-		} else {
-			mem = mempool.KindPooled
-		}
-	}
-	r.eng = deps.NewEngineMem(kind, cfg.Observer, mem)
-	if mem == mempool.KindPooled && !cfg.Virtual {
+	// One dependency engine in both modes: sharded per data object (and per
+	// index-range stripe in real mode, see NewData), with its nodes,
+	// fragments and interval-map cells recycled through typed free lists.
+	// The single-mutex engine and the allocate-always memory mode are the
+	// tests' differential references (internal/deps, newWithEngine).
+	r.eng = deps.NewEngineMem(deps.EngineSharded, cfg.Observer, mempool.KindPooled)
+	if !cfg.Virtual {
 		r.tasksG = mempool.NewGlobal(func() *Task { return &Task{} })
 		r.ws = make([]workerScratch, cfg.Workers)
 		for i := range r.ws {
 			r.ws[i].tasks.Init(r.tasksG)
 		}
+		r.wsPool = newWsPool(cfg.Workers)
 	}
 	if cfg.ThrottleOpenTasks > 0 && !cfg.Virtual {
 		r.thr = throttle.New(throttle.KindSharded, cfg.ThrottleOpenTasks, cfg.Workers)
@@ -384,14 +341,6 @@ func New(cfg Config) *Runtime {
 	if rp == replay.KindOn && !cfg.Virtual {
 		r.replayOn = true
 		r.replayPool = replay.NewPool()
-	}
-	wsk := cfg.WorksharingImpl
-	if wsk == WorksharingAuto {
-		wsk = WorksharingChunked
-	}
-	r.wsKind = wsk
-	if wsk == WorksharingChunked && !cfg.Virtual {
-		r.wsPool = newWsPool(cfg.Workers)
 	}
 	if cfg.EnableTrace {
 		r.tracer = trace.New(cfg.Workers)
@@ -507,13 +456,13 @@ func (r *Runtime) EffectiveParallelism() float64 {
 // DepStats returns dependency-engine activity counters.
 func (r *Runtime) DepStats() deps.Stats { return r.eng.Stats() }
 
-// MemStats returns the dependency engine's memory-pool counters;
-// pooled=false (and zero counters) in the reference memory mode. The
-// Outstanding leak accounting is exact once the run has drained.
+// MemStats returns the dependency engine's memory-pool counters; pooled is
+// true in both modes (the engine always recycles). The Outstanding leak
+// accounting is exact once the run has drained.
 func (r *Runtime) MemStats() (deps.MemStats, bool) { return r.eng.MemStats() }
 
-// TaskPoolStats returns the Task free-list counters (zero in the
-// reference memory mode or virtual mode). Worker goroutines recycle their
+// TaskPoolStats returns the Task free-list counters (zero in virtual
+// mode, which allocates its tasks). Worker goroutines recycle their
 // final task shortly after the run ends, so Outstanding may be briefly
 // positive right after Run returns.
 func (r *Runtime) TaskPoolStats() mempool.Stats {
@@ -608,8 +557,8 @@ func (r *Runtime) now() int64 {
 
 // convertDeps translates the public Dep slice into engine specs, and
 // reports whether the clause is non-empty and entirely weak — the mark of a
-// creator task (see Runtime.lane). In the pooled memory mode the specs land
-// in worker's reusable scratch slice: the engine copies each Spec value
+// creator task (see Runtime.lane). In real mode the specs land in
+// worker's reusable scratch slice: the engine copies each Spec value
 // during Register (only the Ivs slices, which belong to the caller, are
 // retained), so the scratch is free for the worker's next submit as soon as
 // the Register call returns.

@@ -6,12 +6,14 @@ import (
 	"unsafe"
 
 	"repro/internal/deps"
+	"repro/internal/mempool"
 )
 
 // TestNewDataDeclaresExtent pins when the runtime lets the dependency engine
 // stripe a data object: real mode, more than one worker, the sharded engine.
 // The engine is a black box here; what shows is the fragment count. Two
-// programs, each a first access followed by later ones:
+// programs, each a first access followed by later ones (the global engine,
+// which has nothing to stripe, runs through newWithEngine):
 //
 //   - flat: a strong quarter-object access fixes four stripes, so a later
 //     whole-object access is cut into four fragments;
@@ -25,15 +27,16 @@ func TestNewDataDeclaresExtent(t *testing.T) {
 	const elems = 1024
 	for _, c := range []struct {
 		cfg            Config
+		engine         deps.EngineKind
 		flat, weakwait int64
 	}{
-		{Config{Workers: 2}, 1 + 4, 8 + 8/4 + 8},
-		{Config{Workers: 4}, 1 + 4, 16 + 16/4 + 16},
-		{Config{Workers: 1}, 1 + 1, 1 + 1 + 1},
-		{Config{Workers: 2, DepEngine: deps.EngineGlobal}, 1 + 1, 1 + 1 + 1},
-		{Config{Workers: 2, Virtual: true}, 1 + 1, 1 + 1 + 1},
+		{Config{Workers: 2}, deps.EngineSharded, 1 + 4, 8 + 8/4 + 8},
+		{Config{Workers: 4}, deps.EngineSharded, 1 + 4, 16 + 16/4 + 16},
+		{Config{Workers: 1}, deps.EngineSharded, 1 + 1, 1 + 1 + 1},
+		{Config{Workers: 2}, deps.EngineGlobal, 1 + 1, 1 + 1 + 1},
+		{Config{Workers: 2, Virtual: true}, deps.EngineSharded, 1 + 1, 1 + 1 + 1},
 	} {
-		name := fmt.Sprintf("w=%d engine=%v virtual=%v", c.cfg.Workers, c.cfg.DepEngine, c.cfg.Virtual)
+		name := fmt.Sprintf("w=%d engine=%v virtual=%v", c.cfg.Workers, c.engine, c.cfg.Virtual)
 		c.cfg.Debug = true
 		for _, p := range []struct {
 			name      string
@@ -43,7 +46,7 @@ func TestNewDataDeclaresExtent(t *testing.T) {
 			{"flat", false, c.flat},
 			{"weakwait", true, c.weakwait},
 		} {
-			r := New(c.cfg)
+			r := newWithEngine(c.cfg, c.engine, mempool.KindPooled)
 			d := r.NewData("x", elems, 8)
 			sum := make([]int64, elems)
 			add := func(label string, lo, hi, v int64) TaskSpec {

@@ -101,7 +101,7 @@ type Task struct {
 }
 
 // newTask builds a task, recycling a pooled one when the submitting worker
-// has a scratch lane (pooled memory mode, real mode, in-range worker).
+// has a scratch lane (real mode, in-range worker).
 func (r *Runtime) newTask(parent *Task, spec TaskSpec, worker int) *Task {
 	var t *Task
 	if ws := r.scratchFor(worker); ws != nil && parent != nil {
@@ -332,7 +332,7 @@ func (r *Runtime) taskStarted(t *Task, worker int) {
 // finishBody runs the post-body completion pipeline shared by both modes:
 // weakwait hand-over, then (if no children remain) full completion,
 // cascading to ancestors. Returns the dependency-ready nodes uncovered
-// (in the pooled memory mode these land in worker's ready scratch, valid
+// (in real mode these land in worker's ready scratch, valid
 // until the worker's next completion point) and whether t completed — the
 // caller's signal that, once it stops touching t, the task can recycle.
 // worker is the caller's held token (-1 in virtual mode).

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/deps"
+	"repro/internal/mempool"
 	"repro/internal/throttle"
 )
 
@@ -19,6 +20,20 @@ var throttleImpls = []throttle.Kind{throttle.KindLocked, throttle.KindSharded}
 func newThrottled(cfg Config, impl throttle.Kind) *Runtime {
 	rt := New(cfg)
 	rt.thr = throttle.New(impl, cfg.ThrottleOpenTasks, cfg.Workers)
+	return rt
+}
+
+// newWithEngine builds a runtime from cfg and swaps in a dependency engine
+// of the given kind and memory mode, so the runtime-level tests also run on
+// the references New never builds: the single-mutex engine and the
+// allocate-always memory mode. The reference mode drops the Task free
+// lists and worker scratch too, so nothing in the run recycles.
+func newWithEngine(cfg Config, kind deps.EngineKind, mem mempool.Kind) *Runtime {
+	rt := New(cfg)
+	rt.eng = deps.NewEngineMem(kind, cfg.Observer, mem)
+	if mem == mempool.KindReference {
+		rt.tasksG, rt.ws = nil, nil
+	}
 	return rt
 }
 
@@ -144,7 +159,6 @@ func TestThrottleShardedStackStress(t *testing.T) {
 			rt := New(Config{
 				Workers:           4,
 				ThrottleOpenTasks: window,
-				DepEngine:         deps.EngineSharded,
 				Debug:             true,
 			})
 			d := rt.NewData("x", int64(outers*64), 8)

@@ -1,7 +1,7 @@
 package core
 
 // Worksharing tasks: one dependency-carrying task whose body is
-// chunk-distributed across idle workers (Config.WorksharingImpl).
+// chunk-distributed across idle workers.
 //
 // The paper's listing-5 pattern — chunked loops whose chunks carry depend
 // entries — is what Taskloop expands to, and at fine grain sizes the
@@ -29,10 +29,10 @@ package core
 //
 // The per-region descriptor (wsRun: cursor, bounds, body) recycles through
 // a mempool lane, so steady-state execution allocates nothing. The plain
-// per-chunk expansion is kept as the differential reference
-// (WorksharingExpand); both produce identical final state on programs
-// whose depend entries cover their accesses, which the differential suite
-// in worksharing_test.go drives randomized programs through.
+// per-chunk expansion is nanos.Taskloop; both produce identical final
+// state on programs whose depend entries cover their accesses, which the
+// root package's worksharing differential drives randomized programs
+// through.
 //
 // Restrictions: chunk bodies run concurrently on workers that share the
 // one task context, so a chunk body must not block (no Taskwait or
@@ -48,42 +48,11 @@ import (
 	"repro/internal/mempool"
 )
 
-// WorksharingKind selects the Worksharing execution strategy
-// (Config.WorksharingImpl).
-type WorksharingKind uint8
-
-const (
-	// WorksharingAuto lets the runtime pick: the chunk-distributed strategy
-	// in real mode. Virtual mode runs the chunks serially inside the single
-	// task (the discrete-event simulation has no worker fleet to announce
-	// to); the one-task dependency shape is identical.
-	WorksharingAuto WorksharingKind = iota
-	// WorksharingExpand is the reference strategy: expand to one task per
-	// chunk with per-chunk depend entries, exactly like Taskloop. Kept as
-	// the differential baseline and the depbench comparison row.
-	WorksharingExpand
-	// WorksharingChunked is the worksharing strategy: one task carrying the
-	// union depend entries, body chunks self-scheduled across idle workers
-	// via a shared atomic cursor, completion released by a single countdown.
-	WorksharingChunked
-)
-
-// String returns the kind's flag/table name.
-func (k WorksharingKind) String() string {
-	switch k {
-	case WorksharingExpand:
-		return "expand"
-	case WorksharingChunked:
-		return "chunked"
-	}
-	return "auto"
-}
-
 // WorksharingSpec describes a Worksharing invocation. It is the same shape
-// as TaskloopSpec: the per-range callbacks are called once with the whole
-// iteration space under the chunked strategy (union depend entries, total
-// cost/flops) and once per chunk under the expand reference — equal
-// results for the linear shapes loops declare in practice.
+// as TaskloopSpec, but the per-range callbacks are called once with the
+// whole iteration space (union depend entries, total cost/flops) where
+// Taskloop calls them once per chunk — equal results for the linear shapes
+// loops declare in practice.
 type WorksharingSpec struct {
 	// Label names the worksharing task (diagnostics, trace kind).
 	Label string
@@ -92,8 +61,7 @@ type WorksharingSpec struct {
 	// Grain is the iterations per self-scheduled chunk. Required (> 0).
 	Grain int64
 	// Deps, when non-nil, returns the depend entries covering [lo, hi).
-	// The chunked strategy calls it once with (Lo, Hi) — the union the one
-	// task registers; the expand reference calls it per chunk.
+	// It is called once with (Lo, Hi) — the union the one task registers.
 	Deps func(lo, hi int64) []Dep
 	// Cost, when non-nil, returns the virtual-mode cost of [lo, hi);
 	// default is the range length (one cost unit per iteration).
@@ -101,7 +69,7 @@ type WorksharingSpec struct {
 	// Flops, when non-nil, returns the flop count of [lo, hi) for the
 	// runtime's accounting.
 	Flops func(lo, hi int64) int64
-	// Priority applies to the task (every chunk task under expand).
+	// Priority applies to the task.
 	Priority int64
 	// Body executes one chunk over [lo, hi). Required. It may be invoked
 	// concurrently for different chunks (on the owner and on announced
@@ -111,8 +79,8 @@ type WorksharingSpec struct {
 
 // WsStats counts worksharing activity (Runtime.WsStats).
 type WsStats struct {
-	// Regions is the number of worksharing tasks executed with the
-	// chunk-distributed strategy.
+	// Regions is the number of worksharing tasks executed chunk-distributed
+	// (virtual mode and final contexts run the chunks serially instead).
 	Regions int64
 	// Chunks is the number of grain-sized chunks executed (owner plus
 	// helpers).
@@ -143,8 +111,8 @@ type wsRun struct {
 	body   func(tc *TaskContext, lo, hi int64)
 }
 
-// newWsPool builds the chunk-descriptor free list (chunked strategy, real
-// mode only), one mutex lane per worker.
+// newWsPool builds the chunk-descriptor free list (real mode only), one
+// mutex lane per worker.
 func newWsPool(workers int) *mempool.Pool[wsRun] {
 	return mempool.NewPool(workers, func() *wsRun { return &wsRun{} })
 }
@@ -161,10 +129,10 @@ func (r *Runtime) WsStats() WsStats {
 	}
 }
 
-// WsPoolStats returns the chunk-descriptor free-list counters (zero under
-// the expand reference or in virtual mode). Outstanding must be zero once
-// a run has drained: every descriptor returns to its pool when its task's
-// completion countdown fires.
+// WsPoolStats returns the chunk-descriptor free-list counters (zero in
+// virtual mode). Outstanding must be zero once a run has drained: every
+// descriptor returns to its pool when its task's completion countdown
+// fires.
 func (r *Runtime) WsPoolStats() mempool.Stats {
 	if r.wsPool == nil {
 		return mempool.Stats{}
@@ -173,21 +141,19 @@ func (r *Runtime) WsPoolStats() mempool.Stats {
 }
 
 // Worksharing submits the iteration space [Lo, Hi) as a worksharing task
-// and returns the number of grain-sized chunks. Under the default chunked
-// strategy exactly one task is submitted, carrying the union depend
-// entries of the whole range; when its body starts, idle workers are
-// invited through the ready pools and the chunks self-schedule across the
-// fleet against a shared cursor (see the package comment at the top of
-// worksharing.go). Under the expand reference one task per chunk is
-// submitted, as Taskloop would. Like any Submit it does not wait: the
-// region synchronizes through its depend entries, a Taskwait on the
-// submitter, or the enclosing task's completion — all of which observe the
-// full region (helpers ride the task's completion countdown).
+// and returns the number of grain-sized chunks. Exactly one task is
+// submitted, carrying the union depend entries of the whole range; when
+// its body starts, idle workers are invited through the ready pools and
+// the chunks self-schedule across the fleet against a shared cursor (see
+// the package comment at the top of worksharing.go). Like any Submit it
+// does not wait: the region synchronizes through its depend entries, a
+// Taskwait on the submitter, or the enclosing task's completion — all of
+// which observe the full region (helpers ride the task's completion
+// countdown).
 //
-// Inside a graph region the chunked strategy records and replays as a
-// single node (the union entries are the fingerprint); the expand
-// reference records one node per chunk. On a final (included) task and in
-// virtual mode the chunks run serially inside the single task.
+// Inside a graph region the region records and replays as a single node
+// (the union entries are the fingerprint). On a final (included) task and
+// in virtual mode the chunks run serially inside the single task.
 func (tc *TaskContext) Worksharing(spec WorksharingSpec) int {
 	if spec.Grain <= 0 {
 		panic("core: Worksharing requires Grain > 0")
@@ -203,9 +169,6 @@ func (tc *TaskContext) Worksharing(spec WorksharingSpec) int {
 		label = "worksharing"
 	}
 	r := tc.rt
-	if r.wsKind == WorksharingExpand {
-		return r.worksharingExpand(tc, spec, label)
-	}
 	nchunks := int((spec.Hi - spec.Lo + spec.Grain - 1) / spec.Grain)
 	var uDeps []Dep
 	if spec.Deps != nil {
@@ -247,37 +210,6 @@ func (tc *TaskContext) Worksharing(spec WorksharingSpec) int {
 	}
 	tc.Submit(ts)
 	return nchunks
-}
-
-// worksharingExpand is the reference strategy: one task per chunk with
-// per-chunk depend entries, the shape Taskloop submits. The TaskSpec is
-// reused across chunks (Submit copies it by value into the task).
-func (r *Runtime) worksharingExpand(tc *TaskContext, spec WorksharingSpec, label string) int {
-	n := 0
-	body := spec.Body
-	ts := TaskSpec{Label: label, Kind: label, Priority: spec.Priority}
-	for lo := spec.Lo; lo < spec.Hi; lo += spec.Grain {
-		hi := lo + spec.Grain
-		if hi > spec.Hi {
-			hi = spec.Hi
-		}
-		lo, hi := lo, hi
-		ts.Body = func(btc *TaskContext) { body(btc, lo, hi) }
-		if spec.Deps != nil {
-			ts.Deps = spec.Deps(lo, hi)
-		}
-		if spec.Cost != nil {
-			ts.Cost = spec.Cost(lo, hi)
-		} else {
-			ts.Cost = hi - lo
-		}
-		if spec.Flops != nil {
-			ts.Flops = spec.Flops(lo, hi)
-		}
-		tc.Submit(ts)
-		n++
-	}
-	return n
 }
 
 // wsExecute is the chunk-distributed body of a worksharing task: set up

@@ -1,23 +1,18 @@
 package core
 
 import (
-	"fmt"
-	"math/rand"
 	"sync/atomic"
 	"testing"
-	"time"
 
-	"repro/internal/mempool"
-	"repro/internal/randtest"
 	"repro/internal/replay"
 	"repro/internal/sched"
 )
 
-// Worksharing tests: the chunk-distributed strategy must be observably
-// identical to the per-chunk-task expansion over randomized programs
-// (identical final state for any grain, width, and chunk-cost skew), must
-// cost no more than the expansion at one worker, must record and replay as
-// a single graph node, and must leak no chunk descriptors.
+// Worksharing tests: a region must run every iteration exactly once, record
+// and replay as a single graph node, compose with Taskwait, and leak no
+// chunk descriptors. Its per-chunk oracle is nanos.Taskloop: the root
+// package's worksharing tests check the two observably identical over
+// randomized programs and the cost bound at one worker.
 
 // wsSum runs one independent worksharing region that adds every iteration
 // index into an atomic accumulator and returns (sum, chunk count).
@@ -44,8 +39,8 @@ func wsSum(t *testing.T, cfg Config, lo, hi, grain int64) (int64, int, *Runtime)
 	return sum.Load(), n, r
 }
 
-// TestWorksharingBasic: every iteration of [Lo, Hi) executes exactly once
-// under the chunked strategy, across widths and grains (including a grain
+// TestWorksharingBasic: every iteration of [Lo, Hi) executes exactly once,
+// in one submitted task, across widths and grains (including a grain
 // larger than the range and a range not divisible by the grain).
 func TestWorksharingBasic(t *testing.T) {
 	want := func(lo, hi int64) int64 { return (hi - 1 + lo) * (hi - lo) / 2 }
@@ -59,6 +54,9 @@ func TestWorksharingBasic(t *testing.T) {
 			wantN := int((hi - lo + grain - 1) / grain)
 			if n != wantN {
 				t.Fatalf("w=%d grain=%d: %d chunks reported, want %d", workers, grain, n, wantN)
+			}
+			if tasks := r.TaskCount(); tasks != 1 {
+				t.Fatalf("w=%d grain=%d: %d tasks submitted, want 1", workers, grain, tasks)
 			}
 			st := r.WsStats()
 			if st.Regions != 1 || st.Chunks != int64(wantN) {
@@ -77,238 +75,66 @@ func TestWorksharingBasic(t *testing.T) {
 	}
 }
 
-// TestWorksharingKindResolution pins the strategy resolution: auto is
-// chunked in real mode (one task, wsExecute regions counted) and serial
-// inside the single task in virtual mode; expand submits one task per
-// chunk and never touches the chunk-distributed machinery.
-func TestWorksharingKindResolution(t *testing.T) {
-	_, _, auto := wsSum(t, Config{Workers: 2}, 0, 256, 16)
-	if st := auto.WsStats(); st.Regions != 1 {
-		t.Errorf("real-mode auto: %d chunk-distributed regions, want 1 (%+v)", st.Regions, st)
-	}
-	// Root + one worksharing task.
-	if n := auto.TaskCount(); n != 1 {
-		t.Errorf("chunked submitted %d tasks, want 1", n)
-	}
-
-	_, _, exp := wsSum(t, Config{Workers: 2, WorksharingImpl: WorksharingExpand}, 0, 256, 16)
-	if st := exp.WsStats(); st.Regions != 0 {
-		t.Errorf("expand ran %d chunk-distributed regions, want 0", st.Regions)
-	}
-	if n := exp.TaskCount(); n != 16 {
-		t.Errorf("expand submitted %d tasks, want 16", n)
-	}
-	if ps := exp.WsPoolStats(); ps.Gets != 0 {
-		t.Errorf("expand drew %d chunk descriptors; the reference must not touch the pool", ps.Gets)
-	}
-
-	sum, _, virt := wsSum(t, Config{Workers: 2, Virtual: true}, 0, 256, 16)
-	if sum != 255*256/2 {
-		t.Errorf("virtual-mode sum %d, want %d", sum, 255*256/2)
-	}
-	if st := virt.WsStats(); st.Regions != 0 {
-		t.Errorf("virtual mode ran %d chunk-distributed regions, want 0 (serial inside the task)", st.Regions)
-	}
-	for _, k := range []WorksharingKind{WorksharingAuto, WorksharingExpand, WorksharingChunked} {
-		if k.String() == "" {
-			t.Errorf("kind %d has no name", k)
-		}
-	}
-}
-
-// wsDiffProgram runs a randomized chained-region program and returns a
-// digest of its observable results. Regions update random sub-ranges of a
-// shared array through union InOut entries (per-chunk entries under
-// expand), with a per-element cost skew so chunks finish at very different
-// times; interleaved reader tasks fold prefix sums into a commutative
-// checksum through In entries. Any legal execution order produces the same
-// digest, so chunked and expand must match exactly.
-func wsDiffProgram(t *testing.T, kind WorksharingKind, workers int, seed int64) string {
-	t.Helper()
-	rng := rand.New(rand.NewSource(seed))
-	const elems = 384
-	grain := []int64{1, 3, 8, 24, 96}[rng.Intn(5)]
-	rounds := 4 + rng.Intn(5)
-	r := New(Config{
-		Workers:         workers,
-		WorksharingImpl: kind,
-		Debug:           true,
-	})
+// TestWorksharingReplaySingleNode: inside a Graph region a worksharing
+// loop is one submission carrying the union entries, so it records as a
+// single node and the region replays on every later iteration, still
+// distributing its chunks and producing the sequential result. The root
+// package's TestWorksharingReplayVsTaskloop compares the same program
+// against the per-chunk Taskloop expansion.
+func TestWorksharingReplaySingleNode(t *testing.T) {
+	const elems, grain, iters = 256, 8, 5
+	r := New(Config{Workers: 4, Replay: replay.KindOn, Debug: true})
 	data := r.NewData("a", elems, 8)
 	arr := make([]int64, elems)
-	var checksum atomic.Int64
+	want := make([]int64, elems)
 	err := r.RunChecked(func(tc *TaskContext) {
-		for round := 0; round < rounds; round++ {
-			lo := rng.Int63n(elems - 1)
-			hi := lo + 1 + rng.Int63n(elems-lo-1)
-			step := int64(round*131 + 17)
-			tc.Worksharing(WorksharingSpec{
-				Label: fmt.Sprintf("ws%d", round),
-				Lo:    lo, Hi: hi, Grain: grain,
-				Deps: func(lo, hi int64) []Dep {
-					return []Dep{{Data: data, Type: InOut, Ivs: []Interval{iv(lo, hi)}}}
-				},
-				Body: func(tc *TaskContext, lo, hi int64) {
-					for i := lo; i < hi; i++ {
-						// Skewed cost: some elements spin, so helpers claim
-						// uneven chunk counts and interleavings vary.
-						if i%17 == 0 {
-							for s := 0; s < 200; s++ {
-								arr[i] += 0
-							}
+		for it := 0; it < iters; it++ {
+			step := int64(it*7 + 1)
+			for i := range want {
+				want[i] = want[i]*2 + step + 1
+			}
+			tc.Graph("ws", func(tc *TaskContext) {
+				tc.Worksharing(WorksharingSpec{
+					Lo: 0, Hi: elems, Grain: grain,
+					Deps: func(lo, hi int64) []Dep {
+						return []Dep{{Data: data, Type: InOut, Ivs: []Interval{iv(lo, hi)}}}
+					},
+					Body: func(tc *TaskContext, lo, hi int64) {
+						for i := lo; i < hi; i++ {
+							arr[i] = arr[i]*2 + step
 						}
-						arr[i] = arr[i]*3 + step + i
-					}
-				},
-			})
-			if rng.Intn(2) == 0 {
-				rlo, rhi := lo, hi
-				tc.Submit(TaskSpec{
-					Label: "reader",
-					Deps:  []Dep{{Data: data, Type: In, Ivs: []Interval{iv(rlo, rhi)}}},
-					Body: func(*TaskContext) {
-						var s int64
-						for i := rlo; i < rhi; i++ {
-							s += arr[i]
-						}
-						checksum.Add(s)
 					},
 				})
-			}
+				tc.Submit(TaskSpec{
+					Label: "tail",
+					Deps:  []Dep{{Data: data, Type: InOut, Ivs: []Interval{iv(0, elems)}}},
+					Body: func(*TaskContext) {
+						for i := range arr {
+							arr[i]++
+						}
+					},
+				})
+			})
 		}
 	})
 	if err != nil {
-		t.Fatalf("kind=%v w=%d seed=%d: %v", kind, workers, seed, err)
+		t.Fatal(err)
 	}
-	if ps := r.WsPoolStats(); ps.Outstanding() != 0 {
-		t.Fatalf("kind=%v w=%d seed=%d: %d chunk descriptors outstanding", kind, workers, seed, ps.Outstanding())
+	if st := r.ReplayStats(); st.Records != 1 || st.Replays != iters-1 {
+		t.Fatalf("%d records / %d replays over %d iterations, want 1 / %d (%+v)",
+			st.Records, st.Replays, iters, iters-1, st)
 	}
-	return fmt.Sprintf("arr=%v sum=%d", arr, checksum.Load())
-}
-
-// TestWorksharingDifferential drives identical randomized programs through
-// the chunked strategy and the per-chunk-task expansion: final array state
-// and reader checksums must match exactly for every grain, width, and
-// cost-skew combination the generator produces.
-func TestWorksharingDifferential(t *testing.T) {
-	seeds := 10
-	if testing.Short() {
-		seeds = 4
-	}
-	for _, workers := range []int{1, 4} {
-		for _, seed := range randtest.SeedRange(t, 1, int64(seeds)+1) {
-			exp := wsDiffProgram(t, WorksharingExpand, workers, seed)
-			chk := wsDiffProgram(t, WorksharingChunked, workers, seed)
-			if exp != chk {
-				t.Fatalf("w=%d seed=%d diverged:\n  expand:  %s\n  chunked: %s", workers, seed, exp, chk)
-			}
+	for i := range arr {
+		if arr[i] != want[i] {
+			t.Fatalf("elem %d = %d under replay, want %d", i, arr[i], want[i])
 		}
 	}
-}
-
-// TestWorksharingW1Parity gates the acceptance bound at one worker: with
-// nobody to invite, a chunked region is one task plus a serial drain loop,
-// so it must cost no more than 1.5x the per-chunk-task expansion it
-// replaces (in practice it is far cheaper; the bound has slack for CI
-// noise). Best-of-5 wall time over a fine-grained region.
-func TestWorksharingW1Parity(t *testing.T) {
-	const iters, grain, regions = 1 << 15, 8, 6
-	run := func(kind WorksharingKind) time.Duration {
-		best := time.Duration(1<<62 - 1)
-		for rep := 0; rep < 5; rep++ {
-			r := New(Config{Workers: 1, WorksharingImpl: kind})
-			var sink atomic.Int64
-			start := time.Now()
-			r.Run(func(tc *TaskContext) {
-				for reg := 0; reg < regions; reg++ {
-					tc.Worksharing(WorksharingSpec{
-						Lo: 0, Hi: iters, Grain: grain,
-						Body: func(tc *TaskContext, lo, hi int64) {
-							sink.Add(hi - lo)
-						},
-					})
-					tc.Taskwait()
-				}
-			})
-			if d := time.Since(start); d < best {
-				best = d
-			}
-		}
-		return best
+	// One worksharing task and one tail task per iteration, replayed
+	// iterations included: the union is the fingerprint.
+	if n := r.TaskCount(); n != 2*iters {
+		t.Errorf("%d tasks submitted, want %d (ONE node per region, every iteration)", n, 2*iters)
 	}
-	expand := run(WorksharingExpand)
-	chunked := run(WorksharingChunked)
-	t.Logf("w=1, %d iters / grain %d: expand %v, chunked %v (%.2fx)",
-		iters, grain, expand, chunked, float64(chunked)/float64(expand))
-	if float64(chunked) > 1.5*float64(expand) {
-		t.Errorf("chunked %v exceeds 1.5x expand %v at one worker", chunked, expand)
-	}
-}
-
-// TestWorksharingReplaySingleNode: inside a Graph region a chunked
-// worksharing loop is one submission carrying the union entries, so it
-// records as a single node (the expansion records one per chunk) and the
-// region replays on every later iteration — while producing the same final
-// state as the expansion.
-func TestWorksharingReplaySingleNode(t *testing.T) {
-	const elems, grain, iters = 256, 8, 5
-	run := func(kind WorksharingKind) ([]int64, *Runtime) {
-		r := New(Config{Workers: 4, WorksharingImpl: kind, Replay: replay.KindOn, Debug: true})
-		data := r.NewData("a", elems, 8)
-		arr := make([]int64, elems)
-		err := r.RunChecked(func(tc *TaskContext) {
-			for it := 0; it < iters; it++ {
-				step := int64(it*7 + 1)
-				tc.Graph("ws", func(tc *TaskContext) {
-					tc.Worksharing(WorksharingSpec{
-						Lo: 0, Hi: elems, Grain: grain,
-						Deps: func(lo, hi int64) []Dep {
-							return []Dep{{Data: data, Type: InOut, Ivs: []Interval{iv(lo, hi)}}}
-						},
-						Body: func(tc *TaskContext, lo, hi int64) {
-							for i := lo; i < hi; i++ {
-								arr[i] = arr[i]*2 + step
-							}
-						},
-					})
-					tc.Submit(TaskSpec{
-						Label: "tail",
-						Deps:  []Dep{{Data: data, Type: InOut, Ivs: []Interval{iv(0, elems)}}},
-						Body: func(*TaskContext) {
-							for i := range arr {
-								arr[i]++
-							}
-						},
-					})
-				})
-			}
-		})
-		if err != nil {
-			t.Fatalf("kind=%v: %v", kind, err)
-		}
-		st := r.ReplayStats()
-		if st.Records != 1 || st.Replays != iters-1 {
-			t.Fatalf("kind=%v: %d records / %d replays over %d iterations, want 1 / %d (%+v)",
-				kind, st.Records, st.Replays, iters, iters-1, st)
-		}
-		return arr, r
-	}
-	expArr, expRT := run(WorksharingExpand)
-	chkArr, chkRT := run(WorksharingChunked)
-	for i := range expArr {
-		if expArr[i] != chkArr[i] {
-			t.Fatalf("elem %d diverged under replay: expand %d, chunked %d", i, expArr[i], chkArr[i])
-		}
-	}
-	// One node per region instead of one per chunk: the chunked run
-	// submits (chunks-1) fewer tasks per iteration — replayed iterations
-	// included, which is the point of fingerprinting the union.
-	chunks := int64(elems / grain)
-	if diff := expRT.TaskCount() - chkRT.TaskCount(); diff != iters*(chunks-1) {
-		t.Errorf("task-count difference %d, want %d (chunked must be ONE node per region, every iteration)",
-			diff, iters*(chunks-1))
-	}
-	if st := chkRT.WsStats(); st.Regions != iters {
+	if st := r.WsStats(); st.Regions != iters {
 		t.Errorf("%d chunk-distributed regions, want %d (replayed iterations must still distribute)", st.Regions, iters)
 	}
 }
@@ -365,7 +191,6 @@ func TestWorksharingStressRace(t *testing.T) {
 	for it := 0; it < iters; it++ {
 		r := New(Config{
 			Workers:           4,
-			MemPool:           mempool.KindPooled,
 			ThrottleOpenTasks: 8,
 			Replay:            replay.KindOn,
 			Debug:             true,
@@ -544,5 +369,11 @@ func TestWorksharingVirtualCost(t *testing.T) {
 	}
 	if got := r.Flops(); got != 1000 {
 		t.Fatalf("accounted %d flops, want 1000 (union Flops callback)", got)
+	}
+	if n := r.TaskCount(); n != 1 {
+		t.Fatalf("virtual region submitted %d tasks, want 1", n)
+	}
+	if st := r.WsStats(); st.Regions != 0 {
+		t.Fatalf("virtual mode ran %d chunk-distributed regions, want 0 (serial inside the task)", st.Regions)
 	}
 }

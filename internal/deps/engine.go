@@ -128,13 +128,11 @@ type EdgeHook func(pred, succ *Node, inbound bool)
 type EngineKind uint8
 
 const (
-	// EngineAuto lets the caller pick a default; it resolves to
-	// EngineSharded everywhere (deps.NewEngine and the core runtime, in
-	// both real and virtual mode — the sharded engine's ready ordering
-	// reproduces the recorded virtual golden makespans, see the golden
-	// tests in internal/workloads).
+	// EngineAuto resolves to EngineSharded, the engine the core runtime
+	// always builds.
 	EngineAuto EngineKind = iota
-	// EngineGlobal is the single-mutex reference engine.
+	// EngineGlobal is the single-mutex reference engine: the lockstep
+	// oracle of this package's differential tests and a depbench row.
 	EngineGlobal
 	// EngineSharded is the sharded engine (per data object and stripe).
 	EngineSharded
@@ -162,9 +160,8 @@ func NewEngine(kind EngineKind, obs Observer) Engine {
 // mempool.KindPooled recycles every dependency-lifecycle object (nodes,
 // accesses, fragments, interval maps) through typed free lists; any other
 // mode is the allocate-always reference. EngineAuto resolves to the
-// sharded engine; mempool.KindAuto resolves to the reference mode (the
-// runtime, not the engine, decides what auto means — see
-// core.Config.MemPool).
+// sharded engine. The core runtime always builds the sharded engine with
+// pooled memory; the other combinations are test oracles.
 func NewEngineMem(kind EngineKind, obs Observer, mem mempool.Kind) Engine {
 	pooled := mem == mempool.KindPooled
 	if kind == EngineGlobal {

@@ -29,6 +29,7 @@ import (
 	"syscall"
 	"time"
 
+	nanos "repro"
 	"repro/internal/core"
 	"repro/internal/deps"
 	"repro/internal/mempool"
@@ -388,23 +389,26 @@ type WSChunkResult struct {
 // intra-region chunk distribution is the only parallelism — the worst
 // case for amortizing the announcement. Chunk bodies spin proportionally
 // to chunk length, so total body work is grain-independent and a grain
-// sweep isolates the per-chunk overhead.
-func WSChunkBench(kind core.WorksharingKind, w, iters int, grain, n int64) WSChunkResult {
-	rt := core.New(core.Config{Workers: w, WorksharingImpl: kind})
+// sweep isolates the per-chunk overhead. With taskloop set the same spec
+// runs through nanos.Taskloop instead, one task per chunk with per-chunk
+// depend entries: the baseline row.
+func WSChunkBench(taskloop bool, w, iters int, grain, n int64) WSChunkResult {
+	rt := core.New(core.Config{Workers: w})
 	ad := rt.NewData("A", n, 8)
+	entries := func(lo, hi int64) []core.Dep {
+		return []core.Dep{{Data: ad, Type: deps.InOut, Ivs: []regions.Interval{regions.Iv(lo, hi)}}}
+	}
+	body := func(_ *core.TaskContext, lo, hi int64) { waitSpin(int(hi - lo)) }
 	cpu0 := cpuTime()
 	m0, _ := memCounters()
 	start := time.Now()
 	rt.Run(func(tc *core.TaskContext) {
 		for it := 0; it < iters; it++ {
-			tc.Worksharing(core.WorksharingSpec{
-				Label: "ws",
-				Lo:    0, Hi: n, Grain: grain,
-				Deps: func(lo, hi int64) []core.Dep {
-					return []core.Dep{{Data: ad, Type: deps.InOut, Ivs: []regions.Interval{regions.Iv(lo, hi)}}}
-				},
-				Body: func(_ *core.TaskContext, lo, hi int64) { waitSpin(int(hi - lo)) },
-			})
+			if taskloop {
+				nanos.Taskloop(tc, nanos.TaskloopSpec{Label: "ws", Lo: 0, Hi: n, Grain: grain, Deps: entries, Body: body})
+			} else {
+				tc.Worksharing(core.WorksharingSpec{Label: "ws", Lo: 0, Hi: n, Grain: grain, Deps: entries, Body: body})
+			}
 		}
 	})
 	wall := time.Since(start)

@@ -3,7 +3,6 @@ package harness
 import (
 	"testing"
 
-	"repro/internal/core"
 	"repro/internal/deps"
 	"repro/internal/mempool"
 	"repro/internal/throttle"
@@ -104,9 +103,13 @@ func TestReplayOverheadBench(t *testing.T) {
 
 func TestWSChunkBench(t *testing.T) {
 	const iters, grain, n = 3, 16, 100
-	for _, kind := range []core.WorksharingKind{core.WorksharingExpand, core.WorksharingChunked} {
-		t.Run(kind.String(), func(t *testing.T) {
-			res := WSChunkBench(kind, kernelWorkers, iters, grain, n)
+	for _, taskloop := range []bool{true, false} {
+		name := "chunked"
+		if taskloop {
+			name = "taskloop"
+		}
+		t.Run(name, func(t *testing.T) {
+			res := WSChunkBench(taskloop, kernelWorkers, iters, grain, n)
 			checkCounters(t, res.BenchCounters, iters)
 			if want := int64((n + grain - 1) / grain * iters); res.Chunks != want {
 				t.Errorf("Chunks = %d, want %d", res.Chunks, want)
@@ -114,8 +117,8 @@ func TestWSChunkBench(t *testing.T) {
 			if res.HelperChunks < 0 || res.HelperChunks > res.Chunks {
 				t.Errorf("HelperChunks = %d, want within [0, %d]", res.HelperChunks, res.Chunks)
 			}
-			if kind == core.WorksharingExpand && res.HelperChunks != 0 {
-				t.Errorf("expand reference ran %d helper chunks; it announces no helpers", res.HelperChunks)
+			if taskloop && res.HelperChunks != 0 {
+				t.Errorf("taskloop baseline ran %d helper chunks; it announces no helpers", res.HelperChunks)
 			}
 			checkIdle(t, res.Idle)
 		})

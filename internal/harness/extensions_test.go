@@ -58,7 +58,7 @@ func TestWSBenchQuick(t *testing.T) {
 		row        string
 		wantRegion bool
 	}{
-		{"axpy/fine-grain/expand", false},
+		{"axpy/fine-grain/flat-depend", false},
 		{"axpy/fine-grain/chunked", true},
 		{"gauss-seidel/fine-tiles/flat-depend", false},
 		{"gauss-seidel/fine-tiles/ws-wavefront", true},

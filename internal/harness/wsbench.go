@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"io"
 
-	nanos "repro"
 	"repro/internal/metrics"
 	"repro/internal/workloads"
 )
@@ -12,16 +11,17 @@ import (
 // This file drives the worksharing experiment (beyond the paper's
 // evaluation; the worksharing-tasks direction of PAPERS.md): fine-grained
 // loop workloads run twice — decomposed into one task per chunk (the
-// Taskloop shape the paper's listing 5 hand-writes) and as worksharing
-// tasks (one dependency-carrying task per region, chunk-distributed body).
+// flat-depend variants, the shape the paper's listing 5 hand-writes) and as
+// worksharing tasks (one dependency-carrying task per region,
+// chunk-distributed body).
 // The before/after wall times land in a table.
 
-// WSBench measures the fine-grain loop workloads under the per-chunk-task
-// expansion and the worksharing strategy.
+// WSBench measures the fine-grain loop workloads as one task per chunk and
+// as worksharing regions.
 func WSBench(w io.Writer, o Options) error {
 	o = o.defaults()
 	// Fine grains on purpose: chunks small enough that the per-task cost
-	// of the expansion is comparable to the chunk body, which is the
+	// of the baseline is comparable to the chunk body, which is the
 	// regime worksharing tasks exist for.
 	axP := workloads.AxpyParams{N: scaled(1<<20, o.Scale), Calls: 12, TaskSize: 256, Alpha: 1.5, Compute: true}
 	gsP := workloads.GSParams{N: scaled(256, o.Scale), TS: 8, Iters: 8, Compute: true}
@@ -39,17 +39,17 @@ func WSBench(w io.Writer, o Options) error {
 	}
 	type bench struct {
 		name string
-		runs [2]run // [0] = expansion baseline, [1] = worksharing
+		runs [2]run // [0] = one task per chunk, [1] = worksharing
 	}
 	benches := []bench{
 		{"axpy/fine-grain", [2]run{
-			{"expand", func() (workloads.Result, error) {
-				return workloads.RunAxpy(workloads.Mode{Workers: o.Cores, Worksharing: nanos.WorksharingExpand},
-					workloads.AxpyWorksharing, axP)
+			// Per TaskSize block the flat-depend leaf declares what the
+			// worksharing region's chunks do: in x, inout y, Cost, Flops.
+			{"flat-depend", func() (workloads.Result, error) {
+				return workloads.RunAxpy(workloads.Mode{Workers: o.Cores}, workloads.AxpyFlatDepend, axP)
 			}},
 			{"chunked", func() (workloads.Result, error) {
-				return workloads.RunAxpy(workloads.Mode{Workers: o.Cores, Worksharing: nanos.WorksharingChunked},
-					workloads.AxpyWorksharing, axP)
+				return workloads.RunAxpy(workloads.Mode{Workers: o.Cores}, workloads.AxpyWorksharing, axP)
 			}},
 		}},
 		{"gauss-seidel/fine-tiles", [2]run{
@@ -60,8 +60,7 @@ func WSBench(w io.Writer, o Options) error {
 				return workloads.RunGS(workloads.Mode{Workers: o.Cores}, workloads.GSFlatDepend, gsP)
 			}},
 			{"ws-wavefront", func() (workloads.Result, error) {
-				return workloads.RunGS(workloads.Mode{Workers: o.Cores, Worksharing: nanos.WorksharingChunked},
-					workloads.GSWsWavefront, gsP)
+				return workloads.RunGS(workloads.Mode{Workers: o.Cores}, workloads.GSWsWavefront, gsP)
 			}},
 		}},
 	}

@@ -39,20 +39,16 @@ import (
 	"repro/internal/chaos"
 )
 
-// Kind selects the task-lifecycle memory management
-// (core.Config.MemPool).
+// Kind selects the dependency engine's memory management
+// (deps.NewEngineMem). The core runtime always runs KindPooled.
 type Kind uint8
 
 const (
-	// KindAuto lets the runtime pick: pooled in real mode, reference in
-	// virtual mode (the deterministic simulation allocates little and its
-	// golden makespans stay byte-identical without pooling in the loop).
-	KindAuto Kind = iota
 	// KindReference is the allocate-always baseline: every lifecycle
 	// object is heap-allocated and left to the garbage collector. Kept as
-	// the differential reference, mirroring the global dependency engine,
-	// the single-lock ready pools, and the locked throttle window.
-	KindReference
+	// the differential reference of the tests, mirroring the global
+	// dependency engine and the locked throttle window.
+	KindReference Kind = iota
 	// KindPooled recycles task-lifecycle objects through the typed free
 	// lists of this package.
 	KindPooled
@@ -60,13 +56,10 @@ const (
 
 // String returns the kind's depbench/table name.
 func (k Kind) String() string {
-	switch k {
-	case KindReference:
-		return "reference"
-	case KindPooled:
+	if k == KindPooled {
 		return "pooled"
 	}
-	return "auto"
+	return "reference"
 }
 
 // Gen is the generation counter embedded in recyclable objects. It is

@@ -187,7 +187,7 @@ func TestPoolConcurrent(t *testing.T) {
 }
 
 func TestKindString(t *testing.T) {
-	for k, want := range map[Kind]string{KindAuto: "auto", KindReference: "reference", KindPooled: "pooled"} {
+	for k, want := range map[Kind]string{KindReference: "reference", KindPooled: "pooled"} {
 		if got := k.String(); got != want {
 			t.Errorf("Kind(%d).String() = %q, want %q", k, got, want)
 		}

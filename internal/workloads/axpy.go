@@ -28,9 +28,9 @@ const (
 	// AxpyWorksharing: one worksharing region per call — a single task
 	// carrying the union depend entries over x and y, its TaskSize-grained
 	// chunks self-scheduled across the fleet (beyond Table I; the
-	// worksharing-tasks direction of PAPERS.md). Mode.Worksharing selects
-	// the strategy, so the same variant doubles as its own per-chunk-task
-	// baseline under WorksharingExpand.
+	// worksharing-tasks direction of PAPERS.md). Its per-chunk-task
+	// baseline is AxpyFlatDepend at the same TaskSize: the same leaves with
+	// the same depend entries, Cost and Flops, one task each.
 	AxpyWorksharing AxpyVariant = "worksharing"
 )
 

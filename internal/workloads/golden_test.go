@@ -16,17 +16,12 @@ import (
 // constants re-recorded, and the *orderings* asserted at the bottom must
 // always survive.
 //
-// The makespans are asserted under BOTH dependency engines: the global row
-// pins the original goldens (recorded when virtual mode defaulted to the
-// global engine), and the sharded row is the re-recording for the flip of
-// the virtual-mode default to the sharded engine. The re-recording found
-// the sharded engine's ready ordering reproduces the global goldens
-// exactly for every workload here, which is why a single constants table
-// serves both rows — if a future change splits them, give each engine its
-// own table.
+// The constants do not depend on the engine implementation:
+// TestVirtualEngineParity (internal/core) keeps the single-mutex reference
+// engine's virtual makespans equal to those of the sharded pooled engine
+// virtual mode runs. Every run sets Debug, so a dependency object the
+// pooled engine fails to recycle in virtual mode fails this test.
 func TestGoldenVirtualMakespans(t *testing.T) {
-	engines := []nanos.EngineKind{nanos.EngineGlobal, nanos.EngineSharded}
-
 	axpy := map[AxpyVariant]int64{
 		AxpyNestWeakRelease: 8385,
 		AxpyNestWeak:        8385,
@@ -46,58 +41,54 @@ func TestGoldenVirtualMakespans(t *testing.T) {
 		CholNestDepend: 2446676,
 	}
 
-	for _, eng := range engines {
-		t.Run(eng.String(), func(t *testing.T) {
-			axpyGot := map[AxpyVariant]int64{}
-			for _, v := range AxpyVariants {
-				res, err := RunAxpy(Mode{Workers: 8, Virtual: true, SubmitCost: 16, Engine: eng}, v,
-					AxpyParams{N: 1 << 14, Calls: 4, TaskSize: 1 << 11, Alpha: 1, Compute: false})
-				if err != nil {
-					t.Fatal(err)
-				}
-				axpyGot[v] = res.VirtualTime
-				if res.VirtualTime != axpy[v] {
-					t.Errorf("axpy %s makespan = %d, golden %d", v, res.VirtualTime, axpy[v])
-				}
-			}
+	axpyGot := map[AxpyVariant]int64{}
+	for _, v := range AxpyVariants {
+		res, err := RunAxpy(Mode{Workers: 8, Virtual: true, SubmitCost: 16, Debug: true}, v,
+			AxpyParams{N: 1 << 14, Calls: 4, TaskSize: 1 << 11, Alpha: 1, Compute: false})
+		if err != nil {
+			t.Fatal(err)
+		}
+		axpyGot[v] = res.VirtualTime
+		if res.VirtualTime != axpy[v] {
+			t.Errorf("axpy %s makespan = %d, golden %d", v, res.VirtualTime, axpy[v])
+		}
+	}
 
-			gsGot := map[GSVariant]int64{}
-			for _, v := range GSVariants {
-				res, err := RunGS(Mode{Workers: 8, Virtual: true, Engine: eng}, v,
-					GSParams{N: 128, TS: 32, Iters: 4, Compute: false})
-				if err != nil {
-					t.Fatal(err)
-				}
-				gsGot[v] = res.VirtualTime
-				if res.VirtualTime != gs[v] {
-					t.Errorf("gs %s makespan = %d, golden %d", v, res.VirtualTime, gs[v])
-				}
-			}
+	gsGot := map[GSVariant]int64{}
+	for _, v := range GSVariants {
+		res, err := RunGS(Mode{Workers: 8, Virtual: true, Debug: true}, v,
+			GSParams{N: 128, TS: 32, Iters: 4, Compute: false})
+		if err != nil {
+			t.Fatal(err)
+		}
+		gsGot[v] = res.VirtualTime
+		if res.VirtualTime != gs[v] {
+			t.Errorf("gs %s makespan = %d, golden %d", v, res.VirtualTime, gs[v])
+		}
+	}
 
-			for _, v := range CholVariants {
-				res, err := RunCholesky(Mode{Workers: 8, Virtual: true, Engine: eng}, v,
-					CholParams{N: 256, TS: 64, Seed: 1, Compute: false})
-				if err != nil {
-					t.Fatal(err)
-				}
-				if res.VirtualTime != chol[v] {
-					t.Errorf("cholesky %s makespan = %d, golden %d", v, res.VirtualTime, chol[v])
-				}
-			}
+	for _, v := range CholVariants {
+		res, err := RunCholesky(Mode{Workers: 8, Virtual: true, Debug: true}, v,
+			CholParams{N: 256, TS: 64, Seed: 1, Compute: false})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.VirtualTime != chol[v] {
+			t.Errorf("cholesky %s makespan = %d, golden %d", v, res.VirtualTime, chol[v])
+		}
+	}
 
-			// The orderings that must hold regardless of the exact
-			// constants: the weak variants never lose to nest-depend, and
-			// nest-weak tracks flat-depend within a small factor.
-			if axpyGot[AxpyNestWeak] > axpyGot[AxpyNestDepend] {
-				t.Error(orderErr("axpy", "nest-weak", axpyGot[AxpyNestWeak], "nest-depend", axpyGot[AxpyNestDepend]))
-			}
-			if gsGot[GSNestWeak] > gsGot[GSNestDepend] {
-				t.Error(orderErr("gs", "nest-weak", gsGot[GSNestWeak], "nest-depend", gsGot[GSNestDepend]))
-			}
-			if f := float64(gsGot[GSNestWeak]) / float64(gsGot[GSFlatDepend]); f > 1.5 {
-				t.Errorf("gs nest-weak %.2fx slower than flat-depend", f)
-			}
-		})
+	// The orderings that must hold regardless of the exact
+	// constants: the weak variants never lose to nest-depend, and
+	// nest-weak tracks flat-depend within a small factor.
+	if axpyGot[AxpyNestWeak] > axpyGot[AxpyNestDepend] {
+		t.Error(orderErr("axpy", "nest-weak", axpyGot[AxpyNestWeak], "nest-depend", axpyGot[AxpyNestDepend]))
+	}
+	if gsGot[GSNestWeak] > gsGot[GSNestDepend] {
+		t.Error(orderErr("gs", "nest-weak", gsGot[GSNestWeak], "nest-depend", gsGot[GSNestDepend]))
+	}
+	if f := float64(gsGot[GSNestWeak]) / float64(gsGot[GSFlatDepend]); f > 1.5 {
+		t.Errorf("gs nest-weak %.2fx slower than flat-depend", f)
 	}
 }
 
@@ -107,17 +98,15 @@ func orderErr(bench, a string, av int64, b string, bv int64) string {
 }
 
 // TestGoldenEngineSchedulerMatrix runs the three compute-validating
-// workloads (cholesky, sparselu, sortsum) under both dependency engines ×
-// every ready-queue policy — FIFO on the work-stealing pool (at 8 workers
+// workloads (cholesky, sparselu, sortsum) under every ready-queue policy — FIFO on the work-stealing pool (at 8 workers
 // even in short mode, so steals and the creator lane are exercised), LIFO
 // and Priority on the central queue — in real mode with computation
 // enabled, so each run's numerical result is checked against the
 // sequential oracle.
 // This is the workload-level completion of the differential tests in
-// internal/deps: whatever the engine implementation and dispatch order,
-// the dependency semantics must produce oracle-identical numerics.
+// internal/deps: whatever the dispatch order, the dependency semantics
+// must produce oracle-identical numerics.
 func TestGoldenEngineSchedulerMatrix(t *testing.T) {
-	engines := []nanos.EngineKind{nanos.EngineGlobal, nanos.EngineSharded}
 	workers := 8
 	if testing.Short() {
 		workers = 4
@@ -131,18 +120,16 @@ func TestGoldenEngineSchedulerMatrix(t *testing.T) {
 		{"lifo-central", nanos.LIFO, workers},
 		{"priority-central", nanos.Priority, workers},
 	}
-	for _, eng := range engines {
-		for _, pol := range policies {
-			mode := Mode{Workers: pol.workers, Engine: eng, Policy: pol.policy, Debug: true}
-			t.Run(fmt.Sprintf("%s/%s", eng, pol.name), func(t *testing.T) {
-				runGoldenOracle(t, mode)
-			})
-		}
+	for _, pol := range policies {
+		mode := Mode{Workers: pol.workers, Policy: pol.policy, Debug: true}
+		t.Run(pol.name, func(t *testing.T) {
+			runGoldenOracle(t, mode)
+		})
 	}
 }
 
 // TestGoldenSingleWorkerPools repeats the oracle check with one worker, under
-// both engines × every pool: the stealing pool without a thief, and the
+// every pool: the stealing pool without a thief, and the
 // central queue under each global order, with every taskwait
 // yielding the only token.
 func TestGoldenSingleWorkerPools(t *testing.T) {
@@ -154,13 +141,11 @@ func TestGoldenSingleWorkerPools(t *testing.T) {
 		{"lifo-central", nanos.LIFO},
 		{"priority-central", nanos.Priority},
 	}
-	for _, eng := range []nanos.EngineKind{nanos.EngineGlobal, nanos.EngineSharded} {
-		for _, pol := range policies {
-			mode := Mode{Workers: 1, Engine: eng, Policy: pol.policy, Debug: true}
-			t.Run(fmt.Sprintf("%s/%s", eng, pol.name), func(t *testing.T) {
-				runGoldenOracle(t, mode)
-			})
-		}
+	for _, pol := range policies {
+		mode := Mode{Workers: 1, Policy: pol.policy, Debug: true}
+		t.Run(pol.name, func(t *testing.T) {
+			runGoldenOracle(t, mode)
+		})
 	}
 }
 

@@ -32,9 +32,6 @@ type Mode struct {
 	// Policy is the ready-queue discipline; it also selects the ready pool
 	// (FIFO: work stealing; LIFO, Priority: the central queue).
 	Policy nanos.Policy
-	// Engine selects the dependency-engine implementation (engine A/B
-	// comparisons; EngineAuto picks sharded).
-	Engine nanos.EngineKind
 	// NoHandoff disables direct successor hand-off (locality ablation).
 	NoHandoff bool
 	// Trace enables span recording (needed for timelines and, in real
@@ -50,14 +47,6 @@ type Mode struct {
 	// task instantiation, modeling the runtime's creation overhead (the
 	// single-generator bottleneck of Figure 4). 0 = free creation.
 	SubmitCost int64
-	// Worksharing selects the Worksharing execution strategy
-	// (core.Config.WorksharingImpl) for the worksharing workload variants
-	// (AxpyWorksharing, GSWsWavefront): WorksharingAuto/Chunked runs each
-	// region as one dependency-carrying task with chunk-distributed body,
-	// WorksharingExpand expands to one task per chunk (the Taskloop-shaped
-	// baseline of cmd/reproduce's worksharing table). Variants that do not
-	// use Worksharing ignore it.
-	Worksharing nanos.WorksharingKind
 	// Replay selects the record-and-replay taskgraph cache
 	// (core.Config.Replay) for the graph-region workload formulations —
 	// the GSGraph Gauss-Seidel variant and the heat workload, whose
@@ -88,14 +77,12 @@ func (m Mode) config() nanos.Config {
 		Workers:           w,
 		Virtual:           m.Virtual,
 		Policy:            m.Policy,
-		DepEngine:         m.Engine,
 		NoHandoff:         m.NoHandoff,
 		EnableTrace:       m.Trace,
 		Cache:             m.Cache,
 		SharedCache:       m.SharedCache,
 		ThrottleOpenTasks: m.Throttle,
 		Replay:            m.Replay,
-		WorksharingImpl:   m.Worksharing,
 		VirtualSubmitCost: m.SubmitCost,
 		Verify:            m.Verify,
 		Debug:             m.Debug,

@@ -1,36 +1,33 @@
 package workloads
 
-import (
-	"testing"
+import "testing"
 
-	nanos "repro"
-)
-
-// Worksharing workload variants: both must validate against their
-// sequential references (RunAxpy/RunGS do that internally when Compute is
-// set) under every strategy, and the chunked strategy must actually
-// collapse the task count to one task per region.
+// Worksharing workload variants: each must validate against its
+// sequential reference (RunAxpy/RunGS do that internally when Compute is
+// set) and collapse the task count to one task per region. The per-chunk-
+// task baseline of the axpy region is AxpyFlatDepend at the same TaskSize:
+// the same leaves, one task each.
 
 func TestAxpyWorksharingAllStrategies(t *testing.T) {
 	p := axpyParams()
-	for _, ws := range []nanos.WorksharingKind{
-		nanos.WorksharingAuto, nanos.WorksharingExpand, nanos.WorksharingChunked,
+	chunksPerCall := (p.N + p.TaskSize - 1) / p.TaskSize
+	for _, c := range []struct {
+		variant AxpyVariant
+		tasks   int64
+	}{
+		{AxpyWorksharing, int64(p.Calls)}, // one task per call
+		{AxpyFlatDepend, int64(p.Calls) * chunksPerCall},
 	} {
 		for _, workers := range []int{1, 4} {
-			res, err := RunAxpy(Mode{Workers: workers, Worksharing: ws, Debug: true}, AxpyWorksharing, p)
+			res, err := RunAxpy(Mode{Workers: workers, Debug: true}, c.variant, p)
 			if err != nil {
-				t.Fatalf("ws=%v w=%d: %v", ws, workers, err)
+				t.Fatalf("%s w=%d: %v", c.variant, workers, err)
 			}
-			chunksPerCall := (p.N + p.TaskSize - 1) / p.TaskSize
-			want := int64(p.Calls) // one task per call
-			if ws == nanos.WorksharingExpand {
-				want = int64(p.Calls) * chunksPerCall
-			}
-			if res.Tasks != want {
-				t.Fatalf("ws=%v w=%d: %d tasks, want %d", ws, workers, res.Tasks, want)
+			if res.Tasks != c.tasks {
+				t.Fatalf("%s w=%d: %d tasks, want %d", c.variant, workers, res.Tasks, c.tasks)
 			}
 			if res.Flops != int64(p.Calls)*2*p.N {
-				t.Fatalf("ws=%v w=%d: %d flops accounted, want %d", ws, workers, res.Flops, int64(p.Calls)*2*p.N)
+				t.Fatalf("%s w=%d: %d flops accounted, want %d", c.variant, workers, res.Flops, int64(p.Calls)*2*p.N)
 			}
 		}
 	}
@@ -48,21 +45,17 @@ func TestAxpyWorksharingVirtualMode(t *testing.T) {
 
 func TestGSWsWavefrontValidates(t *testing.T) {
 	p := gsParams()
-	for _, ws := range []nanos.WorksharingKind{nanos.WorksharingChunked, nanos.WorksharingExpand} {
-		for _, workers := range []int{1, 4} {
-			res, err := RunGS(Mode{Workers: workers, Worksharing: ws, Debug: true}, GSWsWavefront, p)
-			if err != nil {
-				t.Fatalf("ws=%v w=%d: %v", ws, workers, err)
-			}
-			if ws == nanos.WorksharingChunked {
-				// One task per anti-diagonal per sweep: b blocks per side
-				// gives 2b-1 diagonals.
-				b := p.N / p.TS
-				want := int64(p.Iters) * (2*b - 1)
-				if res.Tasks != want {
-					t.Fatalf("w=%d: %d tasks, want %d (one per diagonal per sweep)", workers, res.Tasks, want)
-				}
-			}
+	for _, workers := range []int{1, 4} {
+		res, err := RunGS(Mode{Workers: workers, Debug: true}, GSWsWavefront, p)
+		if err != nil {
+			t.Fatalf("w=%d: %v", workers, err)
+		}
+		// One task per anti-diagonal per sweep: b blocks per side gives
+		// 2b-1 diagonals.
+		b := p.N / p.TS
+		want := int64(p.Iters) * (2*b - 1)
+		if res.Tasks != want {
+			t.Fatalf("w=%d: %d tasks, want %d (one per diagonal per sweep)", workers, res.Tasks, want)
 		}
 	}
 	if _, err := RunGS(Mode{Workers: 8, Virtual: true}, GSWsWavefront, p); err != nil {

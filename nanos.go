@@ -32,20 +32,17 @@
 // objects and may overlap partially (§VII); the engine fragments accesses
 // as needed.
 //
-// Two dependency-engine implementations enforce these semantics behind the
-// deps.Engine interface, selectable via Config.DepEngine: EngineGlobal
-// serializes everything behind one mutex (the reference), while
-// EngineSharded partitions all dependency state per data object and, for
-// an object a program slices (NewData passes its extent on; the first access
+// One dependency engine enforces these semantics, in both real and virtual
+// mode. It partitions all dependency state per data object and, for an
+// object a program slices (NewData passes its extent on; the first access
 // sets the grain, unless it is a weak or weakwait access over more than half
 // of the object — its children will slice it, so it gets the per-worker
 // stripe count), per stripe of its index range — each shard gets
 // its own lock and cascade queue, so depend clauses over disjoint data or
 // disjoint ranges register and release with no common lock, and a task's
-// cross-shard readiness countdown is a bare atomic. EngineAuto (default)
-// picks sharded in both modes. Differential property tests drive both
-// engines in lockstep over random task programs to keep them observably
-// equivalent.
+// cross-shard readiness countdown is a bare atomic. Differential property
+// tests drive it in lockstep with a single-mutex reference engine over
+// random task programs to keep the two observably equivalent.
 //
 // The scheduler admission path is sharded the same way: under the default
 // FIFO policy, real mode runs a work-stealing ready pool with one lock-free
@@ -55,12 +52,11 @@
 // orders and run on the single-lock central queue instead.
 //
 // With the locks sharded away, the remaining steady-state cost is
-// allocator and GC traffic, and real mode therefore defaults to pooled
-// task-lifecycle memory (Config.MemPool = MemAuto): tasks, dependency
-// nodes, access fragments, and interval-map cells recycle through typed
-// free lists with generation-counted handles, so a submit→complete cycle
-// allocates nothing once warm. MemReference restores the allocate-always
-// baseline for A/B comparisons.
+// allocator and GC traffic, so task-lifecycle memory is pooled: dependency
+// nodes, access fragments, and interval-map cells (and, in real mode,
+// tasks) recycle through typed free lists with generation-counted handles,
+// so a submit→complete cycle allocates nothing once warm. Config.Debug
+// turns the pools' leak accounting into an end-of-run check.
 //
 // A Taskwait that finds incomplete children first runs the queued
 // descendants on its own worker's deque itself (on the default FIFO pool);
@@ -90,7 +86,6 @@ import (
 	"repro/internal/cachesim"
 	"repro/internal/core"
 	"repro/internal/deps"
-	"repro/internal/mempool"
 	"repro/internal/regions"
 	"repro/internal/replay"
 	"repro/internal/sched"
@@ -141,15 +136,9 @@ type (
 	ViolationKind = core.ViolationKind
 	// Section2D describes a rectangular section of a row-major 2-D array.
 	Section2D = regions.Section2D
-	// EngineKind selects the dependency-engine implementation
-	// (Config.DepEngine).
-	EngineKind = deps.EngineKind
 	// ThrottleStats exposes throttle-window activity counters
 	// (Runtime.ThrottleStats).
 	ThrottleStats = throttle.Stats
-	// MemPoolKind selects the task-lifecycle memory management
-	// (Config.MemPool).
-	MemPoolKind = mempool.Kind
 	// MemStats exposes the dependency engine's memory-pool counters
 	// (Runtime.MemStats).
 	MemStats = deps.MemStats
@@ -178,20 +167,6 @@ const (
 	Red = core.Red
 )
 
-// Dependency-engine kinds for Config.DepEngine.
-const (
-	// EngineAuto picks the sharded engine in both real and virtual mode
-	// (its ready ordering reproduces the recorded virtual golden
-	// makespans).
-	EngineAuto = deps.EngineAuto
-	// EngineGlobal is the single-mutex reference engine.
-	EngineGlobal = deps.EngineGlobal
-	// EngineSharded partitions dependency state per data object and per
-	// stripe of its index range: depend clauses over disjoint data or
-	// disjoint ranges register, fragment, and release concurrently.
-	EngineSharded = deps.EngineSharded
-)
-
 // Ready-queue policies for Config.Policy.
 const (
 	FIFO = sched.FIFO
@@ -199,21 +174,6 @@ const (
 	// Priority dispatches the ready task with the highest TaskSpec.Priority
 	// first (FIFO among equals) — the OpenMP 4.5 priority clause.
 	Priority = sched.Priority
-)
-
-// Memory-management modes for Config.MemPool.
-const (
-	// MemAuto picks the pooled mode in real mode (reference in virtual
-	// mode): tasks, dependency nodes, fragments, and interval-map cells
-	// recycle through typed free lists instead of being reallocated every
-	// submit→complete cycle.
-	MemAuto = mempool.KindAuto
-	// MemReference is the allocate-always baseline (the differential
-	// reference for the pooled mode).
-	MemReference = mempool.KindReference
-	// MemPooled recycles task-lifecycle objects through internal/mempool
-	// free lists; see docs/ARCHITECTURE.md for the ownership rules.
-	MemPooled = mempool.KindPooled
 )
 
 // Record-and-replay modes for Config.Replay. The cache engages through

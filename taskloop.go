@@ -58,7 +58,7 @@ func Taskloop(tc *TaskContext, spec TaskloopSpec) int {
 	// value into the task, so rebuilding it per chunk would only feed the
 	// allocator. The chunk closure captures the body and its two bounds —
 	// not the whole TaskloopSpec — keeping the per-chunk garbage to the
-	// closure itself even in the reference memory mode.
+	// closure itself.
 	body := spec.Body
 	ts := TaskSpec{
 		Label:    label,

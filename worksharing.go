@@ -9,40 +9,14 @@ type (
 	// WorksharingSpec describes a Worksharing invocation: the same shape
 	// as TaskloopSpec, but executed as ONE dependency-carrying task whose
 	// grain-sized chunks self-schedule across idle workers ("Worksharing
-	// Tasks", Maroñas et al.). Under the default chunked strategy the
-	// Deps/Cost/Flops callbacks are invoked once with the whole [Lo, Hi)
-	// range — the union the single task registers; under the expand
-	// reference they are invoked per chunk, exactly like Taskloop.
+	// Tasks", Maroñas et al.). The Deps/Cost/Flops callbacks are invoked
+	// once with the whole [Lo, Hi) range — the union the single task
+	// registers — where Taskloop invokes them per chunk.
 	WorksharingSpec = core.WorksharingSpec
-	// WorksharingKind selects the Worksharing execution strategy
-	// (Config.WorksharingImpl).
-	WorksharingKind = core.WorksharingKind
 	// WsStats exposes the worksharing counters (Runtime.WsStats): regions
 	// executed chunk-distributed, chunks executed, helper chunks, and
 	// invitations announced.
 	WsStats = core.WsStats
-)
-
-// Worksharing strategies for Config.WorksharingImpl. Both produce
-// identical final state on programs whose depend entries cover their
-// accesses (the differential tests in internal/core prove it); selecting
-// one explicitly is for ablations and A/B comparisons.
-const (
-	// WorksharingAuto picks the chunk-distributed strategy in real mode
-	// (virtual mode runs the chunks serially inside the single task).
-	WorksharingAuto = core.WorksharingAuto
-	// WorksharingExpand is the per-chunk-task reference: the shape Taskloop
-	// submits, kept as the differential baseline. At fine grains it pays
-	// one full task lifecycle per chunk — the overhead the chunked strategy
-	// amortizes.
-	WorksharingExpand = core.WorksharingExpand
-	// WorksharingChunked is the worksharing strategy: one task carrying the
-	// union depend entries; its body's chunks are claimed from a shared
-	// atomic cursor by the owner and by idle workers invited through the
-	// sharded ready pools, and a single completion countdown releases the
-	// task exactly once. Inside a Graph region the whole loop records and
-	// replays as a single node.
-	WorksharingChunked = core.WorksharingChunked
 )
 
 // Worksharing submits spec's iteration space [Lo, Hi) as a worksharing
