@@ -1,15 +1,15 @@
-package nanos_test
+package core
 
 // Engine × scheduler stress matrix: randomized multi-data nested programs
-// execute under real goroutine parallelism on the sharded dependency
-// engine and every ready pool (FIFO work stealing, LIFO, Priority). Tasks
-// mix weakwait completion, early release directives, and depend clauses
-// spanning several data objects — the multi-shard paths of the sharded
-// engine. Every read is checked against the sequential pre-order oracle
-// and the final state must match it exactly; run with -race to also prove
-// the engine publishes task memory correctly. (The single-mutex reference
-// engine is driven against the sharded one in internal/deps and, through
-// whole runs, in internal/core's TestMemPoolCoreDifferential.) Short mode trims seeds and worker counts so `go test ./...`
+// execute under real goroutine parallelism on every combination of
+// dependency engine (the sharded one New builds, and the single-mutex
+// reference swapped in by newWithEngine) and ready pool (FIFO work
+// stealing, LIFO, Priority). Tasks mix weakwait completion, early release
+// directives, and depend clauses spanning several data objects — the
+// multi-shard paths of the sharded engine. Every read is checked against
+// the sequential pre-order oracle and the final state must match it
+// exactly; run with -race to also prove the engines publish task memory
+// correctly. Short mode trims seeds and worker counts so `go test ./...`
 // stays fast.
 
 import (
@@ -18,7 +18,10 @@ import (
 	"sync"
 	"testing"
 
-	nanos "repro"
+	"repro/internal/deps"
+	"repro/internal/mempool"
+	"repro/internal/regions"
+	"repro/internal/sched"
 )
 
 const xUniverse = 48
@@ -28,11 +31,11 @@ const xDatas = 3
 type xTask struct {
 	label    string
 	weakWait bool
-	weak     bool                     // covers weak?
-	release  bool                     // issue a release directive after spawning children
-	covers   map[int]nanos.Interval   // data index -> nesting cover
-	reads    map[int][]nanos.Interval // data index -> read intervals
-	writes   map[int][]nanos.Interval
+	weak     bool               // covers weak?
+	release  bool               // issue a release directive after spawning children
+	covers   map[int]Interval   // data index -> nesting cover
+	reads    map[int][]Interval // data index -> read intervals
+	writes   map[int][]Interval
 	priority int64
 	children []*xTask
 
@@ -43,8 +46,8 @@ type xTask struct {
 // data objects; children access sub-intervals of one of the covers.
 func buildMultiProgram(rng *rand.Rand, depth int) []*xTask {
 	id := 0
-	var gen func(covers map[int]nanos.Interval, depth int) *xTask
-	gen = func(covers map[int]nanos.Interval, depth int) *xTask {
+	var gen func(covers map[int]Interval, depth int) *xTask
+	gen = func(covers map[int]Interval, depth int) *xTask {
 		id++
 		t := &xTask{
 			label:    fmt.Sprintf("t%d", id),
@@ -67,21 +70,21 @@ func buildMultiProgram(rng *rand.Rand, depth int) []*xTask {
 			}
 			lo := cover.Lo + rng.Int63n(cover.Len()-1)
 			hi := lo + 1 + rng.Int63n(cover.Hi-lo)
-			sub := nanos.Iv(lo, hi)
+			sub := regions.Iv(lo, hi)
 			if depth > 1 && sub.Len() >= 4 && rng.Intn(3) == 0 {
-				t.children = append(t.children, gen(map[int]nanos.Interval{d: sub}, depth-1))
+				t.children = append(t.children, gen(map[int]Interval{d: sub}, depth-1))
 			} else {
 				id++
 				leaf := &xTask{
 					label:    fmt.Sprintf("l%d", id),
 					priority: int64(rng.Intn(5)),
-					reads:    map[int][]nanos.Interval{},
-					writes:   map[int][]nanos.Interval{},
+					reads:    map[int][]Interval{},
+					writes:   map[int][]Interval{},
 				}
 				if rng.Intn(2) == 0 {
-					leaf.writes[d] = []nanos.Interval{sub}
+					leaf.writes[d] = []Interval{sub}
 				} else {
-					leaf.reads[d] = []nanos.Interval{sub}
+					leaf.reads[d] = []Interval{sub}
 				}
 				t.children = append(t.children, leaf)
 			}
@@ -91,7 +94,7 @@ func buildMultiProgram(rng *rand.Rand, depth int) []*xTask {
 	n := 3 + rng.Intn(5)
 	out := make([]*xTask, 0, n)
 	for i := 0; i < n; i++ {
-		covers := map[int]nanos.Interval{}
+		covers := map[int]Interval{}
 		nd := 1 + rng.Intn(2)
 		for _, d := range rng.Perm(xDatas)[:nd] {
 			lo := rng.Int63n(xUniverse - 10)
@@ -99,7 +102,7 @@ func buildMultiProgram(rng *rand.Rand, depth int) []*xTask {
 			if hi > xUniverse {
 				hi = xUniverse
 			}
-			covers[d] = nanos.Iv(lo, hi)
+			covers[d] = regions.Iv(lo, hi)
 		}
 		out = append(out, gen(covers, depth))
 	}
@@ -142,13 +145,14 @@ func multiReference(tasks []*xTask) (expect map[string]map[[2]int64]int64, final
 	return expect, final
 }
 
-// runEngineStress executes the program under the given config and checks
+// runEngineStress executes the program under the given config on the given
+// dependency engine (pooled memory, as New builds) and checks
 // serializability against the pre-order oracle.
-func runEngineStress(t *testing.T, tasks []*xTask, cfg nanos.Config) {
+func runEngineStress(t *testing.T, tasks []*xTask, cfg Config, kind deps.EngineKind) {
 	expect, final := multiReference(tasks)
 	cfg.Debug = true // exact end-of-run leak check: Run panics on live fragments
-	rt := nanos.New(cfg)
-	var ids [xDatas]nanos.DataID
+	rt := newWithEngine(cfg, kind, mempool.KindPooled)
+	var ids [xDatas]DataID
 	var data [xDatas][]int64
 	for d := 0; d < xDatas; d++ {
 		ids[d] = rt.NewData(fmt.Sprintf("x%d", d), xUniverse, 8)
@@ -157,30 +161,30 @@ func runEngineStress(t *testing.T, tasks []*xTask, cfg nanos.Config) {
 	var mu sync.Mutex
 	var violations []string
 
-	var submit func(tc *nanos.TaskContext, st *xTask)
-	submit = func(tc *nanos.TaskContext, st *xTask) {
-		var ds []nanos.Dep
+	var submit func(tc *TaskContext, st *xTask)
+	submit = func(tc *TaskContext, st *xTask) {
+		var ds []Dep
 		if len(st.children) > 0 {
 			for d, cover := range st.covers {
 				if st.weak {
-					ds = append(ds, nanos.DWeakInOut(ids[d], cover))
+					ds = append(ds, Dep{Data: ids[d], Type: InOut, Weak: true, Ivs: []Interval{cover}})
 				} else {
-					ds = append(ds, nanos.DInOut(ids[d], cover))
+					ds = append(ds, Dep{Data: ids[d], Type: InOut, Ivs: []Interval{cover}})
 				}
 			}
 		}
 		for d, ivs := range st.reads {
-			ds = append(ds, nanos.DIn(ids[d], ivs...))
+			ds = append(ds, Dep{Data: ids[d], Type: In, Ivs: ivs})
 		}
 		for d, ivs := range st.writes {
-			ds = append(ds, nanos.DInOut(ids[d], ivs...))
+			ds = append(ds, Dep{Data: ids[d], Type: InOut, Ivs: ivs})
 		}
-		tc.Submit(nanos.TaskSpec{
+		tc.Submit(TaskSpec{
 			Label:    st.label,
 			WeakWait: st.weakWait,
 			Priority: st.priority,
 			Deps:     ds,
-			Body: func(tc *nanos.TaskContext) {
+			Body: func(tc *TaskContext) {
 				exp := expect[st.label]
 				for d, ivs := range st.reads {
 					for _, iv := range ivs {
@@ -207,9 +211,9 @@ func runEngineStress(t *testing.T, tasks []*xTask, cfg nanos.Config) {
 				if st.release && len(st.children) > 0 {
 					// The release directive: this task asserts it will not
 					// touch its covers again; live children hand over.
-					var rel []nanos.Dep
+					var rel []Dep
 					for d, cover := range st.covers {
-						rel = append(rel, nanos.DInOut(ids[d], cover))
+						rel = append(rel, Dep{Data: ids[d], Type: InOut, Ivs: []Interval{cover}})
 					}
 					tc.Release(rel...)
 				}
@@ -217,7 +221,7 @@ func runEngineStress(t *testing.T, tasks []*xTask, cfg nanos.Config) {
 		})
 	}
 
-	rt.Run(func(tc *nanos.TaskContext) {
+	rt.Run(func(tc *TaskContext) {
 		for _, st := range tasks {
 			submit(tc, st)
 		}
@@ -239,41 +243,44 @@ func runEngineStress(t *testing.T, tasks []*xTask, cfg nanos.Config) {
 }
 
 // TestStressEngineSchedulerMatrix runs the multi-data stress program over
-// every ready pool: work stealing (the FIFO policy) and the central queue
-// under LIFO and Priority, each with and without successor hand-off
-// (without it, every readied successor goes through the pool).
+// every engine × ready-pool combination: work stealing (the FIFO policy) and
+// the central queue under LIFO and Priority, each with and without successor
+// hand-off (without it, every readied successor goes through the pool).
 func TestStressEngineSchedulerMatrix(t *testing.T) {
+	engines := []deps.EngineKind{deps.EngineGlobal, deps.EngineSharded}
 	queues := []struct {
 		name      string
-		policy    nanos.Policy
+		policy    sched.Policy
 		noHandoff bool
 	}{
-		{"stealing", nanos.FIFO, false},
-		{"stealing-nohandoff", nanos.FIFO, true},
-		{"central-lifo", nanos.LIFO, false},
-		{"central-lifo-nohandoff", nanos.LIFO, true},
-		{"central-priority", nanos.Priority, false},
-		{"central-priority-nohandoff", nanos.Priority, true},
+		{"stealing", sched.FIFO, false},
+		{"stealing-nohandoff", sched.FIFO, true},
+		{"central-lifo", sched.LIFO, false},
+		{"central-lifo-nohandoff", sched.LIFO, true},
+		{"central-priority", sched.Priority, false},
+		{"central-priority-nohandoff", sched.Priority, true},
 	}
 	seeds := 10
 	if testing.Short() {
 		seeds = 2
 	}
-	for _, q := range queues {
-		t.Run(q.name, func(t *testing.T) {
-			for seed := int64(0); seed < int64(seeds); seed++ {
-				rng := rand.New(rand.NewSource(5000 + seed))
-				prog := buildMultiProgram(rng, 3)
-				runEngineStress(t, prog, nanos.Config{
-					Workers:   1 + rng.Intn(8),
-					Policy:    q.policy,
-					NoHandoff: q.noHandoff,
-				})
-				if t.Failed() {
-					t.Fatalf("seed %d failed", seed)
+	for _, eng := range engines {
+		for _, q := range queues {
+			t.Run(fmt.Sprintf("%s/%s", eng, q.name), func(t *testing.T) {
+				for seed := int64(0); seed < int64(seeds); seed++ {
+					rng := rand.New(rand.NewSource(5000 + seed))
+					prog := buildMultiProgram(rng, 3)
+					runEngineStress(t, prog, Config{
+						Workers:   1 + rng.Intn(8),
+						Policy:    q.policy,
+						NoHandoff: q.noHandoff,
+					}, eng)
+					if t.Failed() {
+						t.Fatalf("seed %d failed", seed)
+					}
 				}
-			}
-		})
+			})
+		}
 	}
 }
 
@@ -288,7 +295,7 @@ func TestStressShardedManyWorkers(t *testing.T) {
 	for seed := int64(0); seed < int64(seeds); seed++ {
 		rng := rand.New(rand.NewSource(9000 + seed))
 		prog := buildMultiProgram(rng, 2)
-		runEngineStress(t, prog, nanos.Config{Workers: 24})
+		runEngineStress(t, prog, Config{Workers: 24}, deps.EngineSharded)
 		if t.Failed() {
 			t.Fatalf("seed %d failed", seed)
 		}
@@ -306,10 +313,10 @@ func TestStressShardedThrottleRelease(t *testing.T) {
 	for seed := int64(0); seed < int64(seeds); seed++ {
 		rng := rand.New(rand.NewSource(12000 + seed))
 		prog := buildMultiProgram(rng, 2)
-		runEngineStress(t, prog, nanos.Config{
+		runEngineStress(t, prog, Config{
 			Workers:           4,
 			ThrottleOpenTasks: 6,
-		})
+		}, deps.EngineSharded)
 		if t.Failed() {
 			t.Fatalf("seed %d failed", seed)
 		}

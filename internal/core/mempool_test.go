@@ -97,31 +97,32 @@ func memDiffProgram(t *testing.T, cfg Config, kind deps.EngineKind, mem mempool.
 // allocate-always memory mode, and the single-mutex engine on top of it,
 // under each ready pool — and requires identical observable results (the
 // sharded engine stripes objects the global one keeps whole, so only the
-// two memory modes must also agree on the fragment count). Multi-worker
-// rounds exercise
-// concurrent recycling; the Debug config adds the end-of-run leak check to
-// every run.
+// two memory modes must also agree on the fragment count). The w=4 rounds
+// exercise concurrent recycling; the Debug config adds the end-of-run leak
+// check to every run.
 func TestMemPoolCoreDifferential(t *testing.T) {
 	for _, workers := range []int{1, 4} {
-		cfg := Config{Workers: workers, ThrottleOpenTasks: 8}
-		for seed := int64(1); seed <= 6; seed++ {
-			pooled, pooledFrags := memDiffProgram(t, cfg, deps.EngineSharded, mempool.KindPooled, seed)
-			ref, refFrags := memDiffProgram(t, cfg, deps.EngineSharded, mempool.KindReference, seed)
-			if ref != pooled || refFrags != pooledFrags {
-				t.Fatalf("w=%d seed=%d diverged:\n  reference: %s frags=%d\n  pooled:    %s frags=%d",
-					workers, seed, ref, refFrags, pooled, pooledFrags)
-			}
-			// The global engine under every ready pool, with and without
-			// successor hand-off: the digest is schedule-independent.
-			for _, policy := range []sched.Policy{sched.FIFO, sched.LIFO, sched.Priority} {
-				gcfg := cfg
-				gcfg.Policy, gcfg.NoHandoff = policy, seed%2 == 0
-				if global, _ := memDiffProgram(t, gcfg, deps.EngineGlobal, mempool.KindReference, seed); global != pooled {
-					t.Fatalf("w=%d seed=%d %v nohandoff=%v diverged:\n  global: %s\n  pooled: %s",
-						workers, seed, policy, gcfg.NoHandoff, global, pooled)
+		t.Run(fmt.Sprintf("w=%d", workers), func(t *testing.T) {
+			cfg := Config{Workers: workers, ThrottleOpenTasks: 8}
+			for seed := int64(1); seed <= 6; seed++ {
+				pooled, pooledFrags := memDiffProgram(t, cfg, deps.EngineSharded, mempool.KindPooled, seed)
+				ref, refFrags := memDiffProgram(t, cfg, deps.EngineSharded, mempool.KindReference, seed)
+				if ref != pooled || refFrags != pooledFrags {
+					t.Fatalf("seed=%d diverged:\n  reference: %s frags=%d\n  pooled:    %s frags=%d",
+						seed, ref, refFrags, pooled, pooledFrags)
+				}
+				// The global engine under every ready pool, with and without
+				// successor hand-off: the digest is schedule-independent.
+				for _, policy := range []sched.Policy{sched.FIFO, sched.LIFO, sched.Priority} {
+					gcfg := cfg
+					gcfg.Policy, gcfg.NoHandoff = policy, seed%2 == 0
+					if global, _ := memDiffProgram(t, gcfg, deps.EngineGlobal, mempool.KindReference, seed); global != pooled {
+						t.Fatalf("seed=%d %v nohandoff=%v diverged:\n  global: %s\n  pooled: %s",
+							seed, policy, gcfg.NoHandoff, global, pooled)
+					}
 				}
 			}
-		}
+		})
 	}
 }
 
@@ -131,17 +132,22 @@ func TestMemPoolCoreDifferential(t *testing.T) {
 // asserted on what virtual mode runs now, the sharded engine with pooled
 // memory; this drives the nested weak programs of the differential above
 // through both in virtual mode and requires the same data, task count and
-// makespan, with and without creation cost.
+// makespan, under each order of the virtual ready list, with and without
+// creation cost.
 func TestVirtualEngineParity(t *testing.T) {
-	for _, submitCost := range []int64{0, 4} {
-		cfg := Config{Workers: 8, Virtual: true, VirtualSubmitCost: submitCost}
-		for seed := int64(1); seed <= 6; seed++ {
-			pooled, _ := memDiffProgram(t, cfg, deps.EngineSharded, mempool.KindPooled, seed)
-			global, _ := memDiffProgram(t, cfg, deps.EngineGlobal, mempool.KindReference, seed)
-			if global != pooled {
-				t.Fatalf("submit cost %d seed=%d diverged:\n  global: %s\n  pooled: %s", submitCost, seed, global, pooled)
+	for _, policy := range []sched.Policy{sched.FIFO, sched.LIFO, sched.Priority} {
+		t.Run(policy.String(), func(t *testing.T) {
+			for _, submitCost := range []int64{0, 4} {
+				cfg := Config{Workers: 8, Virtual: true, Policy: policy, VirtualSubmitCost: submitCost}
+				for seed := int64(1); seed <= 6; seed++ {
+					pooled, _ := memDiffProgram(t, cfg, deps.EngineSharded, mempool.KindPooled, seed)
+					global, _ := memDiffProgram(t, cfg, deps.EngineGlobal, mempool.KindReference, seed)
+					if global != pooled {
+						t.Fatalf("submit cost %d seed=%d diverged:\n  global: %s\n  pooled: %s", submitCost, seed, global, pooled)
+					}
+				}
 			}
-		}
+		})
 	}
 }
 

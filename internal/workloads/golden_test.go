@@ -13,8 +13,8 @@ import (
 // dispatch, hand-off, arrival times) against accidental change. A diff
 // here is not necessarily a bug — an intentional semantic or scheduling
 // change legitimately moves the numbers — but it must be reviewed and the
-// constants re-recorded, and the *orderings* asserted at the bottom must
-// always survive.
+// constants re-recorded, and the *orderings* each workload's subtest
+// asserts must always survive.
 //
 // The constants do not depend on the engine implementation:
 // TestVirtualEngineParity (internal/core) keeps the single-mutex reference
@@ -41,55 +41,60 @@ func TestGoldenVirtualMakespans(t *testing.T) {
 		CholNestDepend: 2446676,
 	}
 
-	axpyGot := map[AxpyVariant]int64{}
-	for _, v := range AxpyVariants {
-		res, err := RunAxpy(Mode{Workers: 8, Virtual: true, SubmitCost: 16, Debug: true}, v,
-			AxpyParams{N: 1 << 14, Calls: 4, TaskSize: 1 << 11, Alpha: 1, Compute: false})
-		if err != nil {
-			t.Fatal(err)
+	// The orderings that must hold regardless of the exact constants: the
+	// weak variants never lose to nest-depend, and GS nest-weak tracks
+	// flat-depend within a small factor.
+	t.Run("axpy", func(t *testing.T) {
+		got := map[AxpyVariant]int64{}
+		for _, v := range AxpyVariants {
+			res, err := RunAxpy(Mode{Workers: 8, Virtual: true, SubmitCost: 16, Debug: true}, v,
+				AxpyParams{N: 1 << 14, Calls: 4, TaskSize: 1 << 11, Alpha: 1, Compute: false})
+			if err != nil {
+				t.Fatal(err)
+			}
+			got[v] = res.VirtualTime
+			if res.VirtualTime != axpy[v] {
+				t.Errorf("axpy %s makespan = %d, golden %d", v, res.VirtualTime, axpy[v])
+			}
 		}
-		axpyGot[v] = res.VirtualTime
-		if res.VirtualTime != axpy[v] {
-			t.Errorf("axpy %s makespan = %d, golden %d", v, res.VirtualTime, axpy[v])
+		if got[AxpyNestWeak] > got[AxpyNestDepend] {
+			t.Error(orderErr("axpy", "nest-weak", got[AxpyNestWeak], "nest-depend", got[AxpyNestDepend]))
 		}
-	}
+	})
 
-	gsGot := map[GSVariant]int64{}
-	for _, v := range GSVariants {
-		res, err := RunGS(Mode{Workers: 8, Virtual: true, Debug: true}, v,
-			GSParams{N: 128, TS: 32, Iters: 4, Compute: false})
-		if err != nil {
-			t.Fatal(err)
+	t.Run("gs", func(t *testing.T) {
+		got := map[GSVariant]int64{}
+		for _, v := range GSVariants {
+			res, err := RunGS(Mode{Workers: 8, Virtual: true, Debug: true}, v,
+				GSParams{N: 128, TS: 32, Iters: 4, Compute: false})
+			if err != nil {
+				t.Fatal(err)
+			}
+			got[v] = res.VirtualTime
+			if res.VirtualTime != gs[v] {
+				t.Errorf("gs %s makespan = %d, golden %d", v, res.VirtualTime, gs[v])
+			}
 		}
-		gsGot[v] = res.VirtualTime
-		if res.VirtualTime != gs[v] {
-			t.Errorf("gs %s makespan = %d, golden %d", v, res.VirtualTime, gs[v])
+		if got[GSNestWeak] > got[GSNestDepend] {
+			t.Error(orderErr("gs", "nest-weak", got[GSNestWeak], "nest-depend", got[GSNestDepend]))
 		}
-	}
+		if f := float64(got[GSNestWeak]) / float64(got[GSFlatDepend]); f > 1.5 {
+			t.Errorf("gs nest-weak %.2fx slower than flat-depend", f)
+		}
+	})
 
-	for _, v := range CholVariants {
-		res, err := RunCholesky(Mode{Workers: 8, Virtual: true, Debug: true}, v,
-			CholParams{N: 256, TS: 64, Seed: 1, Compute: false})
-		if err != nil {
-			t.Fatal(err)
+	t.Run("cholesky", func(t *testing.T) {
+		for _, v := range CholVariants {
+			res, err := RunCholesky(Mode{Workers: 8, Virtual: true, Debug: true}, v,
+				CholParams{N: 256, TS: 64, Seed: 1, Compute: false})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.VirtualTime != chol[v] {
+				t.Errorf("cholesky %s makespan = %d, golden %d", v, res.VirtualTime, chol[v])
+			}
 		}
-		if res.VirtualTime != chol[v] {
-			t.Errorf("cholesky %s makespan = %d, golden %d", v, res.VirtualTime, chol[v])
-		}
-	}
-
-	// The orderings that must hold regardless of the exact
-	// constants: the weak variants never lose to nest-depend, and
-	// nest-weak tracks flat-depend within a small factor.
-	if axpyGot[AxpyNestWeak] > axpyGot[AxpyNestDepend] {
-		t.Error(orderErr("axpy", "nest-weak", axpyGot[AxpyNestWeak], "nest-depend", axpyGot[AxpyNestDepend]))
-	}
-	if gsGot[GSNestWeak] > gsGot[GSNestDepend] {
-		t.Error(orderErr("gs", "nest-weak", gsGot[GSNestWeak], "nest-depend", gsGot[GSNestDepend]))
-	}
-	if f := float64(gsGot[GSNestWeak]) / float64(gsGot[GSFlatDepend]); f > 1.5 {
-		t.Errorf("gs nest-weak %.2fx slower than flat-depend", f)
-	}
+	})
 }
 
 func orderErr(bench, a string, av int64, b string, bv int64) string {
