@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: all help build vet test race flake bench-short bench-check smoke depbench ci
+.PHONY: all help build vet test race flake bench-short bench-check smoke ci
 
 all: build
 
@@ -28,14 +28,8 @@ help:
 	@echo "                 differential + shape-flip fallback; taskwait differential, exact stats,"
 	@echo "                 descendants-only help, one park per blocked wait; worksharing vs its"
 	@echo "                 Taskloop oracle, w=1 parity, alloc gate, workload validation; the"
-	@echo "                 chaos soak, watchdog selftest and panic-safe drain (-race); plus the"
-	@echo "                 depbench ws and chaos tables (chaos expects 0 stalls)"
-	@echo "  depbench       contention tables: deps engines (incl. pooled memory), sched pools,"
-	@echo "                 throttle windows, replay cache, worksharing chunks (go run"
-	@echo "                 ./cmd/depbench; -mode deps|sched|throttle|replay|ws|chaos selects one"
-	@echo "                 table, -workers/-ops/-sched-ops/-throttle-ops/-window/-replay-iters/"
-	@echo "                 -ws-iters/-ws-grain/-chaos-seed/-chaos-rate size the sweeps; -json"
-	@echo "                 emits machine-readable rows instead of tables)"
+	@echo "                 chaos soak and its per-subsystem table (0 stalls on every row),"
+	@echo "                 watchdog selftest and panic-safe drain (-race)"
 	@echo "  ci             build + vet + test + race + bench-short + bench-check + smoke"
 
 build:
@@ -107,8 +101,9 @@ bench-check:
 #     parity, replay task counts).
 #   workloads: heat, GS graph and worksharing variants validated against
 #     their sequential references.
-#   core (-race), chaos, harness: the seeded chaos soak, watchdog selftest,
-#     panic-safe drain suite, and the chaos registry and bench-row tests.
+#   core (-race), chaos: the seeded chaos soak and its per-subsystem table
+#     (one failpoint group per row, checksum, drain and 0 stalls on each),
+#     watchdog selftest, panic-safe drain suite, and the chaos registry.
 SMOKE_TESTS = \
 	'-run TestSchedW1Parity -bench BenchmarkSchedContentionMatrix -benchtime 1x ./internal/sched' \
 	'-run TestThrottleW1Parity -bench BenchmarkThrottleContentionMatrix -benchtime 1x ./internal/throttle' \
@@ -117,26 +112,10 @@ SMOKE_TESTS = \
 	'-run TestWorksharingDifferential|TestWorksharingW1Parity|TestWorksharingReplayVsTaskloop .' \
 	'-run TestHeatValidates|TestGSGraphValidates|TestAxpyWorksharingAllStrategies|TestGSWsWavefrontValidates ./internal/workloads' \
 	'-race -short -run TestChaos|TestWatchdog|TestStallDetector|TestPanic|TestRunRepanicsAfterDrain ./internal/core' \
-	'-race ./internal/chaos' \
-	'-race -short -run TestChaosGroupsCoverAllSites|TestChaosBenchRows ./internal/harness'
-
-# The depbench passes of the smoke: the worksharing table, and the chaos
-# table, which exits non-zero on any stall report.
-SMOKE_DEPBENCH = \
-	'-mode ws -workers 2,4 -ws-iters 40 -ws-grain 64,256' \
-	'-mode chaos -workers 4 -chaos-iters 32'
+	'-race ./internal/chaos'
 
 smoke:
 	@set -e; \
-	for args in $(SMOKE_TESTS); do echo "go test $$args"; $(GO) test $$args; done; \
-	for args in $(SMOKE_DEPBENCH); do echo "depbench $$args"; $(GO) run ./cmd/depbench $$args; done
-
-# Contention tables (deps: global vs sharded engine, plus the pooled
-# memory mode; sched: central single-lock vs work-stealing ready pool;
-# throttle: mutex+cond vs sharded token-bucket window; replay: live engine
-# vs frozen-graph replay per sweep; ws: per-chunk tasks vs one worksharing
-# task). See `go doc ./cmd/depbench` for the flags and columns.
-depbench:
-	$(GO) run ./cmd/depbench
+	for args in $(SMOKE_TESTS); do echo "go test $$args"; $(GO) test $$args; done
 
 ci: build vet test race bench-short bench-check smoke

@@ -204,8 +204,8 @@ func BenchmarkAblationHandoff(b *testing.B) {
 // lookahead window, §III) on the flat-depend AXPY: first the window sweep
 // at the default worker count, then the window × worker-count contention
 // matrix on the end-to-end workload (the mutex+cond reference window is
-// compared against the sharded token bucket in isolation by cmd/depbench's
-// throttle table and internal/throttle's contention matrix).
+// compared against the sharded token bucket in isolation by
+// internal/throttle's contention matrix).
 func BenchmarkAblationThrottle(b *testing.B) {
 	b.ReportAllocs()
 	p := workloads.AxpyParams{N: 1 << 19, Calls: 8, TaskSize: 4 << 10, Alpha: 1, Compute: true}

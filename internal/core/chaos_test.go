@@ -194,6 +194,119 @@ func TestChaosSoak(t *testing.T) {
 	}
 }
 
+// chaosGroup names one subsystem's failpoint sites: one row of the chaos
+// table.
+type chaosGroup struct {
+	name  string
+	sites []chaos.Site
+}
+
+// chaosGroups are the table's subsystem rows. Together they must partition
+// the full site set (TestChaosGroupsPartitionSites checks it), so a new
+// site joins the group of the subsystem it sits in.
+var chaosGroups = []chaosGroup{
+	{"sched", []chaos.Site{chaos.SchedStealCAS, chaos.SchedTokenRetire, chaos.SchedDekkerRecheck, chaos.SchedCreatorLane}},
+	{"throttle", []chaos.Site{chaos.ThrottleCreditSteal, chaos.ThrottleBatchWake}},
+	{"deps", []chaos.Site{chaos.DepsCascade, chaos.DepsPinRelease}},
+	{"mempool", []chaos.Site{chaos.MempoolRefill}},
+	{"replay", []chaos.Site{chaos.ReplayInvalidate}},
+	{"worksharing", []chaos.Site{chaos.WsAnnounceConsume}},
+}
+
+// TestChaosGroupsPartitionSites: every failpoint site is in exactly one
+// subsystem group — a site in none would escape the table's per-subsystem
+// rows.
+func TestChaosGroupsPartitionSites(t *testing.T) {
+	owner := make(map[chaos.Site]string)
+	for _, g := range chaosGroups {
+		for _, s := range g.sites {
+			if prev, dup := owner[s]; dup {
+				t.Errorf("site %v is in groups %q and %q", s, prev, g.name)
+			}
+			owner[s] = g.name
+		}
+	}
+	for i := 0; i < chaos.NumSites; i++ {
+		if _, ok := owner[chaos.Site(i)]; !ok {
+			t.Errorf("site %v is in no subsystem group", chaos.Site(i))
+		}
+	}
+}
+
+// TestChaosSubsystemTable runs the soak's program once per row of the
+// chaos table under one fixed schedule (seed 7, rate 2 on the row's sites):
+// the chaos-off row, one row per subsystem group and an all-sites row.
+// Every row must match the off row's checksum, drain fully and report no
+// stall; every armed row must also engage its sites, so each subsystem's
+// failpoints are shown reachable by the program on their own.
+//
+// The throttle sites sit on the paths a reserver takes when it finds the
+// window full, and four workers draining the window as fast as the root
+// fills it do not always get there in a short run. That row therefore also
+// runs on one worker, where it must: a lone worker cannot start what it
+// submits before the submitter blocks, so the window fills every
+// iteration. The engagement check reads that run; the checksum, drain and
+// stall checks apply to both.
+func TestChaosSubsystemTable(t *testing.T) {
+	iters, width := soakSizes(t)
+	all := make([]chaos.Site, chaos.NumSites)
+	for i := range all {
+		all[i] = chaos.Site(i)
+	}
+	rows := append([]chaosGroup{{name: "off"}}, chaosGroups...)
+	rows = append(rows, chaosGroup{"all", all})
+	var want int64
+	defer chaos.Disable()
+	for i, g := range rows {
+		workers := []int{4}
+		if g.name == "throttle" {
+			workers = append(workers, 1)
+		}
+		for _, w := range workers {
+			ok := t.Run(fmt.Sprintf("%s/w=%d", g.name, w), func(t *testing.T) {
+				if len(g.sites) > 0 {
+					s := chaos.Schedule{Seed: 7}
+					for _, site := range g.sites {
+						s.Rate[site] = 2
+					}
+					chaos.Enable(s)
+				}
+				cfg := chaosStack()
+				cfg.Workers = w
+				r := New(cfg)
+				got, err := runChaosProgram(r, iters, width)
+				chaos.Disable()
+				if err != nil {
+					t.Fatalf("run failed: %v", err)
+				}
+				if i == 0 {
+					want = got
+				} else if got != want {
+					t.Errorf("checksum %d != off row %d", got, want)
+				}
+				var hits uint64
+				if len(g.sites) > 0 {
+					_, h := chaos.Counts()
+					for _, site := range g.sites {
+						hits += h[site]
+					}
+				}
+				t.Logf("%d failpoint hits", hits)
+				if len(g.sites) > 0 && hits == 0 && (g.name != "throttle" || w == 1) {
+					t.Error("failpoints never engaged")
+				}
+				assertDrained(t, r)
+				if reps := r.StallReports(); len(reps) != 0 {
+					t.Errorf("%d stall reports, want 0: %v", len(reps), reps[0].String())
+				}
+			})
+			if !ok && i == 0 {
+				t.Fatal("the chaos-off row failed; no checksum to compare against")
+			}
+		}
+	}
+}
+
 // TestChaosSoakWithPanic combines the two robustness layers: a member task
 // panics mid-workload while failpoints are firing at full rate. The run
 // must still surface exactly one TaskError and drain to zero outstanding

@@ -68,6 +68,9 @@ func TestWorksharingBasic(t *testing.T) {
 			if max := int64(workers - 1); st.Announcements > max {
 				t.Fatalf("w=%d announced %d invitations, max %d", workers, st.Announcements, max)
 			}
+			if st.HelperChunks < 0 || st.HelperChunks > st.Chunks || (workers == 1 && st.HelperChunks != 0) {
+				t.Fatalf("w=%d grain=%d: %d helper chunks of %d", workers, grain, st.HelperChunks, st.Chunks)
+			}
 			if ps := r.WsPoolStats(); ps.Outstanding() != 0 {
 				t.Fatalf("w=%d grain=%d: %d chunk descriptors outstanding after drain", workers, grain, ps.Outstanding())
 			}

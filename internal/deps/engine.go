@@ -132,13 +132,14 @@ const (
 	// always builds.
 	EngineAuto EngineKind = iota
 	// EngineGlobal is the single-mutex reference engine: the lockstep
-	// oracle of this package's differential tests and a depbench row.
+	// oracle of this package's differential tests and the baseline row of
+	// BenchmarkSubmitDisjoint.
 	EngineGlobal
 	// EngineSharded is the sharded engine (per data object and stripe).
 	EngineSharded
 )
 
-// String returns the kind's depbench/table name.
+// String returns the kind's name in benchmark and test labels.
 func (k EngineKind) String() string {
 	switch k {
 	case EngineGlobal:
@@ -147,13 +148,6 @@ func (k EngineKind) String() string {
 		return "sharded"
 	}
 	return "auto"
-}
-
-// NewEngine returns an engine of the given kind with the reference
-// (allocate-always) memory mode. obs may be nil. EngineAuto resolves to
-// the sharded engine.
-func NewEngine(kind EngineKind, obs Observer) Engine {
-	return NewEngineMem(kind, obs, mempool.KindReference)
 }
 
 // NewEngineMem returns an engine of the given kind and memory mode.
@@ -805,20 +799,9 @@ func (c *depCore) nodeSatisfy(n *Node, length int64, data DataID) {
 	}
 }
 
-// takeReady drains the ready list accumulated by the cascades.
-func (c *depCore) takeReady() []*Node {
-	if len(c.ready) == 0 {
-		return nil
-	}
-	out := make([]*Node, len(c.ready))
-	copy(out, c.ready)
-	c.ready = c.ready[:0]
-	return out
-}
-
-// appendReady drains the ready list into out without the intermediate copy
-// takeReady would make — the sharded engine accumulates ready nodes across
-// several shards into one slice.
+// appendReady drains the ready list accumulated by the cascades into out —
+// the sharded engine accumulates ready nodes across several shards into one
+// slice.
 func (c *depCore) appendReady(out []*Node) []*Node {
 	if len(c.ready) == 0 {
 		return out

@@ -18,12 +18,6 @@ type GlobalEngine struct {
 
 var _ Engine = (*GlobalEngine)(nil)
 
-// NewGlobalEngine returns a single-lock engine with the reference
-// (allocate-always) memory mode. obs may be nil.
-func NewGlobalEngine(obs Observer) *GlobalEngine {
-	return newGlobalEngine(obs, false)
-}
-
 func newGlobalEngine(obs Observer, pooled bool) *GlobalEngine {
 	e := &GlobalEngine{}
 	e.c.obs = obs

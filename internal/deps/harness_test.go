@@ -6,7 +6,23 @@ import (
 	"math/rand"
 	"os"
 	"testing"
+
+	"repro/internal/mempool"
 )
+
+// NewEngine returns an engine of the given kind with the reference
+// (allocate-always) memory mode. obs may be nil. EngineAuto resolves to
+// the sharded engine.
+func NewEngine(kind EngineKind, obs Observer) Engine {
+	return NewEngineMem(kind, obs, mempool.KindReference)
+}
+
+// NewShardedEngine returns a sharded engine with the reference memory
+// mode. obs may be nil; callbacks are serialized, so observers written for
+// the global engine work unchanged.
+func NewShardedEngine(obs Observer) *ShardedEngine {
+	return newShardedEngine(obs, false)
+}
 
 // testEngineKind selects the Engine implementation the whole test suite
 // runs against. TestMain runs the suite twice — once per implementation —

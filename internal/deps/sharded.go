@@ -153,13 +153,6 @@ func stripeCount(elems, firstLen int64, workers int, delegating bool) int {
 
 var _ Engine = (*ShardedEngine)(nil)
 
-// NewShardedEngine returns a sharded engine with the reference
-// (allocate-always) memory mode. obs may be nil; callbacks are serialized,
-// so observers written for the global engine work unchanged.
-func NewShardedEngine(obs Observer) *ShardedEngine {
-	return newShardedEngine(obs, false)
-}
-
 func newShardedEngine(obs Observer, pooled bool) *ShardedEngine {
 	e := &ShardedEngine{obs: wrapObserver(obs)}
 	if pooled {

@@ -54,7 +54,7 @@ const (
 	KindPooled
 )
 
-// String returns the kind's depbench/table name.
+// String returns the kind's name in test labels.
 func (k Kind) String() string {
 	if k == KindPooled {
 		return "pooled"

@@ -150,9 +150,6 @@ func (s *Series) AddPoint(x string, vals map[string]float64) {
 // Column returns the y values of one variant.
 func (s *Series) Column(name string) []float64 { return s.ys[name] }
 
-// Xs returns the x values in insertion order.
-func (s *Series) Xs() []string { return s.xs }
-
 // String renders the series as an aligned table with one variant per column.
 func (s *Series) String() string {
 	t := NewTable(s.Title, append([]string{s.XLabel}, s.Order...)...)

@@ -86,7 +86,7 @@ func BenchmarkSchedContentionMatrix(b *testing.B) {
 // than the central single-lock reference when there is no contention to win
 // back.
 // The bound is deliberately loose (CI hosts are noisy); the precise parity
-// measurement is cmd/depbench's sched table.
+// measurement is BenchmarkSchedContentionMatrix's w=1 rows.
 func TestSchedW1Parity(t *testing.T) {
 	if testing.Short() {
 		t.Skip("timing guard; skipped in short mode")

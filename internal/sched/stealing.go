@@ -384,7 +384,8 @@ func (p *Stealing[T]) consumeBox(w int, box *T) T {
 // stealBatchMax): the first is returned, the rest move — boxes and all —
 // onto the thief's own deque, so one miss amortizes the whole
 // redistribution instead of paying a full O(workers) scan per item
-// (ROADMAP's steal-half item; the depbench steals/kop column observes it).
+// (ROADMAP's steal-half item; PoolStats.Steals, the bench's
+// sched.steals_per_op, observes it).
 func (p *Stealing[T]) popFor(w int) (item T, ok bool) {
 	if item, ok = p.PopOwn(w); ok {
 		return item, true

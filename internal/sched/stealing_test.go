@@ -235,6 +235,9 @@ func TestStealingConcurrencyCap(t *testing.T) {
 	}
 }
 
+// TestStealingOutOfRangeFrom: a negative, a far and the boundary from (==
+// workers) all mean "no token held" and queue through the locked inboxes.
+// The test goroutine holds no token, so it must not pass an in-range from.
 func TestStealingOutOfRangeFrom(t *testing.T) {
 	var ran atomic.Int64
 	var wg sync.WaitGroup
@@ -253,7 +256,7 @@ func TestStealingOutOfRangeFrom(t *testing.T) {
 	wg.Add(3)
 	s.Submit(1, -1)
 	s.Submit(2, 99)
-	s.Submit(3, 0)
+	s.Submit(3, 2)
 	wg.Wait()
 	if ran.Load() != 3 {
 		t.Fatalf("ran %d, want 3", ran.Load())

@@ -51,8 +51,8 @@ var contentionKinds = []Kind{KindLocked, KindSharded}
 // contention), over a tight window (equal to the worker count, the bound
 // actively pushing back) and a wide one (credit-cache steady state). The
 // CI smoke runs it at -benchtime 1x; the w=1 regression guard is
-// TestThrottleW1Parity below, and the precise contention measurement is
-// cmd/depbench's throttle table.
+// TestThrottleW1Parity below; run it with -mutexprofile to attribute the
+// lock waits.
 func BenchmarkThrottleContentionMatrix(b *testing.B) {
 	for _, kind := range contentionKinds {
 		for _, w := range []int{1, 4, 8} {
@@ -75,7 +75,7 @@ func BenchmarkThrottleContentionMatrix(b *testing.B) {
 // the sharded window's credit-cache fast path must not cost materially
 // more than the mutex+cond reference when there is no contention to win
 // back. The bound is deliberately loose (CI hosts are noisy); the precise
-// parity measurement is cmd/depbench's throttle table.
+// parity measurement is BenchmarkThrottleContentionMatrix's w=1 rows.
 func TestThrottleW1Parity(t *testing.T) {
 	if testing.Short() {
 		t.Skip("timing guard; skipped in short mode")

@@ -30,7 +30,7 @@ package throttle
 
 // Kind selects a Window implementation (New). The runtime always builds the
 // sharded window; the locked one is the differential reference of this
-// package's tests and of cmd/depbench's throttle table.
+// package's tests and the baseline rows of its contention matrix.
 type Kind uint8
 
 const (
@@ -44,7 +44,7 @@ const (
 	KindSharded
 )
 
-// String returns the kind's depbench/table name.
+// String returns the kind's name in benchmark and test labels.
 func (k Kind) String() string {
 	switch k {
 	case KindLocked:
