@@ -5,6 +5,7 @@ import (
 	"runtime"
 	"runtime/debug"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/mempool"
@@ -41,20 +42,41 @@ func benchChains(b *testing.B, kind EngineKind, mem mempool.Kind, w int, dataFor
 	// drown the engine locks this benchmark is about.
 	defer debug.SetGCPercent(debug.SetGCPercent(1000))
 	b.ReportAllocs()
+	e, _, parents := newChainEngine(kind, mem, w)
+	perW := (b.N + w - 1) / w
+	b.ResetTimer()
+	runEngineChains(e, parents, perW, dataFor)
+}
+
+// newChainEngine builds an engine with a registered root and one
+// registered generator parent per worker: chains of different workers are
+// fully independent, as if produced by parallel nesting tasks.
+func newChainEngine(kind EngineKind, mem mempool.Kind, w int) (Engine, *Node, []*Node) {
 	e := NewEngineMem(kind, nil, mem)
 	root := e.NewNode(nil, "root", nil)
 	e.Register(root, nil)
-	// One generator parent per worker: chains of different workers are
-	// fully independent, as if produced by parallel nesting tasks.
 	parents := make([]*Node, w)
 	for i := range parents {
 		parents[i] = e.NewNode(root, fmt.Sprintf("gen%d", i), nil)
 		e.Register(parents[i], nil)
 	}
-	perW := (b.N + w - 1) / w
-	b.ResetTimer()
+	return e, root, parents
+}
+
+// chainCounts are what runEngineChains observed: the registrations that
+// were immediately ready and the readiness grants the completions handed
+// out.
+type chainCounts struct {
+	readyAtRegister, granted int64
+}
+
+// runEngineChains drives one chain of perW register → complete steps per
+// generator parent, each on its own goroutine, and returns when every chain
+// has completed its last node.
+func runEngineChains(e Engine, parents []*Node, perW int, dataFor func(worker int) DataID) chainCounts {
+	var ready, granted atomic.Int64
 	var wg sync.WaitGroup
-	for i := 0; i < w; i++ {
+	for i := range parents {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
@@ -63,20 +85,27 @@ func benchChains(b *testing.B, kind EngineKind, mem mempool.Kind, w int, dataFor
 			spec := []Spec{{Data: data, Type: InOut, Ivs: ivs}}
 			buf := make([]*Node, 0, 4)
 			var prev *Node
+			var r, g int64
 			for n := 0; n < perW; n++ {
 				nd := e.NewNode(parents[i], "t", nil)
-				e.Register(nd, spec)
+				if e.Register(nd, spec) {
+					r++
+				}
 				if prev != nil {
-					e.CompleteInto(prev, buf[:0]) // releases, granting readiness to nd
+					buf = e.CompleteInto(prev, buf[:0]) // releases, granting readiness to nd
+					g += int64(len(buf))
 				}
 				prev = nd
 			}
 			if prev != nil {
-				e.CompleteInto(prev, buf[:0])
+				g += int64(len(e.CompleteInto(prev, buf[:0])))
 			}
+			ready.Add(r)
+			granted.Add(g)
 		}(i)
 	}
 	wg.Wait()
+	return chainCounts{readyAtRegister: ready.Load(), granted: granted.Load()}
 }
 
 // benchMems is the memory-mode dimension of the contention benchmarks:
@@ -120,5 +149,45 @@ func BenchmarkSubmitShared(b *testing.B) {
 				benchChains(b, kind, mempool.KindReference, w, func(int) DataID { return 0 })
 			})
 		}
+	}
+}
+
+// TestSubmitChainKernel drives every engine × memory row of
+// BenchmarkSubmitDisjoint through the benchmark's own chain kernel at a
+// tiny size and checks the work it measures: each chain's first node is
+// ready at registration, every later node is granted by exactly its
+// predecessor's completion, and the engine holds no live fragment once the
+// generators and the root complete.
+func TestSubmitChainKernel(t *testing.T) {
+	rows := []struct {
+		name string
+		kind EngineKind
+		mem  mempool.Kind
+	}{
+		{"global", EngineGlobal, mempool.KindReference},
+		{"sharded", EngineSharded, mempool.KindReference},
+		{"sharded-pool", EngineSharded, mempool.KindPooled},
+	}
+	const w, perW = 2, 1000
+	for _, r := range rows {
+		t.Run(r.name, func(t *testing.T) {
+			e, root, parents := newChainEngine(r.kind, r.mem, w)
+			got := runEngineChains(e, parents, perW, func(worker int) DataID { return DataID(worker) })
+			if got.readyAtRegister != w {
+				t.Errorf("%d registrations ready immediately, want %d (one chain head per worker)", got.readyAtRegister, w)
+			}
+			if want := int64(w * (perW - 1)); got.granted != want {
+				t.Errorf("completions granted %d nodes, want %d", got.granted, want)
+			}
+			for _, p := range parents {
+				if rdy := e.Complete(p); len(rdy) != 0 {
+					t.Errorf("completing a generator readied %d nodes, want 0", len(rdy))
+				}
+			}
+			e.Complete(root)
+			if live := e.LiveFragments(); live != 0 {
+				t.Errorf("LiveFragments = %d after the run, want 0", live)
+			}
+		})
 	}
 }

@@ -20,8 +20,9 @@ import (
 // hosts.
 
 // runChains drives w chains of ops/w submit+finish steps each through the
-// pool built by mk, and returns when all chains have completed.
-func runChains(mk func(workers int, spawn func(item, worker int)) Queue[int], w, ops int) {
+// pool built by mk, returns when all chains have completed, and reports
+// the number of links run.
+func runChains(mk func(workers int, spawn func(item, worker int)) Queue[int], w, ops int) int64 {
 	perW := ops / w
 	if perW < 1 {
 		perW = 1
@@ -51,6 +52,11 @@ func runChains(mk func(workers int, spawn func(item, worker int)) Queue[int], w,
 		q.Submit(i, -1)
 	}
 	done.Wait()
+	links := int64(0)
+	for i := range remaining {
+		links += int64(perW) - remaining[i].Load()
+	}
+	return links
 }
 
 var contentionPools = []struct {
@@ -111,5 +117,28 @@ func TestSchedW1Parity(t *testing.T) {
 	if f := float64(got) / float64(ref); f > 1.5 {
 		t.Errorf("stealing w=1: %.2fx slower than central (%v vs %v); admission fast path regressed",
 			f, got, ref)
+	}
+}
+
+// TestSchedChainKernel drives both pools of BenchmarkSchedContentionMatrix
+// through the benchmark's own chain kernel at a tiny size: every link of
+// every chain must run exactly once, and the kernel must return (a lost
+// item or wakeup would leave it waiting).
+func TestSchedChainKernel(t *testing.T) {
+	const w, ops = 2, 2001
+	for _, p := range contentionPools {
+		t.Run(p.name, func(t *testing.T) {
+			got := make(chan int64, 1)
+			go func() { got <- runChains(p.mk, w, ops) }()
+			select {
+			case links := <-got:
+				// 2001 ops over 2 chains round down to 1000 links each.
+				if want := int64(ops / w * w); links != want {
+					t.Errorf("ran %d links, want %d", links, want)
+				}
+			case <-time.After(30 * time.Second):
+				t.Fatal("chain kernel did not complete within 30s")
+			}
+		})
 	}
 }

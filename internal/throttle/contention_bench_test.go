@@ -18,8 +18,9 @@ import (
 // worker count so the contention is real even on small hosts.
 
 // runWindowCycles drives w submitter loops of ops/w reserve+enter+start
-// cycles each through a fresh window of the given kind and bound.
-func runWindowCycles(kind Kind, w, ops, limit int) {
+// cycles each through a fresh window of the given kind and bound, and
+// returns the window once every loop has finished.
+func runWindowCycles(kind Kind, w, ops, limit int) Window {
 	win := New(kind, limit, w)
 	perW := ops / w
 	if perW < 1 {
@@ -42,6 +43,7 @@ func runWindowCycles(kind Kind, w, ops, limit int) {
 		}(g)
 	}
 	wg.Wait()
+	return win
 }
 
 var contentionKinds = []Kind{KindLocked, KindSharded}
@@ -101,5 +103,38 @@ func TestThrottleW1Parity(t *testing.T) {
 	if f := float64(best[1]) / float64(best[0]); f > 1.5 {
 		t.Errorf("sharded w=1: %.2fx slower than locked (%v vs %v); reserve fast path regressed",
 			f, best[1], best[0])
+	}
+}
+
+// TestThrottleCycleKernel drives both windows of
+// BenchmarkThrottleContentionMatrix through the benchmark's own cycle
+// kernel at a tiny size, over a one-slot window (two submitters contend
+// for it, so reservers park) and a wide one (credit-cache steady state).
+// The kernel must return, and the window must end quiescent with every
+// credit conserved: nothing open, nobody parked, Credits() == Limit().
+func TestThrottleCycleKernel(t *testing.T) {
+	const w, ops = 2, 2001
+	for _, kind := range contentionKinds {
+		for _, window := range []int{1, 64 * w} {
+			t.Run(fmt.Sprintf("%s/window=%d", kind, window), func(t *testing.T) {
+				got := make(chan Window, 1)
+				go func() { got <- runWindowCycles(kind, w, ops, window) }()
+				var win Window
+				select {
+				case win = <-got:
+				case <-time.After(30 * time.Second):
+					t.Fatal("cycle kernel did not complete within 30s")
+				}
+				if open := win.Open(); open != 0 {
+					t.Errorf("Open = %d after the run, want 0", open)
+				}
+				if n := win.Waiters(); n != 0 {
+					t.Errorf("Waiters = %d after the run, want 0", n)
+				}
+				if c := win.Credits(); c != int64(window) {
+					t.Errorf("Credits = %d after the run, want the limit %d", c, window)
+				}
+			})
+		}
 	}
 }
