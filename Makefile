@@ -25,11 +25,12 @@ help:
 	@echo "  smoke          per-subsystem gates, one table row each (see SMOKE_TESTS): ready-pool"
 	@echo "                 and throttle w=1 parity + contention matrices; memory-pool alloc gates,"
 	@echo "                 pooled-vs-reference differentials and leak accounting; replay-vs-live"
-	@echo "                 differential + shape-flip fallback; taskwait differential, exact stats,"
-	@echo "                 descendants-only help, one park per blocked wait; worksharing vs its"
-	@echo "                 Taskloop oracle, w=1 parity, alloc gate, workload validation; the"
-	@echo "                 chaos soak and its per-subsystem table (0 stalls on every row),"
-	@echo "                 watchdog selftest and panic-safe drain (-race)"
+	@echo "                 differential + shape-flip fallback; taskwait differential (helping vs"
+	@echo "                 park-only waits), exact stats, descendants-only help, one park per"
+	@echo "                 blocked wait; worksharing vs its Taskloop oracle, w=1 parity, alloc"
+	@echo "                 gate, workload validation; the chaos soak and its per-subsystem"
+	@echo "                 table (0 stalls on every row), watchdog selftest and panic-safe"
+	@echo "                 drain (-race)"
 	@echo "  ci             build + vet + test + race + bench-short + bench-check + smoke"
 
 build:
@@ -93,9 +94,9 @@ bench-check:
 #   deps, core (first core row): the memory-pool gates — steady-state alloc
 #     cut, pooled-vs-reference differentials, leak accounting, w=1 parity;
 #     the replay-vs-live differential, shape-flip fallback and replay w=1
-#     parity; the taskwait differential (stealing pool helps, central queue
-#     parks), exact w=1 stats, the descendants-only counterexample and one
-#     park per blocked wait; worksharing coverage, replay-as-one-node,
+#     parity; the taskwait differential (helping vs park-only waits), exact
+#     w=1 stats, the descendants-only counterexample and one park per
+#     blocked wait; worksharing coverage, replay-as-one-node,
 #     edge cases and the chunk-descriptor alloc gate.
 #   root: worksharing against its Taskloop oracle (differential, w=1
 #     parity, replay task counts).

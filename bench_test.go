@@ -267,10 +267,9 @@ func BenchmarkAblationReleaseGranularity(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationScheduler compares the ready pools on the flat-depend
-// AXPY: Cilk-style work stealing (the FIFO policy), with and without the
-// direct successor hand-off that the paper's locality results rely on, and
-// the central queue under LIFO.
+// BenchmarkAblationScheduler compares dispatch on the flat-depend AXPY:
+// Cilk-style work stealing with and without the direct successor hand-off
+// that the paper's locality results rely on.
 func BenchmarkAblationScheduler(b *testing.B) {
 	b.ReportAllocs()
 	p := workloads.AxpyParams{N: 1 << 19, Calls: 8, TaskSize: 8 << 10, Alpha: 1, Compute: true}
@@ -280,7 +279,6 @@ func BenchmarkAblationScheduler(b *testing.B) {
 	}{
 		{"stealing", workloads.Mode{Workers: 0}},
 		{"stealing-nohandoff", workloads.Mode{Workers: 0, NoHandoff: true}},
-		{"central-lifo", workloads.Mode{Workers: 0, Policy: nanos.LIFO}},
 	}
 	for _, c := range cases {
 		b.Run(c.name, func(b *testing.B) {

@@ -28,32 +28,10 @@ func main() {
 	fig := flag.String("fig", "2b", "figure to emit: 1a, 1b, 2a, 2b or 2c")
 	flag.Parse()
 
-	switch *fig {
-	case "1a":
-		c, vars := graphdump.Listing1Nested()
-		fmt.Print(c.DOT("figure-1a", vars))
-	case "1b":
-		c, vars := graphdump.Listing1Flat()
-		fmt.Print(c.DOT("figure-1b", vars))
-	case "2a":
-		c, _ := graphdump.Listing3Weak()
-		fmt.Println("digraph \"figure-2a\" {")
-		fmt.Println("  node [shape=box];")
-		for _, e := range c.OuterOnly() {
-			fmt.Printf("  %q -> %q [style=dashed];\n", e.Pred, e.Succ)
-		}
-		fmt.Println("}")
-	case "2b":
-		c, vars := graphdump.Listing3Weak()
-		fmt.Print(c.DOT("figure-2b", vars))
-	case "2c":
-		fmt.Println("// Figure 2c: after the outer tasks exit, the fine-grained release")
-		fmt.Println("// merges every inner domain into the root domain; the effective")
-		fmt.Println("// ordering equals the flat graph of figure 1b (runtime-verified).")
-		c, vars := graphdump.Listing1Flat()
-		fmt.Print(c.DOT("figure-2c", vars))
-	default:
+	dot, ok := graphdump.Figure(*fig)
+	if !ok {
 		fmt.Fprintf(os.Stderr, "taskgraph: unknown figure %q\n", *fig)
 		os.Exit(2)
 	}
+	fmt.Print(dot)
 }

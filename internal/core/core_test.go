@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"repro/internal/cachesim"
-	"repro/internal/sched"
 )
 
 func iv(lo, hi int64) Interval { return Interval{Lo: lo, Hi: hi} }
@@ -353,7 +352,7 @@ func TestVirtualWeakwaitPipelines(t *testing.T) {
 // TestVirtualDeterminism: identical programs produce identical makespans.
 func TestVirtualDeterminism(t *testing.T) {
 	run := func() int64 {
-		r := New(Config{Workers: 3, Virtual: true, Policy: sched.LIFO})
+		r := New(Config{Workers: 3, Virtual: true})
 		d := r.NewData("x", 16, 8)
 		r.Run(func(tc *TaskContext) {
 			for i := int64(0); i < 16; i++ {

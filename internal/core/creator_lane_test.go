@@ -9,7 +9,7 @@ import (
 // Ordering contract for creator tasks — tasks whose depend clause is
 // non-empty and all weak, which touch no data and only instantiate
 // children (§VI). The stealing pool starts them in program order
-// (sched.CreatorQueue), so a nested-weak program instantiates one
+// (Stealing.SubmitCreator), so a nested-weak program instantiates one
 // creator's leaves, runs them, and moves on, instead of instantiating
 // every leaf under predecessors that do not exist yet. The order itself is
 // a scheduling detail; what the tests pin is its consequence, which the

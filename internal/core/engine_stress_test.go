@@ -3,14 +3,14 @@ package core
 // Engine × scheduler stress matrix: randomized multi-data nested programs
 // execute under real goroutine parallelism on every combination of
 // dependency engine (the sharded one New builds, and the single-mutex
-// reference swapped in by newWithEngine) and ready pool (FIFO work
-// stealing, LIFO, Priority). Tasks mix weakwait completion, early release
-// directives, and depend clauses spanning several data objects — the
-// multi-shard paths of the sharded engine. Every read is checked against
-// the sequential pre-order oracle and the final state must match it
-// exactly; run with -race to also prove the engines publish task memory
-// correctly. Short mode trims seeds and worker counts so `go test ./...`
-// stays fast.
+// reference swapped in by newWithEngine) and Taskwait mode (helping, and
+// the park-only oracle), with and without successor hand-off. Tasks mix
+// weakwait completion, early release directives, and depend clauses
+// spanning several data objects — the multi-shard paths of the sharded
+// engine. Every read is checked against the sequential pre-order oracle
+// and the final state must match it exactly; run with -race to also prove
+// the engines publish task memory correctly. Short mode trims seeds and
+// worker counts so `go test ./...` stays fast.
 
 import (
 	"fmt"
@@ -21,7 +21,6 @@ import (
 	"repro/internal/deps"
 	"repro/internal/mempool"
 	"repro/internal/regions"
-	"repro/internal/sched"
 )
 
 const xUniverse = 48
@@ -36,7 +35,6 @@ type xTask struct {
 	covers   map[int]Interval   // data index -> nesting cover
 	reads    map[int][]Interval // data index -> read intervals
 	writes   map[int][]Interval
-	priority int64
 	children []*xTask
 
 	seq int64
@@ -55,7 +53,6 @@ func buildMultiProgram(rng *rand.Rand, depth int) []*xTask {
 			weak:     rng.Intn(10) < 7,
 			release:  rng.Intn(5) == 0,
 			covers:   covers,
-			priority: int64(rng.Intn(5)),
 		}
 		datas := make([]int, 0, len(covers))
 		for d := range covers {
@@ -76,10 +73,9 @@ func buildMultiProgram(rng *rand.Rand, depth int) []*xTask {
 			} else {
 				id++
 				leaf := &xTask{
-					label:    fmt.Sprintf("l%d", id),
-					priority: int64(rng.Intn(5)),
-					reads:    map[int][]Interval{},
-					writes:   map[int][]Interval{},
+					label:  fmt.Sprintf("l%d", id),
+					reads:  map[int][]Interval{},
+					writes: map[int][]Interval{},
 				}
 				if rng.Intn(2) == 0 {
 					leaf.writes[d] = []Interval{sub}
@@ -146,12 +142,13 @@ func multiReference(tasks []*xTask) (expect map[string]map[[2]int64]int64, final
 }
 
 // runEngineStress executes the program under the given config on the given
-// dependency engine (pooled memory, as New builds) and checks
-// serializability against the pre-order oracle.
-func runEngineStress(t *testing.T, tasks []*xTask, cfg Config, kind deps.EngineKind) {
+// dependency engine (pooled memory, as New builds), park-only if asked, and
+// checks serializability against the pre-order oracle.
+func runEngineStress(t *testing.T, tasks []*xTask, cfg Config, kind deps.EngineKind, parkOnly bool) {
 	expect, final := multiReference(tasks)
 	cfg.Debug = true // exact end-of-run leak check: Run panics on live fragments
 	rt := newWithEngine(cfg, kind, mempool.KindPooled)
+	rt.parkOnly = parkOnly
 	var ids [xDatas]DataID
 	var data [xDatas][]int64
 	for d := 0; d < xDatas; d++ {
@@ -182,7 +179,6 @@ func runEngineStress(t *testing.T, tasks []*xTask, cfg Config, kind deps.EngineK
 		tc.Submit(TaskSpec{
 			Label:    st.label,
 			WeakWait: st.weakWait,
-			Priority: st.priority,
 			Deps:     ds,
 			Body: func(tc *TaskContext) {
 				exp := expect[st.label]
@@ -243,22 +239,21 @@ func runEngineStress(t *testing.T, tasks []*xTask, cfg Config, kind deps.EngineK
 }
 
 // TestStressEngineSchedulerMatrix runs the multi-data stress program over
-// every engine × ready-pool combination: work stealing (the FIFO policy) and
-// the central queue under LIFO and Priority, each with and without successor
-// hand-off (without it, every readied successor goes through the pool).
+// every engine × Taskwait-mode combination on the stealing pool: helping
+// waits and the park-only oracle (the root's end-of-program wait then
+// parks), each with and without successor hand-off (without it, every
+// readied successor goes through the pool).
 func TestStressEngineSchedulerMatrix(t *testing.T) {
 	engines := []deps.EngineKind{deps.EngineGlobal, deps.EngineSharded}
 	queues := []struct {
 		name      string
-		policy    sched.Policy
+		parkOnly  bool
 		noHandoff bool
 	}{
-		{"stealing", sched.FIFO, false},
-		{"stealing-nohandoff", sched.FIFO, true},
-		{"central-lifo", sched.LIFO, false},
-		{"central-lifo-nohandoff", sched.LIFO, true},
-		{"central-priority", sched.Priority, false},
-		{"central-priority-nohandoff", sched.Priority, true},
+		{"stealing", false, false},
+		{"stealing-nohandoff", false, true},
+		{"park-only", true, false},
+		{"park-only-nohandoff", true, true},
 	}
 	seeds := 10
 	if testing.Short() {
@@ -272,9 +267,8 @@ func TestStressEngineSchedulerMatrix(t *testing.T) {
 					prog := buildMultiProgram(rng, 3)
 					runEngineStress(t, prog, Config{
 						Workers:   1 + rng.Intn(8),
-						Policy:    q.policy,
 						NoHandoff: q.noHandoff,
-					}, eng)
+					}, eng, q.parkOnly)
 					if t.Failed() {
 						t.Fatalf("seed %d failed", seed)
 					}
@@ -295,7 +289,7 @@ func TestStressShardedManyWorkers(t *testing.T) {
 	for seed := int64(0); seed < int64(seeds); seed++ {
 		rng := rand.New(rand.NewSource(9000 + seed))
 		prog := buildMultiProgram(rng, 2)
-		runEngineStress(t, prog, Config{Workers: 24}, deps.EngineSharded)
+		runEngineStress(t, prog, Config{Workers: 24}, deps.EngineSharded, false)
 		if t.Failed() {
 			t.Fatalf("seed %d failed", seed)
 		}
@@ -316,7 +310,7 @@ func TestStressShardedThrottleRelease(t *testing.T) {
 		runEngineStress(t, prog, Config{
 			Workers:           4,
 			ThrottleOpenTasks: 6,
-		}, deps.EngineSharded)
+		}, deps.EngineSharded, false)
 		if t.Failed() {
 			t.Fatalf("seed %d failed", seed)
 		}

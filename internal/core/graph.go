@@ -15,7 +15,7 @@ import (
 // dependency engine while recording every submission's dependency
 // fingerprint, then seals a frozen edge set; subsequent executions whose
 // submissions match the fingerprint stream skip the engine entirely and
-// drive per-task atomic predecessor countdowns feeding the ready pools
+// drive per-task atomic predecessor countdowns feeding the ready pool
 // directly.
 //
 // The lifecycle per region name is record → validate → replay → …, with

@@ -11,7 +11,6 @@ import (
 	"repro/internal/deps"
 	"repro/internal/mempool"
 	"repro/internal/regions"
-	"repro/internal/sched"
 )
 
 // Runtime-level memory-pool tests: the pooled mode (the real-mode default)
@@ -21,13 +20,14 @@ import (
 // nodes they describe have been recycled.
 
 // memDiffProgram runs a randomized nested dependency program under cfg on
-// the given engine and memory mode and returns a deterministic digest of
-// its observable results (the final data array, the task count, and the
-// virtual makespan, 0 in real mode) and the engine's registered fragment
-// count.
-func memDiffProgram(t *testing.T, cfg Config, kind deps.EngineKind, mem mempool.Kind, seed int64) (string, int64) {
+// the given engine and memory mode (park-only if asked) and returns a
+// deterministic digest of its observable results (the final data array,
+// the task count, and the virtual makespan, 0 in real mode) and the
+// engine's registered fragment count.
+func memDiffProgram(t *testing.T, cfg Config, kind deps.EngineKind, mem mempool.Kind, parkOnly bool, seed int64) (string, int64) {
 	cfg.Debug = true
 	rt := newWithEngine(cfg, kind, mem)
+	rt.parkOnly = parkOnly
 	const elems = 256
 	data := rt.NewData("a", elems, 8)
 	arr := make([]int64, elems)
@@ -95,7 +95,7 @@ func memDiffProgram(t *testing.T, cfg Config, kind deps.EngineKind, mem mempool.
 // programs through the runtime New builds (sharded engine, pooled memory)
 // and through the references swapped in by newWithEngine — the
 // allocate-always memory mode, and the single-mutex engine on top of it,
-// under each ready pool — and requires identical observable results (the
+// in each Taskwait mode — and requires identical observable results (the
 // sharded engine stripes objects the global one keeps whole, so only the
 // two memory modes must also agree on the fragment count). The w=4 rounds
 // exercise concurrent recycling; the Debug config adds the end-of-run leak
@@ -105,20 +105,20 @@ func TestMemPoolCoreDifferential(t *testing.T) {
 		t.Run(fmt.Sprintf("w=%d", workers), func(t *testing.T) {
 			cfg := Config{Workers: workers, ThrottleOpenTasks: 8}
 			for seed := int64(1); seed <= 6; seed++ {
-				pooled, pooledFrags := memDiffProgram(t, cfg, deps.EngineSharded, mempool.KindPooled, seed)
-				ref, refFrags := memDiffProgram(t, cfg, deps.EngineSharded, mempool.KindReference, seed)
+				pooled, pooledFrags := memDiffProgram(t, cfg, deps.EngineSharded, mempool.KindPooled, false, seed)
+				ref, refFrags := memDiffProgram(t, cfg, deps.EngineSharded, mempool.KindReference, false, seed)
 				if ref != pooled || refFrags != pooledFrags {
 					t.Fatalf("seed=%d diverged:\n  reference: %s frags=%d\n  pooled:    %s frags=%d",
 						seed, ref, refFrags, pooled, pooledFrags)
 				}
-				// The global engine under every ready pool, with and without
+				// The global engine in both Taskwait modes, with and without
 				// successor hand-off: the digest is schedule-independent.
-				for _, policy := range []sched.Policy{sched.FIFO, sched.LIFO, sched.Priority} {
+				for _, m := range twModes {
 					gcfg := cfg
-					gcfg.Policy, gcfg.NoHandoff = policy, seed%2 == 0
-					if global, _ := memDiffProgram(t, gcfg, deps.EngineGlobal, mempool.KindReference, seed); global != pooled {
-						t.Fatalf("seed=%d %v nohandoff=%v diverged:\n  global: %s\n  pooled: %s",
-							seed, policy, gcfg.NoHandoff, global, pooled)
+					gcfg.NoHandoff = seed%2 == 0
+					if global, _ := memDiffProgram(t, gcfg, deps.EngineGlobal, mempool.KindReference, m.parkOnly, seed); global != pooled {
+						t.Fatalf("seed=%d %s nohandoff=%v diverged:\n  global: %s\n  pooled: %s",
+							seed, m.name, gcfg.NoHandoff, global, pooled)
 					}
 				}
 			}
@@ -132,19 +132,16 @@ func TestMemPoolCoreDifferential(t *testing.T) {
 // asserted on what virtual mode runs now, the sharded engine with pooled
 // memory; this drives the nested weak programs of the differential above
 // through both in virtual mode and requires the same data, task count and
-// makespan, under each order of the virtual ready list, with and without
-// creation cost.
+// makespan, with and without creation cost.
 func TestVirtualEngineParity(t *testing.T) {
-	for _, policy := range []sched.Policy{sched.FIFO, sched.LIFO, sched.Priority} {
-		t.Run(policy.String(), func(t *testing.T) {
-			for _, submitCost := range []int64{0, 4} {
-				cfg := Config{Workers: 8, Virtual: true, Policy: policy, VirtualSubmitCost: submitCost}
-				for seed := int64(1); seed <= 6; seed++ {
-					pooled, _ := memDiffProgram(t, cfg, deps.EngineSharded, mempool.KindPooled, seed)
-					global, _ := memDiffProgram(t, cfg, deps.EngineGlobal, mempool.KindReference, seed)
-					if global != pooled {
-						t.Fatalf("submit cost %d seed=%d diverged:\n  global: %s\n  pooled: %s", submitCost, seed, global, pooled)
-					}
+	for _, submitCost := range []int64{0, 4} {
+		t.Run(fmt.Sprintf("cost=%d", submitCost), func(t *testing.T) {
+			cfg := Config{Workers: 8, Virtual: true, VirtualSubmitCost: submitCost}
+			for seed := int64(1); seed <= 6; seed++ {
+				pooled, _ := memDiffProgram(t, cfg, deps.EngineSharded, mempool.KindPooled, false, seed)
+				global, _ := memDiffProgram(t, cfg, deps.EngineGlobal, mempool.KindReference, false, seed)
+				if global != pooled {
+					t.Fatalf("seed=%d diverged:\n  global: %s\n  pooled: %s", seed, global, pooled)
 				}
 			}
 		})
@@ -262,13 +259,15 @@ func TestMemPoolViolationsSurviveRecycling(t *testing.T) {
 // wait, kept across waits and recycles) instead of making a fresh chan per
 // wait. A steady-state {submit child; Taskwait} cycle in the pooled memory
 // mode must stay at its 2-mallocs floor — a per-wait channel would push it
-// to 3 — and well under the allocate-always reference (newWithEngine). The blocking paths are measured on
-// the central queue, where at w=1 every such wait blocks; the stealing
-// pool's waits run the child inline instead, and must stay as cheap.
+// to 3 — and well under the allocate-always reference (newWithEngine). The
+// blocking paths are measured park-only, where at w=1 every such wait
+// blocks; the helping waits run the child inline instead, and must stay as
+// cheap.
 func TestMemPoolAllocGate(t *testing.T) {
-	measure := func(mem mempool.Kind, policy sched.Policy) float64 {
-		r := newWithEngine(Config{Workers: 1, Policy: policy}, deps.EngineSharded, mem)
-		blocks := policy == sched.LIFO
+	measure := func(t *testing.T, mem mempool.Kind, m twMode) float64 {
+		r := newWithEngine(Config{Workers: 1}, deps.EngineSharded, mem)
+		r.parkOnly = m.parkOnly
+		blocks := m.parkOnly
 		var per float64
 		r.Run(func(tc *TaskContext) {
 			tc.Submit(TaskSpec{Label: "driver", Body: func(tc *TaskContext) {
@@ -304,22 +303,23 @@ func TestMemPoolAllocGate(t *testing.T) {
 			}})
 		})
 		if st := r.TaskwaitStats(); blocks != (st.Parks > 0) || blocks == (st.Inlined > 0) {
-			t.Errorf("%v: stats %+v; the central queue's waits must block, the stealing pool's help", policy, st)
+			t.Errorf("stats %+v; park-only waits must block, helping waits help", st)
 		}
 		return per
 	}
-	for _, policy := range twPolicies {
-		pooled := measure(mempool.KindPooled, policy)
-		ref := measure(mempool.KindReference, policy)
-		t.Logf("%v: pooled %.2f mallocs/cycle, reference %.2f", policy, pooled, ref)
-		if pooled > 2.5 {
-			t.Errorf("%v: %.2f mallocs per wait cycle, want <= 2.5 (a per-wait allocation crept in)",
-				policy, pooled)
-		}
-		if ref < pooled*1.5 {
-			t.Errorf("%v: reference mode %.2f vs pooled %.2f mallocs/cycle; expected the pooled mode well below the reference",
-				policy, ref, pooled)
-		}
+	for _, m := range twModes {
+		t.Run(m.name, func(t *testing.T) {
+			pooled := measure(t, mempool.KindPooled, m)
+			ref := measure(t, mempool.KindReference, m)
+			t.Logf("pooled %.2f mallocs/cycle, reference %.2f", pooled, ref)
+			if pooled > 2.5 {
+				t.Errorf("%.2f mallocs per wait cycle, want <= 2.5 (a per-wait allocation crept in)", pooled)
+			}
+			if ref < pooled*1.5 {
+				t.Errorf("reference mode %.2f vs pooled %.2f mallocs/cycle; expected the pooled mode well below the reference",
+					ref, pooled)
+			}
+		})
 	}
 }
 

@@ -6,8 +6,6 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
-
-	"repro/internal/sched"
 )
 
 // Panic-safe drain tests: a panic anywhere in the task tree — inside a
@@ -269,16 +267,14 @@ func TestRunRepanicsAfterDrain(t *testing.T) {
 	}
 	wantTaskError(t, err, "burst", "burst boom")
 	assertDrained(t, r)
-	// Quiescence includes the ready pools: every token home, nothing queued.
+	// Quiescence includes the ready pool: every token home, nothing queued.
 	// The worker that completed the last task releases its token just after
 	// Run is woken, so give the tokens a moment to come home.
-	if p, ok := r.sch.(sched.Prober); ok {
-		pr := p.Probe()
-		for deadline := time.Now().Add(2 * time.Second); pr.FreeTokens != r.Workers() && time.Now().Before(deadline); pr = p.Probe() {
-			time.Sleep(100 * time.Microsecond)
-		}
-		if pr.Queued != 0 || pr.Waiters != 0 || pr.FreeTokens != r.Workers() {
-			t.Errorf("pool not quiescent after re-panic: %+v", pr)
-		}
+	pr := r.sch.Probe()
+	for deadline := time.Now().Add(2 * time.Second); pr.FreeTokens != r.Workers() && time.Now().Before(deadline); pr = r.sch.Probe() {
+		time.Sleep(100 * time.Microsecond)
+	}
+	if pr.Queued != 0 || pr.Waiters != 0 || pr.FreeTokens != r.Workers() {
+		t.Errorf("pool not quiescent after re-panic: %+v", pr)
 	}
 }

@@ -70,16 +70,6 @@ type Config struct {
 	// Workers is the number of simulated cores (worker tokens / virtual
 	// cores). Defaults to 1 if zero.
 	Workers int
-	// Policy is the ready-queue discipline, and it selects the ready pool.
-	// FIFO (the zero value) runs the work-stealing pool in real mode:
-	// per-worker lock-free deques, so the admission path (Submit/Finish/
-	// Yield) of different workers never serializes on a common lock, plus
-	// the per-worker creator lane that starts all-weak tasks in program
-	// order (§VI). LIFO and Priority are global orders over all ready tasks,
-	// so they run the central single-lock queue; Priority dispatches the
-	// highest TaskSpec.Priority first. Virtual mode has no ready pool: it
-	// orders its own deterministic event-driven list by Policy.
-	Policy sched.Policy
 	// NoHandoff disables direct successor hand-off: by default, a worker
 	// that finishes a task immediately runs one of the tasks its completion
 	// made ready. This is the locality policy §VIII-A credits for the lower
@@ -103,14 +93,15 @@ type Config struct {
 	// submitted graph's dependency fingerprints and edges, and later
 	// executions with an identical shape bypass the dependency engine
 	// entirely, driving per-task atomic predecessor countdowns into the
-	// ready pools. Replay is an optimization, never a semantics change —
+	// ready pool. Replay is an optimization, never a semantics change —
 	// shape changes invalidate the recording mid-region and fall back to
 	// the live engine, and unfinished external producers of region inputs
 	// force a live execution (see Runtime.ReplayStats). replay.KindOff
 	// disables the cache (regions keep their barrier); virtual mode always
 	// resolves to off.
 	Replay replay.Kind
-	// Virtual selects the discrete-event virtual-time mode.
+	// Virtual selects the discrete-event virtual-time mode. It has no
+	// ready pool: it starts ready tasks off its own deterministic FIFO list.
 	Virtual bool
 	// VirtualSubmitCost charges the creating task this many virtual cost
 	// units per Submit: the child's dependencies are computed immediately,
@@ -172,23 +163,17 @@ type dataInfo struct {
 type Runtime struct {
 	cfg    Config
 	eng    deps.Engine
-	sch    sched.Queue[*Task]
+	sch    *sched.Stealing[*Task]
 	tracer *trace.Tracer
 	caches *cachesim.Group
 
 	datas   []dataInfo
 	datasMu sync.Mutex
 
-	// lane is the pool's program-order admission (nil when the pool has
-	// none): tasks whose depend clause is all weak — creators, which touch
-	// no data and only instantiate children (§VI) — are enqueued through it
-	// so they start in program order instead of off the LIFO end of a
-	// deque, and their children find their predecessors already run.
-	lane sched.CreatorQueue[*Task]
-
-	// help is the pool's owner-only pop for Taskwait's help step (nil when
-	// the pool has none: a wait on the central queue always blocks).
-	help sched.HelpQueue[*Task]
+	// parkOnly skips Taskwait's help step, so every wait with incomplete
+	// children blocks. Only the tests set it: the park-only runtime is the
+	// oracle the helping waits are checked against.
+	parkOnly bool
 
 	// ctrs holds the per-task counters, one stripe per worker plus one for
 	// callers holding no token (see taskCounters).
@@ -356,17 +341,11 @@ func New(cfg Config) *Runtime {
 		r.v = newVState(cfg.Workers)
 		return r
 	}
-	switch cfg.Policy {
-	case sched.FIFO:
-		r.sch = sched.NewStealing(cfg.Workers, r.runWorker)
-	case sched.Priority:
-		r.sch = sched.NewPriority(cfg.Workers, r.runWorker,
-			func(t *Task) int64 { return t.spec.Priority })
-	default:
-		r.sch = sched.New(cfg.Workers, cfg.Policy, r.runWorker)
-	}
-	r.lane, _ = r.sch.(sched.CreatorQueue[*Task])
-	r.help, _ = r.sch.(sched.HelpQueue[*Task])
+	// One ready pool: per-worker lock-free deques, so the admission path
+	// (Submit/Finish/Yield) of different workers never serializes on a
+	// common lock, plus the per-worker creator lane that starts all-weak
+	// tasks in program order (§VI).
+	r.sch = sched.NewStealing(cfg.Workers, r.runWorker)
 	if cfg.Watchdog {
 		r.hb = make([]hbSlot, cfg.Workers)
 	}
@@ -557,7 +536,7 @@ func (r *Runtime) now() int64 {
 
 // convertDeps translates the public Dep slice into engine specs, and
 // reports whether the clause is non-empty and entirely weak — the mark of a
-// creator task (see Runtime.lane). In real mode the specs land in
+// creator task (see Stealing.SubmitCreator). In real mode the specs land in
 // worker's reusable scratch slice: the engine copies each Spec value
 // during Register (only the Ivs slices, which belong to the caller, are
 // retained), so the scratch is free for the worker's next submit as soon as

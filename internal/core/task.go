@@ -38,10 +38,6 @@ type TaskSpec struct {
 	// Cost is the task's duration in virtual-time units (virtual mode
 	// only); defaults to 1.
 	Cost int64
-	// Priority orders dispatch under the Priority ready-queue policy:
-	// among the ready tasks the highest priority runs first, FIFO between
-	// equals (the OpenMP 4.5 priority clause). Ignored by other policies.
-	Priority int64
 	// Flops is added to the runtime's flop counter when the task runs.
 	Flops int64
 	// Body is the task code. It may be nil (dependency-only task).
@@ -249,8 +245,8 @@ func (r *Runtime) submitLive(tc *TaskContext, spec TaskSpec, g *graphRun, gidx i
 		}
 		// A creator waits in the lane as a ready task like any other: it
 		// holds its window slot until a worker starts it (taskStarted).
-		if creator && r.lane != nil {
-			r.lane.SubmitCreator(t, tc.worker)
+		if creator && r.v == nil {
+			r.sch.SubmitCreator(t, tc.worker)
 		} else {
 			r.enqueue(t, tc.worker)
 		}

@@ -11,11 +11,9 @@ package core
 // Most waits need neither. As OpenMP runtimes do, a waiting task first runs
 // the queued tasks it is waiting for itself (helpChildren): the newest items
 // of its own worker's deque, on its own goroutine and token, as long as
-// each descends from it (the task scheduling constraint). On the stealing
-// pool a recursive program's children are mostly still on that deque when
-// the wait starts, so the wait finishes without a goroutine hand-off. The
-// central queue (LIFO, Priority) offers no owner-only pop, and its waits
-// always block.
+// each descends from it (the task scheduling constraint). A recursive
+// program's children are mostly still on that deque when the wait starts,
+// so the wait finishes without a goroutine hand-off.
 //
 // A wait that still finds incomplete children parks (taskwaitParking): it
 // yields its token into other ready work, sleeps on the task's reusable
@@ -29,9 +27,7 @@ package core
 // Taskwaits that find no incomplete children count nowhere.
 type TaskwaitStats struct {
 	// Inlined counts queued descendants a waiting task ran itself, on its
-	// own goroutine and token, before (or instead of) blocking. Always zero
-	// on the central queue (LIFO, Priority), whose waits block without
-	// helping.
+	// own goroutine and token, before (or instead of) blocking.
 	Inlined int64
 	// Parks counts blocking waits: the goroutine parked on its signal
 	// channel and re-acquired a worker token through the scheduler's waiter
@@ -72,7 +68,7 @@ func (tc *TaskContext) Taskwait() {
 	// Recorded here, not on the blocking path: whether the wait ends up
 	// blocking depends on the schedule, and the replay decision must not.
 	t.markRegionTaskwait()
-	if r.help != nil && r.helpChildren(tc) {
+	if !r.parkOnly && r.helpChildren(tc) {
 		return
 	}
 	r.taskwaitParking(tc)
@@ -106,12 +102,12 @@ func (t *Task) pendingChildren() int {
 func (r *Runtime) helpChildren(tc *TaskContext) bool {
 	t := tc.task
 	for t.pendingChildren() > 0 {
-		c, ok := r.help.PopOwn(tc.worker)
+		c, ok := r.sch.PopOwn(tc.worker)
 		if !ok {
 			return false
 		}
 		if !c.descendsFrom(t) {
-			r.help.PutBack(c, tc.worker)
+			r.sch.PutBack(c, tc.worker)
 			return false
 		}
 		for c != nil {

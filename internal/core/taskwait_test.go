@@ -2,16 +2,17 @@ package core
 
 // Tests for Taskwait: the help step (a waiting task runs its queued
 // descendants itself) and the parking path behind it. The differential
-// suite runs randomized nested programs on the stealing pool, whose waits
-// help, and on the central queue, whose waits never do; exact stats at w=1;
-// the descendants-only rule's counterexample; one park per blocked wait at
-// multiple widths; edge cases (zero children racing a child finish,
-// taskwait inside a final region, double taskwait in one body); and the
-// record-and-replay eligibility decision in both directions.
+// suite runs randomized nested programs on the runtime New builds, whose
+// waits help, and on the park-only runtime (newParkOnly), whose waits never
+// do; exact stats at w=1; the descendants-only rule's counterexample; one
+// park per blocked wait at multiple widths; edge cases (zero children
+// racing a child finish, taskwait inside a final region, double taskwait in
+// one body); and the record-and-replay eligibility decision in both
+// directions.
 //
-// At one worker on the stealing pool no wait blocks: every child is still
-// on the waiter's deque. Tests of the blocking paths therefore either run
-// on the central queue or start the children on another worker
+// At one worker no helping wait blocks: every child is still on the
+// waiter's deque. Tests of the blocking paths therefore either skip the
+// help step (newParkOnly) or start the children on another worker
 // (submitElsewhere).
 
 import (
@@ -23,12 +24,36 @@ import (
 	"time"
 
 	"repro/internal/randtest"
-	"repro/internal/sched"
 )
 
-// twPolicies pick the two ready pools: FIFO runs the stealing pool, whose
-// waits help, LIFO the central queue, whose waits always block.
-var twPolicies = []sched.Policy{sched.FIFO, sched.LIFO}
+// newParkOnly builds a runtime from cfg with Taskwait's help step skipped,
+// so every wait that finds incomplete children parks: the oracle the
+// helping waits are checked against, which New never builds. At one worker
+// its blocking is deterministic — the waiter holds the only token, so a
+// child submitted since the previous wait cannot have run.
+func newParkOnly(cfg Config) *Runtime {
+	rt := New(cfg)
+	rt.parkOnly = true
+	return rt
+}
+
+// twMode is one Taskwait strategy under test.
+type twMode struct {
+	name     string
+	parkOnly bool
+}
+
+// new builds a runtime from cfg with the mode's Taskwait strategy.
+func (m twMode) new(cfg Config) *Runtime {
+	if m.parkOnly {
+		return newParkOnly(cfg)
+	}
+	return New(cfg)
+}
+
+// twModes are the two Taskwait strategies: the helping waits New builds,
+// and the park-only oracle.
+var twModes = []twMode{{"helping", false}, {"park-only", true}}
 
 // blockedInWait reports whether t is parked in a taskwait.
 func (t *Task) blockedInWait() bool {
@@ -44,7 +69,7 @@ func (t *Task) blockedInWait() bool {
 // to help with), and the child holds back until the caller is blocked. For
 // programs in which nothing else competes for free tokens.
 func submitElsewhere(tc *TaskContext, body func()) {
-	for tc.rt.sch.(sched.Prober).Probe().FreeTokens == 0 {
+	for tc.rt.sch.Probe().FreeTokens == 0 {
 		runtime.Gosched()
 	}
 	parent := tc.task
@@ -60,36 +85,38 @@ func submitElsewhere(tc *TaskContext, body func()) {
 
 // TestTaskwaitExactStats: at w=1 everything is deterministic — a parent
 // holding the only worker token guarantees its queued child has not run
-// when the wait starts. On the stealing pool every wait therefore helps and
-// none blocks: K parents and K children, all run inline (the parents by the
-// root's implicit end-of-program wait). On the central queue none helps and
-// every wait blocks: K parent waits plus the root's.
+// when the wait starts. With the help step every wait therefore helps and
+// none blocks: K parents and K children, all run inline (the parents by
+// the root's implicit end-of-program wait). Park-only, none helps and every
+// wait blocks: K parent waits plus the root's.
 func TestTaskwaitExactStats(t *testing.T) {
 	const parents = 7
-	for _, policy := range twPolicies {
-		r := New(Config{Workers: 1, Policy: policy, Debug: true})
-		var ran atomic.Int64
-		err := r.RunChecked(func(tc *TaskContext) {
-			for i := 0; i < parents; i++ {
-				tc.Submit(TaskSpec{Label: "p", Body: func(tc *TaskContext) {
-					tc.Submit(TaskSpec{Label: "c", Body: func(*TaskContext) { ran.Add(1) }})
-					tc.Taskwait()
-					if ran.Load() == 0 {
-						t.Error("taskwait returned before the child ran")
-					}
-				}})
+	for _, m := range twModes {
+		t.Run(m.name, func(t *testing.T) {
+			r := m.new(Config{Workers: 1, Debug: true})
+			var ran atomic.Int64
+			err := r.RunChecked(func(tc *TaskContext) {
+				for i := 0; i < parents; i++ {
+					tc.Submit(TaskSpec{Label: "p", Body: func(tc *TaskContext) {
+						tc.Submit(TaskSpec{Label: "c", Body: func(*TaskContext) { ran.Add(1) }})
+						tc.Taskwait()
+						if ran.Load() == 0 {
+							t.Error("taskwait returned before the child ran")
+						}
+					}})
+				}
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := TaskwaitStats{Inlined: 2 * parents}
+			if m.parkOnly {
+				want = TaskwaitStats{Parks: parents + 1}
+			}
+			if st := r.TaskwaitStats(); st != want {
+				t.Errorf("stats %+v, want %+v", st, want)
 			}
 		})
-		if err != nil {
-			t.Fatalf("%v: %v", policy, err)
-		}
-		want := TaskwaitStats{Inlined: 2 * parents}
-		if policy == sched.LIFO {
-			want = TaskwaitStats{Parks: parents + 1}
-		}
-		if st := r.TaskwaitStats(); st != want {
-			t.Errorf("%v: stats %+v, want %+v", policy, st, want)
-		}
 	}
 }
 
@@ -101,7 +128,7 @@ type twTree struct {
 }
 
 // buildTWTree generates a random tree with per-position wait decisions,
-// all derived from rng up front so both pools run the identical program.
+// all derived from rng up front so both modes run the identical program.
 func buildTWTree(rng *rand.Rand, depth int, next *int) *twTree {
 	n := &twTree{id: *next}
 	*next++
@@ -116,8 +143,8 @@ func buildTWTree(rng *rand.Rand, depth int, next *int) *twTree {
 	return n
 }
 
-// w1BlockingWaits counts the blocking taskwaits the tree produces at w=1 on
-// the central queue, where blocking is deterministic: a wait blocks iff at
+// w1BlockingWaits counts the blocking taskwaits the tree produces at w=1
+// park-only, where blocking is deterministic: a wait blocks iff at
 // least one child was submitted since the body's previous wait (the
 // submitter holds the only token, so such a child cannot have completed).
 // The return includes the root's implicit end-of-program wait, which blocks
@@ -159,10 +186,10 @@ func (n *twTree) assertSubtreeDone(t *testing.T, done []atomic.Bool) {
 	}
 }
 
-// runTWProgram executes the tree on one pool and returns the observables:
-// checksum, task count, and taskwait stats.
-func runTWProgram(t *testing.T, root *twTree, policy sched.Policy, workers int) (int64, int64, TaskwaitStats) {
-	r := New(Config{Workers: workers, Policy: policy, Debug: true})
+// runTWProgram executes the tree in one Taskwait mode and returns the
+// observables: checksum, task count, and taskwait stats.
+func runTWProgram(t *testing.T, root *twTree, m twMode, workers int) (int64, int64, TaskwaitStats) {
+	r := m.new(Config{Workers: workers, Debug: true})
 	total := root.count()
 	done := make([]atomic.Bool, total)
 	var sum atomic.Int64
@@ -200,54 +227,55 @@ func runTWProgram(t *testing.T, root *twTree, policy sched.Policy, workers int) 
 		}
 	})
 	if err != nil {
-		t.Fatalf("%v w=%d: %v", policy, workers, err)
+		t.Fatalf("%s w=%d: %v", m.name, workers, err)
 	}
 	root.assertSubtreeDone(t, done)
 	return sum.Load(), r.TaskCount(), r.TaskwaitStats()
 }
 
 // TestTaskwaitDifferential drives identical randomized nested-taskwait
-// programs through both pools — the stealing pool, whose waits help, and
-// the central queue, whose waits never do: identical checksums and task
-// counts at w=1 and w=4, nothing inlined on the central queue, zero
-// Handoffs and StealResumes anywhere, and, at w=1, where everything is
-// deterministic, exact counts — on the stealing pool every task runs inline
-// and no wait parks, on the central queue nothing runs inline and the parks
-// match the tree's predicted blocking waits (plus the root's implicit wait
-// when the root submitted anything).
+// programs through both Taskwait modes — helping, and park-only, whose
+// waits never help: identical checksums and task counts at w=1 and w=4,
+// nothing inlined park-only, zero Handoffs and StealResumes anywhere, and,
+// at w=1, where everything is deterministic, exact counts — with the help
+// step every task runs inline and no wait parks, park-only nothing runs
+// inline and the parks match the tree's predicted blocking waits (plus the
+// root's implicit wait when the root submitted anything).
 func TestTaskwaitDifferential(t *testing.T) {
-	for _, seed := range randtest.SeedRange(t, 1, 7) {
-		rng := rand.New(rand.NewSource(1300 + seed))
-		var next int
-		root := buildTWTree(rng, 3, &next)
-		for _, workers := range []int{1, 4} {
-			var sum0, count0 int64
-			for i, policy := range twPolicies {
-				sum, count, st := runTWProgram(t, root, policy, workers)
-				if i == 0 {
-					sum0, count0 = sum, count
-				} else if sum != sum0 || count != count0 {
-					t.Errorf("seed %d w=%d: %v ran checksum %d over %d tasks, %v %d over %d",
-						seed, workers, policy, sum, count, twPolicies[0], sum0, count0)
-				}
-				if st.Handoffs != 0 || st.StealResumes != 0 {
-					t.Errorf("seed %d w=%d %v: stats %+v, want zero handoffs/steal-resumes", seed, workers, policy, st)
-				}
-				if policy == sched.LIFO && st.Inlined != 0 {
-					t.Errorf("seed %d w=%d central queue: %d tasks inlined, want none", seed, workers, st.Inlined)
-				}
-				if workers > 1 {
-					continue
-				}
-				want := TaskwaitStats{Inlined: root.count() - 1}
-				if policy == sched.LIFO {
-					want = TaskwaitStats{Parks: root.w1BlockingWaits(true)}
-				}
-				if st != want {
-					t.Errorf("seed %d w=1 %v: stats %+v, want exactly %+v", seed, policy, st, want)
+	for _, workers := range []int{1, 4} {
+		t.Run(fmt.Sprintf("w=%d", workers), func(t *testing.T) {
+			for _, seed := range randtest.SeedRange(t, 1, 7) {
+				rng := rand.New(rand.NewSource(1300 + seed))
+				var next int
+				root := buildTWTree(rng, 3, &next)
+				var sum0, count0 int64
+				for i, m := range twModes {
+					sum, count, st := runTWProgram(t, root, m, workers)
+					if i == 0 {
+						sum0, count0 = sum, count
+					} else if sum != sum0 || count != count0 {
+						t.Errorf("seed %d: %s ran checksum %d over %d tasks, %s %d over %d",
+							seed, m.name, sum, count, twModes[0].name, sum0, count0)
+					}
+					if st.Handoffs != 0 || st.StealResumes != 0 {
+						t.Errorf("seed %d %s: stats %+v, want zero handoffs/steal-resumes", seed, m.name, st)
+					}
+					if m.parkOnly && st.Inlined != 0 {
+						t.Errorf("seed %d park-only: %d tasks inlined, want none", seed, st.Inlined)
+					}
+					if workers > 1 {
+						continue
+					}
+					want := TaskwaitStats{Inlined: root.count() - 1}
+					if m.parkOnly {
+						want = TaskwaitStats{Parks: root.w1BlockingWaits(true)}
+					}
+					if st != want {
+						t.Errorf("seed %d %s: stats %+v, want exactly %+v", seed, m.name, st, want)
+					}
 				}
 			}
-		}
+		})
 	}
 }
 
@@ -334,18 +362,18 @@ func TestTaskwaitOneParkPerBlockedWait(t *testing.T) {
 	}
 }
 
-// TestTaskwaitEdgeCases covers the corners, on both pools: a taskwait
+// TestTaskwaitEdgeCases covers the corners, in both modes: a taskwait
 // racing a concurrent child finish (fast path vs blocking path decided by
 // timing), taskwait inside a final (included) region, and double taskwait
 // in one body.
 func TestTaskwaitEdgeCases(t *testing.T) {
-	for _, policy := range twPolicies {
-		t.Run(policy.String(), func(t *testing.T) {
+	for _, m := range twModes {
+		t.Run(m.name, func(t *testing.T) {
 			t.Run("zero-children-race", func(t *testing.T) {
 				// At w=2 the child often finishes before the parent's wait
 				// (children==0 fast path) and often not — the loop exercises
 				// both sides of the race; correctness must hold either way.
-				r := New(Config{Workers: 2, Policy: policy, Debug: true})
+				r := m.new(Config{Workers: 2, Debug: true})
 				iters := 300
 				if testing.Short() {
 					iters = 50
@@ -374,9 +402,9 @@ func TestTaskwaitEdgeCases(t *testing.T) {
 			t.Run("final-region", func(t *testing.T) {
 				// Submissions inside a final task run inline and register no
 				// children, so an inner taskwait is a completed no-op: at w=1
-				// the only wait with a child is the root's: the stealing
-				// pool's runs f itself, the central queue's parks.
-				r := New(Config{Workers: 1, Policy: policy, Debug: true})
+				// the only wait with a child is the root's: a helping wait
+				// runs f itself, a park-only one parks.
+				r := m.new(Config{Workers: 1, Debug: true})
 				var order []string
 				err := r.RunChecked(func(tc *TaskContext) {
 					tc.Submit(TaskSpec{Label: "f", Final: true, Body: func(tc *TaskContext) {
@@ -396,7 +424,7 @@ func TestTaskwaitEdgeCases(t *testing.T) {
 					t.Errorf("final-region order %v", order)
 				}
 				want := TaskwaitStats{Inlined: 1}
-				if policy == sched.LIFO {
+				if m.parkOnly {
 					want = TaskwaitStats{Parks: 1}
 				}
 				if st := r.TaskwaitStats(); st != want {
@@ -410,7 +438,7 @@ func TestTaskwaitEdgeCases(t *testing.T) {
 				// 1 root park. p starts on the free token; the root's wait
 				// finds nothing to help with and blocks first, freeing the
 				// token c1 starts on.
-				r := New(Config{Workers: 2, Policy: policy, Debug: true})
+				r := m.new(Config{Workers: 2, Debug: true})
 				var ran atomic.Int64
 				err := r.RunChecked(func(tc *TaskContext) {
 					tc.Submit(TaskSpec{Label: "p", Body: func(tc *TaskContext) {

@@ -3,8 +3,6 @@ package core
 import (
 	"container/heap"
 	"fmt"
-
-	"repro/internal/sched"
 )
 
 // Virtual-time execution: a discrete-event simulation over the same
@@ -64,30 +62,12 @@ func newVState(workers int) *vstate {
 	return v
 }
 
-// popReady removes the next startable ready task according to the queue
-// policy.
+// popReady removes the oldest startable ready task: the virtual ready list
+// is FIFO.
 func (r *Runtime) popReady() *Task {
 	v := r.v
-	var t *Task
-	switch r.cfg.Policy {
-	case sched.LIFO:
-		t = v.ready[len(v.ready)-1]
-		v.ready = v.ready[:len(v.ready)-1]
-	case sched.Priority:
-		// Linear scan; first-of-max keeps FIFO order between equals. The
-		// virtual ready list is short in the experiments that use this.
-		best := 0
-		for i := 1; i < len(v.ready); i++ {
-			if v.ready[i].spec.Priority > v.ready[best].spec.Priority {
-				best = i
-			}
-		}
-		t = v.ready[best]
-		v.ready = append(v.ready[:best], v.ready[best+1:]...)
-	default:
-		t = v.ready[0]
-		v.ready = v.ready[1:]
-	}
+	t := v.ready[0]
+	v.ready = v.ready[1:]
 	return t
 }
 

@@ -3,7 +3,7 @@ package core
 // Stall watchdog (Config.Watchdog): a low-overhead liveness monitor for the
 // runtime's lock-free admission protocols.
 //
-// The sharded ready pools and the sharded throttle window both close their
+// The sharded ready pool and the sharded throttle window both close their
 // idle protocols Dekker-style: one side publishes (a queued item, a parked
 // waiter) and rechecks, the other side publishes (a retired token, a
 // returned credit) and rechecks. A bug in either recheck drops a wakeup,
@@ -22,7 +22,7 @@ package core
 //     every task start and worksharing-helper entry. The per-beat cost
 //     when enabled is two uncontended atomic writes on a worker-private
 //     cache line; when disabled it is one nil check.
-//   - a monitor goroutine sampling the pool (sched.Prober), the throttle
+//   - a monitor goroutine sampling the pool (Stealing.Probe), the throttle
 //     window, and the heartbeat sum every WatchdogInterval. A stall
 //     signature only accumulates suspicion while the heartbeat sum is
 //     frozen — any dispatch progress resets it — and only fires after it
@@ -47,8 +47,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
-
-	"repro/internal/sched"
 )
 
 // Heartbeat states (hbSlot.state): what the worker last started doing.
@@ -292,13 +290,10 @@ func (r *Runtime) newWatchdog() *watchdog {
 	if bound <= 0 {
 		bound = defaultWatchdogBound
 	}
-	prober, _ := r.sch.(sched.Prober)
 	probe := func() probeSample {
 		var s probeSample
-		if prober != nil {
-			p := prober.Probe()
-			s.queued, s.creators, s.freeTokens, s.waiters = p.Queued, p.Creators, p.FreeTokens, p.Waiters
-		}
+		p := r.sch.Probe()
+		s.queued, s.creators, s.freeTokens, s.waiters = p.Queued, p.Creators, p.FreeTokens, p.Waiters
 		if r.thr != nil {
 			s.thrWaiters = r.thr.Waiters()
 			s.thrCredits = r.thr.Credits()

@@ -84,25 +84,25 @@ func TestStallDetectorIgnoresHealthyStates(t *testing.T) {
 	}
 }
 
-// droppedKickPool wraps a real reference pool and reports one more free
+// droppedKickPool wraps a real stealing pool and reports one more free
 // token than the pool owns — the exact post-race state a token-retire path
 // that skipped its Dekker recheck would leave: the item queued, the token
 // parked free, and nobody responsible for matching them.
 type droppedKickPool struct {
-	*sched.Scheduler[int]
+	*sched.Stealing[int]
 }
 
 func (p *droppedKickPool) Probe() sched.Probe {
-	pr := p.Scheduler.Probe()
+	pr := p.Stealing.Probe()
 	pr.FreeTokens++
 	return pr
 }
 
 // TestWatchdogSelftestSyntheticLostWakeup induces a synthetic lost wakeup
-// in a reference pool and runs the real watchdog loop (the same code the
+// in a stealing pool and runs the real watchdog loop (the same code the
 // runtime starts) against it, asserting the detector fires and names it.
 func TestWatchdogSelftestSyntheticLostWakeup(t *testing.T) {
-	pool := &droppedKickPool{sched.New(1, sched.FIFO, func(int, int) {})}
+	pool := &droppedKickPool{sched.NewStealing(1, func(int, int) {})}
 	// Hold the only real token so the submitted item must queue; the
 	// phantom free token then completes the lost-wakeup state.
 	pool.Acquire()

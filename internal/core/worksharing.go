@@ -14,7 +14,7 @@ package core
 //     throttle-window credit, one fingerprint in a recording graph region;
 //   - when its body starts, the iteration space [Lo, Hi) becomes a shared
 //     atomic chunk cursor, and the runtime announces the task itself into
-//     the sharded ready pools (sched.Announce) as an invitation to every
+//     the sharded ready pool (Stealing.Announce) as an invitation to every
 //     idle worker; a worker that pops an invitation joins the drain instead
 //     of executing a body (the runWorker intercept);
 //   - owner and helpers self-schedule grain-sized chunks against the
@@ -69,8 +69,6 @@ type WorksharingSpec struct {
 	// Flops, when non-nil, returns the flop count of [lo, hi) for the
 	// runtime's accounting.
 	Flops func(lo, hi int64) int64
-	// Priority applies to the task.
-	Priority int64
 	// Body executes one chunk over [lo, hi). Required. It may be invoked
 	// concurrently for different chunks (on the owner and on announced
 	// helpers) and must not block in Taskwait or Taskgroup.
@@ -89,7 +87,7 @@ type WsStats struct {
 	// the work the announcement actually redistributed off the owner.
 	HelperChunks int64
 	// Announcements is the number of helper invitations published into the
-	// ready pools (at most Workers-1 per region, never more than the
+	// ready pool (at most Workers-1 per region, never more than the
 	// region's remaining chunks).
 	Announcements int64
 }
@@ -102,7 +100,7 @@ type wsCounters struct {
 // wsRun is one region's pooled chunk descriptor: the shared cursor the
 // owner and every helper claim grain-sized chunks from, plus the bounds
 // and body they execute against it. It is published to helpers through
-// Task.wsRun (ordered by the ready pools' Announce/pop pair) and recycled
+// Task.wsRun (ordered by the ready pool's Announce/pop pair) and recycled
 // by completeTask once the countdown releases the task.
 type wsRun struct {
 	cursor atomic.Int64
@@ -143,7 +141,7 @@ func (r *Runtime) WsPoolStats() mempool.Stats {
 // Worksharing submits the iteration space [Lo, Hi) as a worksharing task
 // and returns the number of grain-sized chunks. Exactly one task is
 // submitted, carrying the union depend entries of the whole range; when
-// its body starts, idle workers are invited through the ready pools and
+// its body starts, idle workers are invited through the ready pool and
 // the chunks self-schedule across the fleet against a shared cursor (see
 // the package comment at the top of worksharing.go). Like any Submit it
 // does not wait: the region synchronizes through its depend entries, a
@@ -175,10 +173,9 @@ func (tc *TaskContext) Worksharing(spec WorksharingSpec) int {
 		uDeps = spec.Deps(spec.Lo, spec.Hi)
 	}
 	ts := TaskSpec{
-		Label:    label,
-		Kind:     label,
-		Priority: spec.Priority,
-		Deps:     uDeps,
+		Label: label,
+		Kind:  label,
+		Deps:  uDeps,
 	}
 	if spec.Cost != nil {
 		ts.Cost = spec.Cost(spec.Lo, spec.Hi)
@@ -214,7 +211,7 @@ func (tc *TaskContext) Worksharing(spec WorksharingSpec) int {
 
 // wsExecute is the chunk-distributed body of a worksharing task: set up
 // the pooled cursor descriptor, take announce-holds on the task's own
-// child countdown, invite idle workers through the ready pools, and join
+// child countdown, invite idle workers through the ready pool, and join
 // the drain. Runs on the task's own goroutine (inside invokeBody, so a
 // chunk panic on this path is already recovered there).
 func (r *Runtime) wsExecute(tc *TaskContext, lo, hi, grain int64, body func(*TaskContext, int64, int64)) {

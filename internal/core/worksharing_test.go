@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"repro/internal/replay"
-	"repro/internal/sched"
 )
 
 // Worksharing tests: a region must run every iteration exactly once, record
@@ -143,41 +142,44 @@ func TestWorksharingReplaySingleNode(t *testing.T) {
 }
 
 // TestWorksharingTaskwaitComposition: a taskwait covering a worksharing
-// region must not resolve until every helper has left the region, on both
-// pools — the parked waiter wakes off the region's last hold release.
+// region must not resolve until every helper has left the region, in both
+// Taskwait modes — the parked waiter wakes off the region's last hold
+// release.
 func TestWorksharingTaskwaitComposition(t *testing.T) {
-	for _, policy := range []sched.Policy{sched.FIFO, sched.LIFO} {
-		r := New(Config{Workers: 4, Policy: policy, Debug: true})
-		var sum atomic.Int64
-		var observed int64 = -1
-		err := r.RunChecked(func(tc *TaskContext) {
-			tc.Submit(TaskSpec{Label: "parent", Body: func(tc *TaskContext) {
-				for round := 0; round < 8; round++ {
-					tc.Worksharing(WorksharingSpec{
-						Lo: 0, Hi: 2048, Grain: 16,
-						Body: func(tc *TaskContext, lo, hi int64) {
-							sum.Add(hi - lo)
-						},
-					})
-					tc.Taskwait()
-					// The wait covers the whole region: every chunk of every
-					// round so far must have landed.
-					if got, want := sum.Load(), int64(2048*(round+1)); got != want {
-						observed = got
-						return
+	for _, m := range twModes {
+		t.Run(m.name, func(t *testing.T) {
+			r := m.new(Config{Workers: 4, Debug: true})
+			var sum atomic.Int64
+			var observed int64 = -1
+			err := r.RunChecked(func(tc *TaskContext) {
+				tc.Submit(TaskSpec{Label: "parent", Body: func(tc *TaskContext) {
+					for round := 0; round < 8; round++ {
+						tc.Worksharing(WorksharingSpec{
+							Lo: 0, Hi: 2048, Grain: 16,
+							Body: func(tc *TaskContext, lo, hi int64) {
+								sum.Add(hi - lo)
+							},
+						})
+						tc.Taskwait()
+						// The wait covers the whole region: every chunk of
+						// every round so far must have landed.
+						if got, want := sum.Load(), int64(2048*(round+1)); got != want {
+							observed = got
+							return
+						}
 					}
-				}
-			}})
+				}})
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if observed >= 0 {
+				t.Fatalf("taskwait resolved with %d iterations done; the region escaped the wait", observed)
+			}
+			if got := sum.Load(); got != 8*2048 {
+				t.Fatalf("total %d, want %d", got, 8*2048)
+			}
 		})
-		if err != nil {
-			t.Fatalf("%v: %v", policy, err)
-		}
-		if observed >= 0 {
-			t.Fatalf("%v: taskwait resolved with %d iterations done; the region escaped the wait", policy, observed)
-		}
-		if got := sum.Load(); got != 8*2048 {
-			t.Fatalf("%v: total %d, want %d", policy, got, 8*2048)
-		}
 	}
 }
 

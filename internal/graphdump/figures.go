@@ -1,6 +1,9 @@
 package graphdump
 
 import (
+	"fmt"
+	"strings"
+
 	nanos "repro"
 	"repro/internal/deps"
 )
@@ -36,15 +39,18 @@ type figureBuilder struct {
 	d   nanos.DataID
 }
 
-// newFigureBuilder's runtime runs newest-first on one worker (the central
-// LIFO queue): every outer task then instantiates its subtasks before any
-// predecessor has run, so the capture shows each edge the listing implies.
-// The default pool starts all-weak tasks in program order, under which T3's
-// and T4's subtasks find their inputs already produced and Figure 2b's
-// inbound edges are never created.
-func newFigureBuilder() *figureBuilder {
+// newFigureBuilder's runtime has one worker, so the capture shows each edge
+// the listing implies. In real mode the root holds the only token while it
+// submits, so no outer task has run when the next one registers. Virtual
+// mode (for listing 3, which has no Taskwait) runs its FIFO ready list: every
+// outer task starts, and instantiates its subtasks, before any leaf runs —
+// so T3's and T4's subtasks link to inputs not yet produced, which is what
+// Figure 2b's inbound edges need. (On the real pool's creator lane, each
+// outer task's leaves run before the next outer task starts, and those
+// edges are never created.)
+func newFigureBuilder(virtual bool) *figureBuilder {
 	c := New()
-	rt := nanos.New(nanos.Config{Workers: 1, Observer: c, Policy: nanos.LIFO})
+	rt := nanos.New(nanos.Config{Workers: 1, Virtual: virtual, Observer: c})
 	d := rt.NewData("vars", 7, 8)
 	return &figureBuilder{cap: c, rt: rt, d: d}
 }
@@ -67,7 +73,7 @@ func (f *figureBuilder) inner(label string, ins []int64, outs []int64, inouts []
 // Listing1Nested captures the graph of listing 1: two levels, strong outer
 // dependencies, taskwait at the end of each outer task (Figure 1a).
 func Listing1Nested() (*Capture, FigureVars) {
-	f := newFigureBuilder()
+	f := newFigureBuilder(false)
 	d := f.d
 	f.rt.Run(func(tc *nanos.TaskContext) {
 		tc.Submit(nanos.TaskSpec{Label: "T1",
@@ -105,7 +111,7 @@ func Listing1Nested() (*Capture, FigureVars) {
 // Listing1Flat captures the graph after removing the outer level of tasks
 // and the taskwaits (Figure 1b).
 func Listing1Flat() (*Capture, FigureVars) {
-	f := newFigureBuilder()
+	f := newFigureBuilder(false)
 	f.rt.Run(func(tc *nanos.TaskContext) {
 		tc.Submit(f.inner("T1.1", nil, nil, []int64{vA}))
 		tc.Submit(f.inner("T1.2", nil, nil, []int64{vB}))
@@ -124,7 +130,7 @@ func Listing1Flat() (*Capture, FigureVars) {
 // (Figure 2b; filtering to outer tasks gives Figure 2a, and the runtime's
 // execution of it is ordering-equivalent to Listing1Flat — Figure 2c).
 func Listing3Weak() (*Capture, FigureVars) {
-	f := newFigureBuilder()
+	f := newFigureBuilder(true)
 	d := f.d
 	f.rt.Run(func(tc *nanos.TaskContext) {
 		tc.Submit(nanos.TaskSpec{Label: "T1", WeakWait: true,
@@ -178,4 +184,43 @@ func (c *Capture) OuterOnly() []Edge {
 		}
 	}
 	return out
+}
+
+// Figures are the names Figure renders, in paper order.
+var Figures = []string{"1a", "1b", "2a", "2b", "2c"}
+
+// Figure renders one of the paper's Figures 1 and 2 as Graphviz DOT,
+// captured live from the runtime executing listing 1 or 3; ok is false for
+// a name not in Figures. Figure 2a is listing 3 filtered to its outer
+// tasks. Figure 2c is the graph the runtime's execution of listing 3 is
+// ordering-equivalent to after the outer tasks exit — the flat graph of
+// Figure 1b; the equivalence itself is asserted by the runtime's tests.
+func Figure(name string) (dot string, ok bool) {
+	switch name {
+	case "1a":
+		c, vars := Listing1Nested()
+		return c.DOT("figure-1a", vars), true
+	case "1b":
+		c, vars := Listing1Flat()
+		return c.DOT("figure-1b", vars), true
+	case "2a":
+		c, _ := Listing3Weak()
+		var b strings.Builder
+		b.WriteString("digraph \"figure-2a\" {\n  node [shape=box];\n")
+		for _, e := range c.OuterOnly() {
+			fmt.Fprintf(&b, "  %q -> %q [style=dashed];\n", e.Pred, e.Succ)
+		}
+		b.WriteString("}\n")
+		return b.String(), true
+	case "2b":
+		c, vars := Listing3Weak()
+		return c.DOT("figure-2b", vars), true
+	case "2c":
+		c, vars := Listing1Flat()
+		return "// Figure 2c: after the outer tasks exit, the fine-grained release\n" +
+			"// merges every inner domain into the root domain; the effective\n" +
+			"// ordering equals the flat graph of figure 1b (runtime-verified).\n" +
+			c.DOT("figure-2c", vars), true
+	}
+	return "", false
 }

@@ -1,9 +1,37 @@
 package graphdump
 
 import (
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
+
+// TestFigureGoldens pins every figure byte for byte: the DOT text of each
+// Figure must equal its file under testdata, so a change of runtime that
+// adds, drops or reorders an edge fails here even where the edge-subset
+// tests below still pass. Regenerate a golden only for an intended change
+// of a figure: go run ./cmd/taskgraph -fig X > internal/graphdump/testdata/figure-X.dot.
+func TestFigureGoldens(t *testing.T) {
+	for _, name := range Figures {
+		t.Run(name, func(t *testing.T) {
+			want, err := os.ReadFile(filepath.Join("testdata", "figure-"+name+".dot"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, ok := Figure(name)
+			if !ok {
+				t.Fatalf("Figure(%q) unknown", name)
+			}
+			if got != string(want) {
+				t.Errorf("figure %s differs from its golden:\n--- got\n%s--- want\n%s", name, got, want)
+			}
+		})
+	}
+	if _, ok := Figure("3"); ok {
+		t.Error(`Figure("3") rendered a figure the paper does not have`)
+	}
+}
 
 // TestFigure1Edges: the nested strong graph must contain exactly the
 // outer-task edges the paper draws in Figure 1a.

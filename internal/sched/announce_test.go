@@ -15,20 +15,6 @@ import (
 // primitive: copies are invitations, not new work, so delivery and
 // conservation are the whole contract (order and placement are not).
 
-// announcePools enumerates the Queue implementations under test.
-func announcePools() []struct {
-	name string
-	mk   func(workers int, spawn func(item, worker int)) Queue[int]
-} {
-	return []struct {
-		name string
-		mk   func(workers int, spawn func(item, worker int)) Queue[int]
-	}{
-		{"stealing", func(w int, s func(int, int)) Queue[int] { return NewStealing(w, s) }},
-		{"central", func(w int, s func(int, int)) Queue[int] { return New(w, FIFO, s) }},
-	}
-}
-
 func waitQuiesce(t *testing.T, name string, q Queue[int]) {
 	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
@@ -48,7 +34,7 @@ func waitQuiesce(t *testing.T, name string, q Queue[int]) {
 // copy runs exactly once.
 func TestAnnounceIdlePool(t *testing.T) {
 	const workers, copies = 4, 7
-	for _, p := range announcePools() {
+	for _, p := range testPools {
 		var ran atomic.Int64
 		var wg sync.WaitGroup
 		wg.Add(copies)
@@ -83,7 +69,7 @@ func TestAnnounceIdlePool(t *testing.T) {
 // fleet.
 func TestAnnounceBusyPool(t *testing.T) {
 	const workers, copies = 4, 6
-	for _, p := range announcePools() {
+	for _, p := range testPools {
 		gate := make(chan struct{})
 		var occupied sync.WaitGroup
 		occupied.Add(workers)

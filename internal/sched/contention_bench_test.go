@@ -59,20 +59,12 @@ func runChains(mk func(workers int, spawn func(item, worker int)) Queue[int], w,
 	return links
 }
 
-var contentionPools = []struct {
-	name string
-	mk   func(workers int, spawn func(item, worker int)) Queue[int]
-}{
-	{"stealing", func(w int, s func(int, int)) Queue[int] { return NewStealing(w, s) }},
-	{"central", func(w int, s func(int, int)) Queue[int] { return New(w, FIFO, s) }},
-}
-
 // BenchmarkSchedContentionMatrix is the admission-path contention table:
 // every pool at w = 1 (overhead parity), 4, and 8 (lock contention). The
 // CI smoke runs it at -benchtime 1x; the w=1 regression guard is
 // TestSchedW1Parity below.
 func BenchmarkSchedContentionMatrix(b *testing.B) {
-	for _, p := range contentionPools {
+	for _, p := range testPools {
 		for _, w := range []int{1, 4, 8} {
 			b.Run(fmt.Sprintf("%s/w=%d", p.name, w), func(b *testing.B) {
 				prev := runtime.GOMAXPROCS(0)
@@ -104,7 +96,7 @@ func TestSchedW1Parity(t *testing.T) {
 	// trial, which filters such stalls out entirely.
 	best := map[string]time.Duration{}
 	for trial := 0; trial < trials; trial++ {
-		for _, p := range contentionPools {
+		for _, p := range testPools {
 			start := time.Now()
 			runChains(p.mk, 1, ops)
 			d := time.Since(start)
@@ -126,7 +118,7 @@ func TestSchedW1Parity(t *testing.T) {
 // item or wakeup would leave it waiting).
 func TestSchedChainKernel(t *testing.T) {
 	const w, ops = 2, 2001
-	for _, p := range contentionPools {
+	for _, p := range testPools {
 		t.Run(p.name, func(t *testing.T) {
 			got := make(chan int64, 1)
 			go func() { got <- runChains(p.mk, w, ops) }()

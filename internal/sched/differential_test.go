@@ -154,16 +154,9 @@ func runAdmSchedule(t *testing.T, name string, mk func(spawn func(item, worker i
 }
 
 func TestPoolDifferentialAdmission(t *testing.T) {
-	pools := []struct {
-		name string
-		mk   func(workers int, spawn func(item, worker int)) Queue[int]
-	}{
-		{"stealing", func(w int, s func(int, int)) Queue[int] { return NewStealing(w, s) }},
-		{"central", func(w int, s func(int, int)) Queue[int] { return New(w, FIFO, s) }},
-	}
 	f := func(seed int64) bool {
 		sc := genAdmSchedule(rand.New(rand.NewSource(seed)))
-		for _, p := range pools {
+		for _, p := range testPools {
 			mk := func(spawn func(int, int)) Queue[int] { return p.mk(sc.workers, spawn) }
 			if !runAdmSchedule(t, fmt.Sprintf("%s/seed=%d", p.name, seed), mk, sc) {
 				return false

@@ -8,10 +8,10 @@ import (
 
 // Token-waiter fairness: at a release point (Finish here), a blocked
 // Acquire — a resuming taskwait, which holds a live task mid-execution —
-// must win the token over spawning fresh queued work. Both pools, and the
-// central queue under each of its orders, are held to the same protocol,
-// including the stealing pool's lock-free release paths (run with -race to
-// validate those).
+// must win the token over spawning fresh queued work. The stealing pool
+// and its central reference are held to the same protocol, including the
+// stealing pool's lock-free release paths (run with -race to validate
+// those).
 func TestTokenWaiterFairness(t *testing.T) {
 	type pool struct {
 		name string
@@ -26,13 +26,7 @@ func TestTokenWaiterFairness(t *testing.T) {
 	}
 	pools := []pool{
 		{"central", func(spawn func(int, int)) (Queue[int], func() int) {
-			return central(New(1, FIFO, spawn))
-		}},
-		{"central-lifo", func(spawn func(int, int)) (Queue[int], func() int) {
-			return central(New(1, LIFO, spawn))
-		}},
-		{"central-priority", func(spawn func(int, int)) (Queue[int], func() int) {
-			return central(NewPriority(1, spawn, func(item int) int64 { return int64(item) }))
+			return central(newCentral(1, spawn))
 		}},
 		{"stealing", func(spawn func(int, int)) (Queue[int], func() int) {
 			s := NewStealing(1, spawn)

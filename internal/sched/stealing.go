@@ -11,11 +11,11 @@ import (
 // Stealing is the work-stealing ready pool: one deque shard per worker, LIFO
 // self-pop (depth-first, cache-warm), FIFO stealing of the oldest — the Cilk
 // discipline — plus a per-worker creator lane, a lock-free token free-list,
-// and an idle protocol that replaces the pool-wide mutex of the central
-// Scheduler. Submission onto the own shard and self-pop are lock-free,
-// stealing is one CAS on the victim, and token accounting is the lock-free
-// free list, so Submit, SubmitBatch, Finish, and Yield of different workers
-// do not serialize on any common lock.
+// and an idle protocol in place of a pool-wide mutex. Submission onto the
+// own shard and self-pop are lock-free, stealing is one CAS on the victim,
+// and token accounting is the lock-free free list, so Submit, SubmitBatch,
+// Finish, and Yield of different workers do not serialize on any common
+// lock.
 //
 // Per-shard state:
 //
@@ -30,8 +30,15 @@ import (
 //     FIFO batches for items that must start in program order rather than
 //     newest-first.
 //
-// Admission invariants (shared with the central Scheduler, and checked by
-// the differential tests in this package):
+// The from argument of Submit, SubmitBatch, Announce and SubmitCreator is
+// the submitting worker: an in-range from asserts that the caller is the
+// goroutine currently holding that worker's token, and a caller holding no
+// token passes -1 (any out-of-range value). The single-owner deque and lane
+// fast paths rely on it; the runtime satisfies it by construction, since a
+// task submits children only while running on its worker.
+//
+// Admission invariants (checked by the differential tests in this package
+// against a central single-lock queue):
 //
 //   - token conservation: every worker token is, at all times, held by
 //     exactly one runner, parked in the free list, or in flight to exactly
@@ -43,8 +50,8 @@ import (
 //     holds a live stack — before spawning fresh queued work;
 //   - Idle() is exact at quiescence.
 //
-// The lost-wakeup window that the central Scheduler closes with its mutex
-// — a submitter observes no free token and queues, while a retiring worker
+// The lost-wakeup window that a central queue closes with its mutex — a
+// submitter observes no free token and queues, while a retiring worker
 // concurrently observes no queued work and parks its token — is closed here
 // with a Dekker-style publish-then-recheck protocol over seq-cst atomics:
 // the submitter publishes the item (the shard deque's bottom index, or the
@@ -79,14 +86,10 @@ type Stealing[T any] struct {
 	// list, which carries the happens-before edge), so plain slice
 	// operations suffice and only the length is published for the idle
 	// protocol's emptiness checks. This keeps the degenerate single-worker
-	// pool at parity with the central Scheduler.
+	// pool as cheap as a single-lock queue.
 	soloQ   []T
 	soloLen atomic.Int64
 }
-
-var _ Queue[int] = (*Stealing[int])(nil)
-var _ CreatorQueue[int] = (*Stealing[int])(nil)
-var _ HelpQueue[int] = (*Stealing[int])(nil)
 
 // poolShard pads to a whole number of cache lines so one worker's push/pop
 // traffic does not false-share with its neighbours' (the field sizes are
@@ -194,7 +197,10 @@ func (p *Stealing[T]) inboxPush(v int, item T) {
 }
 
 // Submit makes an item runnable. With a free token it starts immediately on
-// a new goroutine; otherwise it queues on the submitting worker's shard.
+// a new goroutine; otherwise it queues on the submitting worker's shard (an
+// in-range from: the caller holds that worker's token, and the push is the
+// owner's lock-free path) or, for a caller holding no token (from -1), in a
+// round-robin shard's inbox. Safe for concurrent use under that rule.
 func (p *Stealing[T]) Submit(item T, from int) {
 	if w, ok := p.tokens.tryPop(); ok {
 		p.spawnGo(item, w)
@@ -207,7 +213,9 @@ func (p *Stealing[T]) Submit(item T, from int) {
 // SubmitBatch makes every item runnable in one admission: tokens are
 // matched first, the rest queue on the submitting worker's shard (or are
 // scattered round-robin across inboxes for external batches), and one kick
-// closes the lost-wakeup window for the whole batch.
+// closes the lost-wakeup window for the whole batch. A dependency release
+// that readies many successors hands them over in one call. from follows
+// Submit's ownership rule.
 func (p *Stealing[T]) SubmitBatch(items []T, from int) {
 	if len(items) == 0 {
 		return
@@ -238,7 +246,10 @@ func (p *Stealing[T]) SubmitBatch(items []T, from int) {
 // known announcer the spread starts at its right-hand neighbour and walks
 // from+1, from+2, … (mod workers), skipping the announcer; an announcement
 // without a worker identity (out-of-range from) scatters round-robin. One
-// kick closes the lost-wakeup window for the whole announcement.
+// kick closes the lost-wakeup window for the whole announcement. Each copy
+// is an invitation, not new work (worksharing regions use this to recruit
+// the fleet into a chunk-distributed body), so the same item may
+// legitimately run n times. from follows Submit's ownership rule.
 func (p *Stealing[T]) Announce(item T, n, from int) {
 	if n <= 0 {
 		return
@@ -414,8 +425,11 @@ func (p *Stealing[T]) popFor(w int) (item T, ok bool) {
 	return zero, false
 }
 
-// PopOwn implements HelpQueue: the newest item of worker's own deque (the
-// soloQ top at one worker) — popFor's first step, and nothing else.
+// PopOwn is the pop behind a waiting task's help step: the newest item of
+// worker's own deque (the soloQ top at one worker) — popFor's first step,
+// and nothing else. It never steals and never reads the creator lane or the
+// inbox. Owner-only, like a deque push: only the holder of worker's token
+// may call it.
 func (p *Stealing[T]) PopOwn(worker int) (item T, ok bool) {
 	sh := &p.shards[worker]
 	if !sh.newBatch {
@@ -440,9 +454,10 @@ func (p *Stealing[T]) PopOwn(worker int) (item T, ok bool) {
 	return item, false
 }
 
-// PutBack implements HelpQueue: the item returns to the bottom of worker's
+// PutBack returns an item the help step declined to the bottom of worker's
 // own deque, and the kick matches it with any token that retired while it
-// was out (the Dekker pairing of Submit).
+// was out (the Dekker pairing of Submit), so a declined item never sits
+// beside a free token. Owner-only, like PopOwn.
 func (p *Stealing[T]) PutBack(item T, worker int) {
 	p.pushItem(item, worker)
 	p.kick()
@@ -588,8 +603,9 @@ func (p *Stealing[T]) kick() {
 }
 
 // Finish is called by a runner that completed its item and still holds
-// worker w: a blocked Acquire wins the token first, then the worker's own
-// shard and steal targets, and otherwise the token retires.
+// worker w — and only by that runner; the call consumes the token unless
+// ok is true. A blocked Acquire wins the token first, then the worker's
+// own shard and steal targets, and otherwise the token retires.
 func (p *Stealing[T]) Finish(worker int) (next T, ok bool) {
 	var zero T
 	if p.handToWaiter(worker) {
@@ -604,7 +620,9 @@ func (p *Stealing[T]) Finish(worker int) (next T, ok bool) {
 
 // Yield releases worker w while its holder blocks (taskwait, taskgroup,
 // throttle): the token redeploys to a blocked Acquire, to queued work on a
-// fresh goroutine, or to the free list.
+// fresh goroutine, or to the free list. Only the token's current holder may
+// call it, and it must reacquire a token via Acquire before touching
+// per-worker state again.
 func (p *Stealing[T]) Yield(worker int) {
 	if p.handToWaiter(worker) {
 		return
@@ -616,8 +634,9 @@ func (p *Stealing[T]) Yield(worker int) {
 	p.releaseToken(worker)
 }
 
-// Acquire blocks until a worker token is available and returns it. The slow
-// path publishes the waiter first and then rechecks the free list, pairing
+// Acquire blocks until a worker token is available and returns it. Safe for
+// any goroutine; release points prefer blocked Acquires over fresh queued
+// work. The slow path publishes the waiter first and then rechecks the free list, pairing
 // with releaseToken's publish-then-recheck from the other side.
 func (p *Stealing[T]) Acquire() int {
 	if w, ok := p.tokens.tryPop(); ok {
@@ -676,15 +695,22 @@ func (p *Stealing[T]) Probe() Probe {
 	}
 }
 
-// SubmitCreator implements CreatorQueue: a free token starts the item at
-// once, as Submit; otherwise it joins the submitting worker's creator lane
-// instead of its LIFO deque. The owner reaches the lane only once its deque
-// is empty, so the work a creator spawned is still drained depth-first; it
-// then takes creators in depth-first program order — siblings oldest first,
-// a creator's own sub-creators before its later siblings — and a thief
-// takes a victim's outermost, oldest creator ahead of the victim's deque
-// (stealFrom). A submitter holding no token has no lane: its item takes the
-// external route of Submit.
+// SubmitCreator admits an item that should start in program order: a task
+// that touches no data itself and only instantiates children (the runtime
+// routes tasks whose depend clause is non-empty and all weak here — §VI of
+// the paper). Run newest-first, as a LIFO deque would, such creators
+// instantiate their whole subtrees under predecessors that do not exist
+// yet, so every child blocks; run in program order, each subtree finds its
+// predecessors already finished. A free token starts the item at once, as
+// Submit; otherwise it joins the submitting worker's creator lane instead
+// of its LIFO deque, and from follows Submit's ownership rule. The owner
+// reaches the lane only once its deque is empty, so the work a creator
+// spawned is still drained depth-first; it then takes creators in
+// depth-first program order — siblings oldest first, a creator's own
+// sub-creators before its later siblings — and a thief takes a victim's
+// outermost, oldest creator ahead of the victim's deque (stealFrom). A
+// submitter holding no token has no lane: its item takes the external
+// route of Submit.
 func (p *Stealing[T]) SubmitCreator(item T, from int) {
 	if w, ok := p.tokens.tryPop(); ok {
 		p.spawnGo(item, w)

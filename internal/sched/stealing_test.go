@@ -10,107 +10,6 @@ import (
 	"time"
 )
 
-func TestPriorityOrder(t *testing.T) {
-	var order []int
-	done := make(chan struct{})
-	var s *Scheduler[int]
-	s = NewPriority(1, func(item, worker int) {
-		for {
-			order = append(order, item) // single worker: no race
-			next, ok := s.Finish(worker)
-			if !ok {
-				close(done)
-				return
-			}
-			item = next
-		}
-	}, func(item int) int64 { return int64(item % 10) })
-	w := s.Acquire() // hold the token so submissions queue deterministically
-	// Priorities: 3, 1, 3, 2 — expect 3s first (FIFO between them), then 2,
-	// then 1.
-	for _, v := range []int{3, 1, 13, 2} {
-		s.Submit(v, -1)
-	}
-	s.Yield(w)
-	<-done
-	want := []int{3, 13, 2, 1}
-	for i := range want {
-		if order[i] != want[i] {
-			t.Fatalf("order = %v, want %v", order, want)
-		}
-	}
-}
-
-func TestPriorityEqualIsFIFO(t *testing.T) {
-	var order []int
-	done := make(chan struct{})
-	var s *Scheduler[int]
-	s = NewPriority(1, func(item, worker int) {
-		for {
-			order = append(order, item)
-			next, ok := s.Finish(worker)
-			if !ok {
-				close(done)
-				return
-			}
-			item = next
-		}
-	}, func(int) int64 { return 7 })
-	w := s.Acquire()
-	for i := 0; i < 5; i++ {
-		s.Submit(i, -1)
-	}
-	s.Yield(w)
-	<-done
-	for i := 0; i < 5; i++ {
-		if order[i] != i {
-			t.Fatalf("equal-priority order = %v, want FIFO", order)
-		}
-	}
-}
-
-func TestNewPriorityPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("New with Priority policy should panic")
-		}
-	}()
-	New[int](1, Priority, func(int, int) {})
-}
-
-func TestStealingRunsAll(t *testing.T) {
-	var ran atomic.Int64
-	var wg sync.WaitGroup
-	var s *Stealing[int]
-	s = NewStealing(4, func(item, worker int) {
-		for {
-			ran.Add(1)
-			wg.Done()
-			next, ok := s.Finish(worker)
-			if !ok {
-				return
-			}
-			item = next
-		}
-	})
-	const n = 1000
-	wg.Add(n)
-	for i := 0; i < n; i++ {
-		s.Submit(i, -1) // the test goroutine holds no worker token
-	}
-	wg.Wait()
-	if ran.Load() != n {
-		t.Fatalf("ran %d items, want %d", ran.Load(), n)
-	}
-	deadline := time.Now().Add(2 * time.Second)
-	for !s.Idle() {
-		if time.Now().After(deadline) {
-			t.Fatal("stealing pool did not quiesce")
-		}
-		time.Sleep(time.Millisecond)
-	}
-}
-
 func TestStealingSelfLIFOStealFIFO(t *testing.T) {
 	// One token held: queue 3 items on deque 0 and 2 on deque 1, then run
 	// on worker 0. Expect own deque drained LIFO (2,1,0) then deque 1
@@ -198,41 +97,6 @@ func TestStealingStealHalf(t *testing.T) {
 	}
 	s.Yield(w0)
 	s.Yield(w1)
-}
-
-func TestStealingConcurrencyCap(t *testing.T) {
-	const workers = 3
-	var cur, peak atomic.Int64
-	var wg sync.WaitGroup
-	var s *Stealing[int]
-	s = NewStealing(workers, func(item, worker int) {
-		for {
-			c := cur.Add(1)
-			for {
-				p := peak.Load()
-				if c <= p || peak.CompareAndSwap(p, c) {
-					break
-				}
-			}
-			time.Sleep(100 * time.Microsecond)
-			cur.Add(-1)
-			wg.Done()
-			next, ok := s.Finish(worker)
-			if !ok {
-				return
-			}
-			item = next
-		}
-	})
-	const n = 100
-	wg.Add(n)
-	for i := 0; i < n; i++ {
-		s.Submit(i, -1)
-	}
-	wg.Wait()
-	if peak.Load() > workers {
-		t.Fatalf("peak concurrency %d exceeds %d workers", peak.Load(), workers)
-	}
 }
 
 // TestStealingOutOfRangeFrom: a negative, a far and the boundary from (==
@@ -345,7 +209,7 @@ func TestStealingExternalSpread(t *testing.T) {
 	}
 }
 
-// TestPopOwnOwnDequeOnly: the help pop (HelpQueue) takes the owner's own
+// TestPopOwnOwnDequeOnly: the help pop (PopOwn) takes the owner's own
 // deque newest-first — the soloQ at one worker — and nothing else: not the
 // creator lane, not the inbox, not another worker's deque. PutBack returns
 // an item where the next pop finds it, and a put-back item that meets a

@@ -20,8 +20,7 @@ type tokenList struct {
 
 func newTokenList(workers int) *tokenList {
 	l := &tokenList{next: make([]atomic.Uint32, workers)}
-	// Push in descending order so token 0 is on top, matching the hand-out
-	// order of the central Scheduler.
+	// Push in descending order so token 0 is handed out first.
 	for w := workers - 1; w >= 0; w-- {
 		l.push(w)
 	}

@@ -33,7 +33,7 @@ import (
 //     to the global balance): an uncontended CAS plus one load of the
 //     waiter count, where the locked window takes a mutex and broadcasts.
 //   - slow path: a reserver that finds no credit in its cache, the
-//     balance, or any other cache (stealing, as the ready pools do) parks
+//     balance, or any other cache (stealing, as the ready pool does) parks
 //     on its shard's wait list.
 //
 // The lost-wakeup window between a parking reserver and a concurrent
@@ -62,7 +62,7 @@ type sharded struct {
 
 // tshard pads to two cache lines so one worker's credit-cache traffic does
 // not false-share with its neighbours' (the same layout discipline as the
-// ready pools' poolShard; a test asserts the 64-byte multiple).
+// ready pool's poolShard; a test asserts the 64-byte multiple).
 type tshard struct {
 	cache atomic.Int64 // credits cached by the owning worker
 	wmu   sync.Mutex

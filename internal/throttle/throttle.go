@@ -18,13 +18,13 @@
 //
 //   - Locked: one mutex + condition variable. Every Started broadcast
 //     serializes on the mutex, re-centralizing the contention the sharded
-//     dependency engine and ready pools removed; kept as the reference.
+//     dependency engine and ready pool removed; kept as the reference.
 //   - Sharded: a token-bucket admission window. The bound is a global
 //     atomic credit balance; each worker caches a small batch of borrowed
 //     credits so the common Reserve is one uncontended CAS on its own
 //     cache line, and blocked submitters park on per-shard wait lists. A
 //     Dekker-style publish-then-recheck protocol (the same idiom as the
-//     sharded ready pools' idle protocol) closes the lost-wakeup window
+//     sharded ready pool's idle protocol) closes the lost-wakeup window
 //     between a parking submitter and a completion that frees slots.
 package throttle
 
@@ -58,7 +58,7 @@ func (k Kind) String() string {
 // Yielder is the worker-token round-trip a blocking reserver performs: it
 // releases its token while parked (so the core runs other ready tasks) and
 // reacquires one before resuming. The runtime passes its ready pool
-// (sched.Queue implements both methods); standalone drivers — benchmarks,
+// (sched.Stealing implements both methods); standalone drivers — benchmarks,
 // the differential tests — may pass nil to park without a token round-trip.
 type Yielder interface {
 	// Yield releases the worker token while its holder blocks.

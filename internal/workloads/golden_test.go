@@ -3,8 +3,6 @@ package workloads
 import (
 	"fmt"
 	"testing"
-
-	nanos "repro"
 )
 
 // Golden virtual-mode makespans. Virtual execution is deterministic, so
@@ -103,11 +101,12 @@ func orderErr(bench, a string, av int64, b string, bv int64) string {
 }
 
 // TestGoldenEngineSchedulerMatrix runs the three compute-validating
-// workloads (cholesky, sparselu, sortsum) under every ready-queue policy — FIFO on the work-stealing pool (at 8 workers
-// even in short mode, so steals and the creator lane are exercised), LIFO
-// and Priority on the central queue — in real mode with computation
-// enabled, so each run's numerical result is checked against the
-// sequential oracle.
+// workloads (cholesky, sparselu, sortsum) on the work-stealing pool (at 8
+// workers even in short mode, so steals and the creator lane are
+// exercised), with and without successor hand-off (without it every
+// readied successor goes through the pool, a second dispatch order), in
+// real mode with computation enabled, so each run's numerical result is
+// checked against the sequential oracle.
 // This is the workload-level completion of the differential tests in
 // internal/deps: whatever the dispatch order, the dependency semantics
 // must produce oracle-identical numerics.
@@ -116,75 +115,75 @@ func TestGoldenEngineSchedulerMatrix(t *testing.T) {
 	if testing.Short() {
 		workers = 4
 	}
-	policies := []struct {
-		name    string
-		policy  nanos.Policy
-		workers int
+	modes := []struct {
+		name string
+		mode Mode
 	}{
-		{"fifo-stealing", nanos.FIFO, 8},
-		{"lifo-central", nanos.LIFO, workers},
-		{"priority-central", nanos.Priority, workers},
+		{"stealing", Mode{Workers: 8, Debug: true}},
+		{"stealing-nohandoff", Mode{Workers: workers, NoHandoff: true, Debug: true}},
 	}
-	for _, pol := range policies {
-		mode := Mode{Workers: pol.workers, Policy: pol.policy, Debug: true}
-		t.Run(pol.name, func(t *testing.T) {
-			runGoldenOracle(t, mode)
+	for _, m := range modes {
+		t.Run(m.name, func(t *testing.T) {
+			runGoldenOracle(t, m.mode)
 		})
 	}
 }
 
-// TestGoldenSingleWorkerPools repeats the oracle check with one worker, under
-// every pool: the stealing pool without a thief, and the
-// central queue under each global order, with every taskwait
-// yielding the only token.
+// TestGoldenSingleWorkerPools repeats the oracle check with one worker —
+// the stealing pool without a thief, where every taskwait helps — with and
+// without successor hand-off.
 func TestGoldenSingleWorkerPools(t *testing.T) {
-	policies := []struct {
-		name   string
-		policy nanos.Policy
+	modes := []struct {
+		name string
+		mode Mode
 	}{
-		{"fifo-stealing", nanos.FIFO},
-		{"lifo-central", nanos.LIFO},
-		{"priority-central", nanos.Priority},
+		{"stealing", Mode{Workers: 1, Debug: true}},
+		{"stealing-nohandoff", Mode{Workers: 1, NoHandoff: true, Debug: true}},
 	}
-	for _, pol := range policies {
-		mode := Mode{Workers: 1, Policy: pol.policy, Debug: true}
-		t.Run(pol.name, func(t *testing.T) {
-			runGoldenOracle(t, mode)
+	for _, m := range modes {
+		t.Run(m.name, func(t *testing.T) {
+			runGoldenOracle(t, m.mode)
 		})
 	}
 }
 
 // runGoldenOracle runs every cholesky, sparselu and sortsum variant under
-// mode with computation enabled; each Run* checks its result against the
-// sequential oracle, and the dependency statistics must show no leaked
-// fragment.
+// mode with computation enabled, one subtest per workload; each Run*
+// checks its result against the sequential oracle, and the dependency
+// statistics must show no leaked fragment.
 func runGoldenOracle(t *testing.T, mode Mode) {
 	t.Helper()
-	for _, v := range CholVariants {
-		res, err := RunCholesky(mode, v, CholParams{N: 128, TS: 32, Seed: 7, Compute: true})
-		if err != nil {
-			t.Fatalf("cholesky %s: %v", v, err)
+	t.Run("cholesky", func(t *testing.T) {
+		for _, v := range CholVariants {
+			res, err := RunCholesky(mode, v, CholParams{N: 128, TS: 32, Seed: 7, Compute: true})
+			if err != nil {
+				t.Fatalf("cholesky %s: %v", v, err)
+			}
+			if st := res.Runtime.DepStats(); st.Releases < st.Fragments {
+				t.Fatalf("cholesky %s: %d fragments, %d releases (leak)", v, st.Fragments, st.Releases)
+			}
 		}
-		if st := res.Runtime.DepStats(); st.Releases < st.Fragments {
-			t.Fatalf("cholesky %s: %d fragments, %d releases (leak)", v, st.Fragments, st.Releases)
+	})
+	t.Run("sparselu", func(t *testing.T) {
+		for _, v := range SparseLUVariants {
+			res, _, err := RunSparseLU(mode, v, SparseLUParams{B: 6, TS: 16, Density: 0.5, Seed: 7, Compute: true})
+			if err != nil {
+				t.Fatalf("sparselu %s: %v", v, err)
+			}
+			if st := res.Runtime.DepStats(); st.Releases < st.Fragments {
+				t.Fatalf("sparselu %s: %d fragments, %d releases (leak)", v, st.Fragments, st.Releases)
+			}
 		}
-	}
-	for _, v := range SparseLUVariants {
-		res, _, err := RunSparseLU(mode, v, SparseLUParams{B: 6, TS: 16, Density: 0.5, Seed: 7, Compute: true})
-		if err != nil {
-			t.Fatalf("sparselu %s: %v", v, err)
+	})
+	t.Run("sortsum", func(t *testing.T) {
+		for _, v := range SortVariants {
+			res, err := RunSortSum(mode, v, SortParams{N: 1 << 13, TS: 1 << 8, Seed: 7})
+			if err != nil {
+				t.Fatalf("sortsum %s: %v", v, err)
+			}
+			if st := res.Runtime.DepStats(); st.Releases < st.Fragments {
+				t.Fatalf("sortsum %s: %d fragments, %d releases (leak)", v, st.Fragments, st.Releases)
+			}
 		}
-		if st := res.Runtime.DepStats(); st.Releases < st.Fragments {
-			t.Fatalf("sparselu %s: %d fragments, %d releases (leak)", v, st.Fragments, st.Releases)
-		}
-	}
-	for _, v := range SortVariants {
-		res, err := RunSortSum(mode, v, SortParams{N: 1 << 13, TS: 1 << 8, Seed: 7})
-		if err != nil {
-			t.Fatalf("sortsum %s: %v", v, err)
-		}
-		if st := res.Runtime.DepStats(); st.Releases < st.Fragments {
-			t.Fatalf("sortsum %s: %d fragments, %d releases (leak)", v, st.Fragments, st.Releases)
-		}
-	}
+	})
 }

@@ -29,9 +29,6 @@ type Mode struct {
 	// Virtual selects virtual-time execution (for core-count sweeps beyond
 	// the host machine, Figures 4 and 6).
 	Virtual bool
-	// Policy is the ready-queue discipline; it also selects the ready pool
-	// (FIFO: work stealing; LIFO, Priority: the central queue).
-	Policy nanos.Policy
 	// NoHandoff disables direct successor hand-off (locality ablation).
 	NoHandoff bool
 	// Trace enables span recording (needed for timelines and, in real
@@ -76,7 +73,6 @@ func (m Mode) config() nanos.Config {
 	return nanos.Config{
 		Workers:           w,
 		Virtual:           m.Virtual,
-		Policy:            m.Policy,
 		NoHandoff:         m.NoHandoff,
 		EnableTrace:       m.Trace,
 		Cache:             m.Cache,

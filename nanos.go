@@ -44,12 +44,11 @@
 // tests drive it in lockstep with a single-mutex reference engine over
 // random task programs to keep the two observably equivalent.
 //
-// The scheduler admission path is sharded the same way: under the default
-// FIFO policy, real mode runs a work-stealing ready pool with one lock-free
-// deque and one creator lane per worker and lock-free token accounting, so
-// submitting, finishing, and yielding tasks on different workers never
-// serialize on a common lock. The LIFO and Priority policies are global
-// orders and run on the single-lock central queue instead.
+// The scheduler admission path is sharded the same way: real mode runs one
+// ready pool, a work-stealing pool with one lock-free deque and one creator
+// lane per worker and lock-free token accounting, so submitting, finishing,
+// and yielding tasks on different workers never serialize on a common
+// lock. Virtual mode keeps its own deterministic FIFO ready list.
 //
 // With the locks sharded away, the remaining steady-state cost is
 // allocator and GC traffic, so task-lifecycle memory is pooled: dependency
@@ -59,10 +58,10 @@
 // turns the pools' leak accounting into an end-of-run check.
 //
 // A Taskwait that finds incomplete children first runs the queued
-// descendants on its own worker's deque itself (on the default FIFO pool);
-// only when none is left does it yield its worker token into other ready
-// work and park until the last child completes. Runtime.TaskwaitStats
-// reports inlined descendants and parks.
+// descendants on its own worker's deque itself; only when none is left
+// does it yield its worker token into other ready work and park until the
+// last child completes. Runtime.TaskwaitStats reports inlined descendants
+// and parks.
 //
 // A minimal program:
 //
@@ -88,7 +87,6 @@ import (
 	"repro/internal/deps"
 	"repro/internal/regions"
 	"repro/internal/replay"
-	"repro/internal/sched"
 	"repro/internal/throttle"
 )
 
@@ -113,9 +111,6 @@ type (
 	AccessType = core.AccessType
 	// CacheConfig configures the per-worker cache simulation.
 	CacheConfig = cachesim.Config
-	// Policy is the ready-queue discipline; it also selects the ready
-	// pool (FIFO: work stealing; LIFO, Priority: the central queue).
-	Policy = sched.Policy
 	// DepStats exposes dependency-engine activity counters.
 	DepStats = deps.Stats
 	// TaskError reports a panic recovered from a task body; returned by
@@ -167,20 +162,11 @@ const (
 	Red = core.Red
 )
 
-// Ready-queue policies for Config.Policy.
-const (
-	FIFO = sched.FIFO
-	LIFO = sched.LIFO
-	// Priority dispatches the ready task with the highest TaskSpec.Priority
-	// first (FIFO among equals) — the OpenMP 4.5 priority clause.
-	Priority = sched.Priority
-)
-
 // Record-and-replay modes for Config.Replay. The cache engages through
 // TaskContext.Graph: the first execution of a named graph region records
 // the submitted graph, and later executions with an identical dependency
 // shape bypass the dependency engine, driving frozen per-task predecessor
-// countdowns straight into the ready pools. Replay is transparent: shape
+// countdowns straight into the ready pool. Replay is transparent: shape
 // changes invalidate and fall back to the live engine mid-region, and
 // unfinished external producers of region inputs force a live execution.
 const (

@@ -17,9 +17,8 @@ import (
 	nanos "repro"
 )
 
-// runStressCfg is runStress with a custom runtime configuration and an
-// optional per-task priority source.
-func runStressCfg(t *testing.T, tasks []*stressTask, cfg nanos.Config, prio func(label string) int64) {
+// runStressCfg is runStress with a custom runtime configuration.
+func runStressCfg(t *testing.T, tasks []*stressTask, cfg nanos.Config) {
 	expect, final := stressReference(tasks)
 	rt := nanos.New(cfg)
 	d := rt.NewData("x", stressUniverse, 8)
@@ -43,7 +42,7 @@ func runStressCfg(t *testing.T, tasks []*stressTask, cfg nanos.Config, prio func
 		for _, iv := range st.writes {
 			deps = append(deps, nanos.DInOut(d, iv))
 		}
-		spec := nanos.TaskSpec{
+		tc.Submit(nanos.TaskSpec{
 			Label:    st.label,
 			WeakWait: st.weakWait,
 			Deps:     deps,
@@ -74,11 +73,7 @@ func runStressCfg(t *testing.T, tasks []*stressTask, cfg nanos.Config, prio func
 					tc.Release(nanos.DWeakInOut(d, st.cover))
 				}
 			},
-		}
-		if prio != nil {
-			spec.Priority = prio(st.label)
-		}
-		tc.Submit(spec)
+		})
 	}
 
 	rt.Run(func(tc *nanos.TaskContext) {
@@ -98,43 +93,27 @@ func runStressCfg(t *testing.T, tasks []*stressTask, cfg nanos.Config, prio func
 }
 
 // TestStressSchedulerMatrix runs random programs (with the early-release
-// directive active in every weakwait task) across the ready pools: work
-// stealing (the FIFO policy) and the central queue under LIFO and under
-// Priority with random priorities, each with and without hand-off.
+// directive active in every weakwait task) on the work-stealing pool at
+// one, four and eight workers, with and without hand-off (without it,
+// every readied successor goes through the pool).
 func TestStressSchedulerMatrix(t *testing.T) {
-	type cfgCase struct {
+	cases := []struct {
 		name string
 		cfg  nanos.Config
-		prio bool
-	}
-	cases := []cfgCase{
-		{"stealing", nanos.Config{Workers: 4}, false},
-		{"stealing-nohandoff", nanos.Config{Workers: 4, NoHandoff: true}, false},
-		{"central-lifo", nanos.Config{Workers: 4, Policy: nanos.LIFO}, false},
-		{"central-lifo-nohandoff", nanos.Config{Workers: 4, Policy: nanos.LIFO, NoHandoff: true}, false},
-		{"central-priority", nanos.Config{Workers: 4, Policy: nanos.Priority}, true},
-		{"central-priority-nohandoff", nanos.Config{Workers: 4, Policy: nanos.Priority, NoHandoff: true}, true},
+	}{
+		{"stealing", nanos.Config{Workers: 4}},
+		{"stealing-nohandoff", nanos.Config{Workers: 4, NoHandoff: true}},
+		{"stealing-w1", nanos.Config{Workers: 1}},
+		{"stealing-w8", nanos.Config{Workers: 8}},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
 			for seed := int64(0); seed < 8; seed++ {
 				rng := rand.New(rand.NewSource(5000 + seed))
 				prog := buildStressProgram(rng, 2)
-				var prio func(string) int64
-				if c.prio {
-					// Submit runs concurrently, so derive the priority from
-					// the label rather than sharing an rng.
-					prio = func(label string) int64 {
-						var h int64
-						for _, ch := range label {
-							h = h*31 + int64(ch)
-						}
-						return (h + seed) % 5
-					}
-				}
 				cfg := c.cfg
 				cfg.Debug = true
-				runStressCfg(t, prog, cfg, prio)
+				runStressCfg(t, prog, cfg)
 				if t.Failed() {
 					t.Fatalf("seed %d failed", seed)
 				}
@@ -246,8 +225,7 @@ func TestStressFailureInjection(t *testing.T) {
 }
 
 // TestStressTaskwaitMatrix runs a wait-heavy program over the matrix of
-// ready pool (the helping stealing pool, the central queue) × throttle
-// window (off, 6) × record-and-replay (on, off), with pooled memory and
+// throttle window (off, 6) × record-and-replay (on, off), with pooled memory and
 // Debug's end-of-run leak checks throughout. The program mixes graph
 // regions (one replay-eligible region with owner-level waits, one made
 // ineligible by member-task waits over nested submissions) with loose
@@ -259,25 +237,21 @@ func TestStressTaskwaitMatrix(t *testing.T) {
 		iters, inner = 2, 8
 	}
 	type cell struct {
-		policy   nanos.Policy
 		throttle int
 		replay   nanos.ReplayKind
 	}
 	var cells []cell
-	for _, policy := range []nanos.Policy{nanos.FIFO, nanos.LIFO} {
-		for _, throttle := range []int{0, 6} {
-			for _, replay := range []nanos.ReplayKind{nanos.ReplayOn, nanos.ReplayOff} {
-				cells = append(cells, cell{policy, throttle, replay})
-			}
+	for _, throttle := range []int{0, 6} {
+		for _, replay := range []nanos.ReplayKind{nanos.ReplayOn, nanos.ReplayOff} {
+			cells = append(cells, cell{throttle, replay})
 		}
 	}
 	for _, c := range cells {
 		c := c
 		replayOn := c.replay == nanos.ReplayOn
-		t.Run(fmt.Sprintf("%v/throttle=%d/replay=%v", c.policy, c.throttle, replayOn), func(t *testing.T) {
+		t.Run(fmt.Sprintf("throttle=%d/replay=%v", c.throttle, replayOn), func(t *testing.T) {
 			rt := nanos.New(nanos.Config{
 				Workers:           4,
-				Policy:            c.policy,
 				ThrottleOpenTasks: c.throttle,
 				Replay:            c.replay,
 				Debug:             true,
@@ -347,9 +321,6 @@ func TestStressTaskwaitMatrix(t *testing.T) {
 			st := rt.TaskwaitStats()
 			if st.Handoffs != 0 || st.StealResumes != 0 {
 				t.Errorf("stats %+v, want zero handoffs and steal-resumes", st)
-			}
-			if c.policy == nanos.LIFO && st.Inlined != 0 {
-				t.Errorf("central queue: %d descendants inlined, want none (its waits never help)", st.Inlined)
 			}
 			if st.Parks+st.Inlined == 0 {
 				t.Errorf("no wait helped or parked on a wait-heavy workload (stats %+v)", st)

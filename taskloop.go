@@ -27,8 +27,6 @@ type TaskloopSpec struct {
 	// Flops, when non-nil, returns a chunk's flop count for the runtime's
 	// accounting.
 	Flops func(lo, hi int64) int64
-	// Priority applies to every chunk task (Priority policy).
-	Priority int64
 	// Final marks every chunk task final (its subtasks run inline).
 	Final bool
 	// Body executes one chunk over [lo, hi). Required.
@@ -61,10 +59,9 @@ func Taskloop(tc *TaskContext, spec TaskloopSpec) int {
 	// closure itself.
 	body := spec.Body
 	ts := TaskSpec{
-		Label:    label,
-		Kind:     label,
-		Priority: spec.Priority,
-		Final:    spec.Final,
+		Label: label,
+		Kind:  label,
+		Final: spec.Final,
 	}
 	for lo := spec.Lo; lo < spec.Hi; lo += spec.Grain {
 		hi := lo + spec.Grain

@@ -28,7 +28,7 @@ func loop(tc *nanos.TaskContext, taskloop bool, spec nanos.WorksharingSpec) int 
 	return nanos.Taskloop(tc, nanos.TaskloopSpec{
 		Label: spec.Label, Lo: spec.Lo, Hi: spec.Hi, Grain: spec.Grain,
 		Deps: spec.Deps, Cost: spec.Cost, Flops: spec.Flops,
-		Priority: spec.Priority, Body: spec.Body,
+		Body: spec.Body,
 	})
 }
 
