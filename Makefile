@@ -23,7 +23,8 @@ help:
 	@echo "                 sortsum_weak (the fragmenting / partial-release path) and"
 	@echo "                 gs_graph_replay (the recording sweep's guard straddles every stripe)"
 	@echo "  smoke          per-subsystem gates, one table row each (see SMOKE_TESTS): ready-pool"
-	@echo "                 and throttle w=1 parity + contention matrices; memory-pool alloc gates,"
+	@echo "                 w=1 parity + contention matrix; throttle cycle kernel (quiescent"
+	@echo "                 window) + contention matrix; memory-pool alloc gates,"
 	@echo "                 pooled-vs-reference differentials and leak accounting; replay-vs-live"
 	@echo "                 differential + shape-flip fallback; taskwait differential (helping vs"
 	@echo "                 park-only waits), exact stats, descendants-only help, one park per"
@@ -88,9 +89,11 @@ bench-check:
 
 # Per-subsystem smoke, one row per package and pass: the go test flags (a
 # -run pattern, any -bench pass, -race), then the package.
-#   sched, throttle: the w=1 parity guards (the lock-free fast paths stay at
-#     parity with the single-lock references when uncontended) and one pass
-#     of each contention matrix.
+#   sched: the w=1 parity guard (the lock-free fast path stays at parity
+#     with the single-lock reference when uncontended) and one pass of the
+#     contention matrix.
+#   throttle: the cycle kernel (the window ends quiescent, tight and wide)
+#     and one pass of the contention matrix.
 #   deps, core (first core row): the memory-pool gates — steady-state alloc
 #     cut, pooled-vs-reference differentials, leak accounting, w=1 parity;
 #     the replay-vs-live differential, shape-flip fallback and replay w=1
@@ -107,7 +110,7 @@ bench-check:
 #     watchdog selftest, panic-safe drain suite, and the chaos registry.
 SMOKE_TESTS = \
 	'-run TestSchedW1Parity -bench BenchmarkSchedContentionMatrix -benchtime 1x ./internal/sched' \
-	'-run TestThrottleW1Parity -bench BenchmarkThrottleContentionMatrix -benchtime 1x ./internal/throttle' \
+	'-run TestThrottleCycleKernel -bench BenchmarkThrottleContentionMatrix -benchtime 1x ./internal/throttle' \
 	'-run TestMemPool -bench BenchmarkSubmitDisjoint -benchtime 1x ./internal/deps' \
 	'-run TestMemPool|TestGraphReplayDifferential|TestGraphShapeFlipInvalidation|TestReplayW1Parity|TestTaskwaitExactStats|TestTaskwaitDifferential|TestTaskwaitInlineDescendantsOnly|TestTaskwaitOneParkPerBlockedWait|TestTaskwaitEdgeCases|TestWorksharingBasic|TestWorksharingReplaySingleNode|TestWorksharingEdgeCases ./internal/core' \
 	'-run TestWorksharingDifferential|TestWorksharingW1Parity|TestWorksharingReplayVsTaskloop .' \

@@ -203,9 +203,8 @@ func BenchmarkAblationHandoff(b *testing.B) {
 // BenchmarkAblationThrottle measures the task-creation throttle (bounded
 // lookahead window, §III) on the flat-depend AXPY: first the window sweep
 // at the default worker count, then the window × worker-count contention
-// matrix on the end-to-end workload (the mutex+cond reference window is
-// compared against the sharded token bucket in isolation by
-// internal/throttle's contention matrix).
+// matrix on the end-to-end workload (the window alone, without the rest of
+// the runtime, is internal/throttle's contention matrix).
 func BenchmarkAblationThrottle(b *testing.B) {
 	b.ReportAllocs()
 	p := workloads.AxpyParams{N: 1 << 19, Calls: 8, TaskSize: 4 << 10, Alpha: 1, Compute: true}

@@ -1,20 +1,21 @@
 // Package chaos is the runtime's failpoint registry: named injection
 // sites threaded through every lock-free protocol edge (the steal-CAS
 // retry, Dekker recheck and creator-lane take windows in internal/sched,
-// the credit-steal and batch-wake hand-off in internal/throttle, the
-// cascade ordering and pin-count release in internal/deps, the lane-refill
-// path in internal/mempool, and the replay and worksharing intercepts in
-// internal/core). A site does nothing when the registry is disarmed — the
-// fast path is a single atomic bool load and a predictable branch, cheap
-// enough to leave compiled into production paths — and injects
-// deterministic, PRNG-driven schedule perturbations when armed.
+// the cascade ordering and pin-count release in internal/deps, the
+// lane-refill path in internal/mempool, and the replay and worksharing
+// intercepts in internal/core). The throttle window is one mutex and one
+// condition variable, with no lock-free edge, so it has no site. A site
+// does nothing when the registry is disarmed — the fast path is a single
+// atomic bool load and a predictable branch, cheap enough to leave
+// compiled into production paths — and injects deterministic, PRNG-driven
+// schedule perturbations when armed.
 //
 // Two site flavors keep the correctness oracles valid:
 //
 //   - delay sites (Maybe): widen a race window with a Gosched, a bounded
 //     spin, or a double yield. The operation always happens — an injection
 //     reorders, it never drops — so differential checksums, leak
-//     accounting, and the throttle credit invariant must all still hold
+//     accounting, and the throttle occupancy invariant must all still hold
 //     under any schedule the injections provoke.
 //   - decision sites (Force): deterministically take a slow path that a
 //     quiet run rarely exercises — a forced lane-refill miss, a forced
@@ -59,13 +60,6 @@ const (
 	// SchedDekkerRecheck sits in kick between the item publication and the
 	// token-list recheck on the submitter side of the same Dekker pair.
 	SchedDekkerRecheck
-	// ThrottleCreditSteal sits in the sharded window's tryAcquire before
-	// the cross-cache steal scan, racing it against concurrent Started
-	// returns and other stealers.
-	ThrottleCreditSteal
-	// ThrottleBatchWake sits in put between the waiter-count check and the
-	// credit hand-off, racing the hand-off against waiter deregistration.
-	ThrottleBatchWake
 	// DepsCascade sits in the sharded engine's CompleteInto between shard
 	// visits, interleaving multi-object completion cascades.
 	DepsCascade
@@ -100,8 +94,6 @@ var siteNames = [NumSites]string{
 	"sched-steal-cas",
 	"sched-token-retire",
 	"sched-dekker-recheck",
-	"throttle-credit-steal",
-	"throttle-batch-wake",
 	"deps-cascade",
 	"deps-pin-release",
 	"mempool-refill",

@@ -9,7 +9,7 @@ import (
 )
 
 // Chaos soak: the full real-mode stack — sharded deps, stealing pool,
-// sharded throttle, pooled memory, record-and-replay regions, parking
+// throttle window, pooled memory, record-and-replay regions, parking
 // taskwait, chunked worksharing — driven under randomized seeded failpoint
 // schedules (internal/chaos) that widen every lock-free race window the
 // runtime owns. The oracles are the existing ones: a deterministic final
@@ -17,7 +17,7 @@ import (
 // joins, direct pool/credit drain checks, and the stall watchdog reporting
 // nothing. Failing seeds replay with -seed.
 
-// chaosStack is the fully-sharded configuration the soak exercises.
+// chaosStack is the throttled, watched configuration the soak exercises.
 func chaosStack() Config {
 	return Config{
 		Workers:           4,
@@ -206,7 +206,6 @@ type chaosGroup struct {
 // site joins the group of the subsystem it sits in.
 var chaosGroups = []chaosGroup{
 	{"sched", []chaos.Site{chaos.SchedStealCAS, chaos.SchedTokenRetire, chaos.SchedDekkerRecheck, chaos.SchedCreatorLane}},
-	{"throttle", []chaos.Site{chaos.ThrottleCreditSteal, chaos.ThrottleBatchWake}},
 	{"deps", []chaos.Site{chaos.DepsCascade, chaos.DepsPinRelease}},
 	{"mempool", []chaos.Site{chaos.MempoolRefill}},
 	{"replay", []chaos.Site{chaos.ReplayInvalidate}},
@@ -238,15 +237,8 @@ func TestChaosGroupsPartitionSites(t *testing.T) {
 // the chaos-off row, one row per subsystem group and an all-sites row.
 // Every row must match the off row's checksum, drain fully and report no
 // stall; every armed row must also engage its sites, so each subsystem's
-// failpoints are shown reachable by the program on their own.
-//
-// The throttle sites sit on the paths a reserver takes when it finds the
-// window full, and four workers draining the window as fast as the root
-// fills it do not always get there in a short run. That row therefore also
-// runs on one worker, where it must: a lone worker cannot start what it
-// submits before the submitter blocks, so the window fills every
-// iteration. The engagement check reads that run; the checksum, drain and
-// stall checks apply to both.
+// failpoints are shown reachable by the program on their own. Every row
+// runs throttled (chaosStack), so the window sees each row's schedules.
 func TestChaosSubsystemTable(t *testing.T) {
 	iters, width := soakSizes(t)
 	all := make([]chaos.Site, chaos.NumSites)
@@ -258,51 +250,43 @@ func TestChaosSubsystemTable(t *testing.T) {
 	var want int64
 	defer chaos.Disable()
 	for i, g := range rows {
-		workers := []int{4}
-		if g.name == "throttle" {
-			workers = append(workers, 1)
-		}
-		for _, w := range workers {
-			ok := t.Run(fmt.Sprintf("%s/w=%d", g.name, w), func(t *testing.T) {
-				if len(g.sites) > 0 {
-					s := chaos.Schedule{Seed: 7}
-					for _, site := range g.sites {
-						s.Rate[site] = 2
-					}
-					chaos.Enable(s)
+		ok := t.Run(g.name+"/w=4", func(t *testing.T) {
+			if len(g.sites) > 0 {
+				s := chaos.Schedule{Seed: 7}
+				for _, site := range g.sites {
+					s.Rate[site] = 2
 				}
-				cfg := chaosStack()
-				cfg.Workers = w
-				r := New(cfg)
-				got, err := runChaosProgram(r, iters, width)
-				chaos.Disable()
-				if err != nil {
-					t.Fatalf("run failed: %v", err)
-				}
-				if i == 0 {
-					want = got
-				} else if got != want {
-					t.Errorf("checksum %d != off row %d", got, want)
-				}
-				var hits uint64
-				if len(g.sites) > 0 {
-					_, h := chaos.Counts()
-					for _, site := range g.sites {
-						hits += h[site]
-					}
-				}
-				t.Logf("%d failpoint hits", hits)
-				if len(g.sites) > 0 && hits == 0 && (g.name != "throttle" || w == 1) {
-					t.Error("failpoints never engaged")
-				}
-				assertDrained(t, r)
-				if reps := r.StallReports(); len(reps) != 0 {
-					t.Errorf("%d stall reports, want 0: %v", len(reps), reps[0].String())
-				}
-			})
-			if !ok && i == 0 {
-				t.Fatal("the chaos-off row failed; no checksum to compare against")
+				chaos.Enable(s)
 			}
+			r := New(chaosStack())
+			got, err := runChaosProgram(r, iters, width)
+			chaos.Disable()
+			if err != nil {
+				t.Fatalf("run failed: %v", err)
+			}
+			if i == 0 {
+				want = got
+			} else if got != want {
+				t.Errorf("checksum %d != off row %d", got, want)
+			}
+			var hits uint64
+			if len(g.sites) > 0 {
+				_, h := chaos.Counts()
+				for _, site := range g.sites {
+					hits += h[site]
+				}
+			}
+			t.Logf("%d failpoint hits", hits)
+			if len(g.sites) > 0 && hits == 0 {
+				t.Error("failpoints never engaged")
+			}
+			assertDrained(t, r)
+			if reps := r.StallReports(); len(reps) != 0 {
+				t.Errorf("%d stall reports, want 0: %v", len(reps), reps[0].String())
+			}
+		})
+		if !ok && i == 0 {
+			t.Fatal("the chaos-off row failed; no checksum to compare against")
 		}
 	}
 }

@@ -64,9 +64,9 @@ func (r *Runtime) invokeBody(t *Task, tc *TaskContext) {
 // RunChecked only reaches here after the graph has drained to quiescence,
 // and the panic-safe drain guarantees are exactly that a failed run leaks
 // nothing: skipped bodies flow through the normal completion pipeline,
-// credits are refunded, and pooled objects recycle. A *TaskError stays the
-// primary error (errors.As finds it through the join); any violated
-// invariant is joined after it.
+// the throttle window empties, and pooled objects recycle. A *TaskError
+// stays the primary error (errors.As finds it through the join); any
+// violated invariant is joined after it.
 func (r *Runtime) runErr() error {
 	r.errMu.Lock()
 	err := r.err
@@ -89,7 +89,7 @@ func (r *Runtime) runErr() error {
 		// the pools must be back: a positive count means a dependency
 		// object escaped its recycle point (a leak the pin protocol
 		// should make impossible). Exact here because every engine
-		// Complete happens-before the root's completion.
+		// CompleteInto happens-before the root's completion.
 		if n := st.Outstanding(); n != 0 {
 			check("%d pooled dependency objects not recycled at end of run", n)
 		}
@@ -112,14 +112,13 @@ func (r *Runtime) runErr() error {
 		}
 	}
 	if r.thr != nil {
-		// Throttle credit conservation: with the window drained (no open
-		// task, no reservation in flight) every credit must be back on the
-		// balance or a worker cache — a shortfall is a dropped credit (a
-		// future admission stall), an excess is a double-return.
+		// Throttle conservation: every window entry must have been matched
+		// by a start. A positive count is an entry never started (its slot
+		// stays taken, a future admission stall); a negative one is a
+		// double start. Credits() is Limit() - Open(), so this also checks
+		// that every slot is free.
 		if n := r.thr.Open(); n != 0 {
 			check("throttle window still reports %d open tasks at end of run", n)
-		} else if c, limit := r.thr.Credits(), int64(r.thr.Limit()); c != limit {
-			check("throttle credits %d != limit %d at end of run (dropped or double-returned credit)", c, limit)
 		}
 	}
 	if len(errs) == 1 {

@@ -296,10 +296,10 @@ func TestStressShardedManyWorkers(t *testing.T) {
 	}
 }
 
-// TestStressShardedThrottleRelease combines the sharded engine with the
-// open-task throttle and release directives: blocked submitters yield
-// tokens while releases from other shards wake successors.
-func TestStressShardedThrottleRelease(t *testing.T) {
+// TestStressThrottleRelease combines the sharded engine with the open-task
+// throttle and release directives: blocked submitters yield tokens while
+// releases from other shards wake successors.
+func TestStressThrottleRelease(t *testing.T) {
 	seeds := 4
 	if testing.Short() {
 		seeds = 2

@@ -368,22 +368,15 @@ func (g *graphRun) fallback(tc *TaskContext) {
 // whichever decrement fires the countdown dispatches the task.
 func (g *graphRun) replaySubmit(tc *TaskContext, spec TaskSpec, idx int32) {
 	r := tc.rt
-	t, prepaid := r.admitChild(tc, spec)
+	t := r.admitChild(tc, spec)
 	n := g.nodes[idx]
 	t.greg, t.gidx, t.gnode = g, idx, n
 	n.User = t
+	// A task deferred on recorded predecessors enters the window when its
+	// countdown fires, mirroring the live path's cascade admission.
 	if n.Dec() {
-		if prepaid {
-			r.windowEnterReserved(tc.worker)
-		} else {
-			r.windowEnter(1, tc.worker)
-		}
+		r.windowEnter(1, tc.worker)
 		r.enqueue(t, tc.worker)
-	} else if prepaid {
-		// Deferred on recorded predecessors — it does not occupy the
-		// window; its countdown-fired entry is unreserved, mirroring the
-		// dependency-cascade admission of the live path.
-		r.thr.Refund(tc.worker)
 	}
 }
 

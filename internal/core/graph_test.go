@@ -451,7 +451,7 @@ func TestGraphVirtualInline(t *testing.T) {
 }
 
 // TestGraphThrottled: replayed admissions must respect the open-task
-// window exactly like live ones (reserve/refund/cascade accounting stays
+// window exactly like live ones (reserve/enter/start accounting stays
 // balanced through both paths).
 func TestGraphThrottled(t *testing.T) {
 	for _, kind := range []replay.Kind{replay.KindOff, replay.KindOn} {

@@ -375,8 +375,8 @@ func TestMemPoolAllocGateWorksharing(t *testing.T) {
 	}
 }
 
-// TestMemPoolStressRace combines the pooled memory mode with every sharded
-// subsystem — sharded engine, stealing pool, sharded throttle — under
+// TestMemPoolStressRace combines the pooled memory mode with every
+// concurrent subsystem — sharded engine, stealing pool, throttle window — under
 // churn with nested weakwait tasks and taskwait blockers; run with -race
 // this is the concurrency-safety net for recycling across all layers.
 func TestMemPoolStressRace(t *testing.T) {

@@ -11,9 +11,9 @@ import (
 // Panic-safe drain tests: a panic anywhere in the task tree — inside a
 // replayed graph region, a final serial task, a worksharing owner — must
 // poison its region, drain the runtime to quiescence with every pooled
-// object recycled and every throttle credit refunded, and surface exactly
-// one *TaskError. Every test runs with Debug so runErr's joined leak
-// checks (pools, fragments, live tasks, credit conservation) are part of
+// object recycled and the throttle window empty, and surface exactly one
+// *TaskError. Every test runs with Debug so runErr's joined leak checks
+// (pools, fragments, live tasks, window occupancy) are part of
 // the assertion: a drain that leaked turns the TaskError into a join that
 // the "debug check failed" scan below catches.
 
@@ -54,8 +54,8 @@ func assertDrained(t *testing.T, r *Runtime) {
 		if open := r.thr.Open(); open != 0 {
 			t.Errorf("throttle still reports %d open tasks", open)
 		}
-		if c, limit := r.thr.Credits(), int64(r.thr.Limit()); c != limit {
-			t.Errorf("throttle credits %d != limit %d after drain", c, limit)
+		if n := r.thr.Waiters(); n != 0 {
+			t.Errorf("%d throttle reservers still parked after drain", n)
 		}
 	}
 }
@@ -232,8 +232,8 @@ func TestPanicInTaskgroup(t *testing.T) {
 }
 
 // TestRunRepanicsAfterDrain: Run's re-panic must happen only after the
-// graph has drained to quiescence — zero outstanding pool objects, all
-// throttle credits home — so a recovering caller observes a clean runtime.
+// graph has drained to quiescence — zero outstanding pool objects, an
+// empty throttle window — so a recovering caller observes a clean runtime.
 func TestRunRepanicsAfterDrain(t *testing.T) {
 	r := New(Config{
 		Workers:           4,

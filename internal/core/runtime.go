@@ -83,9 +83,13 @@ type Config struct {
 	// always wakes. (Counting all instantiated tasks would deadlock nested
 	// weak programs: a task can be dependency-blocked on fragments that
 	// release only when its blocked submitter's own body finishes.)
-	// Real mode runs the sharded token-bucket window (internal/throttle):
-	// a global atomic credit balance with per-worker credit caches and
-	// per-shard wait lists; virtual mode never blocks submitters.
+	// Real mode runs the mutex+cond window of internal/throttle; virtual
+	// mode never blocks submitters. The bound is checked before a
+	// submission enters, so submitters that pass the check at once each
+	// enter: occupancy through submissions stays within ThrottleOpenTasks
+	// + (concurrent submitters - 1) — exact with one creator, at most one
+	// slot over with two — and dependency cascades, which never block,
+	// may overdraw it further.
 	ThrottleOpenTasks int
 	// Replay selects the record-and-replay taskgraph cache behind
 	// TaskContext.Graph. replay.KindAuto (the zero value) enables it in
@@ -121,21 +125,13 @@ type Config struct {
 	// heartbeat epochs plus a sampling monitor goroutine that detects the
 	// lost-wakeup signature — queued work or parked waiters coexisting with
 	// free tokens/credits while dispatch makes no progress — and captures a
-	// structured StallReport (Runtime.StallReports, Config.OnStall). The
-	// per-dispatch cost is two uncontended atomic stores on a worker-private
-	// cache line; off, it is one nil check. See watchdog.go for the
-	// detection and false-positive policy.
+	// structured StallReport (Runtime.StallReports). The monitor samples
+	// every 2ms and reports a signature that persists, with frozen
+	// heartbeats across every sample, for 250ms (~100x any legitimate
+	// admission window). The per-dispatch cost is two uncontended atomic
+	// stores on a worker-private cache line; off, it is one nil check. See
+	// watchdog.go for the detection and false-positive policy.
 	Watchdog bool
-	// WatchdogInterval is the monitor's sampling period (default 2ms).
-	WatchdogInterval time.Duration
-	// WatchdogBound is how long a stall signature must persist — with
-	// frozen heartbeats across every sample — before a report fires
-	// (default 250ms, ~100x any legitimate admission window).
-	WatchdogBound time.Duration
-	// OnStall, when non-nil, receives each StallReport as it fires (called
-	// on the watchdog goroutine). Reports are collected for
-	// Runtime.StallReports regardless.
-	OnStall func(*StallReport)
 	// Verify enables the lint checks of verify.go: Touch assertions are
 	// checked against the task's strong depend entries, and child depend
 	// entries against the parent's. Findings accumulate in Violations.
@@ -188,7 +184,7 @@ type Runtime struct {
 	tasksG *mempool.Global[Task]
 	ws     []workerScratch
 
-	thr throttle.Window // admission window (nil if unthrottled or virtual)
+	thr *throttle.Window // admission window (nil if unthrottled or virtual)
 
 	parks atomic.Int64 // blocking taskwaits (Runtime.TaskwaitStats)
 
@@ -217,6 +213,11 @@ type Runtime struct {
 	// RunChecked's acquire and its final drain.
 	hb []hbSlot
 	wd *watchdog
+	// wdInterval/wdBound replace the watchdog's default sampling period
+	// and bound when set, and onStall receives each report as it fires (on
+	// the watchdog goroutine). Only the tests set them (newTunedWatchdog).
+	wdInterval, wdBound time.Duration
+	onStall             func(*StallReport)
 
 	rootDone  chan struct{}
 	wallStart time.Time
@@ -313,7 +314,7 @@ func New(cfg Config) *Runtime {
 		r.wsPool = newWsPool(cfg.Workers)
 	}
 	if cfg.ThrottleOpenTasks > 0 && !cfg.Virtual {
-		r.thr = throttle.New(throttle.KindSharded, cfg.ThrottleOpenTasks, cfg.Workers)
+		r.thr = throttle.New(throttle.KindAuto, cfg.ThrottleOpenTasks, cfg.Workers)
 	}
 	rp := cfg.Replay
 	if rp == replay.KindAuto {

@@ -197,14 +197,13 @@ func (tc *TaskContext) Submit(spec TaskSpec) {
 // admitChild runs the admission prologue shared by the live and replay
 // submission paths: the throttle gate (the reservation may block, yielding
 // this worker's token into other ready work and reacquiring one — possibly
-// different — before returning; a prepaid reservation carries a window
-// credit for the child's entry), task construction, and the liveness,
+// different — before returning), task construction, and the liveness,
 // count, taskgroup, and parent-children bookkeeping.
-func (r *Runtime) admitChild(tc *TaskContext, spec TaskSpec) (t *Task, prepaid bool) {
+func (r *Runtime) admitChild(tc *TaskContext, spec TaskSpec) *Task {
 	if r.thr != nil {
-		tc.worker, prepaid = r.thr.Reserve(tc.worker, r.sch)
+		tc.worker, _ = r.thr.Reserve(tc.worker, r.sch)
 	}
-	t = r.newTask(tc.task, spec, tc.worker)
+	t := r.newTask(tc.task, spec, tc.worker)
 	if r.v != nil && r.cfg.VirtualSubmitCost > 0 {
 		tc.task.vCreate += r.cfg.VirtualSubmitCost
 		t.vArrival = r.v.now + tc.task.vCreate
@@ -219,14 +218,14 @@ func (r *Runtime) admitChild(tc *TaskContext, spec TaskSpec) (t *Task, prepaid b
 	tc.task.mu.Lock()
 	tc.task.children++
 	tc.task.mu.Unlock()
-	return t, prepaid
+	return t
 }
 
 // submitLive is the dependency-engine submission path. g/gidx tag the task
 // as a member of a recording graph region (nil outside regions and in
 // replayed regions, whose tasks never reach this path).
 func (r *Runtime) submitLive(tc *TaskContext, spec TaskSpec, g *graphRun, gidx int32) {
-	t, prepaid := r.admitChild(tc, spec)
+	t := r.admitChild(tc, spec)
 	if g != nil {
 		t.greg, t.gidx = g, gidx
 	}
@@ -237,12 +236,10 @@ func (r *Runtime) submitLive(tc *TaskContext, spec TaskSpec, g *graphRun, gidx i
 		// as the grain of the objects (deps.Node.MarkWeakWait).
 		t.node.MarkWeakWait()
 	}
+	// Only a ready child enters the window now; one deferred on its
+	// dependencies enters through the cascade that readies it.
 	if r.eng.Register(t.node, specs) {
-		if prepaid {
-			r.windowEnterReserved(tc.worker)
-		} else {
-			r.windowEnter(1, tc.worker)
-		}
+		r.windowEnter(1, tc.worker)
 		// A creator waits in the lane as a ready task like any other: it
 		// holds its window slot until a worker starts it (taskStarted).
 		if creator && r.v == nil {
@@ -250,10 +247,6 @@ func (r *Runtime) submitLive(tc *TaskContext, spec TaskSpec, g *graphRun, gidx i
 		} else {
 			r.enqueue(t, tc.worker)
 		}
-	} else if prepaid {
-		// The child deferred on its dependencies — it does not occupy the
-		// window; its eventual dependency-cascade entry is unreserved.
-		r.thr.Refund(tc.worker)
 	}
 }
 
@@ -290,25 +283,16 @@ func (tc *TaskContext) Release(ds ...Dep) {
 	r.dispatchAll(ready, tc.worker)
 }
 
-// windowEnter records n tasks entering the throttle window without a
-// prepaid reservation (dependency-cascade admissions, which never block
+// windowEnter records n tasks entering the throttle window (submissions
+// that passed Reserve, and dependency-cascade admissions, which never block
 // and may overdraw the bound): the occupancy diagnostic and the window's
-// own accounting move together — every entry point must use this helper
-// (or windowEnterReserved) so the two counters cannot drift. worker is the
-// caller's held token (-1 for none).
+// own accounting move together — every entry point must use this helper so
+// the two counters cannot drift. worker is the caller's held token (-1 for
+// none).
 func (r *Runtime) windowEnter(n int64, worker int) {
 	r.ctr(worker).open.Add(n)
 	if r.thr != nil {
 		r.thr.Entered(n)
-	}
-}
-
-// windowEnterReserved records one window entry paid for by a prepaid
-// Reserve in Submit.
-func (r *Runtime) windowEnterReserved(worker int) {
-	r.ctr(worker).open.Add(1)
-	if r.thr != nil {
-		r.thr.EnteredReserved()
 	}
 }
 

@@ -3,16 +3,16 @@ package core
 // Stall watchdog (Config.Watchdog): a low-overhead liveness monitor for the
 // runtime's lock-free admission protocols.
 //
-// The sharded ready pool and the sharded throttle window both close their
-// idle protocols Dekker-style: one side publishes (a queued item, a parked
-// waiter) and rechecks, the other side publishes (a retired token, a
-// returned credit) and rechecks. A bug in either recheck drops a wakeup,
-// and the failure mode is always the same *signature*: a runnable thing
-// and an idle resource coexist indefinitely —
+// The sharded ready pool closes its idle protocol Dekker-style: one side
+// publishes (a queued item, a blocked acquirer) and rechecks, the other
+// side publishes (a retired token) and rechecks; the throttle window pairs
+// a cond-wait with a broadcast on every start. A bug in either drops a
+// wakeup, and the failure mode is always the same *signature*: a runnable
+// thing and an idle resource coexist indefinitely —
 //
 //   - queued tasks alongside free worker tokens,
 //   - blocked Acquire calls alongside free worker tokens,
-//   - parked throttle reservers alongside free window credits.
+//   - parked throttle reservers alongside free window slots.
 //
 // In a correct pool each pairing exists only inside a transient admission
 // window (microseconds); persisting is the lost-wakeup proof. The watchdog
@@ -23,10 +23,10 @@ package core
 //     when enabled is two uncontended atomic writes on a worker-private
 //     cache line; when disabled it is one nil check.
 //   - a monitor goroutine sampling the pool (Stealing.Probe), the throttle
-//     window, and the heartbeat sum every WatchdogInterval. A stall
+//     window, and the heartbeat sum every defaultWatchdogInterval. A stall
 //     signature only accumulates suspicion while the heartbeat sum is
 //     frozen — any dispatch progress resets it — and only fires after it
-//     has persisted for WatchdogBound.
+//     has persisted for defaultWatchdogBound.
 //
 // False-positive policy: the probe's counters are independent atomic reads,
 // so single-sample contradictions are expected and never reported; a report
@@ -38,8 +38,8 @@ package core
 // aid, and a true lost wakeup persists forever, so any bound finds it.
 //
 // On detection the watchdog captures a StallReport — a structured snapshot
-// of pool, throttle, leak-accounting, and per-worker state — delivers it to
-// Config.OnStall (if set), and keeps it for Runtime.StallReports.
+// of pool, throttle, leak-accounting, and per-worker state — and keeps it
+// for Runtime.StallReports.
 
 import (
 	"fmt"
@@ -280,15 +280,12 @@ const (
 )
 
 // newWatchdog wires the monitor loop to this runtime's pool, throttle,
-// heartbeats, and stat accessors.
+// heartbeats, and stat accessors. The sampling period and bound are the
+// defaults unless a test tuned them (wdInterval/wdBound).
 func (r *Runtime) newWatchdog() *watchdog {
-	interval := r.cfg.WatchdogInterval
-	if interval <= 0 {
-		interval = defaultWatchdogInterval
-	}
-	bound := r.cfg.WatchdogBound
-	if bound <= 0 {
-		bound = defaultWatchdogBound
+	interval, bound := defaultWatchdogInterval, defaultWatchdogBound
+	if r.wdInterval > 0 {
+		interval, bound = r.wdInterval, r.wdBound
 	}
 	probe := func() probeSample {
 		var s probeSample
@@ -301,7 +298,7 @@ func (r *Runtime) newWatchdog() *watchdog {
 		s.epochs = r.epochSum()
 		return s
 	}
-	return newWatchdogLoop(interval, bound, probe, r.renderStall, r.cfg.OnStall)
+	return newWatchdogLoop(interval, bound, probe, r.renderStall, r.onStall)
 }
 
 // renderStall captures the full structured diagnosis for a fired stall.

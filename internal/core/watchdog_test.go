@@ -9,6 +9,16 @@ import (
 	"repro/internal/sched"
 )
 
+// newTunedWatchdog builds a runtime from cfg whose watchdog samples every
+// interval, reports a signature that persists for bound, and calls onStall
+// on each report, so a test can run the monitor far more aggressively than
+// the defaults.
+func newTunedWatchdog(cfg Config, interval, bound time.Duration, onStall func(*StallReport)) *Runtime {
+	rt := New(cfg)
+	rt.wdInterval, rt.wdBound, rt.onStall = interval, bound, onStall
+	return rt
+}
+
 // feed drives a detector with n identical samples dt apart and returns the
 // first non-empty verdict.
 func feed(d *stallDetector, s probeSample, dt time.Duration, n int) string {
@@ -136,7 +146,7 @@ func TestWatchdogSelftestSyntheticLostWakeup(t *testing.T) {
 		t.Errorf("report does not name the induced state: %q", rep.Reason)
 	}
 	if int(fired.Load()) != len(reports) {
-		t.Errorf("OnStall fired %d times for %d reports", fired.Load(), len(reports))
+		t.Errorf("onStall fired %d times for %d reports", fired.Load(), len(reports))
 	}
 	if s := rep.String(); !strings.Contains(s, "stall detected") {
 		t.Errorf("String() rendering broken: %q", s)
@@ -148,15 +158,12 @@ func TestWatchdogSelftestSyntheticLostWakeup(t *testing.T) {
 // watchdog at an aggressive interval/bound and asserts zero reports.
 func TestWatchdogNoFalsePositives(t *testing.T) {
 	var reports atomic.Int32
-	r := New(Config{
+	r := newTunedWatchdog(Config{
 		Workers:           4,
 		ThrottleOpenTasks: 8,
 		Watchdog:          true,
-		WatchdogInterval:  time.Millisecond,
-		WatchdogBound:     50 * time.Millisecond,
-		OnStall:           func(*StallReport) { reports.Add(1) },
 		Debug:             true,
-	})
+	}, time.Millisecond, 50*time.Millisecond, func(*StallReport) { reports.Add(1) })
 	d := r.NewData("x", 256, 8)
 	var sum atomic.Int64
 	err := r.RunChecked(func(tc *TaskContext) {

@@ -180,11 +180,11 @@ func TestSubmitChainKernel(t *testing.T) {
 				t.Errorf("completions granted %d nodes, want %d", got.granted, want)
 			}
 			for _, p := range parents {
-				if rdy := e.Complete(p); len(rdy) != 0 {
+				if rdy := e.CompleteInto(p, nil); len(rdy) != 0 {
 					t.Errorf("completing a generator readied %d nodes, want 0", len(rdy))
 				}
 			}
-			e.Complete(root)
+			e.CompleteInto(root, nil)
 			if live := e.LiveFragments(); live != 0 {
 				t.Errorf("LiveFragments = %d after the run, want 0", live)
 			}

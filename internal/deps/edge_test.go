@@ -57,9 +57,9 @@ func TestReleaseUnknownData(t *testing.T) {
 	n := e.NewNode(root, "n", nil)
 	e.Register(n, []Spec{inout(regions.Iv(0, 4))})
 	// Unknown data id and unknown region: both no-ops.
-	e.ReleaseRegions(n, []Spec{{Data: 99, Ivs: []regions.Interval{regions.Iv(0, 4)}}})
-	e.ReleaseRegions(n, []Spec{{Data: d0, Ivs: []regions.Interval{regions.Iv(100, 200)}}})
-	e.Complete(n)
+	e.ReleaseRegionsInto(n, []Spec{{Data: 99, Ivs: []regions.Interval{regions.Iv(0, 4)}}}, nil)
+	e.ReleaseRegionsInto(n, []Spec{{Data: d0, Ivs: []regions.Interval{regions.Iv(100, 200)}}}, nil)
+	e.CompleteInto(n, nil)
 }
 
 // TestReleaseTwiceIdempotent: releasing the same region twice must not
@@ -75,7 +75,7 @@ func TestReleaseTwiceIdempotent(t *testing.T) {
 		t.Fatal("T2 should be ready after release")
 	}
 	// Second release (the region is gone from the access map): no-op.
-	s.eng.ReleaseRegions(s.nodes[findNode(s, "T1")].node, []Spec{inout(regions.Iv(0, 8))})
+	s.eng.ReleaseRegionsInto(s.nodes[findNode(s, "T1")].node, []Spec{inout(regions.Iv(0, 8))}, nil)
 	s.finish()
 }
 

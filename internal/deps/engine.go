@@ -63,39 +63,35 @@ type Engine interface {
 	// reports whether the node is immediately ready to execute (all strong
 	// accesses satisfied — weak accesses never defer execution, §VI).
 	Register(n *Node, specs []Spec) bool
-	// BodyDone implements the weakwait clause (§V): the task's code has
+	// The three release points append the nodes that became ready to out
+	// (which may be nil) and return the extended slice, so a caller
+	// cycling a scratch buffer pays no allocation per completion in steady
+	// state.
+
+	// BodyDoneInto implements the weakwait clause (§V): the task's code has
 	// ended, so every access piece not covered by a live child access
 	// releases immediately, and covered pieces are handed over to release
-	// when the covering child accesses drain. Returns nodes that became
-	// ready.
-	BodyDone(n *Node) []*Node
-	// ReleaseRegions implements the release directive (§V): the task asserts
-	// it and its future subtasks will no longer reference the given subset
-	// of its depend clause. Covered pieces are handed over / released
-	// exactly as at weakwait, and the regions are removed from the access
-	// map so future children cannot link through them. Types and weakness
-	// in specs are ignored; only (Data, Ivs) select what to release.
-	ReleaseRegions(n *Node, specs []Spec) []*Node
-	// Complete finalizes the node once its code and all descendants have
-	// finished: every remaining piece is marked done and released as soon as
-	// it is satisfied. For NoWait/Wait tasks this is the single bulk release
-	// the paper attributes to taskwait-terminated tasks; for WeakWait tasks
-	// it only sweeps pieces that were never handed over.
+	// when the covering child accesses drain.
+	BodyDoneInto(n *Node, out []*Node) []*Node
+	// ReleaseRegionsInto implements the release directive (§V): the task
+	// asserts it and its future subtasks will no longer reference the given
+	// subset of its depend clause. Covered pieces are handed over /
+	// released exactly as at weakwait, and the regions are removed from the
+	// access map so future children cannot link through them. Types and
+	// weakness in specs are ignored; only (Data, Ivs) select what to
+	// release.
+	ReleaseRegionsInto(n *Node, specs []Spec, out []*Node) []*Node
+	// CompleteInto finalizes the node once its code and all descendants
+	// have finished: every remaining piece is marked done and released as
+	// soon as it is satisfied. For NoWait/Wait tasks this is the single
+	// bulk release the paper attributes to taskwait-terminated tasks; for
+	// WeakWait tasks it only sweeps pieces that were never handed over.
 	//
 	// Under a pooled engine (NewEngineMem with mempool.KindPooled) the
 	// node — and, transitively, drained ancestors — may be recycled before
-	// Complete returns: the caller must not touch n afterwards except
+	// CompleteInto returns: the caller must not touch n afterwards except
 	// through a NodeHandle captured earlier. The returned ready nodes are
 	// always live (a ready node is not yet complete).
-	Complete(n *Node) []*Node
-
-	// BodyDoneInto, ReleaseRegionsInto, and CompleteInto are the
-	// allocation-free variants of the three release points: ready nodes
-	// are appended to out (which may be nil) and the extended slice is
-	// returned, so a caller cycling a scratch buffer pays no allocation
-	// per completion in steady state.
-	BodyDoneInto(n *Node, out []*Node) []*Node
-	ReleaseRegionsInto(n *Node, specs []Spec, out []*Node) []*Node
 	CompleteInto(n *Node, out []*Node) []*Node
 
 	// MemStats returns the engine's memory-pool counters; pooled reports

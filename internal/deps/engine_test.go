@@ -423,7 +423,7 @@ func TestSpecKeys(t *testing.T) {
 		}
 		return specs
 	}
-	e := NewShardedEngine(nil)
+	e := newShardedEngine(nil, false)
 	reg := &Node{}
 	for _, c := range []struct {
 		in, want []DataID

@@ -94,12 +94,6 @@ func (e *GlobalEngine) Register(n *Node, specs []Spec) bool {
 	return finishRegister(n, e.c.obs)
 }
 
-// BodyDone implements the weakwait clause (§V). Returns nodes that became
-// ready.
-func (e *GlobalEngine) BodyDone(n *Node) []*Node {
-	return e.BodyDoneInto(n, nil)
-}
-
 // BodyDoneInto implements the weakwait clause (§V), appending the nodes
 // that became ready to out.
 func (e *GlobalEngine) BodyDoneInto(n *Node, out []*Node) []*Node {
@@ -114,11 +108,6 @@ func (e *GlobalEngine) BodyDoneInto(n *Node, out []*Node) []*Node {
 	return e.c.appendReady(out)
 }
 
-// ReleaseRegions implements the release directive (§V).
-func (e *GlobalEngine) ReleaseRegions(n *Node, specs []Spec) []*Node {
-	return e.ReleaseRegionsInto(n, specs, nil)
-}
-
 // ReleaseRegionsInto implements the release directive (§V), appending the
 // nodes that became ready to out.
 func (e *GlobalEngine) ReleaseRegionsInto(n *Node, specs []Spec, out []*Node) []*Node {
@@ -131,15 +120,10 @@ func (e *GlobalEngine) ReleaseRegionsInto(n *Node, specs []Spec, out []*Node) []
 	return e.c.appendReady(out)
 }
 
-// Complete finalizes the node once its code and all descendants have
-// finished. Under the pooled memory mode the node may be recycled before
-// Complete returns; see the Engine contract.
-func (e *GlobalEngine) Complete(n *Node) []*Node {
-	return e.CompleteInto(n, nil)
-}
-
-// CompleteInto finalizes the node, appending the nodes that became ready
-// to out.
+// CompleteInto finalizes the node once its code and all descendants have
+// finished, appending the nodes that became ready to out. Under the pooled
+// memory mode the node may be recycled before CompleteInto returns; see
+// the Engine contract.
 func (e *GlobalEngine) CompleteInto(n *Node, out []*Node) []*Node {
 	e.mu.Lock()
 	defer e.mu.Unlock()

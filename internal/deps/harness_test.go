@@ -17,13 +17,6 @@ func NewEngine(kind EngineKind, obs Observer) Engine {
 	return NewEngineMem(kind, obs, mempool.KindReference)
 }
 
-// NewShardedEngine returns a sharded engine with the reference memory
-// mode. obs may be nil; callbacks are serialized, so observers written for
-// the global engine work unchanged.
-func NewShardedEngine(obs Observer) *ShardedEngine {
-	return newShardedEngine(obs, false)
-}
-
 // testEngineKind selects the Engine implementation the whole test suite
 // runs against. TestMain runs the suite twice — once per implementation —
 // so every scenario, edge case, and property test in this package verifies
@@ -244,10 +237,10 @@ func (s *sim) execute(sn *simNode) {
 		}
 	}
 	if def.releaseAfter != nil {
-		s.enqueue(s.eng.ReleaseRegions(sn.node, def.releaseAfter))
+		s.enqueue(s.eng.ReleaseRegionsInto(sn.node, def.releaseAfter, nil))
 	}
 	if def.weakwait {
-		s.enqueue(s.eng.BodyDone(sn.node))
+		s.enqueue(s.eng.BodyDoneInto(sn.node, nil))
 	}
 	sn.bodyDone = true
 	if sn.pending == 0 {
@@ -263,7 +256,7 @@ func (s *sim) complete(sn *simNode) {
 	if sn.def.label != "root" {
 		s.done++
 	}
-	s.enqueue(s.eng.Complete(sn.node))
+	s.enqueue(s.eng.CompleteInto(sn.node, nil))
 	if sn.parent != nil {
 		sn.parent.pending--
 		if sn.parent.pending == 0 && sn.parent.bodyDone {

@@ -17,7 +17,7 @@ import (
 //   - A fragment, its access, and the node's interval maps are owned by
 //     the node and recycled together with it.
 //   - A node is recycled exactly when its pin count reaches zero: after
-//     Complete released the completion hold, every own fragment fully
+//     CompleteInto released the completion hold, every own fragment fully
 //     released, every child node recycled, and no evDomainDec cascade
 //     event still targets its domain (each queued event holds a pin).
 //     The atomic pin countdown elects exactly one recycler and carries

@@ -151,11 +151,11 @@ func TestMemPoolRecyclingHappens(t *testing.T) {
 			nd := e.NewNode(root, "t", nil)
 			e.Register(nd, []Spec{{Data: 0, Type: InOut, Ivs: ivs}})
 			if prev != nil {
-				e.Complete(prev)
+				e.CompleteInto(prev, nil)
 			}
 			prev = nd
 		}
-		e.Complete(prev)
+		e.CompleteInto(prev, nil)
 		ms, pooled := e.MemStats()
 		if !pooled {
 			t.Fatalf("%v: engine not pooled", kind)
@@ -174,7 +174,7 @@ func TestMemPoolRecyclingHappens(t *testing.T) {
 		}
 		// Root still holds its completion pin until Complete; everything
 		// else must be back in the pools.
-		e.Complete(root)
+		e.CompleteInto(root, nil)
 		ms, _ = e.MemStats()
 		if n := ms.Outstanding(); n != 0 {
 			t.Errorf("%v: %d objects outstanding after full drain: %+v", kind, n, ms)
@@ -209,14 +209,14 @@ func TestNodeRecyclesToParentLane(t *testing.T) {
 		}
 		child := e.NewNode(parent, "child", nil)
 		e.Register(child, nil)
-		e.Complete(child)
+		e.CompleteInto(child, nil)
 		next := e.NewNode(parent, "next", nil)
 		if next != child {
 			t.Errorf("%v: the next node under the same parent is not the recycled one", kind)
 		}
 		e.Register(next, nil)
 		for _, n := range append(spares, next, parent, root) {
-			e.Complete(n)
+			e.CompleteInto(n, nil)
 		}
 		if ms, _ := e.MemStats(); ms.Outstanding() != 0 {
 			t.Errorf("%v: %d pooled objects outstanding: %+v", kind, ms.Outstanding(), ms)
@@ -306,20 +306,20 @@ func TestMemPoolHandleStaleAccess(t *testing.T) {
 				nd := e.NewNode(parents[i], fmt.Sprintf("w%d.%d", i, n), nil)
 				e.Register(nd, []Spec{{Data: data, Type: InOut, Ivs: ivs}})
 				if prev != nil {
-					e.Complete(prev)
+					e.CompleteInto(prev, nil)
 				}
 				prev = nd
 			}
-			e.Complete(prev)
+			e.CompleteInto(prev, nil)
 		}(i)
 	}
 	wg.Wait()
 	close(stop)
 	auditor.Wait()
 	for _, p := range parents {
-		e.Complete(p)
+		e.CompleteInto(p, nil)
 	}
-	e.Complete(root)
+	e.CompleteInto(root, nil)
 	// Everything has drained: every handle must now be stale, proving the
 	// recycler bumped each node's generation exactly when it reclaimed it.
 	stale, live := 0, 0
@@ -470,8 +470,8 @@ func TestMemPoolWeakCascadeDrains(t *testing.T) {
 		for i := 0; i < 200; i++ {
 			weakCascadeCycle(e, gen, buf, scratch)
 		}
-		e.Complete(gen)
-		e.Complete(root)
+		e.CompleteInto(gen, nil)
+		e.CompleteInto(root, nil)
 		ms, pooled := e.MemStats()
 		if !pooled {
 			t.Fatalf("%v: engine not pooled", kind)
@@ -521,7 +521,7 @@ func TestMemPoolW1Parity(t *testing.T) {
 		for i := 0; i < ops; i++ {
 			prev = chainCycle(e, parent, prev, spec, buf)
 		}
-		e.Complete(prev)
+		e.CompleteInto(prev, nil)
 		return time.Since(start)
 	}
 	best := map[mempool.Kind]time.Duration{

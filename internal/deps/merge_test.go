@@ -53,12 +53,12 @@ func TestDeepCascadeDomainsStayCompact(t *testing.T) {
 		build(n, regions.Interval{Lo: iv.Lo, Hi: mid}, depth+1)
 		build(n, regions.Interval{Lo: mid, Hi: iv.Hi}, depth+1)
 		// Weakwait: the body created its children and returned.
-		e.BodyDone(n)
+		e.BodyDoneInto(n, nil)
 	}
 	build(root, regions.Interval{Lo: 0, Hi: span}, 0)
 
 	for _, l := range leaves {
-		e.Complete(l)
+		e.CompleteInto(l, nil)
 	}
 	if n := e.LiveFragments(); n != 0 {
 		t.Fatalf("%d fragments unreleased after full drain", n)

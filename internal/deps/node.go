@@ -133,7 +133,7 @@ type Node struct {
 	accesses []*access
 	// datas caches the distinct shard keys of accesses in ascending order —
 	// the canonical shard visiting order, computed once at registration so
-	// the completion-side calls (BodyDone, Complete) pay no sort or
+	// the completion-side calls (BodyDoneInto, CompleteInto) pay no sort or
 	// allocation. Single-writer like accesses. It aliases data0 unless the
 	// clause touches more than inlineDatas shards, so the common clauses
 	// stay off the heap.
@@ -174,7 +174,7 @@ type Node struct {
 	// only; see the ownership rules in docs/ARCHITECTURE.md):
 	//
 	//   +1 completion hold — placed at creation, released at the end of
-	//      Complete;
+	//      CompleteInto;
 	//   +1 per fragment not yet fully released (held until the cascade
 	//      that releases it has drained: see depCore.unpins);
 	//   +1 per child node not yet recycled;

@@ -49,7 +49,7 @@ func TestReleasePartialSubInterval(t *testing.T) {
 	}
 
 	// Holder releases only [0,50): lo becomes ready, hi must not.
-	ready.add(e.ReleaseRegions(holder, []Spec{{Data: 0, Ivs: []regions.Interval{regions.Iv(0, 50)}}}))
+	ready.add(e.ReleaseRegionsInto(holder, []Spec{{Data: 0, Ivs: []regions.Interval{regions.Iv(0, 50)}}}, nil))
 	if !ready.has("lo") {
 		t.Error("lo not readied by the partial release")
 	}
@@ -58,12 +58,12 @@ func TestReleasePartialSubInterval(t *testing.T) {
 	}
 
 	// Completion of the holder releases the rest.
-	ready.add(e.Complete(holder))
+	ready.add(e.CompleteInto(holder, nil))
 	if !ready.has("hi") {
 		t.Error("hi not readied by holder completion")
 	}
-	e.Complete(lo)
-	e.Complete(hi)
+	e.CompleteInto(lo, nil)
+	e.CompleteInto(hi, nil)
 	if n := e.LiveFragments(); n != 0 {
 		t.Errorf("%d fragments live after full drain", n)
 	}
@@ -84,17 +84,17 @@ func TestReleaseManySlicesThenComplete(t *testing.T) {
 	}
 	var ready readyList
 	for i := int64(0); i < 127; i++ {
-		ready.add(e.ReleaseRegions(holder, []Spec{{Data: 0, Ivs: []regions.Interval{regions.Iv(i, i+1)}}}))
+		ready.add(e.ReleaseRegionsInto(holder, []Spec{{Data: 0, Ivs: []regions.Interval{regions.Iv(i, i+1)}}}, nil))
 		if ready.has("succ") {
 			t.Fatalf("succ readied after releasing only [0,%d)", i+1)
 		}
 	}
-	ready.add(e.ReleaseRegions(holder, []Spec{{Data: 0, Ivs: []regions.Interval{regions.Iv(127, 128)}}}))
+	ready.add(e.ReleaseRegionsInto(holder, []Spec{{Data: 0, Ivs: []regions.Interval{regions.Iv(127, 128)}}}, nil))
 	if !ready.has("succ") {
 		t.Fatal("succ not readied after the last slice")
 	}
-	e.Complete(holder)
-	e.Complete(succ)
+	e.CompleteInto(holder, nil)
+	e.CompleteInto(succ, nil)
 	if n := e.LiveFragments(); n != 0 {
 		t.Errorf("%d fragments live after drain", n)
 	}
@@ -121,16 +121,16 @@ func TestReleaseOnWeakParentHandsOverToLiveChild(t *testing.T) {
 	var ready readyList
 	// Early release of the whole region: [0,20) and [40,100) release
 	// immediately; [20,40) is handed over to the live child.
-	ready.add(e.ReleaseRegions(parent, []Spec{{Data: 0, Ivs: []regions.Interval{regions.Iv(0, 100)}}}))
+	ready.add(e.ReleaseRegionsInto(parent, []Spec{{Data: 0, Ivs: []regions.Interval{regions.Iv(0, 100)}}}, nil))
 	if ready.has("succ") {
 		t.Fatal("succ readied while the child still holds [20,40)")
 	}
-	ready.add(e.Complete(child))
+	ready.add(e.CompleteInto(child, nil))
 	if !ready.has("succ") {
 		t.Fatal("succ not readied by the covering child's completion")
 	}
-	e.Complete(parent)
-	e.Complete(succ)
+	e.CompleteInto(parent, nil)
+	e.CompleteInto(succ, nil)
 	if n := e.LiveFragments(); n != 0 {
 		t.Errorf("%d fragments live after drain", n)
 	}
@@ -155,12 +155,12 @@ func TestStridedSpecsThroughEngine(t *testing.T) {
 		t.Fatal("reader between stride elements must not wait")
 	}
 	var ready readyList
-	ready.add(e.Complete(writer))
+	ready.add(e.CompleteInto(writer, nil))
 	if !ready.has("hit") {
 		t.Fatal("strided writer completion did not ready its reader")
 	}
-	e.Complete(hit)
-	e.Complete(miss)
+	e.CompleteInto(hit, nil)
+	e.CompleteInto(miss, nil)
 	if n := e.LiveFragments(); n != 0 {
 		t.Errorf("%d fragments live after drain", n)
 	}

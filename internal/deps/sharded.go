@@ -43,10 +43,10 @@ import (
 // under different shard locks all unpin the same node, and the transition
 // to zero elects the one recycler.
 //
-// Multi-shard operations (Register, BodyDone, ReleaseRegions, Complete)
-// visit the shards of their specs in canonical ascending-key order, one at
-// a time — no shard lock is ever held while acquiring another, so the
-// engine is trivially deadlock-free.
+// Multi-shard operations (Register, BodyDoneInto, ReleaseRegionsInto,
+// CompleteInto) visit the shards of their specs in canonical ascending-key
+// order, one at a time — no shard lock is ever held while acquiring
+// another, so the engine is trivially deadlock-free.
 //
 // S is fixed per object, at its first registration, by stripeCount: the
 // first access sets the grain, unless it covers more than half the object
@@ -375,16 +375,10 @@ func (sh *shard) locked(f func(c *depCore)) {
 	f(&sh.c)
 }
 
-// BodyDone implements the weakwait clause (§V): hand-over or release of
-// every access piece, shard by shard. Each shard's cascade runs to
+// BodyDoneInto implements the weakwait clause (§V): hand-over or release
+// of every access piece, shard by shard. Each shard's cascade runs to
 // quiescence under that shard's lock before the next shard is visited; the
-// ready nodes collected across shards are returned together.
-func (e *ShardedEngine) BodyDone(n *Node) []*Node {
-	return e.BodyDoneInto(n, nil)
-}
-
-// BodyDoneInto implements the weakwait clause (§V), appending the nodes
-// that became ready to out.
+// ready nodes collected across shards are appended to out together.
 func (e *ShardedEngine) BodyDoneInto(n *Node, out []*Node) []*Node {
 	for _, key := range n.datas {
 		sh, _ := e.shardOf(key)
@@ -404,14 +398,9 @@ func (e *ShardedEngine) BodyDoneInto(n *Node, out []*Node) []*Node {
 	return out
 }
 
-// ReleaseRegions implements the release directive (§V), shard by shard in
-// canonical key order.
-func (e *ShardedEngine) ReleaseRegions(n *Node, specs []Spec) []*Node {
-	return e.ReleaseRegionsInto(n, specs, nil)
-}
-
-// ReleaseRegionsInto implements the release directive (§V), appending the
-// nodes that became ready to out.
+// ReleaseRegionsInto implements the release directive (§V), shard by
+// shard in canonical key order, appending the nodes that became ready to
+// out.
 func (e *ShardedEngine) ReleaseRegionsInto(n *Node, specs []Spec, out []*Node) []*Node {
 	var buf [inlineDatas]shardKey
 	for _, key := range e.specKeys(buf[:0], specs, nil) {
@@ -429,15 +418,10 @@ func (e *ShardedEngine) ReleaseRegionsInto(n *Node, specs []Spec, out []*Node) [
 	return out
 }
 
-// Complete finalizes the node once its code and all descendants have
-// finished, shard by shard. Under the pooled memory mode the node may be
-// recycled before Complete returns; see the Engine contract.
-func (e *ShardedEngine) Complete(n *Node) []*Node {
-	return e.CompleteInto(n, nil)
-}
-
-// CompleteInto finalizes the node, appending the nodes that became ready
-// to out.
+// CompleteInto finalizes the node once its code and all descendants have
+// finished, shard by shard, appending the nodes that became ready to out.
+// Under the pooled memory mode the node may be recycled before
+// CompleteInto returns; see the Engine contract.
 func (e *ShardedEngine) CompleteInto(n *Node, out []*Node) []*Node {
 	n.completed = true
 	// The completion hold (pooled mode) is released inside the visit of the

@@ -296,7 +296,7 @@ func TestStraddleFragments(t *testing.T) {
 		if covered != c.iv.Len() {
 			t.Fatalf("%v: fragments cover %d elements, want %d", c.iv, covered, c.iv.Len())
 		}
-		fx.eng.Complete(n)
+		fx.eng.CompleteInto(n, nil)
 		if live := fx.eng.LiveFragments(); live != 0 {
 			t.Fatalf("%v: %d fragments live after completion", c.iv, live)
 		}
@@ -322,7 +322,7 @@ func TestStraddleReadyAfterLastStripe(t *testing.T) {
 				t.Fatal("reader ready before any producer completed")
 			}
 			for k, i := range order {
-				got := fx.eng.Complete(prods[i])
+				got := fx.eng.CompleteInto(prods[i], nil)
 				if k < len(order)-1 && len(got) != 0 {
 					t.Fatalf("order %v: %s ready after %d of 4 stripes granted", order, labels(got), k+1)
 				}
@@ -361,11 +361,11 @@ func TestStraddleReleaseRegions(t *testing.T) {
 			t.Fatal("reader ready while the owner holds the range")
 		}
 		// [9,27) crosses the boundaries 12, 18 and 24.
-		got := fx.eng.ReleaseRegions(owner, []Spec{{Data: d0, Ivs: []regions.Interval{regions.Iv(9, 27)}}})
+		got := fx.eng.ReleaseRegionsInto(owner, []Spec{{Data: d0, Ivs: []regions.Interval{regions.Iv(9, 27)}}}, nil)
 		if labels(got) != "inside" {
 			t.Fatalf("release over [9,27) readied %q, want only the reader inside it", labels(got))
 		}
-		if got := fx.eng.Complete(owner); labels(got) != "edge" {
+		if got := fx.eng.CompleteInto(owner, nil); labels(got) != "edge" {
 			t.Fatalf("completion readied %q, want the reader reaching past the released range", labels(got))
 		}
 	}
@@ -396,7 +396,7 @@ func TestStripesIndependent(t *testing.T) {
 			if !ready {
 				t.Error("task confined to stripe 1 not ready")
 			}
-			fx.eng.Complete(n)
+			fx.eng.CompleteInto(n, nil)
 		}()
 		select {
 		case <-done:
@@ -406,7 +406,7 @@ func TestStripesIndependent(t *testing.T) {
 		close(gate)
 		<-blocked
 		fx.eng.SetEdgeHook(nil)
-		fx.eng.Complete(first)
+		fx.eng.CompleteInto(first, nil)
 	}
 }
 
@@ -449,7 +449,7 @@ func TestFirstAccessRule(t *testing.T) {
 		{"delegating first access wider than the extent: the cap", 100, true, 400, weak, 2, stripesPerWorker * 2},
 		{"delegating over a 4-element object: one stripe per element", 4, true, 4, weakwait, 2, 4},
 	} {
-		e := NewShardedEngine(nil)
+		e := newShardedEngine(nil, false)
 		if c.declared {
 			e.DeclareExtent(d0, c.elems, c.workers)
 		}
@@ -502,8 +502,8 @@ func TestWeakWaitMarkRecycled(t *testing.T) {
 	}
 	child := e.NewNode(marked, "child", nil)
 	e.Register(child, nil)
-	e.Complete(marked)
-	e.Complete(child)
+	e.CompleteInto(marked, nil)
+	e.CompleteInto(child, nil)
 
 	reused := e.NewNode(root, "strong", nil)
 	if reused != marked {
@@ -513,8 +513,8 @@ func TestWeakWaitMarkRecycled(t *testing.T) {
 	if got := len(e.stripesFor(d1, 0, false).shards); got != 1 {
 		t.Errorf("strong whole-object first access by a recycled weakwait node: %d stripes, want 1", got)
 	}
-	e.Complete(reused)
-	e.Complete(root)
+	e.CompleteInto(reused, nil)
+	e.CompleteInto(root, nil)
 	if live := e.LiveFragments(); live != 0 {
 		t.Errorf("%d fragments live at the end", live)
 	}
@@ -581,7 +581,7 @@ func BenchmarkDisjointSubtrees(b *testing.B) {
 			}
 			b.StopTimer()
 			for _, p := range parents {
-				e.Complete(p)
+				e.CompleteInto(p, nil)
 			}
 			if live := e.LiveFragments(); live != 0 {
 				b.Fatalf("%d fragments live at the end", live)

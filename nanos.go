@@ -116,12 +116,12 @@ type (
 	// TaskError reports a panic recovered from a task body; returned by
 	// Runtime.RunChecked (and re-panicked by Runtime.Run). Either way the
 	// runtime drains to quiescence first: remaining bodies are skipped,
-	// credits refund, pooled objects recycle, and poisoned graph regions
-	// invalidate their recordings.
+	// the throttle window empties, pooled objects recycle, and poisoned
+	// graph regions invalidate their recordings.
 	TaskError = core.TaskError
 	// StallReport is one stall-watchdog diagnosis (Config.Watchdog arms
-	// the watchdog, Config.OnStall receives reports as they fire,
-	// Runtime.StallReports returns those collected during the run).
+	// the watchdog, Runtime.StallReports returns those collected during
+	// the run).
 	StallReport = core.StallReport
 	// WorkerState is one worker's heartbeat row in a StallReport.
 	WorkerState = core.WorkerState
