@@ -20,8 +20,9 @@ help:
 	@echo "  bench-short    every benchmark once (benchmark-code smoke)"
 	@echo "  bench-check    the bench/ module (its own go.mod, so ./... skips it): vet, unit"
 	@echo "                 tests, and one quick end-to-end pass each of axpy_nest_weak,"
-	@echo "                 sortsum_weak (the fragmenting / partial-release path) and"
-	@echo "                 gs_graph_replay (the recording sweep's guard straddles every stripe)"
+	@echo "                 sortsum_weak (the fragmenting / partial-release path),"
+	@echo "                 gs_graph_replay (the recording sweep's guard straddles every stripe),"
+	@echo "                 fib_taskwait and axpy_flood_throttled (clause-free tasks: no engine node)"
 	@echo "  smoke          per-subsystem gates, one table row each (see SMOKE_TESTS): ready-pool"
 	@echo "                 w=1 parity + contention matrix; throttle cycle kernel (quiescent"
 	@echo "                 window) + contention matrix; memory-pool alloc gates,"
@@ -29,7 +30,8 @@ help:
 	@echo "                 differential + shape-flip fallback; taskwait differential (helping vs"
 	@echo "                 park-only waits), exact stats, descendants-only help, one park per"
 	@echo "                 blocked wait; worksharing vs its Taskloop oracle, w=1 parity, alloc"
-	@echo "                 gate, workload validation; the chaos soak and its per-subsystem"
+	@echo "                 gate, workload validation; no engine node for a clause-free task, and"
+	@echo "                 every lazy-domain path; the chaos soak and its per-subsystem"
 	@echo "                 table (0 stalls on every row), watchdog selftest and panic-safe"
 	@echo "                 drain (-race)"
 	@echo "  ci             build + vet + test + race + bench-short + bench-check + smoke"
@@ -84,8 +86,10 @@ bench-short:
 # fragment and release piece by piece, gs_graph_replay because its object is
 # striped by tile-sized first accesses and the recording sweep's union guard
 # is the one access of the benchmark that then straddles every stripe.
+# fib_taskwait and axpy_flood_throttled submit only tasks without a depend
+# clause, the path that creates no engine node at all.
 bench-check:
-	cd bench && $(GO) vet ./... && $(GO) test ./... && $(GO) run . -quick -workload axpy_nest_weak -trace 0 && $(GO) run . -quick -workload sortsum_weak -trace 0 && $(GO) run . -quick -workload gs_graph_replay -trace 0
+	cd bench && $(GO) vet ./... && $(GO) test ./... && $(GO) run . -quick -workload axpy_nest_weak -trace 0 && $(GO) run . -quick -workload sortsum_weak -trace 0 && $(GO) run . -quick -workload gs_graph_replay -trace 0 && $(GO) run . -quick -workload fib_taskwait -trace 0 && $(GO) run . -quick -workload axpy_flood_throttled -trace 0
 
 # Per-subsystem smoke, one row per package and pass: the go test flags (a
 # -run pattern, any -bench pass, -race), then the package.
@@ -100,7 +104,8 @@ bench-check:
 #     parity; the taskwait differential (helping vs park-only waits), exact
 #     w=1 stats, the descendants-only counterexample and one park per
 #     blocked wait; worksharing coverage, replay-as-one-node,
-#     edge cases and the chunk-descriptor alloc gate.
+#     edge cases and the chunk-descriptor alloc gate; no engine node for
+#     a task without a depend clause, and every lazy-domain path.
 #   root: worksharing against its Taskloop oracle (differential, w=1
 #     parity, replay task counts).
 #   workloads: heat, GS graph and worksharing variants validated against
@@ -112,7 +117,7 @@ SMOKE_TESTS = \
 	'-run TestSchedW1Parity -bench BenchmarkSchedContentionMatrix -benchtime 1x ./internal/sched' \
 	'-run TestThrottleCycleKernel -bench BenchmarkThrottleContentionMatrix -benchtime 1x ./internal/throttle' \
 	'-run TestMemPool -bench BenchmarkSubmitDisjoint -benchtime 1x ./internal/deps' \
-	'-run TestMemPool|TestGraphReplayDifferential|TestGraphShapeFlipInvalidation|TestReplayW1Parity|TestTaskwaitExactStats|TestTaskwaitDifferential|TestTaskwaitInlineDescendantsOnly|TestTaskwaitOneParkPerBlockedWait|TestTaskwaitEdgeCases|TestWorksharingBasic|TestWorksharingReplaySingleNode|TestWorksharingEdgeCases ./internal/core' \
+	'-run TestMemPool|TestGraphReplayDifferential|TestGraphShapeFlipInvalidation|TestReplayW1Parity|TestTaskwaitExactStats|TestTaskwaitDifferential|TestTaskwaitInlineDescendantsOnly|TestTaskwaitOneParkPerBlockedWait|TestTaskwaitEdgeCases|TestWorksharingBasic|TestWorksharingReplaySingleNode|TestWorksharingEdgeCases|TestNoDependNoNode|TestLazyDomain ./internal/core' \
 	'-run TestWorksharingDifferential|TestWorksharingW1Parity|TestWorksharingReplayVsTaskloop .' \
 	'-run TestHeatValidates|TestGSGraphValidates|TestAxpyWorksharingAllStrategies|TestGSWsWavefrontValidates ./internal/workloads' \
 	'-race -short -run TestChaos|TestWatchdog|TestStallDetector|TestPanic|TestRunRepanicsAfterDrain ./internal/core' \

@@ -7,7 +7,8 @@ package core
 // the park-only oracle), with and without successor hand-off. Tasks mix
 // weakwait completion, early release directives, and depend clauses
 // spanning several data objects — the multi-shard paths of the sharded
-// engine. Every read is checked against the sequential pre-order oracle
+// engine — and clause-free wrapper tasks, which open dependency domains of
+// their own (the lazy domain nodes). Every read is checked against the sequential pre-order oracle
 // and the final state must match it exactly; run with -race to also prove
 // the engines publish task memory correctly. Short mode trims seeds and
 // worker counts so `go test ./...` stays fast.
@@ -32,6 +33,7 @@ type xTask struct {
 	weakWait bool
 	weak     bool               // covers weak?
 	release  bool               // issue a release directive after spawning children
+	wrapper  bool               // clause-free: its one child is the real task (runEngineStress)
 	covers   map[int]Interval   // data index -> nesting cover
 	reads    map[int][]Interval // data index -> read intervals
 	writes   map[int][]Interval
@@ -41,9 +43,22 @@ type xTask struct {
 }
 
 // buildMultiProgram generates top-level tasks whose covers span one or two
-// data objects; children access sub-intervals of one of the covers.
+// data objects; children access sub-intervals of one of the covers. At
+// every depth a task may sit under a chain of clause-free wrappers, where
+// the pre-order oracle survives the Taskwait brackets runEngineStress puts
+// around them: at the top level, or under a strong cover (a weak parent
+// starts before its predecessors finish, and a wrapper's children, in a
+// domain of their own, do not wait for them).
 func buildMultiProgram(rng *rand.Rand, depth int) []*xTask {
 	id := 0
+	wrap := func(c *xTask, ok bool) *xTask {
+		for ok && rng.Intn(4) == 0 {
+			id++
+			c = &xTask{label: fmt.Sprintf("w%d", id), wrapper: true,
+				weakWait: rng.Intn(2) == 0, children: []*xTask{c}}
+		}
+		return c
+	}
 	var gen func(covers map[int]Interval, depth int) *xTask
 	gen = func(covers map[int]Interval, depth int) *xTask {
 		id++
@@ -69,7 +84,7 @@ func buildMultiProgram(rng *rand.Rand, depth int) []*xTask {
 			hi := lo + 1 + rng.Int63n(cover.Hi-lo)
 			sub := regions.Iv(lo, hi)
 			if depth > 1 && sub.Len() >= 4 && rng.Intn(3) == 0 {
-				t.children = append(t.children, gen(map[int]Interval{d: sub}, depth-1))
+				t.children = append(t.children, wrap(gen(map[int]Interval{d: sub}, depth-1), !t.weak))
 			} else {
 				id++
 				leaf := &xTask{
@@ -82,7 +97,7 @@ func buildMultiProgram(rng *rand.Rand, depth int) []*xTask {
 				} else {
 					leaf.reads[d] = []Interval{sub}
 				}
-				t.children = append(t.children, leaf)
+				t.children = append(t.children, wrap(leaf, !t.weak))
 			}
 		}
 		return t
@@ -100,7 +115,7 @@ func buildMultiProgram(rng *rand.Rand, depth int) []*xTask {
 			}
 			covers[d] = regions.Iv(lo, hi)
 		}
-		out = append(out, gen(covers, depth))
+		out = append(out, wrap(gen(covers, depth), true))
 	}
 	return out
 }
@@ -160,6 +175,19 @@ func runEngineStress(t *testing.T, tasks []*xTask, cfg Config, kind deps.EngineK
 
 	var submit func(tc *TaskContext, st *xTask)
 	submit = func(tc *TaskContext, st *xTask) {
+		if st.wrapper {
+			// OpenMP orders nothing across a task without a depend clause;
+			// the brackets run its whole subtree after every earlier
+			// sibling and before every later one, as pre-order does.
+			tc.Taskwait()
+			tc.Submit(TaskSpec{Label: st.label, WeakWait: st.weakWait, Body: func(tc *TaskContext) {
+				for _, c := range st.children {
+					submit(tc, c)
+				}
+			}})
+			tc.Taskwait()
+			return
+		}
 		var ds []Dep
 		if len(st.children) > 0 {
 			for d, cover := range st.covers {

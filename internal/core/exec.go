@@ -158,9 +158,10 @@ func (r *Runtime) executeTask(t *Task, w int) (*Task, int) {
 		r.flops.Add(t.spec.Flops)
 	}
 	// The hand-off locality hint must be read before the completion
-	// pipeline: completing the node may recycle it.
-	// Replayed region tasks carry no engine node (their dependency state
-	// is a frozen countdown cell) and use no locality hint.
+	// pipeline: completing the node may recycle it. A task with no node —
+	// no depend clause, or a replayed region task, whose dependency state
+	// is a frozen countdown cell — has no hint; neither has a lazy domain
+	// node, which declares no access.
 	var donePD deps.DataID
 	var doneOK bool
 	if t.node != nil {

@@ -415,22 +415,17 @@ func (r *Runtime) replaySuccessors(t *Task, worker int) {
 // nestedSubmit handles a submission from a task that is itself a region
 // member. During recording the shape is marked ineligible (the frozen
 // graph cannot express descendants). Under replay the submitting task has
-// no engine node yet — it is created lazily here, registered with no
-// dependencies, so the child's registration finds a normal (empty) parent
-// domain. The orderings live mode would compute through the parent's own
-// accesses are all vacuous at this point: the parent is executing, so its
-// strong accesses are satisfied and create no inbound links, and shapes
-// with weak accesses never replay.
-func (g *graphRun) nestedSubmit(r *Runtime, t *Task) {
+// no engine node: a child with a depend clause gets one for it from
+// domainNode, as the root of a domain of its own. The orderings live mode
+// would compute through the parent's own accesses are all vacuous at this
+// point: the parent is executing, so its strong accesses are satisfied and
+// create no inbound links, and shapes with weak accesses never replay.
+func (g *graphRun) nestedSubmit() {
 	// Runs on the region task's worker, concurrent with the owner and
 	// with a replay run's fallback transition: g.recorder (set once at
 	// run creation, itself concurrency-safe) stands in for g.mode.
 	if g.recorder != nil {
 		g.recorder.MarkIneligible("nested submission in region")
-	}
-	if t.node == nil {
-		t.node = r.eng.NewNode(g.owner.node, t.spec.Label, t)
-		r.eng.Register(t.node, nil)
 	}
 }
 
@@ -498,7 +493,7 @@ func (r *Runtime) graphGuardReady(tc *TaskContext, rec *replay.Recording) bool {
 	tc.task.mu.Lock()
 	tc.task.children++
 	tc.task.mu.Unlock()
-	guard.node = r.eng.NewNode(tc.task.node, "graph-guard", guard)
+	guard.node = r.eng.NewNode(r.domainNode(tc.task), "graph-guard", guard)
 	if !r.eng.Register(guard.node, union) {
 		// Deferred: the guard will run (nil body) and complete through the
 		// normal pipeline once the external producers release.

@@ -260,14 +260,16 @@ func TestMemPoolViolationsSurviveRecycling(t *testing.T) {
 // wait. A steady-state {submit child; Taskwait} cycle in the pooled memory
 // mode must stay at its 2-mallocs floor — a per-wait channel would push it
 // to 3 — and well under the allocate-always reference (newWithEngine). The
-// blocking paths are measured park-only, where at w=1 every such wait
-// blocks; the helping waits run the child inline instead, and must stay as
-// cheap.
+// child carries a depend clause: a child without one takes no engine node,
+// so the two memory modes would differ by the Task alone. The blocking
+// paths are measured park-only, where at w=1 every such wait blocks; the
+// helping waits run the child inline instead, and must stay as cheap.
 func TestMemPoolAllocGate(t *testing.T) {
 	measure := func(t *testing.T, mem mempool.Kind, m twMode) float64 {
 		r := newWithEngine(Config{Workers: 1}, deps.EngineSharded, mem)
 		r.parkOnly = m.parkOnly
 		blocks := m.parkOnly
+		cell := []Dep{{Data: r.NewData("cell", 1, 8), Type: InOut, Ivs: []Interval{regions.Iv(0, 1)}}}
 		var per float64
 		r.Run(func(tc *TaskContext) {
 			tc.Submit(TaskSpec{Label: "driver", Body: func(tc *TaskContext) {
@@ -275,7 +277,7 @@ func TestMemPoolAllocGate(t *testing.T) {
 				// cannot have run when the wait starts.
 				var firstSig chan struct{}
 				cycle := func() {
-					tc.Submit(TaskSpec{Label: "c"})
+					tc.Submit(TaskSpec{Label: "c", Deps: cell})
 					tc.Taskwait()
 				}
 				for i := 0; i < 200; i++ {

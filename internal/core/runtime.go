@@ -516,8 +516,6 @@ func (r *Runtime) RunChecked(root func(tc *TaskContext)) error {
 		defer r.wd.shutdown()
 	}
 	rootTask := r.newTask(nil, TaskSpec{Label: "main", Body: root}, -1)
-	rootTask.node = r.eng.NewNode(nil, "main", rootTask)
-	r.eng.Register(rootTask.node, nil)
 	tc := &TaskContext{rt: r, task: rootTask, worker: w}
 	r.invokeBody(rootTask, tc)
 	// Implicit wait at the end of the program (like the end of an OpenMP

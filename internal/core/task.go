@@ -48,6 +48,10 @@ type TaskSpec struct {
 type Task struct {
 	rt   *Runtime
 	spec TaskSpec
+	// node is the task's dependency-engine node: set at submission for a
+	// task with a depend clause, and otherwise nil until the body first
+	// needs a domain for its own children (domainNode). Written only by
+	// the submitting goroutine or the task's own body goroutine.
 	node *deps.Node
 
 	parent *Task
@@ -65,9 +69,9 @@ type Task struct {
 	// -1); on a task submitted into the region, greg/gidx identify its
 	// recorded slot. gnode is the task's replay countdown cell when the
 	// region executes from a recording (its dependency state then lives
-	// there instead of in an engine node, and node stays nil unless the
-	// body submits subtasks). All three are written at submission time and
-	// read by the completion pipeline.
+	// there instead of in an engine node; node stays nil unless the body
+	// opens a domain through domainNode). All three are written at
+	// submission time and read by the completion pipeline.
 	greg  *graphRun
 	gidx  int32
 	gnode *replay.Node
@@ -186,7 +190,7 @@ func (tc *TaskContext) Submit(spec TaskSpec) {
 		if tc.task.gidx >= 0 {
 			// The submitter is itself a region task: a nested submission
 			// the frozen graph cannot express.
-			g.nestedSubmit(r, tc.task)
+			g.nestedSubmit()
 		} else if g.submit(tc, spec) {
 			return
 		}
@@ -223,31 +227,58 @@ func (r *Runtime) admitChild(tc *TaskContext, spec TaskSpec) *Task {
 
 // submitLive is the dependency-engine submission path. g/gidx tag the task
 // as a member of a recording graph region (nil outside regions and in
-// replayed regions, whose tasks never reach this path).
+// replayed regions, whose tasks never reach this path). A task with no
+// depend clause takes no part in any dependency domain: it gets no engine
+// node and goes straight to the ready pool (its body opens a domain of its
+// own through domainNode if it ever needs one).
 func (r *Runtime) submitLive(tc *TaskContext, spec TaskSpec, g *graphRun, gidx int32) {
 	t := r.admitChild(tc, spec)
 	if g != nil {
 		t.greg, t.gidx = g, gidx
 	}
-	t.node = r.eng.NewNode(tc.task.node, spec.Label, t)
-	specs, creator := r.convertDeps(spec.Deps, tc.worker)
-	if spec.WeakWait && len(specs) > 0 {
-		// Its children take its ranges over: the engine must not read them
-		// as the grain of the objects (deps.Node.MarkWeakWait).
-		t.node.MarkWeakWait()
-	}
-	// Only a ready child enters the window now; one deferred on its
-	// dependencies enters through the cascade that readies it.
-	if r.eng.Register(t.node, specs) {
-		r.windowEnter(1, tc.worker)
-		// A creator waits in the lane as a ready task like any other: it
-		// holds its window slot until a worker starts it (taskStarted).
-		if creator && r.v == nil {
-			r.sch.SubmitCreator(t, tc.worker)
-		} else {
-			r.enqueue(t, tc.worker)
+	creator := false
+	if len(spec.Deps) > 0 {
+		t.node = r.eng.NewNode(r.domainNode(tc.task), spec.Label, t)
+		var specs []deps.Spec
+		specs, creator = r.convertDeps(spec.Deps, tc.worker)
+		if spec.WeakWait {
+			// Its children take its ranges over: the engine must not read
+			// them as the grain of the objects (deps.Node.MarkWeakWait).
+			t.node.MarkWeakWait()
+		}
+		// Only a ready child enters the window now; one deferred on its
+		// dependencies enters through the cascade that readies it.
+		if !r.eng.Register(t.node, specs) {
+			return
 		}
 	}
+	r.windowEnter(1, tc.worker)
+	// A creator waits in the lane as a ready task like any other: it
+	// holds its window slot until a worker starts it (taskStarted).
+	if creator && r.v == nil {
+		r.sch.SubmitCreator(t, tc.worker)
+	} else {
+		r.enqueue(t, tc.worker)
+	}
+}
+
+// domainNode returns t's engine node, creating it on first use. A task
+// with a depend clause got its node at submission; one without (the root
+// task included) gets it here, the first time its body needs a dependency
+// domain — a child with a depend clause, or a graph region's union guard.
+// Such a node is the root of its own domain: it declares no access, so it
+// never links into, pins or reports to its creator's domain, and it needs
+// no parent (docs/ARCHITECTURE.md, "Lazy domain nodes"). It writes t.node
+// only on t's own body goroutine: a worksharing task, whose chunk bodies
+// share its context with helper workers, opens its domain before they
+// join (wsExecute), so they only read it. completeTask reads t.node after
+// the bodyDone hand-off under t.mu.
+func (r *Runtime) domainNode(t *Task) *deps.Node {
+	if t.node == nil {
+		t.node = r.eng.NewNode(nil, t.spec.Label, t)
+		r.eng.Register(t.node, nil)
+	}
+	return t.node
 }
 
 // Release implements the release directive (§V): the task asserts that
@@ -262,11 +293,12 @@ func (tc *TaskContext) Release(ds ...Dep) {
 	if g := tc.task.greg; g != nil && tc.task.gidx >= 0 && g.recorder != nil {
 		// Early release by a region task shifts when successors may start;
 		// the frozen completion-edge graph cannot reproduce it, so the
-		// recorded shape stays live. (Replayed region tasks have no engine
-		// node and fall through to the no-op below.)
+		// recorded shape stays live.
 		g.recorder.MarkIneligible("release directive in region task")
 	}
 	if tc.task.node == nil {
+		// No node: neither the task nor any child of it declared an
+		// access, so there is nothing to release.
 		return
 	}
 	r := tc.rt

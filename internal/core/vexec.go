@@ -85,11 +85,8 @@ func (r *Runtime) venqueue(t *Task) {
 
 func (r *Runtime) runVirtual(root func(tc *TaskContext)) {
 	v := r.v
-	rootTask := r.newTask(nil, TaskSpec{Label: "main"}, -1)
-	rootTask.node = r.eng.NewNode(nil, "main", rootTask)
-	r.eng.Register(rootTask.node, nil)
+	rootTask := r.newTask(nil, TaskSpec{Label: "main", Body: root}, -1)
 	tc := &TaskContext{rt: r, task: rootTask, worker: -1}
-	rootTask.spec.Body = root
 	r.invokeBody(rootTask, tc)
 	rootReady, _ := r.finishBody(rootTask, -1)
 	r.dispatchAll(rootReady, -1)

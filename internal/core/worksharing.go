@@ -238,6 +238,11 @@ func (r *Runtime) wsExecute(tc *TaskContext, lo, hi, grain int64, body func(*Tas
 		t.mu.Lock()
 		t.children += int(helpers)
 		t.mu.Unlock()
+		// Chunk bodies share t's context, and every helper may submit a
+		// child with a depend clause into t's domain: open the domain here,
+		// on the owner's goroutine, so the announcement publishes t.node
+		// to the helpers with the descriptor and none of them creates it.
+		r.domainNode(t)
 		// Publish the descriptor before the announcement: a helper reads
 		// t.wsRun unlocked after popping the invitation, and the pool's
 		// Announce/pop pair orders this write before that read.

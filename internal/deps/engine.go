@@ -14,7 +14,10 @@ import (
 // benchmarks that quantify dependency-tracking overhead (§VIII-A compares
 // flat-taskwait against flat-depend for exactly this).
 type Stats struct {
-	Nodes     int64 // nodes created
+	// Nodes counts nodes created. The core runtime creates one per task
+	// with a depend clause, plus one per domain a task without one opens
+	// lazily (its first child with a depend clause, or a graph guard).
+	Nodes     int64
 	Fragments int64 // access fragments created by interval splitting
 	Links     int64 // same-domain successor links
 	Inbounds  int64 // cross-domain (parent→child) waiter links
@@ -56,8 +59,10 @@ type Engine interface {
 	// value means dependencies leaked, which the runtime's Debug mode turns
 	// into an end-of-run error.
 	LiveFragments() int64
-	// NewNode creates a node under parent (nil for the root node). The node
-	// must be registered with Register before it can become ready.
+	// NewNode creates a node under parent (nil for a domain root: a node
+	// that declares no access and only hosts a domain for its children).
+	// The node must be registered with Register before it can become
+	// ready.
 	NewNode(parent *Node, label string, user any) *Node
 	// Register links the node's depend entries into its parent's domain and
 	// reports whether the node is immediately ready to execute (all strong

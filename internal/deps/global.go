@@ -62,14 +62,14 @@ func (e *GlobalEngine) MemStats() (MemStats, bool) {
 	return e.ep.memStats(), true
 }
 
-// NewNode creates a node under parent (nil for the root node).
+// NewNode creates a node under parent (nil for a domain root).
 func (e *GlobalEngine) NewNode(parent *Node, label string, user any) *Node {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	e.c.stats.Nodes++
 	var n *Node
 	if e.ep != nil {
-		n = e.ep.newPooledNode(laneHint(parent), parent, label, user)
+		n = e.ep.newPooledNode(laneHint(parent, user), parent, label, user)
 		if parent != nil {
 			parent.pins.Add(1) // released when the child node is recycled
 		}

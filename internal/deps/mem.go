@@ -1,6 +1,7 @@
 package deps
 
 import (
+	"reflect"
 	"unsafe"
 
 	"repro/internal/mempool"
@@ -61,10 +62,22 @@ type enginePools struct {
 // mutexes.
 const nodePoolLanes = 16
 
-// laneHint derives a stable node-pool lane from the parent pointer, so
-// each submitting chain keeps hitting its own (uncontended) lane mutex.
-func laneHint(parent *Node) int {
-	return int(uintptr(unsafe.Pointer(parent)) >> 6)
+// laneHint derives a stable node-pool lane for a node under parent, so
+// each submitting chain keeps hitting its own (uncontended) lane mutex. A
+// parentless node is a domain root: the runtime's root task, or a task
+// with no depend clause whose body opened a domain. It takes its lane from
+// its user back-reference instead (the core's *Task), so the domain roots
+// of concurrently running tasks spread over the lanes rather than all
+// sharing lane 0. The address is mixed first: pooled tasks sit one size
+// class apart, which would leave most lanes of a plain shift unused.
+func laneHint(parent *Node, user any) int {
+	if parent != nil {
+		return int(uintptr(unsafe.Pointer(parent)) >> 6)
+	}
+	if v := reflect.ValueOf(user); v.Kind() == reflect.Pointer {
+		return int((uint64(v.Pointer()) * 0x9E3779B97F4A7C15) >> 60)
+	}
+	return 0
 }
 
 func newEnginePools() *enginePools {
@@ -209,11 +222,12 @@ func putBack[T any](lane *mempool.Lane[T], g *mempool.Global[T], p *T) {
 // refill. A lane that took back more than it hands out would sit on objects
 // — the rarely cycled, grown interval maps of an outer task above all —
 // that the lanes they came from then allocate anew. The node itself goes
-// back to the node-pool lane NewNode takes its siblings from (laneHint of
-// the parent): one fixed lane for every drain outside a shard lock would
-// put every dependency-free task's node through one mutex from all workers.
+// back to the node-pool lane NewNode took it from (laneHint): a node that
+// declared no access (a domain root, above all) drains outside any shard
+// lock, and one fixed lane for all of those would put them through one
+// mutex from all workers.
 func (ep *enginePools) recycleNode(n *Node, m *depMem) {
-	lane := laneHint(n.parent)
+	lane := laneHint(n.parent, n.User)
 	for _, acc := range n.accesses {
 		var frags *mempool.Lane[fragment]
 		var accs *mempool.Lane[access]

@@ -201,7 +201,7 @@ func TestNodeRecyclesToParentLane(t *testing.T) {
 		for parent == nil {
 			n := e.NewNode(root, "parent", nil)
 			e.Register(n, nil)
-			if laneHint(n)%nodePoolLanes != 0 {
+			if laneHint(n, nil)%nodePoolLanes != 0 {
 				parent = n
 			} else {
 				spares = append(spares, n)
@@ -217,6 +217,45 @@ func TestNodeRecyclesToParentLane(t *testing.T) {
 		e.Register(next, nil)
 		for _, n := range append(spares, next, parent, root) {
 			e.CompleteInto(n, nil)
+		}
+		if ms, _ := e.MemStats(); ms.Outstanding() != 0 {
+			t.Errorf("%v: %d pooled objects outstanding: %+v", kind, ms.Outstanding(), ms)
+		}
+	}
+}
+
+// TestRootNodeLaneFromUser: a parentless node — a domain root, which the
+// core runtime opens lazily for a task without a depend clause — has no
+// parent to hint with, so it takes its lane from its user back-reference
+// and recycles into that lane. Domain roots of many tasks must spread over
+// the lanes (all sharing lane 0 would put every one of them through one
+// mutex), and a task that opens a domain again finds its recycled node.
+func TestRootNodeLaneFromUser(t *testing.T) {
+	if testEngineKind != EngineGlobal {
+		t.Skip("memory-mode test instantiates its engines explicitly")
+	}
+	type task struct{ _ [256]byte } // the size class of core.Task
+	lanes := map[int]bool{}
+	users := make([]*task, 64)
+	for i := range users {
+		users[i] = &task{}
+		lanes[laneHint(nil, users[i])%nodePoolLanes] = true
+	}
+	if len(lanes) < nodePoolLanes/2 {
+		t.Errorf("64 domain roots use %d of %d node-pool lanes", len(lanes), nodePoolLanes)
+	}
+	for _, kind := range []EngineKind{EngineGlobal, EngineSharded} {
+		e := NewEngineMem(kind, nil, mempool.KindPooled)
+		for _, u := range users[:8] {
+			n := e.NewNode(nil, "domain", u)
+			e.Register(n, nil)
+			e.CompleteInto(n, nil)
+			again := e.NewNode(nil, "domain", u)
+			if again != n {
+				t.Errorf("%v: a domain root reopened by the same user is not the recycled node", kind)
+			}
+			e.Register(again, nil)
+			e.CompleteInto(again, nil)
 		}
 		if ms, _ := e.MemStats(); ms.Outstanding() != 0 {
 			t.Errorf("%v: %d pooled objects outstanding: %+v", kind, ms.Outstanding(), ms)

@@ -320,16 +320,17 @@ func (e *ShardedEngine) MemStats() (MemStats, bool) {
 	return e.ep.memStats(), true
 }
 
-// NewNode creates a node under parent (nil for the root node). No shard is
+// NewNode creates a node under parent (nil for a domain root). No shard is
 // involved: node identity is shard-free state. Pooled nodes come from a
 // striped free list; the parent pointer is the lane hint — submitters
 // under different parents (the parallel-instantiation case) then populate
-// different lanes and their creation paths stay mutex-uncontended.
+// different lanes and their creation paths stay mutex-uncontended. A
+// domain root hints with user instead (laneHint).
 func (e *ShardedEngine) NewNode(parent *Node, label string, user any) *Node {
 	e.nodes.Add(1)
 	var n *Node
 	if e.ep != nil {
-		n = e.ep.newPooledNode(laneHint(parent), parent, label, user)
+		n = e.ep.newPooledNode(laneHint(parent, user), parent, label, user)
 		if parent != nil {
 			parent.pins.Add(1) // released when the child node is recycled
 		}

@@ -23,6 +23,10 @@ type stressTask struct {
 	label    string
 	weakWait bool
 	weak     bool // cover access weak?
+	// wrapper marks a clause-free task whose one child is the real task
+	// (submitWrapper). Runners that do not know wrappers treat one as an
+	// ordinary task with a weak cover, which is why it carries its child's.
+	wrapper  bool
 	cover    nanos.Interval
 	reads    []nanos.Interval
 	writes   []nanos.Interval
@@ -32,9 +36,21 @@ type stressTask struct {
 }
 
 // buildStressProgram generates top-level tasks with nested children; leaf
-// accesses stay within their parent's cover.
+// accesses stay within their parent's cover. At every depth a task may sit
+// under a chain of clause-free wrappers, but only where the pre-order
+// oracle survives the brackets of submitWrapper: at the top level, or
+// under a strong cover (a weak parent starts before its predecessors
+// finish, and a wrapper's children do not wait for them).
 func buildStressProgram(rng *rand.Rand, depth int) []*stressTask {
 	id := 0
+	wrap := func(c *stressTask, ok bool) *stressTask {
+		for ok && rng.Intn(4) == 0 {
+			id++
+			c = &stressTask{label: fmt.Sprintf("w%d", id), wrapper: true,
+				weakWait: rng.Intn(2) == 0, cover: c.cover, children: []*stressTask{c}}
+		}
+		return c
+	}
 	var gen func(cover nanos.Interval, depth int) *stressTask
 	gen = func(cover nanos.Interval, depth int) *stressTask {
 		id++
@@ -53,16 +69,16 @@ func buildStressProgram(rng *rand.Rand, depth int) []*stressTask {
 			hi := lo + 1 + rng.Int63n(cover.Hi-lo)
 			sub := nanos.Iv(lo, hi)
 			if depth > 1 && sub.Len() >= 4 && rng.Intn(3) == 0 {
-				t.children = append(t.children, gen(sub, depth-1))
+				t.children = append(t.children, wrap(gen(sub, depth-1), !t.weak))
 			} else {
 				id++
-				leaf := &stressTask{label: fmt.Sprintf("l%d", id)}
+				leaf := &stressTask{label: fmt.Sprintf("l%d", id), cover: sub}
 				if rng.Intn(2) == 0 {
 					leaf.writes = []nanos.Interval{sub}
 				} else {
 					leaf.reads = []nanos.Interval{sub}
 				}
-				t.children = append(t.children, leaf)
+				t.children = append(t.children, wrap(leaf, !t.weak))
 			}
 		}
 		return t
@@ -76,9 +92,24 @@ func buildStressProgram(rng *rand.Rand, depth int) []*stressTask {
 		if hi > stressUniverse {
 			hi = stressUniverse
 		}
-		out = append(out, gen(nanos.Iv(lo, hi), depth))
+		out = append(out, wrap(gen(nanos.Iv(lo, hi), depth), true))
 	}
 	return out
+}
+
+// submitWrapper submits st, a clause-free wrapper, between two Taskwaits.
+// OpenMP orders nothing across a task without a depend clause: its
+// children live in a domain of their own. The brackets make the wrapper's
+// whole subtree run after every earlier sibling and before every later
+// one, so the pre-order oracle still holds.
+func submitWrapper(tc *nanos.TaskContext, st *stressTask, submit func(*nanos.TaskContext, *stressTask)) {
+	tc.Taskwait()
+	tc.Submit(nanos.TaskSpec{Label: st.label, WeakWait: st.weakWait, Body: func(tc *nanos.TaskContext) {
+		for _, c := range st.children {
+			submit(tc, c)
+		}
+	}})
+	tc.Taskwait()
 }
 
 // reference assigns pre-order sequence numbers and computes expected reads.
@@ -121,6 +152,10 @@ func runStress(t *testing.T, tasks []*stressTask, workers int) {
 
 	var submit func(tc *nanos.TaskContext, st *stressTask)
 	submit = func(tc *nanos.TaskContext, st *stressTask) {
+		if st.wrapper {
+			submitWrapper(tc, st, submit)
+			return
+		}
 		var deps []nanos.Dep
 		if len(st.children) > 0 {
 			if st.weak {
