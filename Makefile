@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: all help build vet test race flake bench-short bench-check smoke ci
+.PHONY: all help build vet test race flake bench-short bench-check smoke ci loc
 
 all: build
 
@@ -35,6 +35,8 @@ help:
 	@echo "                 table (0 stalls on every row), watchdog selftest and panic-safe"
 	@echo "                 drain (-race)"
 	@echo "  ci             build + vet + test + race + bench-short + bench-check + smoke"
+	@echo "  loc            Go line counts, non-test and test, of the root module (bench/"
+	@echo "                 excluded) and of the bench/ module"
 
 build:
 	$(GO) build ./...
@@ -128,3 +130,14 @@ smoke:
 	for args in $(SMOKE_TESTS); do echo "go test $$args"; $(GO) test $$args; done
 
 ci: build vet test race bench-short bench-check smoke
+
+# Go line counts, the figures ROADMAP's line-count gates quote: non-test and
+# test lines of the root module (bench/ excluded) and of the bench/ module.
+loc:
+	@printf '%-6s %9s %6s\n' module non-test test
+	@printf '%-6s %9d %6d\n' root \
+		$$(find . -path ./bench -prune -o -name '*.go' ! -name '*_test.go' -print | xargs -r cat | wc -l) \
+		$$(find . -path ./bench -prune -o -name '*_test.go' -print | xargs -r cat | wc -l)
+	@printf '%-6s %9d %6d\n' bench \
+		$$(find bench -name '*.go' ! -name '*_test.go' | xargs -r cat | wc -l) \
+		$$(find bench -name '*_test.go' | xargs -r cat | wc -l)

@@ -1,9 +1,10 @@
 package nanos_test
 
-// One benchmark per table/figure of the paper (§VIII), plus ablations of
-// the design choices called out in docs/ARCHITECTURE.md. Sizes are scaled
-// so that `go test -bench=. -benchmem` completes in minutes on a laptop;
-// cmd/reproduce runs the full sweeps.
+// One benchmark per figure of the paper (§VIII), plus ablations of the
+// design choices called out in docs/ARCHITECTURE.md. Table I is a feature
+// matrix, not a measurement; internal/harness's TestTable1 checks it.
+// Sizes are scaled so that `go test -bench=. -benchmem` completes in
+// minutes on a laptop; cmd/reproduce runs the full sweeps.
 //
 // Custom metrics: gflop/s (figures 3-5), miss-ratio (figure 3 bottom),
 // eff-par (figure 6), overlap-frac (figure 7).
@@ -14,28 +15,8 @@ import (
 
 	nanos "repro"
 	"repro/internal/harness"
-	"repro/internal/trace"
 	"repro/internal/workloads"
 )
-
-// BenchmarkTable1VariantMatrix regenerates Table I (it is a feature matrix,
-// not a measurement; the benchmark prints it once and measures nothing).
-func BenchmarkTable1VariantMatrix(b *testing.B) {
-	b.ReportAllocs()
-	if b.N == 1 {
-		harness.Table1(testWriter{b})
-	}
-	for i := 0; i < b.N; i++ {
-		_ = workloads.AxpyVariants
-	}
-}
-
-type testWriter struct{ b *testing.B }
-
-func (w testWriter) Write(p []byte) (int, error) {
-	w.b.Log(string(p))
-	return len(p), nil
-}
 
 // BenchmarkFig3AxpyTaskSize: AXPY GFlop/s per variant and task size (real
 // mode, host cores). Figure 3 top; the bottom panel's miss ratio is
@@ -160,15 +141,7 @@ func BenchmarkFig7SortPrefix(b *testing.B) {
 					b.Fatal(err)
 				}
 				tr := res.Runtime.Tracer()
-				var sortK, prefK []trace.Kind
-				for k, name := range tr.Kinds() {
-					switch name {
-					case "quick_sort", "insertion_sort":
-						sortK = append(sortK, trace.Kind(k))
-					case "prefix_base", "prefix_sum", "accumulate":
-						prefK = append(prefK, trace.Kind(k))
-					}
-				}
+				sortK, prefK := harness.SortPrefixKinds(tr)
 				frac = float64(tr.Overlap(sortK, prefK)) / float64(res.VirtualTime)
 			}
 			b.ReportMetric(frac, "overlap-frac")

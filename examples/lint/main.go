@@ -20,11 +20,23 @@ package main
 
 import (
 	"fmt"
+	"io"
+	"os"
+	"slices"
 
 	nanos "repro"
 )
 
 func main() {
+	if err := run(os.Stdout); err != nil {
+		fmt.Fprintln(os.Stderr, "lint:", err)
+		os.Exit(1)
+	}
+}
+
+// run executes the annotated program under Config.Verify, prints the
+// findings to w, and fails unless they are exactly the three listed above.
+func run(w io.Writer) error {
 	rt := nanos.New(nanos.Config{Workers: 4, Verify: true})
 	x := rt.NewData("x", 1000, 8)
 	y := rt.NewData("y", 1000, 8)
@@ -77,9 +89,16 @@ func main() {
 		})
 	})
 
-	fmt.Printf("verification findings: %d\n\n", rt.ViolationCount())
+	fmt.Fprintf(w, "verification findings: %d\n\n", rt.ViolationCount())
+	var got []string
 	for i, v := range rt.Violations() {
-		fmt.Printf("%2d. %s\n", i+1, v)
+		fmt.Fprintf(w, "%2d. %s\n", i+1, v)
+		got = append(got, v.Task)
 	}
-	fmt.Println("\n(the well-formed task produced no finding)")
+	fmt.Fprintln(w, "\n(the well-formed task produced no finding)")
+	slices.Sort(got)
+	if want := []string{"escaping-child", "touches-weak", "writes-under-in"}; !slices.Equal(got, want) {
+		return fmt.Errorf("findings on tasks %v, want exactly %v", got, want)
+	}
+	return nil
 }

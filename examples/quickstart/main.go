@@ -12,12 +12,23 @@ package main
 
 import (
 	"fmt"
+	"io"
+	"os"
 	"time"
 
 	nanos "repro"
 )
 
 func main() {
+	if err := run(os.Stdout); err != nil {
+		fmt.Fprintln(os.Stderr, "quickstart:", err)
+		os.Exit(1)
+	}
+}
+
+// run executes the scenario, prints the completion order and engine stats
+// to w, and fails if an order the dependencies guarantee was broken.
+func run(w io.Writer) error {
 	rt := nanos.New(nanos.Config{Workers: 4})
 
 	// Two logical variables a and b: elements 0 and 1 of one data object.
@@ -65,13 +76,20 @@ func main() {
 		})
 	})
 	close(done)
+	pos := map[string]int{}
 	for l := range done {
+		pos[l] = len(order)
 		order = append(order, l)
 	}
 
-	fmt.Println("completion order:", order)
-	fmt.Println("(T2 finishing before T1.2 is the paper's fine-grained release, §V)")
+	fmt.Fprintln(w, "completion order:", order)
+	fmt.Fprintln(w, "(T2 finishing before T1.2 is the paper's fine-grained release, §V)")
 	st := rt.DepStats()
-	fmt.Printf("dependency engine: %d fragments, %d links, %d hand-overs, %d releases\n",
+	fmt.Fprintf(w, "dependency engine: %d fragments, %d links, %d hand-overs, %d releases\n",
 		st.Fragments, st.Links, st.Handovers, st.Releases)
+	// T2-before-T1.2 depends on timing; these two orders do not.
+	if len(order) != 4 || pos["T1.1"] > pos["T2"] || pos["T1.2"] > pos["T3"] {
+		return fmt.Errorf("completion order %v breaks T1.1 before T2 or T1.2 before T3", order)
+	}
+	return nil
 }

@@ -15,7 +15,9 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"math"
+	"os"
 	"sync/atomic"
 	"time"
 
@@ -28,7 +30,9 @@ const (
 	chunks = 4 // parallel generators
 )
 
-func run(reduction bool) (time.Duration, float64) {
+// dot computes the dot product with reduction tasks, or with the inout
+// chain they replace, and checks the result.
+func dot(reduction bool) (time.Duration, float64, error) {
 	rt := nanos.New(nanos.Config{Workers: 8})
 	xd := rt.NewData("x", n, 8)
 	acc := rt.NewData("acc", 1, 8)
@@ -104,24 +108,32 @@ func run(reduction bool) (time.Duration, float64) {
 	el := time.Since(start)
 	want := float64(n) * 0.5 * 2.0
 	if result != want {
-		panic(fmt.Sprintf("dot = %v, want %v", result, want))
+		return el, result, fmt.Errorf("dot = %v, want %v", result, want)
 	}
-	return el, result
+	return el, result, nil
 }
 
 func main() {
-	serialT, _ := run(false)
-	redT, dot := run(true)
-	fmt.Printf("dot product of %d elements, %d-element blocks, 8 workers (result %.0f, validated)\n", n, block, dot)
-	fmt.Printf("  inout chain (pre-extension):   %8v\n", serialT.Round(time.Microsecond))
-	fmt.Printf("  reduction group (this paper's §X direction): %8v\n", redT.Round(time.Microsecond))
+	if err := run(os.Stdout); err != nil {
+		fmt.Fprintln(os.Stderr, "reduce:", err)
+		os.Exit(1)
+	}
 }
 
-func min(a, b int64) int64 {
-	if a < b {
-		return a
+// run times both formulations and prints them to w.
+func run(w io.Writer) error {
+	serialT, _, err := dot(false)
+	if err != nil {
+		return err
 	}
-	return b
+	redT, sum, err := dot(true)
+	if err != nil {
+		return err
+	}
+	fmt.Fprintf(w, "dot product of %d elements, %d-element blocks, 8 workers (result %.0f, validated)\n", n, block, sum)
+	fmt.Fprintf(w, "  inout chain (pre-extension):   %8v\n", serialT.Round(time.Microsecond))
+	fmt.Fprintf(w, "  reduction group (this paper's §X direction): %8v\n", redT.Round(time.Microsecond))
+	return nil
 }
 
 // atomicAdd adds v to the float64 stored in bits.

@@ -15,21 +15,35 @@ package main
 
 import (
 	"fmt"
+	"io"
+	"os"
 	"time"
 
 	"repro/internal/workloads"
 )
 
+// params sizes the example's matrix; its test shrinks it under -short.
+var params = workloads.SparseLUParams{B: 24, TS: 32, Density: 0.3, Seed: 2017, Compute: true}
+
 func main() {
-	p := workloads.SparseLUParams{B: 24, TS: 32, Density: 0.3, Seed: 2017, Compute: true}
+	if err := run(os.Stdout, params); err != nil {
+		fmt.Fprintln(os.Stderr, "sparselu:", err)
+		os.Exit(1)
+	}
+}
+
+// run factorizes the matrix p describes once per variant and prints each
+// run to w; RunSparseLU validates every variant.
+func run(w io.Writer, p workloads.SparseLUParams) error {
 	for _, v := range workloads.SparseLUVariants {
 		start := time.Now()
 		res, fills, err := workloads.RunSparseLU(workloads.Mode{Workers: 8}, v, p)
 		if err != nil {
-			panic(err)
+			return err
 		}
-		fmt.Printf("%-12s  wall %-12v  tasks %-5d  fill-in blocks %-4d  GFlop/s %.2f\n",
+		fmt.Fprintf(w, "%-12s  wall %-12v  tasks %-5d  fill-in blocks %-4d  GFlop/s %.2f\n",
 			v, time.Since(start).Round(time.Microsecond), res.Tasks, fills, res.GFlops())
 	}
-	fmt.Println("\nall three variants validated against the sequential factorization")
+	fmt.Fprintln(w, "\nall three variants validated against the sequential factorization")
+	return nil
 }

@@ -25,7 +25,9 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"math"
+	"os"
 	"sync"
 	"time"
 
@@ -133,8 +135,17 @@ func normalize(x []float64, worksharing bool) (time.Duration, int64) {
 }
 
 func main() {
+	if err := run(os.Stdout); err != nil {
+		fmt.Fprintln(os.Stderr, "taskloop:", err)
+		os.Exit(1)
+	}
+}
+
+// run normalizes x under both constructs, prints each run to w, and fails
+// when a final ‖x‖² is not 1.
+func run(w io.Writer) error {
 	x := make([]float64, n)
-	fmt.Printf("vector normalization, N=%d, chunks of %d, 8 workers\n", n, grain)
+	fmt.Fprintf(w, "vector normalization, N=%d, chunks of %d, 8 workers\n", n, grain)
 	for _, ws := range []bool{false, true} {
 		el, tasks := normalize(x, ws)
 
@@ -143,11 +154,15 @@ func main() {
 		for _, v := range x {
 			check += v * v
 		}
-		name := "taskloop    (task per chunk)  "
+		name := "taskloop    (task per chunk)"
 		if ws {
-			name = "worksharing (task per stage)  "
+			name = "worksharing (task per stage)"
 		}
-		fmt.Printf("  %s wall %10v  tasks %5d  final ‖x‖² %.12f (want 1.0)\n",
+		fmt.Fprintf(w, "  %s   wall %10v  tasks %5d  final ‖x‖² %.12f\n",
 			name, el.Round(time.Microsecond), tasks, check)
+		if math.Abs(check-1) > 1e-9 {
+			return fmt.Errorf("%s: final ‖x‖² = %.12f, want 1", name, check)
+		}
 	}
+	return nil
 }

@@ -320,34 +320,22 @@ func Fig6(w io.Writer, o Options) error {
 // deterministic schedule; prints ASCII timelines and the quantified
 // sort/prefix overlap.
 func Fig7(w io.Writer, o Options) error {
-	o = o.defaults()
-	n := scaled(1<<18, o.Scale)
-	ts := int64(1 << 11)
-	workers := 8
 	width := 100
 	if o.Quick {
-		n = 1 << 12
-		ts = 1 << 6
 		width = 60
 	}
-	for _, v := range workloads.SortVariants {
-		res, err := workloads.RunSortSum(
-			workloads.Mode{Workers: workers, Virtual: true, Trace: true},
-			v, workloads.SortParams{N: n, TS: ts, Seed: 12345})
-		if err != nil {
-			return err
-		}
+	return fig7Runs(o, func(v workloads.SortVariant, p workloads.SortParams, res workloads.Result) error {
 		tr := res.Runtime.Tracer()
 		fmt.Fprintf(w, "Figure 7 — quicksort + prefix sum, %s dependencies (N=%d, TS=%d, %d virtual cores)\n",
-			v, n, ts, workers)
+			v, p.N, p.TS, fig7Workers)
 		fmt.Fprint(w, tr.RenderASCII(width))
-		sortK, prefixK := sortPrefixKinds(tr)
+		sortK, prefixK := SortPrefixKinds(tr)
 		ov := tr.Overlap(sortK, prefixK)
 		span := res.VirtualTime
 		fmt.Fprintf(w, "sort/prefix phase overlap: %d of %d time units (%.1f%%)\n\n",
 			ov, span, 100*float64(ov)/float64(span))
-	}
-	return nil
+		return nil
+	})
 }
 
 // ExportFig7 runs the Figure 7 workload once per variant and writes the
@@ -355,30 +343,38 @@ func Fig7(w io.Writer, o Options) error {
 // tracer. Used by cmd/reproduce -chrome/-prv to emit Chrome-trace JSON or
 // Paraver-like PRV files for external viewers.
 func ExportFig7(o Options, export func(variant string, tr *trace.Tracer) error) error {
+	return fig7Runs(o, func(v workloads.SortVariant, _ workloads.SortParams, res workloads.Result) error {
+		return export(string(v), res.Runtime.Tracer())
+	})
+}
+
+// fig7Workers is the virtual core count of Figure 7.
+const fig7Workers = 8
+
+// fig7Runs sizes the Figure 7 workload from o, runs it traced in virtual
+// mode once per variant, and passes each run to each.
+func fig7Runs(o Options, each func(workloads.SortVariant, workloads.SortParams, workloads.Result) error) error {
 	o = o.defaults()
-	n := scaled(1<<18, o.Scale)
-	ts := int64(1 << 11)
+	p := workloads.SortParams{N: scaled(1<<18, o.Scale), TS: 1 << 11, Seed: 12345}
 	if o.Quick {
-		n = 1 << 12
-		ts = 1 << 6
+		p.N, p.TS = 1<<12, 1<<6
 	}
 	for _, v := range workloads.SortVariants {
 		res, err := workloads.RunSortSum(
-			workloads.Mode{Workers: 8, Virtual: true, Trace: true},
-			v, workloads.SortParams{N: n, TS: ts, Seed: 12345})
+			workloads.Mode{Workers: fig7Workers, Virtual: true, Trace: true}, v, p)
 		if err != nil {
 			return err
 		}
-		if err := export(string(v), res.Runtime.Tracer()); err != nil {
+		if err := each(v, p, res); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// sortPrefixKinds splits the registered trace kinds into the sort phase and
-// the prefix-sum phase of the benchmark.
-func sortPrefixKinds(tr *trace.Tracer) (sortK, prefixK []trace.Kind) {
+// SortPrefixKinds splits the registered trace kinds of a sort + prefix-sum
+// run into the sort phase and the prefix-sum phase.
+func SortPrefixKinds(tr *trace.Tracer) (sortK, prefixK []trace.Kind) {
 	for i, name := range tr.Kinds() {
 		switch name {
 		case "quick_sort", "insertion_sort":
